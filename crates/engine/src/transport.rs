@@ -378,7 +378,7 @@ fn rd_count(b: &mut Bytes, elem_floor: usize, what: &str) -> Result<usize, TgsEr
 
 /// One user's `(timestamp key, distribution)` observations — the shared
 /// row shape of the queryable track and the solver's aged history.
-pub(crate) type UserRow = (usize, Vec<(u64, Vec<f64>)>);
+pub type UserRow = (usize, Vec<(u64, Vec<f64>)>);
 
 fn wr_dists(buf: &mut BytesMut, rows: &[(u64, Vec<f64>)]) {
     buf.put_u64_le(rows.len() as u64);
@@ -433,7 +433,7 @@ fn rd_user_rows(b: &mut Bytes, n: usize, what: &str) -> Result<Vec<UserRow>, Tgs
 /// where each row is `u64 user | u64 n | n × (u64 key, u64 k, k × f64)`.
 /// `f64`s round-trip by bit pattern, so a local rebalance through bytes
 /// stays byte-identical to the former in-memory path.
-pub(crate) fn encode_user_range(track: &[UserRow], solver_rows: &[UserRow]) -> Vec<u8> {
+pub fn encode_user_range(track: &[UserRow], solver_rows: &[UserRow]) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(64);
     buf.put_u64_le(track.len() as u64);
     buf.put_u64_le(solver_rows.len() as u64);
@@ -442,7 +442,7 @@ pub(crate) fn encode_user_range(track: &[UserRow], solver_rows: &[UserRow]) -> V
     buf.freeze().as_slice().to_vec()
 }
 
-pub(crate) fn decode_user_range(bytes: &[u8]) -> Result<(Vec<UserRow>, Vec<UserRow>), TgsError> {
+pub fn decode_user_range(bytes: &[u8]) -> Result<(Vec<UserRow>, Vec<UserRow>), TgsError> {
     let mut b = Bytes::from(bytes.to_vec());
     let track_n = rd_count(&mut b, 8, "track user count")?;
     let solver_n = rd_count(&mut b, 8, "solver row count")?;
