@@ -22,6 +22,10 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+echo "==> benchmark package (builds against the workspace's public API; ~9 s smoke)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> bench smoke (quick run so bench code can't bit-rot)"
 ./scripts/bench_json.sh --quick
 

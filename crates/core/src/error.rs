@@ -203,13 +203,6 @@ impl TgsError {
         }
     }
 
-    /// Convenience constructor for [`TgsError::CorruptCheckpoint`].
-    pub fn corrupt(detail: impl Into<String>) -> Self {
-        TgsError::CorruptCheckpoint {
-            detail: detail.into(),
-        }
-    }
-
     /// Convenience constructor for [`TgsError::Net`].
     pub fn net(peer: impl Into<String>, detail: impl Into<String>) -> Self {
         TgsError::Net {

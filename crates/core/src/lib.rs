@@ -37,6 +37,7 @@
 //! assert_ne!(result.tweet_labels()[0], result.tweet_labels()[1]);
 //! ```
 
+pub mod codec;
 pub mod config;
 pub mod error;
 pub mod extensions;

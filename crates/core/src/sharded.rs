@@ -1,7 +1,7 @@
 //! Shard-parallel solves sharing the global word–sentiment factor.
 //!
 //! The user/tweet axes of the tripartite problem dominate its size, so
-//! they shard cleanly by user range (see `tgs_data::UserRangePartitioner`)
+//! they shard cleanly by user range (see `tgs_data::PartitionMap`)
 //! while the word axis — and therefore the `l × k` factor `Sf` — stays
 //! global. Both entry points here follow the same scheme:
 //!

@@ -8,36 +8,25 @@
 
 use std::collections::VecDeque;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use tgs_linalg::DenseMatrix;
 
-/// Serializes a dense matrix: `rows: u64 | cols: u64 | data: f64-LE…`.
+use crate::codec::{Reader, Writer};
+
+/// Serializes a dense matrix: `rows: u64 | cols: u64 | data: f64-LE…`
+/// (the codec's [`Writer::matrix`] layout).
 pub fn encode_matrix(m: &DenseMatrix) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + 8 * m.as_slice().len());
-    buf.put_u64_le(m.rows() as u64);
-    buf.put_u64_le(m.cols() as u64);
-    for &v in m.as_slice() {
-        buf.put_f64_le(v);
-    }
-    buf.freeze()
+    let mut w = Writer::with_capacity(16 + 8 * m.as_slice().len());
+    w.matrix(m);
+    Bytes::from(w.finish())
 }
 
 /// Inverse of [`encode_matrix`]. Returns `None` on malformed input.
-pub fn decode_matrix(mut bytes: Bytes) -> Option<DenseMatrix> {
-    if bytes.len() < 16 {
-        return None;
-    }
-    let rows = bytes.get_u64_le() as usize;
-    let cols = bytes.get_u64_le() as usize;
-    let expected = rows.checked_mul(cols)?.checked_mul(8)?;
-    if bytes.len() != expected {
-        return None;
-    }
-    let mut data = Vec::with_capacity(rows * cols);
-    while bytes.remaining() >= 8 {
-        data.push(bytes.get_f64_le());
-    }
-    DenseMatrix::from_vec(rows, cols, data).ok()
+pub fn decode_matrix(bytes: Bytes) -> Option<DenseMatrix> {
+    let mut r = Reader::new(bytes.as_slice());
+    let m = r.matrix("matrix").ok()?;
+    r.done().ok()?;
+    Some(m)
 }
 
 /// A FIFO store of factor snapshots keyed by timestamp, bounded by a byte
@@ -171,6 +160,7 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     #[test]
     fn roundtrip_exact() {

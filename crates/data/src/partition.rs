@@ -9,11 +9,9 @@
 //! feature space and the small cluster-level factors (`Sf`, `Hp`, `Hu`)
 //! remain mergeable across shards.
 //!
-//! Unlike the original stride-derived [`UserRangePartitioner`] (kept for
-//! v1 checkpoint compatibility — [`UserRangePartitioner::to_map`] lifts
-//! it into the elastic world), a [`PartitionMap`] carries an **explicit
-//! sorted boundary list**, so shard ranges can be reshaped at runtime: a
-//! [`RepartitionPlan`] describes split / merge / boundary-move deltas,
+//! A [`PartitionMap`] carries an **explicit sorted boundary list**, so
+//! shard ranges can be reshaped at runtime: a [`RepartitionPlan`]
+//! describes split / merge / boundary-move deltas,
 //! [`RepartitionPlan::apply`] derives the successor map, and
 //! [`PartitionMap::diff`] lists exactly which user ranges change owner —
 //! the contract the engine-level live rebalance is built on.
@@ -40,91 +38,6 @@ use tgs_text::{PipelineConfig, Vocabulary};
 
 use crate::matrices::{assemble_snapshot_matrices, SnapshotMatrices};
 use crate::model::Corpus;
-
-/// Deterministic contiguous-range partitioner over global user ids.
-///
-/// The frozen stride-derived layout of PR 3, kept because v1 multi-shard
-/// checkpoints validate against its `(shards, universe, stride)` triple.
-/// New code should route through [`PartitionMap`]
-/// (via [`UserRangePartitioner::to_map`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UserRangePartitioner {
-    shards: usize,
-    universe: usize,
-    stride: usize,
-}
-
-impl UserRangePartitioner {
-    /// A partitioner splitting `0..universe` user ids into `shards`
-    /// near-equal contiguous ranges. Ids at or beyond `universe` (sparse
-    /// ids first seen after fitting) map to the last shard, so
-    /// [`UserRangePartitioner::shard_of`] is total.
-    pub fn new(universe: usize, shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        let stride = universe.max(1).div_ceil(shards).max(1);
-        Self {
-            shards,
-            universe,
-            stride,
-        }
-    }
-
-    /// Number of shards `S`.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The user-id universe the ranges were derived from.
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
-    /// Users per shard range (last shard may be short).
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// The shard owning `user`. Total: ids beyond the universe land in
-    /// the last shard.
-    pub fn shard_of(&self, user: usize) -> usize {
-        (user / self.stride).min(self.shards - 1)
-    }
-
-    /// The `[start, end)` user-id range of `shard` within the universe
-    /// (the last shard additionally owns every id `>= universe`).
-    pub fn range(&self, shard: usize) -> (usize, usize) {
-        assert!(shard < self.shards, "shard {shard} out of {}", self.shards);
-        let start = shard * self.stride;
-        let end = if shard + 1 == self.shards {
-            self.universe.max(start)
-        } else {
-            ((shard + 1) * self.stride).min(self.universe)
-        };
-        (start, end)
-    }
-
-    /// FNV-1a digest of the routing parameters. Two partitioners with
-    /// equal fingerprints make identical routing decisions; v1
-    /// multi-shard checkpoints embed it so a restore cannot silently
-    /// re-route users.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in [self.shards as u64, self.universe as u64, self.stride as u64] {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
-
-    /// The equivalent explicit-boundary [`PartitionMap`]: identical
-    /// routing decisions for every user id (tested below).
-    pub fn to_map(&self) -> PartitionMap {
-        let starts = (0..self.shards).map(|s| s * self.stride).collect();
-        PartitionMap::new(self.universe, starts).expect("stride layout is always well-formed")
-    }
-}
 
 /// A malformed [`PartitionMap`] or inapplicable [`RepartitionPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -198,10 +111,15 @@ impl PartitionMap {
         })
     }
 
-    /// The stride layout of [`UserRangePartitioner::new`] as an explicit
-    /// map — `S` near-equal ranges over `0..universe`.
+    /// `S` near-equal contiguous ranges over `0..universe`: shard `i`
+    /// starts at `i × ⌈max(universe, 1) / S⌉`. Checkpoints of fleets built
+    /// with this layout serialize these boundaries, so they must not
+    /// change.
     pub fn even(universe: usize, shards: usize) -> Self {
-        UserRangePartitioner::new(universe, shards).to_map()
+        assert!(shards >= 1, "need at least one shard");
+        let stride = universe.max(1).div_ceil(shards);
+        let starts = (0..shards).map(|s| s * stride).collect();
+        Self::new(universe, starts).expect("stride starts rise strictly from 0")
     }
 
     /// Number of shards `S`.
@@ -763,7 +681,7 @@ mod tests {
     #[test]
     fn ranges_cover_universe_disjointly() {
         for (universe, shards) in [(10, 3), (7, 7), (100, 8), (5, 1), (3, 8)] {
-            let p = UserRangePartitioner::new(universe, shards);
+            let p = PartitionMap::even(universe, shards);
             let mut seen = vec![0usize; universe];
             for s in 0..shards {
                 let (lo, hi) = p.range(s);
@@ -782,18 +700,14 @@ mod tests {
     }
 
     #[test]
-    fn partition_map_matches_stride_partitioner_everywhere() {
+    fn even_map_keeps_the_stride_boundaries() {
         for (universe, shards) in [(10, 3), (7, 7), (100, 8), (5, 1), (3, 8), (1, 4)] {
-            let p = UserRangePartitioner::new(universe, shards);
-            let m = p.to_map();
+            let m = PartitionMap::even(universe, shards);
             assert_eq!(m.shards(), shards);
             assert_eq!(m.universe(), universe);
-            for u in 0..universe + 20 {
-                assert_eq!(m.shard_of(u), p.shard_of(u), "{universe}/{shards} user {u}");
-            }
-            for s in 0..shards {
-                assert_eq!(m.range(s), p.range(s), "{universe}/{shards} shard {s}");
-            }
+            let stride = universe.max(1).div_ceil(shards);
+            let expected: Vec<usize> = (0..shards).map(|i| i * stride).collect();
+            assert_eq!(m.starts(), expected, "{universe}/{shards}");
         }
     }
 
@@ -811,19 +725,6 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_parameters() {
-        let a = UserRangePartitioner::new(100, 4);
-        assert_eq!(
-            a.fingerprint(),
-            UserRangePartitioner::new(100, 4).fingerprint()
-        );
-        assert_ne!(
-            a.fingerprint(),
-            UserRangePartitioner::new(100, 2).fingerprint()
-        );
-        assert_ne!(
-            a.fingerprint(),
-            UserRangePartitioner::new(99, 4).fingerprint()
-        );
         let m = PartitionMap::new(100, vec![0, 25, 50]).unwrap();
         assert_eq!(
             m.fingerprint(),

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use tgs_data::{
     build_offline_sharded, generate, route_docs, route_docs_ghost, GeneratorConfig, PartitionMap,
-    RepartitionOp, RepartitionPlan, UserRangePartitioner,
+    RepartitionOp, RepartitionPlan,
 };
 use tgs_text::{PipelineConfig, Weighting};
 
@@ -100,7 +100,7 @@ proptest! {
         shards in 1usize..=8,
         probe in 0usize..500,
     ) {
-        let p = UserRangePartitioner::new(universe, shards);
+        let p = PartitionMap::even(universe, shards);
         // Total function, stable, and within bounds.
         let s = p.shard_of(probe);
         prop_assert!(s < shards);
@@ -123,7 +123,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let corpus = generate(&corpus_config(users, tweets, days, seed));
-        let p = UserRangePartitioner::new(corpus.num_users(), shards).to_map();
+        let p = PartitionMap::even(corpus.num_users(), shards);
         let authors: Vec<usize> = corpus.tweets.iter().map(|t| t.author).collect();
         let events: Vec<(usize, usize)> =
             corpus.retweets.iter().map(|r| (r.user, r.tweet)).collect();

@@ -21,10 +21,11 @@
 //! yields identical query results for every retained timestamp and
 //! bit-identical subsequent solves.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use tgs_core::codec::{CodecError, Reader, Writer};
 use tgs_core::{
-    decode_matrix, encode_matrix, InitStrategy, OnlineConfig, OnlineSolver, OnlineSolverState,
-    SnapshotStore, TgsError,
+    encode_matrix, InitStrategy, OnlineConfig, OnlineSolver, OnlineSolverState, SnapshotStore,
+    TgsError,
 };
 use tgs_linalg::DenseMatrix;
 use tgs_text::{TokenizerConfig, Vocabulary, Weighting};
@@ -72,82 +73,8 @@ impl EngineCheckpoint {
 }
 
 // ---------------------------------------------------------------------
-// Checked read/write helpers over the vendored `bytes` surface.
+// Sections shared with the delta codec (`crate::delta`)
 // ---------------------------------------------------------------------
-
-fn corrupt(what: &str) -> TgsError {
-    TgsError::corrupt(format!("truncated or malformed field: {what}"))
-}
-
-pub(crate) fn rd_u64(b: &mut Bytes, what: &str) -> Result<u64, TgsError> {
-    if b.remaining() < 8 {
-        return Err(corrupt(what));
-    }
-    Ok(b.get_u64_le())
-}
-
-pub(crate) fn rd_usize(b: &mut Bytes, what: &str) -> Result<usize, TgsError> {
-    usize::try_from(rd_u64(b, what)?).map_err(|_| corrupt(what))
-}
-
-pub(crate) fn rd_f64(b: &mut Bytes, what: &str) -> Result<f64, TgsError> {
-    if b.remaining() < 8 {
-        return Err(corrupt(what));
-    }
-    Ok(b.get_f64_le())
-}
-
-pub(crate) fn rd_u8(b: &mut Bytes, what: &str) -> Result<u8, TgsError> {
-    if b.remaining() < 1 {
-        return Err(corrupt(what));
-    }
-    let mut byte = [0u8; 1];
-    b.copy_to_slice(&mut byte);
-    Ok(byte[0])
-}
-
-pub(crate) fn rd_bool(b: &mut Bytes, what: &str) -> Result<bool, TgsError> {
-    match rd_u8(b, what)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(corrupt(what)),
-    }
-}
-
-/// Guards list headers: each element needs at least `elem_bytes`, so a
-/// corrupt count can't trigger a huge allocation.
-pub(crate) fn rd_count(b: &mut Bytes, elem_bytes: usize, what: &str) -> Result<usize, TgsError> {
-    let count = rd_usize(b, what)?;
-    if count.saturating_mul(elem_bytes.max(1)) > b.remaining() {
-        return Err(corrupt(what));
-    }
-    Ok(count)
-}
-
-fn wr_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u64_le(s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
-
-fn rd_str(b: &mut Bytes, what: &str) -> Result<String, TgsError> {
-    let len = rd_count(b, 1, what)?;
-    let mut raw = vec![0u8; len];
-    b.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| corrupt(what))
-}
-
-fn wr_matrix(buf: &mut BytesMut, m: &DenseMatrix) {
-    let encoded = encode_matrix(m);
-    buf.put_u64_le(encoded.len() as u64);
-    buf.put_slice(encoded.as_slice());
-}
-
-fn rd_matrix(b: &mut Bytes, what: &str) -> Result<DenseMatrix, TgsError> {
-    let len = rd_count(b, 1, what)?;
-    let mut raw = vec![0u8; len];
-    b.copy_to_slice(&mut raw);
-    decode_matrix(Bytes::from(raw)).ok_or_else(|| corrupt(what))
-}
 
 fn init_to_u8(init: InitStrategy) -> u8 {
     match init {
@@ -160,7 +87,7 @@ fn init_from_u8(v: u8) -> Result<InitStrategy, TgsError> {
     match v {
         0 => Ok(InitStrategy::Random),
         1 => Ok(InitStrategy::LexiconSeeded),
-        _ => Err(corrupt("init strategy")),
+        _ => Err(TgsError::corrupt(format!("unknown init strategy tag {v}"))),
     }
 }
 
@@ -177,60 +104,229 @@ fn weighting_from_u8(v: u8) -> Result<Weighting, TgsError> {
         0 => Ok(Weighting::Counts),
         1 => Ok(Weighting::Binary),
         2 => Ok(Weighting::TfIdf),
-        _ => Err(corrupt("weighting")),
+        _ => Err(TgsError::corrupt(format!("unknown weighting tag {v}"))),
     }
 }
 
-/// Serializes one timeline entry — the per-snapshot layout shared by the
-/// full checkpoint's timeline section and the delta codec's new-entry
-/// section (`crate::delta`).
-pub(crate) fn wr_timeline_entry(buf: &mut BytesMut, entry: &TimelineEntry) {
-    buf.put_u64_le(entry.timestamp);
-    buf.put_u64_le(entry.tweets as u64);
-    buf.put_u64_le(entry.users as u64);
-    buf.put_u64_le(entry.new_users as u64);
-    buf.put_u64_le(entry.evolving_users as u64);
-    buf.put_u64_le(entry.iterations as u64);
-    buf.put_slice(&[entry.converged as u8]);
-    buf.put_f64_le(entry.objective);
-    for &v in &entry.tweet_counts {
-        buf.put_u64_le(v as u64);
+/// A length-prefixed [`encode_matrix`] blob.
+fn read_matrix_blob(r: &mut Reader<'_>, what: &str) -> Result<DenseMatrix, CodecError> {
+    let mut blob = Reader::new(r.bytes(what)?);
+    let m = blob.matrix(what)?;
+    blob.done()?;
+    Ok(m)
+}
+
+/// A keyed-row key: solver history steps are signed and cross as two's
+/// complement `u64` (rebalance-migrated rows can predate a young
+/// solver's step 0); track keys are timestamps.
+pub(crate) trait RowKey: Copy {
+    fn to_wire(self) -> u64;
+    fn from_wire(v: u64) -> Self;
+}
+
+impl RowKey for u64 {
+    fn to_wire(self) -> u64 {
+        self
     }
-    for &v in &entry.user_counts {
-        buf.put_u64_le(v as u64);
+    fn from_wire(v: u64) -> Self {
+        v
     }
 }
 
-/// Inverse of [`wr_timeline_entry`].
-pub(crate) fn rd_timeline_entry(b: &mut Bytes, k: usize) -> Result<TimelineEntry, TgsError> {
-    let timestamp = rd_u64(b, "timeline timestamp")?;
-    let tweets = rd_usize(b, "timeline tweets")?;
-    let users = rd_usize(b, "timeline users")?;
-    let new_users = rd_usize(b, "timeline new users")?;
-    let evolving_users = rd_usize(b, "timeline evolving users")?;
-    let iterations = rd_usize(b, "timeline iterations")?;
-    let converged = rd_bool(b, "timeline converged")?;
-    let objective = rd_f64(b, "timeline objective")?;
-    let mut tweet_counts = Vec::with_capacity(k);
-    for _ in 0..k {
-        tweet_counts.push(rd_usize(b, "timeline tweet count")?);
+impl RowKey for i64 {
+    fn to_wire(self) -> u64 {
+        self as u64
     }
-    let mut user_counts = Vec::with_capacity(k);
-    for _ in 0..k {
-        user_counts.push(rd_usize(b, "timeline user count")?);
+    fn from_wire(v: u64) -> Self {
+        v as i64
     }
-    Ok(TimelineEntry {
-        timestamp,
-        tweets,
-        users,
-        new_users,
-        evolving_users,
-        iterations,
-        converged,
-        objective,
-        tweet_counts,
-        user_counts,
-    })
+}
+
+/// Per-user keyed rows: each user with their `(key, k-wide row)` entries.
+pub(crate) type KeyedRows<K> = Vec<(usize, Vec<(K, Vec<f64>)>)>;
+
+/// Writes a keyed-row list,
+/// `u64 users | users × (u64 user | u64 n | n × (u64 key, k × f64))` —
+/// the layout of the checkpoint's history and track sections and of the
+/// delta's touched-row and track-append sections.
+pub(crate) fn write_keyed_rows<'r, K: RowKey + 'r>(
+    w: &mut Writer,
+    rows: impl ExactSizeIterator<Item = (usize, &'r [(K, Vec<f64>)])>,
+) {
+    w.usize(rows.len());
+    for (user, entries) in rows {
+        w.usize(user);
+        w.usize(entries.len());
+        for (key, row) in entries {
+            w.u64(key.to_wire());
+            for &v in row {
+                w.f64(v);
+            }
+        }
+    }
+}
+
+/// Inverse of [`write_keyed_rows`] for `k`-wide rows.
+pub(crate) fn read_keyed_rows<K: RowKey>(
+    r: &mut Reader<'_>,
+    k: usize,
+    what: &str,
+) -> Result<KeyedRows<K>, CodecError> {
+    let users = r.count(16, what)?;
+    let entry_floor = k.saturating_add(1).saturating_mul(8);
+    let mut out = Vec::with_capacity(users);
+    for _ in 0..users {
+        let user = r.usize(what)?;
+        let n = r.count(entry_floor, what)?;
+        let mut entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            let key = K::from_wire(r.u64(what)?);
+            let mut row = Vec::with_capacity(k);
+            for _ in 0..k {
+                row.push(r.f64(what)?);
+            }
+            entries.push((key, row));
+        }
+        out.push((user, entries));
+    }
+    Ok(out)
+}
+
+/// Writes a count-prefixed list of timeline entries, each
+/// `timestamp | tweets | users | new | evolving | iterations | converged
+/// | objective | k tweet counts | k user counts`.
+pub(crate) fn write_timeline<'e>(
+    w: &mut Writer,
+    entries: impl ExactSizeIterator<Item = &'e TimelineEntry>,
+) {
+    w.usize(entries.len());
+    for entry in entries {
+        w.u64(entry.timestamp);
+        w.usize(entry.tweets);
+        w.usize(entry.users);
+        w.usize(entry.new_users);
+        w.usize(entry.evolving_users);
+        w.usize(entry.iterations);
+        w.bool(entry.converged);
+        w.f64(entry.objective);
+        for &v in entry.tweet_counts.iter().chain(&entry.user_counts) {
+            w.usize(v);
+        }
+    }
+}
+
+/// Inverse of [`write_timeline`] for `k` classes.
+pub(crate) fn read_timeline(
+    r: &mut Reader<'_>,
+    k: usize,
+) -> Result<Vec<TimelineEntry>, CodecError> {
+    let entry_floor = k.saturating_mul(2).saturating_add(7).saturating_mul(8) + 1;
+    let n = r.count(entry_floor, "timeline length")?;
+    (0..n)
+        .map(|_| {
+            Ok(TimelineEntry {
+                timestamp: r.u64("timeline timestamp")?,
+                tweets: r.usize("timeline tweets")?,
+                users: r.usize("timeline users")?,
+                new_users: r.usize("timeline new users")?,
+                evolving_users: r.usize("timeline evolving users")?,
+                iterations: r.usize("timeline iterations")?,
+                converged: r.bool("timeline converged")?,
+                objective: r.f64("timeline objective")?,
+                tweet_counts: (0..k)
+                    .map(|_| r.usize("timeline tweet count"))
+                    .collect::<Result<_, _>>()?,
+                user_counts: (0..k)
+                    .map(|_| r.usize("timeline user count"))
+                    .collect::<Result<_, _>>()?,
+            })
+        })
+        .collect()
+}
+
+/// One serialized `Sf`-window entry: a back-reference to an `Sf`-store
+/// timestamp, or the matrix inline when the store no longer holds it.
+pub(crate) enum WindowEntry {
+    Inline(DenseMatrix),
+    Ref(u64),
+}
+
+/// Writes the solver's `Sf` window (compaction): each matrix is the
+/// `Sf(t−i)` the solver pushed when it committed snapshot `t−i`, so it is
+/// byte-identical to that timestamp's `Sf`-store entry unless the budget
+/// evicted it. Entries write tag 1 + the store timestamp while the store
+/// holds the bytes, tag 0 + the inline matrix otherwise.
+pub(crate) fn write_window<'m>(
+    w: &mut Writer,
+    window: impl ExactSizeIterator<Item = &'m DenseMatrix>,
+    sf_store: &SnapshotStore,
+) {
+    w.usize(window.len());
+    for sf in window {
+        let encoded = encode_matrix(sf);
+        match sf_store
+            .iter()
+            .find(|(_, bytes)| bytes.as_slice() == encoded.as_slice())
+        {
+            Some((t, _)) => {
+                w.u8(1);
+                w.u64(t);
+            }
+            None => {
+                w.u8(0);
+                w.bytes(encoded.as_slice());
+            }
+        }
+    }
+}
+
+/// Inverse of [`write_window`]; references resolve later, against the
+/// store section, through [`resolve_window`].
+pub(crate) fn read_window(r: &mut Reader<'_>) -> Result<Vec<WindowEntry>, TgsError> {
+    let n = r.count(9, "sf window length")?;
+    (0..n)
+        .map(|_| match r.u8("sf window entry tag")? {
+            0 => Ok(WindowEntry::Inline(read_matrix_blob(
+                r,
+                "sf window snapshot",
+            )?)),
+            1 => Ok(WindowEntry::Ref(r.u64("sf window reference")?)),
+            t => Err(TgsError::corrupt(format!(
+                "unknown sf window entry tag {t}"
+            ))),
+        })
+        .collect()
+}
+
+/// Resolves window entries against `sf_store`. Each matrix must be
+/// `vocab × k` — a semantic check, so that a bad window fails the
+/// restore instead of the first post-restore solve.
+pub(crate) fn resolve_window(
+    entries: Vec<WindowEntry>,
+    sf_store: &SnapshotStore,
+    (vocab, k): (usize, usize),
+) -> Result<Vec<DenseMatrix>, TgsError> {
+    entries
+        .into_iter()
+        .map(|entry| {
+            let sf = match entry {
+                WindowEntry::Inline(sf) => sf,
+                WindowEntry::Ref(t) => sf_store.get(t).ok_or_else(|| {
+                    TgsError::corrupt(format!(
+                        "sf window references timestamp {t}, which the sf store does not retain"
+                    ))
+                })?,
+            };
+            if sf.shape() != (vocab, k) {
+                return Err(TgsError::corrupt(format!(
+                    "sf window snapshot is {}×{}, expected {vocab}×{k}",
+                    sf.rows(),
+                    sf.cols()
+                )));
+            }
+            Ok(sf)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -242,116 +338,73 @@ pub(crate) fn encode(
     solver: &OnlineSolver,
     state: &EngineState,
 ) -> EngineCheckpoint {
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC);
+    let mut w = Writer::with_capacity(1 << 16);
+    w.magic(MAGIC);
 
     // --- Configuration ---
     let c = &shared.config;
-    buf.put_u64_le(c.k as u64);
-    buf.put_f64_le(c.alpha);
-    buf.put_f64_le(c.beta);
-    buf.put_f64_le(c.gamma);
-    buf.put_f64_le(c.tau);
-    buf.put_u64_le(c.window as u64);
-    buf.put_slice(&[c.normalize_window as u8]);
-    buf.put_u64_le(c.max_iters as u64);
-    buf.put_f64_le(c.tol);
-    buf.put_u64_le(c.seed);
-    buf.put_slice(&[init_to_u8(c.init), c.track_objective as u8]);
-    buf.put_u64_le(shared.queue_depth as u64);
-    buf.put_u64_le(shared.tokenizer.min_token_len as u64);
-    buf.put_slice(&[
-        shared.tokenizer.keep_mentions as u8,
-        shared.tokenizer.keep_numbers as u8,
-        weighting_to_u8(shared.weighting),
-    ]);
+    w.usize(c.k);
+    w.f64(c.alpha);
+    w.f64(c.beta);
+    w.f64(c.gamma);
+    w.f64(c.tau);
+    w.usize(c.window);
+    w.bool(c.normalize_window);
+    w.usize(c.max_iters);
+    w.f64(c.tol);
+    w.u64(c.seed);
+    w.u8(init_to_u8(c.init));
+    w.bool(c.track_objective);
+    w.usize(shared.queue_depth);
+    w.usize(shared.tokenizer.min_token_len);
+    w.bool(shared.tokenizer.keep_mentions);
+    w.bool(shared.tokenizer.keep_numbers);
+    w.u8(weighting_to_u8(shared.weighting));
 
     // --- Vocabulary + prior ---
-    buf.put_u64_le(shared.vocab.len() as u64);
+    w.usize(shared.vocab.len());
     for token in shared.vocab.tokens() {
-        wr_str(&mut buf, token);
+        w.str(token);
     }
-    wr_matrix(&mut buf, &shared.sf0);
+    w.bytes(encode_matrix(&shared.sf0).as_slice());
 
     // --- Solver temporal state ---
     let solver_state = solver.export_state();
-    buf.put_u64_le(solver_state.steps);
-    buf.put_u64_le(solver_state.sf_window.len() as u64);
-    for sf in &solver_state.sf_window {
-        // Compaction: each window matrix is the Sf(t−i) the solver pushed
-        // when it committed snapshot t−i — byte-identical to that
-        // timestamp's Sf-store entry unless the budget evicted it. Write
-        // a back-reference when the store still holds the bytes; inline
-        // them only on eviction.
-        let encoded = encode_matrix(sf);
-        match state
-            .sf_store
+    w.u64(solver_state.steps);
+    write_window(&mut w, solver_state.sf_window.iter(), &state.sf_store);
+    w.u64(solver_state.history_step as u64);
+    write_keyed_rows(
+        &mut w,
+        solver_state
+            .history_rows
             .iter()
-            .find(|(_, bytes)| bytes.as_slice() == encoded.as_slice())
-        {
-            Some((t, _)) => {
-                buf.put_slice(&[1u8]);
-                buf.put_u64_le(t);
-            }
-            None => {
-                buf.put_slice(&[0u8]);
-                buf.put_u64_le(encoded.len() as u64);
-                buf.put_slice(encoded.as_slice());
-            }
-        }
-    }
-    // History steps are signed (rebalance-migrated rows can predate a
-    // young solver's step 0); two's-complement u64 round-trips them
-    // exactly, and pre-elastic checkpoints only ever held non-negative
-    // values, so old streams decode unchanged.
-    buf.put_u64_le(solver_state.history_step as u64);
-    buf.put_u64_le(solver_state.history_rows.len() as u64);
-    for (user, entries) in &solver_state.history_rows {
-        buf.put_u64_le(*user as u64);
-        buf.put_u64_le(entries.len() as u64);
-        for (step, row) in entries {
-            buf.put_u64_le(*step as u64);
-            for &v in row {
-                buf.put_f64_le(v);
-            }
-        }
-    }
+            .map(|(user, entries)| (*user, entries.as_slice())),
+    );
 
     // --- Timeline ---
-    buf.put_u64_le(state.timeline.len() as u64);
-    for entry in state.timeline.values() {
-        wr_timeline_entry(&mut buf, entry);
-    }
+    write_timeline(&mut w, state.timeline.values());
 
     // --- Per-user observations (sorted by user id for determinism) ---
     let mut users: Vec<_> = state.user_track.iter().collect();
     users.sort_unstable_by_key(|(&u, _)| u);
-    buf.put_u64_le(users.len() as u64);
-    for (&user, track) in users {
-        buf.put_u64_le(user as u64);
-        buf.put_u64_le(track.len() as u64);
-        for (t, dist) in track {
-            buf.put_u64_le(*t);
-            for &v in dist {
-                buf.put_f64_le(v);
-            }
-        }
-    }
+    write_keyed_rows(
+        &mut w,
+        users
+            .into_iter()
+            .map(|(&user, track)| (user, track.as_slice())),
+    );
 
     // --- Factor stores ---
     for store in [&state.sf_store, &state.sp_store] {
-        buf.put_u64_le(store.budget_bytes() as u64);
-        buf.put_u64_le(store.len() as u64);
+        w.usize(store.budget_bytes());
+        w.usize(store.len());
         for (t, bytes) in store.iter() {
-            buf.put_u64_le(t);
-            buf.put_u64_le(bytes.len() as u64);
-            buf.put_slice(bytes.as_slice());
+            w.u64(t);
+            w.bytes(bytes.as_slice());
         }
     }
 
-    EngineCheckpoint {
-        bytes: buf.freeze(),
-    }
+    EngineCheckpoint::from_bytes(w.finish())
 }
 
 // ---------------------------------------------------------------------
@@ -361,54 +414,44 @@ pub(crate) fn encode(
 pub(crate) fn decode(
     ckpt: &EngineCheckpoint,
 ) -> Result<(EngineShared, OnlineSolver, EngineState), TgsError> {
-    let mut b = ckpt.bytes.clone();
-    if b.remaining() < MAGIC.len() {
-        return Err(corrupt("magic header"));
-    }
-    let mut magic = [0u8; 8];
-    b.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(TgsError::corrupt(
-            "unrecognized magic header (not a tgs-engine checkpoint, or a newer format version)",
-        ));
-    }
+    let mut r = Reader::new(ckpt.as_bytes());
+    r.magic(MAGIC)?;
 
     // --- Configuration ---
-    let k = rd_usize(&mut b, "k")?;
+    let k = r.usize("k")?;
     let config = OnlineConfig {
         k,
-        alpha: rd_f64(&mut b, "alpha")?,
-        beta: rd_f64(&mut b, "beta")?,
-        gamma: rd_f64(&mut b, "gamma")?,
-        tau: rd_f64(&mut b, "tau")?,
-        window: rd_usize(&mut b, "window")?,
-        normalize_window: rd_bool(&mut b, "normalize_window")?,
-        max_iters: rd_usize(&mut b, "max_iters")?,
-        tol: rd_f64(&mut b, "tol")?,
-        seed: rd_u64(&mut b, "seed")?,
-        init: init_from_u8(rd_u8(&mut b, "init")?)?,
-        track_objective: rd_bool(&mut b, "track_objective")?,
+        alpha: r.f64("alpha")?,
+        beta: r.f64("beta")?,
+        gamma: r.f64("gamma")?,
+        tau: r.f64("tau")?,
+        window: r.usize("window")?,
+        normalize_window: r.bool("normalize_window")?,
+        max_iters: r.usize("max_iters")?,
+        tol: r.f64("tol")?,
+        seed: r.u64("seed")?,
+        init: init_from_u8(r.u8("init")?)?,
+        track_objective: r.bool("track_objective")?,
     };
     config.try_validate()?;
-    let queue_depth = rd_usize(&mut b, "queue_depth")?.max(1);
+    let queue_depth = r.usize("queue_depth")?.max(1);
     let tokenizer = TokenizerConfig {
-        min_token_len: rd_usize(&mut b, "min_token_len")?,
-        keep_mentions: rd_bool(&mut b, "keep_mentions")?,
-        keep_numbers: rd_bool(&mut b, "keep_numbers")?,
+        min_token_len: r.usize("min_token_len")?,
+        keep_mentions: r.bool("keep_mentions")?,
+        keep_numbers: r.bool("keep_numbers")?,
     };
-    let weighting = weighting_from_u8(rd_u8(&mut b, "weighting")?)?;
+    let weighting = weighting_from_u8(r.u8("weighting")?)?;
 
     // --- Vocabulary + prior ---
-    let vocab_len = rd_count(&mut b, 8, "vocabulary length")?;
-    let mut tokens = Vec::with_capacity(vocab_len);
-    for _ in 0..vocab_len {
-        tokens.push(rd_str(&mut b, "vocabulary token")?);
-    }
+    let vocab_len = r.count(8, "vocabulary length")?;
+    let tokens = (0..vocab_len)
+        .map(|_| r.str("vocabulary token"))
+        .collect::<Result<Vec<_>, _>>()?;
     let vocab = Vocabulary::from_tokens(tokens);
     if vocab.len() != vocab_len {
         return Err(TgsError::corrupt("duplicate vocabulary tokens"));
     }
-    let sf0 = rd_matrix(&mut b, "sf0 prior")?;
+    let sf0 = read_matrix_blob(&mut r, "sf0 prior")?;
     if sf0.shape() != (vocab.len(), k) {
         return Err(TgsError::corrupt(format!(
             "sf0 prior is {}×{}, expected {}×{k}",
@@ -418,119 +461,39 @@ pub(crate) fn decode(
         )));
     }
 
-    // --- Solver temporal state ---
-    // Window entries may back-reference Sf-store timestamps (compaction),
-    // and the stores appear later in the stream — parse now, resolve
-    // after the stores are decoded.
-    enum WindowEntry {
-        Inline(DenseMatrix),
-        Ref(u64),
-    }
-    let steps = rd_u64(&mut b, "solver steps")?;
-    let window_len = rd_count(&mut b, 9, "sf window length")?;
-    let mut window_entries = Vec::with_capacity(window_len);
-    for _ in 0..window_len {
-        match rd_u8(&mut b, "sf window entry tag")? {
-            0 => window_entries.push(WindowEntry::Inline(rd_matrix(
-                &mut b,
-                "sf window snapshot",
-            )?)),
-            1 => window_entries.push(WindowEntry::Ref(rd_u64(&mut b, "sf window reference")?)),
-            _ => return Err(corrupt("sf window entry tag")),
-        }
-    }
-    // Signed via two's complement — see the encode side.
-    let history_step = rd_u64(&mut b, "history step")? as i64;
-    let history_users = rd_count(&mut b, 16, "history user count")?;
-    let mut history_rows = Vec::with_capacity(history_users);
-    for _ in 0..history_users {
-        let user = rd_usize(&mut b, "history user id")?;
-        let entry_count = rd_count(&mut b, 8 * (k + 1), "history entry count")?;
-        let mut entries = Vec::with_capacity(entry_count);
-        for _ in 0..entry_count {
-            let step = rd_u64(&mut b, "history entry step")? as i64;
-            let mut row = Vec::with_capacity(k);
-            for _ in 0..k {
-                row.push(rd_f64(&mut b, "history entry value")?);
-            }
-            entries.push((step, row));
-        }
-        history_rows.push((user, entries));
-    }
+    // --- Solver temporal state (window references resolve against the
+    // Sf store, which comes later in the stream) ---
+    let steps = r.u64("solver steps")?;
+    let window = read_window(&mut r)?;
+    let history_step = r.u64("history step")? as i64;
+    let history_rows = read_keyed_rows(&mut r, k, "history rows")?;
 
     // --- Timeline ---
-    let timeline_len = rd_count(&mut b, 8 * (7 + 2 * k) + 1, "timeline length")?;
-    let mut timeline = std::collections::BTreeMap::new();
-    for _ in 0..timeline_len {
-        let entry = rd_timeline_entry(&mut b, k)?;
-        timeline.insert(entry.timestamp, entry);
-    }
+    let timeline = read_timeline(&mut r, k)?
+        .into_iter()
+        .map(|entry| (entry.timestamp, entry))
+        .collect();
 
     // --- Per-user observations ---
-    let track_users = rd_count(&mut b, 16, "user track count")?;
-    let mut user_track = std::collections::HashMap::with_capacity(track_users);
-    for _ in 0..track_users {
-        let user = rd_usize(&mut b, "user track id")?;
-        let obs_count = rd_count(&mut b, 8 * (k + 1), "user observation count")?;
-        let mut track = Vec::with_capacity(obs_count);
-        for _ in 0..obs_count {
-            let t = rd_u64(&mut b, "user observation timestamp")?;
-            let mut dist = Vec::with_capacity(k);
-            for _ in 0..k {
-                dist.push(rd_f64(&mut b, "user observation value")?);
-            }
-            track.push((t, dist));
-        }
-        user_track.insert(user, track);
-    }
+    let user_track = read_keyed_rows(&mut r, k, "user track")?
+        .into_iter()
+        .collect();
 
     // --- Factor stores ---
     let mut stores = Vec::with_capacity(2);
     for name in ["sf store", "sp store"] {
-        let budget = rd_usize(&mut b, name)?;
-        let mut store = SnapshotStore::new(budget);
-        let entries = rd_count(&mut b, 16, name)?;
-        for _ in 0..entries {
-            let t = rd_u64(&mut b, name)?;
-            let matrix = rd_matrix(&mut b, name)?;
-            store.put(t, &matrix);
+        let mut store = SnapshotStore::new(r.usize(name)?);
+        for _ in 0..r.count(16, name)? {
+            let t = r.u64(name)?;
+            store.put(t, &read_matrix_blob(&mut r, name)?);
         }
         stores.push(store);
     }
     let sp_store = stores.pop().expect("two stores decoded");
     let sf_store = stores.pop().expect("two stores decoded");
+    r.done()?;
 
-    if b.remaining() != 0 {
-        return Err(TgsError::corrupt(format!(
-            "{} trailing bytes after the final field",
-            b.remaining()
-        )));
-    }
-
-    // --- Resolve the (possibly compacted) Sf window against the store ---
-    let mut sf_window = Vec::with_capacity(window_entries.len());
-    for entry in window_entries {
-        let sf = match entry {
-            WindowEntry::Inline(sf) => sf,
-            WindowEntry::Ref(t) => sf_store.get(t).ok_or_else(|| {
-                TgsError::corrupt(format!(
-                    "sf window references timestamp {t}, which the sf store does not retain"
-                ))
-            })?,
-        };
-        // Semantic check: the window must aggregate against this
-        // vocabulary, or the first post-restore ingest would blow up
-        // inside the solver instead of failing the restore.
-        if sf.shape() != (vocab.len(), k) {
-            return Err(TgsError::corrupt(format!(
-                "sf window snapshot is {}×{}, expected {}×{k}",
-                sf.rows(),
-                sf.cols(),
-                vocab.len()
-            )));
-        }
-        sf_window.push(sf);
-    }
+    let sf_window = resolve_window(window, &sf_store, (vocab.len(), k))?;
     let solver = OnlineSolver::from_state(
         config.clone(),
         OnlineSolverState {

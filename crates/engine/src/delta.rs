@@ -30,16 +30,16 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use tgs_core::{decode_matrix, OnlineSolver, OnlineSolverState, SnapshotStore, TgsError};
+use bytes::Bytes;
+use tgs_core::codec::{CodecError, Reader, Writer};
+use tgs_core::{OnlineSolver, OnlineSolverState, SnapshotStore, TgsError};
 use tgs_linalg::DenseMatrix;
 
 use crate::checkpoint::{
-    self, rd_count, rd_f64, rd_timeline_entry, rd_u64, rd_u8, rd_usize, wr_timeline_entry,
-    EngineCheckpoint,
+    self, read_keyed_rows, read_timeline, read_window, resolve_window, write_keyed_rows,
+    write_timeline, write_window, EngineCheckpoint, KeyedRows,
 };
 use crate::engine::{EngineShared, EngineState};
-use crate::query::TimelineEntry;
 
 /// Magic + format version prefix of a serialized delta.
 const MAGIC: &[u8; 8] = b"TGSDLT\x00\x01";
@@ -53,10 +53,6 @@ const MAX_MARKS: usize = 8;
 /// `delta_since`, the log is trimmed and the mark degrades to
 /// unavailable — by then a delta would approach O(state) anyway.
 const MAX_RECORDS: usize = 4096;
-
-fn corrupt(what: &str) -> TgsError {
-    TgsError::corrupt(format!("malformed checkpoint delta: {what}"))
-}
 
 // ---------------------------------------------------------------------
 // Dirty tracking
@@ -203,32 +199,23 @@ impl CheckpointDelta {
         self.bytes.is_empty()
     }
 
-    fn header_u64(&self, offset: usize, what: &str) -> Result<u64, TgsError> {
-        let bytes = self.bytes.as_slice();
-        if bytes.len() < MAGIC.len() + 16 {
-            return Err(corrupt("truncated header"));
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(corrupt(
-                "unrecognized magic header (not a tgs delta, or a newer format version)",
-            ));
-        }
-        bytes[offset..offset + 8]
-            .try_into()
-            .map(u64::from_le_bytes)
-            .map_err(|_| corrupt(what))
-    }
-
     /// The mark id this delta applies on top of.
     pub fn base_id(&self) -> Result<u64, TgsError> {
-        self.header_u64(MAGIC.len(), "base id")
+        Ok(delta_ids(self.as_bytes())?.0)
     }
 
     /// The mark id of the state this delta produces — the next delta in
     /// a chain names this as its `base_id`.
     pub fn new_id(&self) -> Result<u64, TgsError> {
-        self.header_u64(MAGIC.len() + 8, "new id")
+        Ok(delta_ids(self.as_bytes())?.1)
     }
+}
+
+/// The `(base id, new id)` pair that follows a serialized delta's magic.
+pub(crate) fn delta_ids(bytes: &[u8]) -> Result<(u64, u64), TgsError> {
+    let mut r = Reader::new(bytes);
+    r.magic(MAGIC)?;
+    Ok((r.u64("delta base id")?, r.u64("delta new id")?))
 }
 
 // ---------------------------------------------------------------------
@@ -239,7 +226,7 @@ impl CheckpointDelta {
 /// live entries. Stores only pop from the front (FIFO eviction) and
 /// append at the back within an epoch, so `(removed, appended)` replayed
 /// onto the marked store reproduces the live one entry-for-entry.
-fn store_diff(mark_ts: &[u64], store: &SnapshotStore) -> (Vec<u64>, Vec<(u64, Bytes)>) {
+fn store_diff(mark_ts: &[u64], store: &SnapshotStore) -> StoreDiff {
     let live: Vec<(u64, Bytes)> = store.iter().collect();
     let live_set: HashSet<u64> = live.iter().map(|(t, _)| *t).collect();
     let mark_set: HashSet<u64> = mark_ts.iter().copied().collect();
@@ -255,17 +242,34 @@ fn store_diff(mark_ts: &[u64], store: &SnapshotStore) -> (Vec<u64>, Vec<(u64, By
     (removed, appended)
 }
 
-fn wr_store_diff(buf: &mut BytesMut, removed: &[u64], appended: &[(u64, Bytes)]) {
-    buf.put_u64_le(removed.len() as u64);
+/// One snapshot-store diff: removed timestamps plus appended
+/// `(timestamp, encoded matrix)` pairs.
+type StoreDiff = (Vec<u64>, Vec<(u64, Bytes)>);
+
+fn write_store_diff(w: &mut Writer, (removed, appended): &StoreDiff) {
+    w.usize(removed.len());
     for &t in removed {
-        buf.put_u64_le(t);
+        w.u64(t);
     }
-    buf.put_u64_le(appended.len() as u64);
+    w.usize(appended.len());
     for (t, bytes) in appended {
-        buf.put_u64_le(*t);
-        buf.put_u64_le(bytes.len() as u64);
-        buf.put_slice(bytes.as_slice());
+        w.u64(*t);
+        w.bytes(bytes.as_slice());
     }
+}
+
+fn read_store_diff(r: &mut Reader<'_>) -> Result<StoreDiff, CodecError> {
+    let removed = (0..r.count(8, "store removed count")?)
+        .map(|_| r.u64("store removed timestamp"))
+        .collect::<Result<_, _>>()?;
+    let appended = (0..r.count(16, "store appended count")?)
+        .map(|_| {
+            let t = r.u64("store appended timestamp")?;
+            let bytes = r.bytes("store appended matrix")?;
+            Ok((t, Bytes::from(bytes.to_vec())))
+        })
+        .collect::<Result<_, CodecError>>()?;
+    Ok((removed, appended))
 }
 
 /// Encodes the changes since `base_id`, registering the resulting tip as
@@ -319,93 +323,66 @@ pub(crate) fn encode_delta(
     let new_id = tracker.register_mark(sf_store, sp_store);
     let k = shared.config.k;
 
-    let mut buf = BytesMut::with_capacity(1 << 12);
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(base_id);
-    buf.put_u64_le(new_id);
-    buf.put_u64_le(k as u64);
-    buf.put_u64_le(solver.steps());
+    let mut w = Writer::with_capacity(1 << 12);
+    w.magic(MAGIC);
+    w.u64(base_id);
+    w.u64(new_id);
+    w.usize(k);
+    w.u64(solver.steps());
     // Signed via two's complement, like the full checkpoint.
-    buf.put_u64_le(solver.history_step() as u64);
+    w.u64(solver.history_step() as u64);
 
     // --- Sf window: refs into the (reconciled) sf store, inline on
     // eviction — the same compaction the full encoder applies, so the
     // window ships as a handful of bytes in the common case. ---
     let window: Vec<&DenseMatrix> = solver.sf_window_snapshots().collect();
-    buf.put_u64_le(window.len() as u64);
-    for sf in window {
-        let encoded = tgs_core::encode_matrix(sf);
-        match sf_store
-            .iter()
-            .find(|(_, bytes)| bytes.as_slice() == encoded.as_slice())
-        {
-            Some((t, _)) => {
-                buf.put_slice(&[1u8]);
-                buf.put_u64_le(t);
-            }
-            None => {
-                buf.put_slice(&[0u8]);
-                buf.put_u64_le(encoded.len() as u64);
-                buf.put_slice(encoded.as_slice());
-            }
-        }
-    }
+    write_window(&mut w, window.into_iter(), sf_store);
 
     // --- Touched users' history rows (wholesale replacement: the rows
     // are window-bounded, so this is O(touched), not O(stream)). ---
     let touched_vec: Vec<usize> = touched.iter().copied().collect();
     let rows = solver.export_history_rows_for(&touched_vec);
-    buf.put_u64_le(rows.len() as u64);
-    for (user, entries) in &rows {
-        buf.put_u64_le(*user as u64);
-        buf.put_u64_le(entries.len() as u64);
-        for (step, row) in entries {
-            buf.put_u64_le(*step as u64);
-            for &v in row {
-                buf.put_f64_le(v);
-            }
-        }
-    }
+    write_keyed_rows(
+        &mut w,
+        rows.iter()
+            .map(|(user, entries)| (*user, entries.as_slice())),
+    );
 
     // --- New timeline entries, ascending by timestamp. ---
-    buf.put_u64_le(new_timestamps.len() as u64);
-    for &t in &new_timestamps {
-        let entry = timeline
-            .get(&t)
-            .ok_or_else(|| corrupt("change log names a timestamp the timeline lacks"))?;
-        wr_timeline_entry(&mut buf, entry);
-    }
+    let entries = new_timestamps
+        .iter()
+        .map(|t| {
+            timeline.get(t).ok_or_else(|| {
+                TgsError::corrupt("delta change log names a timestamp the timeline lacks")
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    write_timeline(&mut w, entries.into_iter());
 
     // --- Per-user track appends: the commit path pushes exactly one
     // observation per touched user per step, so the last `n` entries of
     // a user's track are precisely the ones this span appended. ---
-    buf.put_u64_le(appends_per_user.len() as u64);
-    for (&user, &n) in &appends_per_user {
-        let track = user_track
-            .get(&user)
-            .ok_or_else(|| corrupt("change log names a user the track lacks"))?;
-        if track.len() < n {
-            return Err(corrupt("change log claims more appends than tracked"));
-        }
-        buf.put_u64_le(user as u64);
-        buf.put_u64_le(n as u64);
-        for (t, dist) in &track[track.len() - n..] {
-            buf.put_u64_le(*t);
-            for &v in dist {
-                buf.put_f64_le(v);
+    let appends = appends_per_user
+        .iter()
+        .map(|(&user, &n)| {
+            let track = user_track.get(&user).ok_or_else(|| {
+                TgsError::corrupt("delta change log names a user the track lacks")
+            })?;
+            if track.len() < n {
+                return Err(TgsError::corrupt(
+                    "delta change log claims more appends than tracked",
+                ));
             }
-        }
-    }
+            Ok((user, &track[track.len() - n..]))
+        })
+        .collect::<Result<Vec<_>, TgsError>>()?;
+    write_keyed_rows(&mut w, appends.into_iter());
 
     // --- Factor-store reconciliation. ---
-    let (sf_removed, sf_appended) = store_diff(&mark.sf_ts, sf_store);
-    wr_store_diff(&mut buf, &sf_removed, &sf_appended);
-    let (sp_removed, sp_appended) = store_diff(&mark.sp_ts, sp_store);
-    wr_store_diff(&mut buf, &sp_removed, &sp_appended);
+    write_store_diff(&mut w, &store_diff(&mark.sf_ts, sf_store));
+    write_store_diff(&mut w, &store_diff(&mark.sp_ts, sp_store));
 
-    Ok(Some(CheckpointDelta {
-        bytes: buf.freeze(),
-    }))
+    Ok(Some(CheckpointDelta::from_bytes(w.finish())))
 }
 
 /// Registers the current state as a base mark. Called by the engine with
@@ -424,38 +401,7 @@ pub(crate) fn register_base(state: &mut EngineState) -> u64 {
 // Apply
 // ---------------------------------------------------------------------
 
-enum WindowEntry {
-    Inline(DenseMatrix),
-    Ref(u64),
-}
-
-/// One snapshot-store diff: removed timestamps plus appended
-/// `(timestamp, encoded matrix)` pairs.
-type StoreDiff = (Vec<u64>, Vec<(u64, Bytes)>);
-
-/// Per-user factor appends decoded from a delta section: each touched
-/// user with their `(step-or-timestamp, row)` entries.
-type UserRowAppends<T> = Vec<(usize, Vec<(T, Vec<f64>)>)>;
-
-fn rd_store_diff(b: &mut Bytes) -> Result<StoreDiff, TgsError> {
-    let removed_n = rd_count(b, 8, "store removed count")?;
-    let mut removed = Vec::with_capacity(removed_n);
-    for _ in 0..removed_n {
-        removed.push(rd_u64(b, "store removed timestamp")?);
-    }
-    let appended_n = rd_count(b, 16, "store appended count")?;
-    let mut appended = Vec::with_capacity(appended_n);
-    for _ in 0..appended_n {
-        let t = rd_u64(b, "store appended timestamp")?;
-        let len = rd_count(b, 1, "store appended length")?;
-        let mut raw = vec![0u8; len];
-        b.copy_to_slice(&mut raw);
-        appended.push((t, Bytes::from(raw)));
-    }
-    Ok((removed, appended))
-}
-
-fn reconcile(store: &mut SnapshotStore, removed: Vec<u64>, appended: Vec<(u64, Bytes)>) {
+fn reconcile(store: &mut SnapshotStore, (removed, appended): StoreDiff) {
     // Removals first: the surviving base entries keep their insertion
     // order, then appends land behind them — matching the live store's
     // FIFO history, so a later delta's diff lines up again.
@@ -479,101 +425,48 @@ pub fn apply_delta(
     let k = shared.config.k;
     let base_state = solver.export_state();
 
-    let mut b = delta.bytes.clone();
-    if b.remaining() < MAGIC.len() {
-        return Err(corrupt("magic header"));
-    }
-    let mut magic = [0u8; 8];
-    b.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(corrupt(
-            "unrecognized magic header (not a tgs delta, or a newer format version)",
+    let mut r = Reader::new(delta.as_bytes());
+    r.magic(MAGIC)?;
+    r.u64("delta base id")?;
+    r.u64("delta new id")?;
+    if r.usize("delta k")? != k {
+        return Err(TgsError::corrupt(
+            "delta class count disagrees with the base checkpoint",
         ));
     }
-    let _base_id = rd_u64(&mut b, "base id")?;
-    let _new_id = rd_u64(&mut b, "new id")?;
-    let delta_k = rd_usize(&mut b, "k")?;
-    if delta_k != k {
-        return Err(corrupt("class count disagrees with the base checkpoint"));
-    }
-    let steps = rd_u64(&mut b, "solver steps")?;
+    let steps = r.u64("delta solver steps")?;
     if steps < base_state.steps {
-        return Err(corrupt("solver steps regress from the base checkpoint"));
+        return Err(TgsError::corrupt(
+            "delta solver steps regress from the base checkpoint",
+        ));
     }
-    let history_step = rd_u64(&mut b, "history step")? as i64;
+    let history_step = r.u64("delta history step")? as i64;
     if history_step < base_state.history_step {
-        return Err(corrupt("history step regresses from the base checkpoint"));
+        return Err(TgsError::corrupt(
+            "delta history step regresses from the base checkpoint",
+        ));
     }
 
     // --- Parse everything before mutating (truncation can't half-apply). ---
-    let window_len = rd_count(&mut b, 9, "sf window length")?;
-    let mut window_entries = Vec::with_capacity(window_len);
-    for _ in 0..window_len {
-        match rd_u8(&mut b, "sf window entry tag")? {
-            0 => {
-                let len = rd_count(&mut b, 1, "sf window snapshot")?;
-                let mut raw = vec![0u8; len];
-                b.copy_to_slice(&mut raw);
-                let m =
-                    decode_matrix(Bytes::from(raw)).ok_or_else(|| corrupt("sf window snapshot"))?;
-                window_entries.push(WindowEntry::Inline(m));
-            }
-            1 => window_entries.push(WindowEntry::Ref(rd_u64(&mut b, "sf window reference")?)),
-            _ => return Err(corrupt("sf window entry tag")),
-        }
-    }
-    let touched_n = rd_count(&mut b, 16, "touched user count")?;
-    let mut touched_rows: UserRowAppends<i64> = Vec::with_capacity(touched_n);
-    for _ in 0..touched_n {
-        let user = rd_usize(&mut b, "touched user id")?;
-        let entry_count = rd_count(&mut b, 8 * (k + 1), "touched entry count")?;
-        let mut entries = Vec::with_capacity(entry_count);
-        for _ in 0..entry_count {
-            let step = rd_u64(&mut b, "touched entry step")? as i64;
-            let mut row = Vec::with_capacity(k);
-            for _ in 0..k {
-                row.push(rd_f64(&mut b, "touched entry value")?);
-            }
-            entries.push((step, row));
-        }
-        touched_rows.push((user, entries));
-    }
-    let timeline_n = rd_count(&mut b, 8 * (7 + 2 * k) + 1, "timeline entry count")?;
-    let mut new_entries: Vec<TimelineEntry> = Vec::with_capacity(timeline_n);
-    for _ in 0..timeline_n {
-        new_entries.push(rd_timeline_entry(&mut b, k)?);
-    }
-    let track_n = rd_count(&mut b, 16, "track user count")?;
-    let mut track_appends: UserRowAppends<u64> = Vec::with_capacity(track_n);
-    for _ in 0..track_n {
-        let user = rd_usize(&mut b, "track user id")?;
-        let obs_count = rd_count(&mut b, 8 * (k + 1), "track append count")?;
-        let mut obs = Vec::with_capacity(obs_count);
-        for _ in 0..obs_count {
-            let t = rd_u64(&mut b, "track append timestamp")?;
-            let mut dist = Vec::with_capacity(k);
-            for _ in 0..k {
-                dist.push(rd_f64(&mut b, "track append value")?);
-            }
-            obs.push((t, dist));
-        }
-        track_appends.push((user, obs));
-    }
-    let (sf_removed, sf_appended) = rd_store_diff(&mut b)?;
-    let (sp_removed, sp_appended) = rd_store_diff(&mut b)?;
-    if b.remaining() != 0 {
-        return Err(corrupt("trailing bytes after the final field"));
-    }
+    let window = read_window(&mut r)?;
+    let touched_rows: KeyedRows<i64> = read_keyed_rows(&mut r, k, "delta touched rows")?;
+    let new_entries = read_timeline(&mut r, k)?;
+    let track_appends: KeyedRows<u64> = read_keyed_rows(&mut r, k, "delta track appends")?;
+    let sf_diff = read_store_diff(&mut r)?;
+    let sp_diff = read_store_diff(&mut r)?;
+    r.done()?;
 
     // --- Stores first: the window refs resolve against the result. ---
-    reconcile(&mut state.sf_store, sf_removed, sf_appended);
-    reconcile(&mut state.sp_store, sp_removed, sp_appended);
+    reconcile(&mut state.sf_store, sf_diff);
+    reconcile(&mut state.sp_store, sp_diff);
 
     // --- Timeline: strictly new entries (the stream is append-only). ---
     for entry in new_entries {
         let t = entry.timestamp;
         if state.timeline.insert(t, entry).is_some() {
-            return Err(corrupt("delta re-adds a timeline timestamp the base holds"));
+            return Err(TgsError::corrupt(
+                "delta re-adds a timeline timestamp the base holds",
+            ));
         }
     }
 
@@ -592,7 +485,9 @@ pub fn apply_delta(
         base_state.history_rows.into_iter().collect();
     for (user, entries) in touched_rows {
         if entries.is_empty() {
-            return Err(corrupt("touched user with an empty history row"));
+            return Err(TgsError::corrupt(
+                "delta touches a user with an empty history row",
+            ));
         }
         rows.insert(user, entries);
     }
@@ -607,19 +502,7 @@ pub fn apply_delta(
     }
 
     // --- Resolve the window and rebuild the solver (validates shapes). ---
-    let mut sf_window = Vec::with_capacity(window_entries.len());
-    for entry in window_entries {
-        let sf = match entry {
-            WindowEntry::Inline(sf) => sf,
-            WindowEntry::Ref(t) => state.sf_store.get(t).ok_or_else(|| {
-                corrupt("sf window references a timestamp the reconciled store lacks")
-            })?,
-        };
-        if sf.shape() != (shared.vocab.len(), k) {
-            return Err(corrupt("sf window snapshot shape disagrees with the base"));
-        }
-        sf_window.push(sf);
-    }
+    let sf_window = resolve_window(window, &state.sf_store, (shared.vocab.len(), k))?;
     let solver = OnlineSolver::from_state(
         shared.config.clone(),
         OnlineSolverState {

@@ -140,8 +140,11 @@ pub struct EngineStats {
     /// Wall-clock nanoseconds the worker spent on the most recent
     /// snapshot (tokenize + assemble + solve + commit).
     pub last_step_ns: u64,
-    /// Log2-bucket histogram of every step's wall-clock nanoseconds
-    /// (p50/p99/p999 accessors), plus a `shed` count of snapshots that
+    /// Log-linear histogram of every step's wall-clock nanoseconds: 304
+    /// HdrHistogram-style buckets (each power-of-two octave split into 8
+    /// linear sub-buckets), so the p50/p99/p999 accessors report a
+    /// ceiling at most 12.5% above the true value. Also carries a `shed`
+    /// count of snapshots that
     /// never reached the solver. On a single engine the sheds mirror
     /// `dropped_capacity`; on the multi-shard router they additionally
     /// include batches shed before splitting.

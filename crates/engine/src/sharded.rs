@@ -45,14 +45,12 @@ use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use parking_lot::Mutex;
+use tgs_core::codec::{Reader, Writer};
 use tgs_core::sharded::merge_sf;
 use tgs_core::{TgsError, TgsErrorKind};
-use tgs_data::{
-    route_docs, route_docs_ghost, PartitionMap, RepartitionOp, RepartitionPlan,
-    UserRangePartitioner,
-};
+use tgs_data::{route_docs, route_docs_ghost, PartitionMap, RepartitionOp, RepartitionPlan};
 use tgs_linalg::DenseMatrix;
 use tgs_text::Vocabulary;
 
@@ -63,12 +61,9 @@ use crate::query::{rank_top_words, ClusterSummary, TimelineEntry, UserSentiment}
 use crate::snapshot::{EngineRetweet, EngineSnapshot};
 use crate::transport::{exported_users_len, LocalShard, ShardTransport};
 
-/// Magic + format version prefix of the v1 (stride-map) multi-shard
-/// checkpoint. Still restorable; no longer written.
-const SHARD_MAGIC_V1: &[u8; 8] = b"TGSSHR\x00\x01";
-/// Magic + format version prefix of the v2 (explicit partition map +
-/// ghost flag) multi-shard checkpoint.
-const SHARD_MAGIC_V2: &[u8; 8] = b"TGSSHR\x00\x02";
+/// Magic + format version prefix of the multi-shard checkpoint (format
+/// version 2: explicit partition map + ghost flag).
+const SHARD_MAGIC: &[u8; 8] = b"TGSSHR\x00\x02";
 
 /// A serialized multi-shard session: a validated header (partition map +
 /// ghost flag + fingerprint) followed by one length-prefixed
@@ -102,18 +97,17 @@ impl ShardedCheckpoint {
         self.bytes.is_empty()
     }
 
-    /// True when `data` carries a multi-shard magic — either format
-    /// version — as opposed to a single-engine [`EngineCheckpoint`]
-    /// stream.
+    /// True when `data` carries the multi-shard magic, as opposed to a
+    /// single-engine [`EngineCheckpoint`] stream.
     pub fn sniff(data: &[u8]) -> bool {
-        data.starts_with(SHARD_MAGIC_V1) || data.starts_with(SHARD_MAGIC_V2)
+        data.starts_with(SHARD_MAGIC)
     }
 
     /// The per-shard checkpoint sections, in shard order. Each section is
     /// a complete single-engine checkpoint byte stream.
     pub fn sections(&self) -> Result<Vec<Vec<u8>>, TgsError> {
-        let header = decode_header(&self.bytes)?;
-        Ok(header.sections)
+        let header = decode_header(self.as_bytes())?;
+        Ok(header.sections.into_iter().map(<[u8]>::to_vec).collect())
     }
 }
 
@@ -198,15 +192,13 @@ impl ShardedDelta {
     /// The tips this delta advances the fleet to — the next
     /// [`ShardedEngine::delta_since`] call takes these.
     pub fn tips(&self) -> Result<FleetTips, TgsError> {
-        let (fingerprint, slots) = decode_delta_sections(&self.bytes)?;
+        let (fingerprint, slots) = decode_delta_sections(self.as_bytes())?;
         Ok(FleetTips {
             fingerprint,
             slots: slots
                 .iter()
                 .map(|s| match s {
-                    DeltaSection::Delta(bytes) => {
-                        crate::CheckpointDelta::from_bytes(bytes.clone()).new_id()
-                    }
+                    DeltaSection::Delta(bytes) => Ok(crate::delta::delta_ids(bytes)?.1),
                     DeltaSection::Base(id, _) => Ok(*id),
                 })
                 .collect::<Result<Vec<u64>, TgsError>>()?,
@@ -214,181 +206,77 @@ impl ShardedDelta {
     }
 }
 
-/// One slot's payload inside a [`ShardedDelta`].
-enum DeltaSection {
+/// One slot's payload inside a [`ShardedDelta`], borrowed from it.
+enum DeltaSection<'a> {
     /// An incremental [`crate::CheckpointDelta`] byte stream.
-    Delta(Vec<u8>),
+    Delta(&'a [u8]),
     /// A full checkpoint-base fallback: the new mark id plus the whole
     /// single-engine checkpoint section.
-    Base(u64, Vec<u8>),
+    Base(u64, &'a [u8]),
 }
 
 /// Parses a multi-shard delta into its declared fingerprint and
 /// per-slot sections. The topology fields beyond the fingerprint are
 /// validated at apply time against the base checkpoint's header.
-fn decode_delta_sections(bytes: &Bytes) -> Result<(u64, Vec<DeltaSection>), TgsError> {
-    let mut b = bytes.clone();
-    if b.remaining() < SHARD_DELTA_MAGIC.len() {
-        return Err(corrupt("sharded delta magic header"));
+fn decode_delta_sections(bytes: &[u8]) -> Result<(u64, Vec<DeltaSection<'_>>), TgsError> {
+    let mut r = Reader::new(bytes);
+    r.magic(SHARD_DELTA_MAGIC)?;
+    // Each slot needs at least a tag byte and a section length prefix.
+    let shards = r.count(9, "shard count")?;
+    if shards == 0 {
+        return Err(TgsError::corrupt("a fleet delta needs at least one slot"));
     }
-    let mut magic = [0u8; 8];
-    b.copy_to_slice(&mut magic);
-    if &magic != SHARD_DELTA_MAGIC {
-        return Err(TgsError::corrupt(
-            "unrecognized magic header (not a multi-shard tgs-engine delta)",
-        ));
-    }
-    let shards = usize::try_from(rd_u64(&mut b, "shard count")?)
-        .ok()
-        .filter(|&s| s >= 1 && s.saturating_mul(9) <= b.remaining())
-        .ok_or_else(|| corrupt("shard count"))?;
-    let fingerprint = rd_u64(&mut b, "partition fingerprint")?;
-    let mut sections = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        if b.remaining() < 1 {
-            return Err(corrupt("slot section tag"));
-        }
-        let mut tag = [0u8; 1];
-        b.copy_to_slice(&mut tag);
-        let base_id = match tag[0] {
-            1 => None,
-            0 => Some(rd_u64(&mut b, "slot base mark id")?),
-            _ => return Err(corrupt("slot section tag")),
-        };
-        let len = usize::try_from(rd_u64(&mut b, "slot section length")?)
-            .map_err(|_| corrupt("slot section length"))?;
-        if b.remaining() < len {
-            return Err(TgsError::corrupt(format!(
-                "slot {shard} section claims {len} bytes but only {} remain",
-                b.remaining()
-            )));
-        }
-        let mut raw = vec![0u8; len];
-        b.copy_to_slice(&mut raw);
-        sections.push(match base_id {
-            None => DeltaSection::Delta(raw),
-            Some(id) => DeltaSection::Base(id, raw),
-        });
-    }
-    if b.remaining() != 0 {
-        return Err(TgsError::corrupt(format!(
-            "{} trailing bytes after the final slot section",
-            b.remaining()
-        )));
-    }
+    let fingerprint = r.u64("partition fingerprint")?;
+    let sections = (0..shards)
+        .map(|_| match r.u8("slot section tag")? {
+            1 => Ok(DeltaSection::Delta(r.bytes("slot delta section")?)),
+            0 => {
+                let id = r.u64("slot base mark id")?;
+                Ok(DeltaSection::Base(id, r.bytes("slot base section")?))
+            }
+            t => Err(TgsError::corrupt(format!("unknown slot section tag {t}"))),
+        })
+        .collect::<Result<Vec<_>, TgsError>>()?;
+    r.done()?;
     Ok((fingerprint, sections))
 }
 
-fn corrupt(what: &str) -> TgsError {
-    TgsError::corrupt(format!("truncated or malformed field: {what}"))
-}
-
-fn rd_u64(b: &mut Bytes, what: &str) -> Result<u64, TgsError> {
-    if b.remaining() < 8 {
-        return Err(corrupt(what));
-    }
-    Ok(b.get_u64_le())
-}
-
-struct ShardedHeader {
+/// A decoded multi-shard checkpoint header; the sections borrow the
+/// checkpoint bytes.
+struct ShardedHeader<'a> {
     map: PartitionMap,
     ghost_mode: bool,
-    sections: Vec<Vec<u8>>,
+    sections: Vec<&'a [u8]>,
 }
 
-/// Parses either header version and splits off the per-shard sections.
-fn decode_header(bytes: &Bytes) -> Result<ShardedHeader, TgsError> {
-    let mut b = bytes.clone();
-    if b.remaining() < SHARD_MAGIC_V2.len() {
-        return Err(corrupt("sharded magic header"));
-    }
-    let mut magic = [0u8; 8];
-    b.copy_to_slice(&mut magic);
-    let v2 = match &magic {
-        m if m == SHARD_MAGIC_V2 => true,
-        m if m == SHARD_MAGIC_V1 => false,
-        _ => {
-            return Err(TgsError::corrupt(
-                "unrecognized magic header (not a multi-shard tgs-engine checkpoint)",
-            ))
-        }
-    };
-    // Bound the count against the remaining bytes (each shard needs at
-    // least an 8-byte section length prefix, and in v2 an 8-byte start)
-    // so a crafted header cannot trigger a huge allocation — mirrors
-    // `rd_count` in the single-engine decoder.
-    let per_shard_floor = if v2 { 16 } else { 8 };
-    let shards = usize::try_from(rd_u64(&mut b, "shard count")?)
-        .ok()
-        .filter(|&s| s >= 1 && s.saturating_mul(per_shard_floor) <= b.remaining())
-        .ok_or_else(|| corrupt("shard count"))?;
-    let universe = usize::try_from(rd_u64(&mut b, "partitioner universe")?)
-        .map_err(|_| corrupt("universe"))?;
-    let (map, ghost_mode) = if v2 {
-        if b.remaining() < 1 {
-            return Err(corrupt("ghost mode flag"));
-        }
-        let mut flag = [0u8; 1];
-        b.copy_to_slice(&mut flag);
-        let ghost_mode = match flag[0] {
-            0 => false,
-            1 => true,
-            _ => return Err(corrupt("ghost mode flag")),
-        };
-        let mut starts = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            starts.push(
-                usize::try_from(rd_u64(&mut b, "partition start")?)
-                    .map_err(|_| corrupt("partition start"))?,
-            );
-        }
-        let map = PartitionMap::new(universe, starts)
-            .map_err(|e| TgsError::corrupt(format!("malformed partition map: {e}")))?;
-        let fingerprint = rd_u64(&mut b, "partition fingerprint")?;
-        if map.fingerprint() != fingerprint {
-            return Err(TgsError::corrupt(format!(
-                "partition map fingerprint mismatch: checkpoint declares {fingerprint:#x}, \
-                 the serialized boundaries derive {:#x}",
-                map.fingerprint()
-            )));
-        }
-        (map, ghost_mode)
-    } else {
-        let stride = usize::try_from(rd_u64(&mut b, "partitioner stride")?)
-            .map_err(|_| corrupt("stride"))?;
-        let fingerprint = rd_u64(&mut b, "partitioner fingerprint")?;
-        let partitioner = UserRangePartitioner::new(universe, shards);
-        if partitioner.stride() != stride || partitioner.fingerprint() != fingerprint {
-            return Err(TgsError::corrupt(format!(
-                "partitioner mismatch: checkpoint declares stride {stride} / fingerprint \
-                 {fingerprint:#x}, but {shards} shards over {universe} users derive stride {} / \
-                 fingerprint {:#x}",
-                partitioner.stride(),
-                partitioner.fingerprint()
-            )));
-        }
-        (partitioner.to_map(), false)
-    };
-    let mut sections = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        let len = usize::try_from(rd_u64(&mut b, "shard section length")?)
-            .map_err(|_| corrupt("shard section length"))?;
-        if b.remaining() < len {
-            return Err(TgsError::corrupt(format!(
-                "shard {shard} section claims {len} bytes but only {} remain",
-                b.remaining()
-            )));
-        }
-        let mut raw = vec![0u8; len];
-        b.copy_to_slice(&mut raw);
-        sections.push(raw);
-    }
-    if b.remaining() != 0 {
+/// Parses the header and splits off the per-shard sections. The shard
+/// count, boundaries and fingerprint are checked against each other, so
+/// a restore can never silently re-route users.
+fn decode_header(bytes: &[u8]) -> Result<ShardedHeader<'_>, TgsError> {
+    let mut r = Reader::new(bytes);
+    r.magic(SHARD_MAGIC)?;
+    // Each shard needs at least an 8-byte start and an 8-byte section
+    // length prefix.
+    let shards = r.count(16, "shard count")?;
+    let universe = r.usize("partition universe")?;
+    let ghost_mode = r.bool("ghost mode flag")?;
+    let starts = (0..shards)
+        .map(|_| r.usize("partition start"))
+        .collect::<Result<Vec<_>, _>>()?;
+    let map = PartitionMap::new(universe, starts)
+        .map_err(|e| TgsError::corrupt(format!("malformed partition map: {e}")))?;
+    let fingerprint = r.u64("partition fingerprint")?;
+    if map.fingerprint() != fingerprint {
         return Err(TgsError::corrupt(format!(
-            "{} trailing bytes after the final shard section",
-            b.remaining()
+            "partition map fingerprint mismatch: checkpoint declares {fingerprint:#x}, \
+             the serialized boundaries derive {:#x}",
+            map.fingerprint()
         )));
     }
+    let sections = (0..shards)
+        .map(|_| r.bytes("shard section"))
+        .collect::<Result<Vec<_>, _>>()?;
+    r.done()?;
     Ok(ShardedHeader {
         map,
         ghost_mode,
@@ -396,33 +284,30 @@ fn decode_header(bytes: &Bytes) -> Result<ShardedHeader, TgsError> {
     })
 }
 
-/// Assembles per-shard sections under the deterministic v2 header —
-/// shared by full checkpoints, base checkpoints, and delta application,
-/// so a reassembled checkpoint is byte-identical to a directly taken
-/// one given equal sections and topology.
+/// Assembles per-shard sections under the deterministic header — shared
+/// by full checkpoints, base checkpoints, and delta application, so a
+/// reassembled checkpoint is byte-identical to a directly taken one given
+/// equal sections and topology.
 fn assemble_sharded(
     map: &PartitionMap,
     ghost_mode: bool,
     sections: &[Vec<u8>],
 ) -> ShardedCheckpoint {
-    let mut buf = BytesMut::with_capacity(
+    let mut w = Writer::with_capacity(
         64 + 8 * map.shards() + sections.iter().map(|s| s.len() + 8).sum::<usize>(),
     );
-    buf.put_slice(SHARD_MAGIC_V2);
-    buf.put_u64_le(map.shards() as u64);
-    buf.put_u64_le(map.universe() as u64);
-    buf.put_slice(&[ghost_mode as u8]);
+    w.magic(SHARD_MAGIC);
+    w.usize(map.shards());
+    w.usize(map.universe());
+    w.bool(ghost_mode);
     for &start in map.starts() {
-        buf.put_u64_le(start as u64);
+        w.usize(start);
     }
-    buf.put_u64_le(map.fingerprint());
+    w.u64(map.fingerprint());
     for section in sections {
-        buf.put_u64_le(section.len() as u64);
-        buf.put_slice(section);
+        w.bytes(section);
     }
-    ShardedCheckpoint {
-        bytes: buf.freeze(),
-    }
+    ShardedCheckpoint::from_bytes(w.finish())
 }
 
 /// The mutable topology of the fleet: the partition map and one worker
@@ -1190,10 +1075,10 @@ impl ShardedEngine {
         if tips.fingerprint != fleet.map.fingerprint() || tips.slots.len() != fleet.workers.len() {
             return Ok(None);
         }
-        let mut buf = BytesMut::with_capacity(1 << 12);
-        buf.put_slice(SHARD_DELTA_MAGIC);
-        buf.put_u64_le(fleet.workers.len() as u64);
-        buf.put_u64_le(fleet.map.fingerprint());
+        let mut w = Writer::with_capacity(1 << 12);
+        w.magic(SHARD_DELTA_MAGIC);
+        w.usize(fleet.workers.len());
+        w.u64(fleet.map.fingerprint());
         for (worker, &tip) in fleet.workers.iter().zip(&tips.slots) {
             let outcome = worker.delta_since(tip).and_then(|d| match d {
                 Some(delta) => Ok((None, delta)),
@@ -1206,15 +1091,13 @@ impl ShardedEngine {
             });
             match outcome {
                 Ok((None, delta)) => {
-                    buf.put_slice(&[1u8]);
-                    buf.put_u64_le(delta.len() as u64);
-                    buf.put_slice(&delta);
+                    w.u8(1);
+                    w.bytes(&delta);
                 }
                 Ok((Some(id), section)) => {
-                    buf.put_slice(&[0u8]);
-                    buf.put_u64_le(id);
-                    buf.put_u64_le(section.len() as u64);
-                    buf.put_slice(&section);
+                    w.u8(0);
+                    w.u64(id);
+                    w.bytes(&section);
                 }
                 Err(e) => {
                     // Same all-or-nothing rule as full fleet checkpoints:
@@ -1224,9 +1107,7 @@ impl ShardedEngine {
                 }
             }
         }
-        Ok(Some(ShardedDelta {
-            bytes: buf.freeze(),
-        }))
+        Ok(Some(ShardedDelta::from_bytes(w.finish())))
     }
 
     /// Folds a fleet delta into its base fleet checkpoint, producing the
@@ -1237,8 +1118,8 @@ impl ShardedEngine {
         base: &ShardedCheckpoint,
         delta: &ShardedDelta,
     ) -> Result<ShardedCheckpoint, TgsError> {
-        let header = decode_header(&base.bytes)?;
-        let (fingerprint, slot_deltas) = decode_delta_sections(&delta.bytes)?;
+        let header = decode_header(base.as_bytes())?;
+        let (fingerprint, slot_deltas) = decode_delta_sections(delta.as_bytes())?;
         if fingerprint != header.map.fingerprint() {
             return Err(TgsError::corrupt(format!(
                 "fleet delta keyed to partition fingerprint {fingerprint:#x}, but the base \
@@ -1259,35 +1140,33 @@ impl ShardedEngine {
             .zip(slot_deltas)
             .map(|(section, slot)| match slot {
                 DeltaSection::Delta(d) => Ok(SentimentEngine::apply_delta(
-                    &EngineCheckpoint::from_bytes(section),
-                    &crate::CheckpointDelta::from_bytes(d),
+                    &EngineCheckpoint::from_bytes(section.to_vec()),
+                    &crate::CheckpointDelta::from_bytes(d.to_vec()),
                 )?
                 .as_bytes()
                 .to_vec()),
-                DeltaSection::Base(_, fresh) => Ok(fresh),
+                DeltaSection::Base(_, fresh) => Ok(fresh.to_vec()),
             })
             .collect::<Result<Vec<Vec<u8>>, TgsError>>()?;
         Ok(assemble_sharded(&header.map, header.ghost_mode, &sections))
     }
 
-    /// Rebuilds a fleet from a multi-shard checkpoint (either format
-    /// version). The header's shard count, partition boundaries and
-    /// fingerprint are validated against each other before any section
-    /// decodes, so a restore can never silently re-route users. v1
-    /// headers restore with the equivalent explicit map and ghost mode
-    /// off (the v1 fleets always dropped cross-shard edges).
+    /// Rebuilds a fleet from a multi-shard checkpoint. The header's shard
+    /// count, partition boundaries and fingerprint are validated against
+    /// each other before any section decodes, so a restore can never
+    /// silently re-route users.
     pub fn restore(ckpt: &ShardedCheckpoint) -> Result<Self, TgsError> {
-        let header = decode_header(&ckpt.bytes)?;
+        let header = decode_header(ckpt.as_bytes())?;
         let workers = header
             .sections
             .into_iter()
-            .map(|raw| SentimentEngine::restore(&EngineCheckpoint::from_bytes(raw)))
+            .map(|raw| SentimentEngine::restore(&EngineCheckpoint::from_bytes(raw.to_vec())))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self::start(header.map, workers, header.ghost_mode))
     }
 
     /// Restores any checkpoint flavor from raw bytes: a multi-shard
-    /// stream (v1 or v2) rebuilds the fleet; a single-engine
+    /// stream rebuilds the fleet; a single-engine
     /// [`EngineCheckpoint`] stream is wrapped as a one-shard fleet (the
     /// router is then the identity). This is what `tgs query` serves
     /// from.

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use tgs_core::codec::{Reader, Writer};
 use tgs_core::TgsError;
 use tgs_engine::{
     ClusterSummary, EngineSnapshot, EngineStats, ShardTransport, TimelineEntry, UserSentiment,
@@ -17,7 +18,7 @@ use tgs_linalg::DenseMatrix;
 
 use crate::fault::{splitmix, FaultKind, FaultPolicy};
 use crate::frame::{read_response, write_request, STATUS_ERR, STATUS_OK};
-use crate::wire::{self, op, Rd, Wr};
+use crate::wire::{self, op};
 
 /// Timeouts and retry budget for one [`TcpShard`].
 #[derive(Debug, Clone)]
@@ -357,7 +358,7 @@ impl TcpShard {
     /// slots are live.
     pub fn server_info(&self) -> Result<ServerInfo, TgsError> {
         self.call(op::SERVER_INFO, 0, &[], |body| {
-            let mut r = Rd::new(body);
+            let mut r = Reader::new(body);
             let range = match r.u8("range tag")? {
                 0 => None,
                 1 => Some((r.usize("range lo")?, r.usize("range hi")?)),
@@ -390,7 +391,7 @@ impl ShardTransport for TcpShard {
     }
 
     fn timeline(&self, generation: u64, lo: u64, hi: u64) -> Result<Vec<TimelineEntry>, TgsError> {
-        let mut w = Wr::new();
+        let mut w = Writer::new();
         w.u64(lo);
         w.u64(hi);
         self.call(op::TIMELINE, generation, &w.finish(), wire::dec_timeline)
@@ -406,7 +407,7 @@ impl ShardTransport for TcpShard {
         user: usize,
         at: u64,
     ) -> Result<UserSentiment, TgsError> {
-        let mut w = Wr::new();
+        let mut w = Writer::new();
         w.usize(user);
         w.u64(at);
         self.call(
@@ -501,7 +502,7 @@ impl ShardTransport for TcpShard {
     }
 
     fn export_users(&self, lo: usize, hi: usize) -> Result<Vec<u8>, TgsError> {
-        let mut w = Wr::new();
+        let mut w = Writer::new();
         w.usize(lo);
         w.usize(hi);
         self.call(op::EXPORT_USERS, 0, &w.finish(), |b| Ok(b.to_vec()))

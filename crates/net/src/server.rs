@@ -17,11 +17,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use tgs_core::codec::{Reader, Writer};
 use tgs_core::TgsError;
 use tgs_engine::{EngineCheckpoint, LocalShard, SentimentEngine, ShardTransport};
 
 use crate::frame::{read_request, write_response, Request, STATUS_ERR, STATUS_OK};
-use crate::wire::{self, op, Wr};
+use crate::wire::{self, op};
 
 /// How often blocked readers and the accept loop re-check the stop
 /// flag. Short enough for prompt shutdown, long enough to stay idle.
@@ -187,7 +188,7 @@ fn serve_conn(mut stream: TcpStream, srv: Arc<Srv>) {
     }
 }
 
-fn bad_payload(detail: String) -> TgsError {
+fn bad_payload(detail: impl std::fmt::Display) -> TgsError {
     TgsError::invalid_argument(format!("bad request payload: {detail}"))
 }
 
@@ -215,7 +216,7 @@ fn dispatch(srv: &Srv, request: &Request) -> Result<Vec<u8>, TgsError> {
     match opcode {
         op::PING | op::TERMINATE => Ok(Vec::new()),
         op::SERVER_INFO => {
-            let mut w = Wr::new();
+            let mut w = Writer::new();
             match srv.range {
                 Some((lo, hi)) => {
                     w.u8(1);
@@ -267,7 +268,7 @@ fn dispatch(srv: &Srv, request: &Request) -> Result<Vec<u8>, TgsError> {
         op::STATS => slot_of(srv, slot)?.stats().map(|s| wire::enc_stats(&s)),
         op::TIMESTAMPS => slot_of(srv, slot)?.timestamps().map(|t| wire::enc_u64s(&t)),
         op::TIMELINE => {
-            let mut r = wire::Rd::new(payload);
+            let mut r = Reader::new(payload);
             let lo = r.u64("timeline lo").map_err(bad_payload)?;
             let hi = r.u64("timeline hi").map_err(bad_payload)?;
             r.done().map_err(bad_payload)?;
@@ -279,7 +280,7 @@ fn dispatch(srv: &Srv, request: &Request) -> Result<Vec<u8>, TgsError> {
             .latest_timestamp(generation)
             .map(wire::enc_opt_u64),
         op::USER_SENTIMENT => {
-            let mut r = wire::Rd::new(payload);
+            let mut r = Reader::new(payload);
             let user = r.usize("user").map_err(bad_payload)?;
             let at = r.u64("at").map_err(bad_payload)?;
             r.done().map_err(bad_payload)?;
@@ -329,7 +330,7 @@ fn dispatch(srv: &Srv, request: &Request) -> Result<Vec<u8>, TgsError> {
                 .map(|d| wire::enc_opt_bytes(d.as_deref()))
         }
         op::EXPORT_USERS => {
-            let mut r = wire::Rd::new(payload);
+            let mut r = Reader::new(payload);
             let lo = r.usize("export lo").map_err(bad_payload)?;
             let hi = r.usize("export hi").map_err(bad_payload)?;
             r.done().map_err(bad_payload)?;

@@ -1,13 +1,15 @@
 //! Payload codecs: how every engine value crosses the wire.
 //!
-//! All integers are little-endian `u64` (usizes widen losslessly),
-//! floats are `f64` by bit pattern (so factors and objectives
-//! round-trip byte-identically), strings and byte blobs are
-//! `u64`-length-prefixed. Decoders return a `String` description on
+//! Payloads are written and read with [`tgs_core::codec`], the same
+//! codec the checkpoint formats use: little-endian `u64` integers
+//! (usizes widen losslessly), `f64`s by bit pattern (so factors and
+//! objectives round-trip byte-identically), `u64`-length-prefixed
+//! strings and blobs. Decoders return a `String` description on
 //! malformed input; callers wrap it with peer context
 //! ([`tgs_core::TgsError::Net`] on the client, an error response on the
 //! server).
 
+use tgs_core::codec::{CodecError, Reader, Writer};
 use tgs_core::TgsError;
 use tgs_engine::{
     ClusterSummary, DocContent, EngineDoc, EngineRetweet, EngineSnapshot, EngineStats,
@@ -77,420 +79,242 @@ pub mod op {
     pub const DELTA_SINCE: u8 = 26;
 }
 
-// --- writer ---------------------------------------------------------
-
-/// Growable payload writer over a plain `Vec<u8>`.
-#[derive(Default)]
-pub struct Wr(Vec<u8>);
-
-impl Wr {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The accumulated payload bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.0
-    }
-
-    /// One raw byte.
-    pub fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-
-    /// Little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// `usize` widened to `u64`.
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// `f64` by bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Length-prefixed byte blob.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.usize(v.len());
-        self.0.extend_from_slice(v);
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// Length-prefixed `f64` slice.
-    pub fn f64s(&mut self, v: &[f64]) {
-        self.usize(v.len());
-        for &x in v {
-            self.f64(x);
-        }
-    }
-
-    /// Length-prefixed `usize` slice (widened).
-    pub fn usizes(&mut self, v: &[usize]) {
-        self.usize(v.len());
-        for &x in v {
-            self.usize(x);
-        }
-    }
-}
-
-// --- reader ---------------------------------------------------------
-
-/// Bounds-checked payload cursor. Every accessor fails with a
-/// description instead of panicking, so a malformed peer cannot crash
-/// the process.
-pub struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    /// A cursor over `buf`, positioned at the start.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Fails unless the payload was consumed exactly.
-    pub fn done(&self) -> Result<(), String> {
-        if self.remaining() != 0 {
-            return Err(format!("{} trailing payload bytes", self.remaining()));
-        }
-        Ok(())
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        if self.remaining() < n {
-            return Err(format!(
-                "truncated payload reading {what}: need {n} bytes, have {}",
-                self.remaining()
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// One raw byte.
-    pub fn u8(&mut self, what: &str) -> Result<u8, String> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    /// Little-endian `u64`.
-    pub fn u64(&mut self, what: &str) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("length checked"),
-        ))
-    }
-
-    /// `u64` narrowed to `usize`.
-    pub fn usize(&mut self, what: &str) -> Result<usize, String> {
-        usize::try_from(self.u64(what)?).map_err(|_| format!("{what} exceeds usize"))
-    }
-
-    /// An element count, bounded by the bytes actually present so a
-    /// hostile count cannot trigger a huge allocation.
-    pub fn count(&mut self, elem_floor: usize, what: &str) -> Result<usize, String> {
-        let n = self.usize(what)?;
-        if n.saturating_mul(elem_floor.max(1)) > self.remaining() {
-            return Err(format!(
-                "implausible {what}: {n} elements but only {} bytes remain",
-                self.remaining()
-            ));
-        }
-        Ok(n)
-    }
-
-    /// `f64` by bit pattern.
-    pub fn f64(&mut self, what: &str) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("length checked"),
-        ))
-    }
-
-    /// Length-prefixed byte blob.
-    pub fn bytes(&mut self, what: &str) -> Result<Vec<u8>, String> {
-        let n = self.count(1, what)?;
-        Ok(self.take(n, what)?.to_vec())
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn str(&mut self, what: &str) -> Result<String, String> {
-        String::from_utf8(self.bytes(what)?).map_err(|_| format!("{what} is not UTF-8"))
-    }
-
-    /// Length-prefixed `f64` slice.
-    pub fn f64s(&mut self, what: &str) -> Result<Vec<f64>, String> {
-        let n = self.count(8, what)?;
-        (0..n).map(|_| self.f64(what)).collect()
-    }
-
-    /// Length-prefixed `usize` slice.
-    pub fn usizes(&mut self, what: &str) -> Result<Vec<usize>, String> {
-        let n = self.count(8, what)?;
-        (0..n).map(|_| self.usize(what)).collect()
-    }
-}
-
 // --- value codecs ---------------------------------------------------
+
+/// Runs `put` on a fresh writer and returns the payload.
+fn encode(put: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    put(&mut w);
+    w.finish()
+}
+
+/// Runs `get` over `payload`, which it must consume exactly.
+fn decode<T>(
+    payload: &[u8],
+    get: impl FnOnce(&mut Reader<'_>) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut r = Reader::new(payload);
+    let v = get(&mut r)?;
+    r.done()?;
+    Ok(v)
+}
+
+/// An optional value: a presence byte (0 = absent, 1 = present), then
+/// the value.
+fn enc_opt<T: ?Sized>(v: Option<&T>, put: impl FnOnce(&mut Writer, &T)) -> Vec<u8> {
+    encode(|w| match v {
+        Some(x) => {
+            w.u8(1);
+            put(w, x);
+        }
+        None => w.u8(0),
+    })
+}
+
+/// Inverse of [`enc_opt`].
+fn dec_opt<T>(
+    payload: &[u8],
+    get: impl FnOnce(&mut Reader<'_>) -> Result<T, CodecError>,
+) -> Result<Option<T>, String> {
+    decode(payload, |r| match r.u8("option tag")? {
+        0 => Ok(None),
+        1 => Ok(Some(get(r)?)),
+        t => Err(format!("bad option tag {t}")),
+    })
+}
 
 /// Encodes a bare `u64` payload.
 pub fn enc_u64(v: u64) -> Vec<u8> {
-    let mut w = Wr::new();
-    w.u64(v);
-    w.finish()
+    encode(|w| w.u64(v))
 }
 
 /// Decodes a bare `u64` payload.
 pub fn dec_u64(payload: &[u8]) -> Result<u64, String> {
-    let mut r = Rd::new(payload);
-    let v = r.u64("u64 value")?;
-    r.done()?;
-    Ok(v)
+    decode(payload, |r| Ok(r.u64("u64 value")?))
 }
 
 /// Encodes `Option<u64>` as a presence byte plus the value.
 pub fn enc_opt_u64(v: Option<u64>) -> Vec<u8> {
-    let mut w = Wr::new();
-    match v {
-        Some(x) => {
-            w.u8(1);
-            w.u64(x);
-        }
-        None => w.u8(0),
-    }
-    w.finish()
+    enc_opt(v.as_ref(), |w, &x| w.u64(x))
 }
 
 /// Decodes [`enc_opt_u64`].
 pub fn dec_opt_u64(payload: &[u8]) -> Result<Option<u64>, String> {
-    let mut r = Rd::new(payload);
-    let v = match r.u8("option tag")? {
-        0 => None,
-        1 => Some(r.u64("optional value")?),
-        t => return Err(format!("bad option tag {t}")),
-    };
-    r.done()?;
-    Ok(v)
+    dec_opt(payload, |r| r.u64("optional value"))
 }
 
 /// Encodes `Option<Vec<f64>>` (the `user_factor` result).
 pub fn enc_opt_f64s(v: &Option<Vec<f64>>) -> Vec<u8> {
-    let mut w = Wr::new();
-    match v {
-        Some(x) => {
-            w.u8(1);
-            w.f64s(x);
-        }
-        None => w.u8(0),
-    }
-    w.finish()
+    enc_opt(v.as_deref(), Writer::f64s)
 }
 
 /// Decodes [`enc_opt_f64s`].
 pub fn dec_opt_f64s(payload: &[u8]) -> Result<Option<Vec<f64>>, String> {
-    let mut r = Rd::new(payload);
-    let v = match r.u8("option tag")? {
-        0 => None,
-        1 => Some(r.f64s("factor")?),
-        t => return Err(format!("bad option tag {t}")),
-    };
-    r.done()?;
-    Ok(v)
+    dec_opt(payload, |r| r.f64s("factor"))
 }
 
 /// Encodes the `checkpoint_base` result: the delta-base mark id plus
 /// the full checkpoint section bytes.
 pub fn enc_id_bytes(id: u64, bytes: &[u8]) -> Vec<u8> {
-    let mut w = Wr::new();
-    w.u64(id);
-    w.bytes(bytes);
-    w.finish()
+    encode(|w| {
+        w.u64(id);
+        w.bytes(bytes);
+    })
 }
 
 /// Decodes [`enc_id_bytes`].
 pub fn dec_id_bytes(payload: &[u8]) -> Result<(u64, Vec<u8>), String> {
-    let mut r = Rd::new(payload);
-    let id = r.u64("mark id")?;
-    let bytes = r.bytes("checkpoint section")?;
-    r.done()?;
-    Ok((id, bytes))
+    decode(payload, |r| {
+        let id = r.u64("mark id")?;
+        Ok((id, r.bytes("checkpoint section")?.to_vec()))
+    })
 }
 
 /// Encodes the `delta_since` result: a presence byte plus the
 /// serialized delta (absent = the mark cannot serve a delta; the
 /// caller re-bases).
 pub fn enc_opt_bytes(v: Option<&[u8]>) -> Vec<u8> {
-    let mut w = Wr::new();
-    match v {
-        Some(bytes) => {
-            w.u8(1);
-            w.bytes(bytes);
-        }
-        None => w.u8(0),
-    }
-    w.finish()
+    enc_opt(v, Writer::bytes)
 }
 
 /// Decodes [`enc_opt_bytes`].
 pub fn dec_opt_bytes(payload: &[u8]) -> Result<Option<Vec<u8>>, String> {
-    let mut r = Rd::new(payload);
-    let v = match r.u8("option tag")? {
-        0 => None,
-        1 => Some(r.bytes("delta bytes")?),
-        t => return Err(format!("bad option tag {t}")),
-    };
-    r.done()?;
-    Ok(v)
+    dec_opt(payload, |r| Ok(r.bytes("delta bytes")?.to_vec()))
 }
 
 /// Encodes a `u64` list (committed timestamps).
 pub fn enc_u64s(v: &[u64]) -> Vec<u8> {
-    let mut w = Wr::new();
-    w.usize(v.len());
-    for &x in v {
-        w.u64(x);
-    }
-    w.finish()
+    encode(|w| {
+        w.usize(v.len());
+        for &x in v {
+            w.u64(x);
+        }
+    })
 }
 
 /// Decodes [`enc_u64s`].
 pub fn dec_u64s(payload: &[u8]) -> Result<Vec<u64>, String> {
-    let mut r = Rd::new(payload);
-    let n = r.count(8, "u64 list")?;
-    let v: Vec<u64> = (0..n)
-        .map(|_| r.u64("u64 element"))
-        .collect::<Result<_, _>>()?;
-    r.done()?;
-    Ok(v)
+    decode(payload, |r| {
+        let n = r.count(8, "u64 list")?;
+        Ok((0..n)
+            .map(|_| r.u64("u64 element"))
+            .collect::<Result<_, _>>()?)
+    })
 }
 
 /// Encodes a string list (the frozen vocabulary's token table).
 pub fn enc_strs(v: &[String]) -> Vec<u8> {
-    let mut w = Wr::new();
-    w.usize(v.len());
-    for s in v {
-        w.str(s);
-    }
-    w.finish()
+    encode(|w| {
+        w.usize(v.len());
+        for s in v {
+            w.str(s);
+        }
+    })
 }
 
 /// Decodes [`enc_strs`].
 pub fn dec_strs(payload: &[u8]) -> Result<Vec<String>, String> {
-    let mut r = Rd::new(payload);
-    let n = r.count(8, "string list")?;
-    let v: Vec<String> = (0..n)
-        .map(|_| r.str("string element"))
-        .collect::<Result<_, _>>()?;
-    r.done()?;
-    Ok(v)
+    decode(payload, |r| {
+        let n = r.count(8, "string list")?;
+        Ok((0..n)
+            .map(|_| r.str("string element"))
+            .collect::<Result<_, _>>()?)
+    })
 }
 
 /// Encodes one pre-routed [`EngineSnapshot`] (the `ingest` payload).
 pub fn enc_snapshot(s: &EngineSnapshot) -> Vec<u8> {
-    let mut w = Wr::new();
-    w.u64(s.timestamp);
-    w.usize(s.docs.len());
-    for doc in &s.docs {
-        w.usize(doc.user);
-        match &doc.content {
-            DocContent::Raw(text) => {
-                w.u8(0);
-                w.str(text);
-            }
-            DocContent::Tokens(tokens) => {
-                w.u8(1);
-                w.usize(tokens.len());
-                for t in tokens {
-                    w.str(t);
+    encode(|w| {
+        w.u64(s.timestamp);
+        w.usize(s.docs.len());
+        for doc in &s.docs {
+            w.usize(doc.user);
+            match &doc.content {
+                DocContent::Raw(text) => {
+                    w.u8(0);
+                    w.str(text);
+                }
+                DocContent::Tokens(tokens) => {
+                    w.u8(1);
+                    w.usize(tokens.len());
+                    for t in tokens {
+                        w.str(t);
+                    }
                 }
             }
         }
-    }
-    w.usize(s.retweets.len());
-    for rt in &s.retweets {
-        w.usize(rt.user);
-        w.usize(rt.doc);
-    }
-    w.usize(s.ghosts.len());
-    for (user, factor) in &s.ghosts {
-        w.usize(*user);
-        w.f64s(factor);
-    }
-    w.finish()
+        w.usize(s.retweets.len());
+        for rt in &s.retweets {
+            w.usize(rt.user);
+            w.usize(rt.doc);
+        }
+        w.usize(s.ghosts.len());
+        for (user, factor) in &s.ghosts {
+            w.usize(*user);
+            w.f64s(factor);
+        }
+    })
 }
 
 /// Decodes [`enc_snapshot`].
 pub fn dec_snapshot(payload: &[u8]) -> Result<EngineSnapshot, String> {
-    let mut r = Rd::new(payload);
-    let timestamp = r.u64("snapshot timestamp")?;
-    let n_docs = r.count(9, "doc count")?;
-    let mut docs = Vec::with_capacity(n_docs);
-    for _ in 0..n_docs {
-        let user = r.usize("doc author")?;
-        let content = match r.u8("doc content tag")? {
-            0 => DocContent::Raw(r.str("raw text")?),
-            1 => {
-                let n = r.count(8, "token count")?;
-                DocContent::Tokens(
-                    (0..n)
-                        .map(|_| r.str("token"))
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
-            }
-            t => return Err(format!("bad doc content tag {t}")),
-        };
-        docs.push(EngineDoc { user, content });
-    }
-    let n_rts = r.count(16, "retweet count")?;
-    let mut retweets = Vec::with_capacity(n_rts);
-    for _ in 0..n_rts {
-        retweets.push(EngineRetweet {
-            user: r.usize("retweet user")?,
-            doc: r.usize("retweet doc")?,
-        });
-    }
-    let n_ghosts = r.count(16, "ghost count")?;
-    let mut ghosts = Vec::with_capacity(n_ghosts);
-    for _ in 0..n_ghosts {
-        let user = r.usize("ghost user")?;
-        ghosts.push((user, r.f64s("ghost factor")?));
-    }
-    r.done()?;
-    Ok(EngineSnapshot {
-        timestamp,
-        docs,
-        retweets,
-        ghosts,
+    decode(payload, |r| {
+        let timestamp = r.u64("snapshot timestamp")?;
+        let n_docs = r.count(9, "doc count")?;
+        let mut docs = Vec::with_capacity(n_docs);
+        for _ in 0..n_docs {
+            let user = r.usize("doc author")?;
+            let content = match r.u8("doc content tag")? {
+                0 => DocContent::Raw(r.str("raw text")?),
+                1 => {
+                    let n = r.count(8, "token count")?;
+                    DocContent::Tokens(
+                        (0..n)
+                            .map(|_| r.str("token"))
+                            .collect::<Result<Vec<_>, _>>()?,
+                    )
+                }
+                t => return Err(format!("bad doc content tag {t}")),
+            };
+            docs.push(EngineDoc { user, content });
+        }
+        let n_rts = r.count(16, "retweet count")?;
+        let mut retweets = Vec::with_capacity(n_rts);
+        for _ in 0..n_rts {
+            retweets.push(EngineRetweet {
+                user: r.usize("retweet user")?,
+                doc: r.usize("retweet doc")?,
+            });
+        }
+        let n_ghosts = r.count(16, "ghost count")?;
+        let mut ghosts = Vec::with_capacity(n_ghosts);
+        for _ in 0..n_ghosts {
+            let user = r.usize("ghost user")?;
+            ghosts.push((user, r.f64s("ghost factor")?));
+        }
+        Ok(EngineSnapshot {
+            timestamp,
+            docs,
+            retweets,
+            ghosts,
+        })
     })
 }
 
-fn wr_timeline_entry(w: &mut Wr, e: &TimelineEntry) {
+fn wr_timeline_entry(w: &mut Writer, e: &TimelineEntry) {
     w.u64(e.timestamp);
     w.usize(e.tweets);
     w.usize(e.users);
     w.usize(e.new_users);
     w.usize(e.evolving_users);
     w.usize(e.iterations);
-    w.u8(e.converged as u8);
+    w.bool(e.converged);
     w.f64(e.objective);
     w.usizes(&e.tweet_counts);
     w.usizes(&e.user_counts);
 }
 
-fn rd_timeline_entry(r: &mut Rd<'_>) -> Result<TimelineEntry, String> {
+fn rd_timeline_entry(r: &mut Reader<'_>) -> Result<TimelineEntry, CodecError> {
     Ok(TimelineEntry {
         timestamp: r.u64("entry timestamp")?,
         tweets: r.usize("tweets")?,
@@ -498,7 +322,7 @@ fn rd_timeline_entry(r: &mut Rd<'_>) -> Result<TimelineEntry, String> {
         new_users: r.usize("new users")?,
         evolving_users: r.usize("evolving users")?,
         iterations: r.usize("iterations")?,
-        converged: r.u8("converged flag")? != 0,
+        converged: r.bool("converged flag")?,
         objective: r.f64("objective")?,
         tweet_counts: r.usizes("tweet counts")?,
         user_counts: r.usizes("user counts")?,
@@ -507,91 +331,88 @@ fn rd_timeline_entry(r: &mut Rd<'_>) -> Result<TimelineEntry, String> {
 
 /// Encodes a timeline slice.
 pub fn enc_timeline(entries: &[TimelineEntry]) -> Vec<u8> {
-    let mut w = Wr::new();
-    w.usize(entries.len());
-    for e in entries {
-        wr_timeline_entry(&mut w, e);
-    }
-    w.finish()
+    encode(|w| {
+        w.usize(entries.len());
+        for e in entries {
+            wr_timeline_entry(w, e);
+        }
+    })
 }
 
 /// Decodes [`enc_timeline`].
 pub fn dec_timeline(payload: &[u8]) -> Result<Vec<TimelineEntry>, String> {
-    let mut r = Rd::new(payload);
-    let n = r.count(65, "timeline length")?;
-    let v: Vec<TimelineEntry> = (0..n)
-        .map(|_| rd_timeline_entry(&mut r))
-        .collect::<Result<_, _>>()?;
-    r.done()?;
-    Ok(v)
+    decode(payload, |r| {
+        let n = r.count(65, "timeline length")?;
+        Ok((0..n)
+            .map(|_| rd_timeline_entry(r))
+            .collect::<Result<_, _>>()?)
+    })
 }
 
 /// Encodes one [`UserSentiment`].
 pub fn enc_user_sentiment(s: &UserSentiment) -> Vec<u8> {
-    let mut w = Wr::new();
-    w.usize(s.user);
-    w.u64(s.timestamp);
-    w.f64s(&s.distribution);
-    w.finish()
+    encode(|w| {
+        w.usize(s.user);
+        w.u64(s.timestamp);
+        w.f64s(&s.distribution);
+    })
 }
 
 /// Decodes [`enc_user_sentiment`].
 pub fn dec_user_sentiment(payload: &[u8]) -> Result<UserSentiment, String> {
-    let mut r = Rd::new(payload);
-    let s = UserSentiment {
-        user: r.usize("user")?,
-        timestamp: r.u64("timestamp")?,
-        distribution: r.f64s("distribution")?,
-    };
-    r.done()?;
-    Ok(s)
+    decode(payload, |r| {
+        Ok(UserSentiment {
+            user: r.usize("user")?,
+            timestamp: r.u64("timestamp")?,
+            distribution: r.f64s("distribution")?,
+        })
+    })
 }
 
 /// Encodes a user's full observation history.
 pub fn enc_user_timeline(rows: &[(u64, Vec<f64>)]) -> Vec<u8> {
-    let mut w = Wr::new();
-    w.usize(rows.len());
-    for (key, dist) in rows {
-        w.u64(*key);
-        w.f64s(dist);
-    }
-    w.finish()
+    encode(|w| {
+        w.usize(rows.len());
+        for (key, dist) in rows {
+            w.u64(*key);
+            w.f64s(dist);
+        }
+    })
 }
 
 /// Decodes [`enc_user_timeline`].
 pub fn dec_user_timeline(payload: &[u8]) -> Result<Vec<(u64, Vec<f64>)>, String> {
-    let mut r = Rd::new(payload);
-    let n = r.count(16, "observation count")?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = r.u64("observation timestamp")?;
-        rows.push((key, r.f64s("observation distribution")?));
-    }
-    r.done()?;
-    Ok(rows)
+    decode(payload, |r| {
+        let n = r.count(16, "observation count")?;
+        let mut rows = Vec::with_capacity(n);
+        for _ in 0..n {
+            let key = r.u64("observation timestamp")?;
+            rows.push((key, r.f64s("observation distribution")?));
+        }
+        Ok(rows)
+    })
 }
 
 /// Encodes one [`ClusterSummary`].
 pub fn enc_cluster_summary(s: &ClusterSummary) -> Vec<u8> {
-    let mut w = Wr::new();
-    w.u64(s.timestamp);
-    w.usizes(&s.tweet_counts);
-    w.usizes(&s.user_counts);
-    w.f64s(&s.tweet_shares);
-    w.finish()
+    encode(|w| {
+        w.u64(s.timestamp);
+        w.usizes(&s.tweet_counts);
+        w.usizes(&s.user_counts);
+        w.f64s(&s.tweet_shares);
+    })
 }
 
 /// Decodes [`enc_cluster_summary`].
 pub fn dec_cluster_summary(payload: &[u8]) -> Result<ClusterSummary, String> {
-    let mut r = Rd::new(payload);
-    let s = ClusterSummary {
-        timestamp: r.u64("summary timestamp")?,
-        tweet_counts: r.usizes("tweet counts")?,
-        user_counts: r.usizes("user counts")?,
-        tweet_shares: r.f64s("tweet shares")?,
-    };
-    r.done()?;
-    Ok(s)
+    decode(payload, |r| {
+        Ok(ClusterSummary {
+            timestamp: r.u64("summary timestamp")?,
+            tweet_counts: r.usizes("tweet counts")?,
+            user_counts: r.usizes("user counts")?,
+            tweet_shares: r.f64s("tweet shares")?,
+        })
+    })
 }
 
 /// The SIMD tier names an engine can report. `simd` is a `&'static
@@ -608,99 +429,80 @@ const SIMD_TIERS: [&str; 4] = ["scalar", "avx2", "avx2+fma", "neon"];
 /// histogram as an optional record: a pre-recovery peer's payload
 /// simply ends early and they decode as 0.
 pub fn enc_stats(s: &EngineStats) -> Vec<u8> {
-    let mut w = Wr::new();
-    w.u64(s.queued);
-    w.u64(s.ingested);
-    w.u64(s.dropped_capacity);
-    w.u64(s.last_step_ns);
-    w.u64(s.ghost_edges);
-    w.u64(s.dropped_cross_shard);
-    w.u64(s.shard_unavailable);
-    w.u64(s.threads);
-    w.u8(s.pinned as u8);
-    w.str(s.simd);
-    w.u64(s.step_hist.shed());
-    let buckets = s.step_hist.buckets();
-    w.u64(buckets.len() as u64);
-    for &b in buckets {
-        w.u64(b);
-    }
-    w.u64(s.respawns);
-    w.u64(s.replayed_docs);
-    w.u64(s.degraded_queries);
-    w.finish()
+    encode(|w| {
+        w.u64(s.queued);
+        w.u64(s.ingested);
+        w.u64(s.dropped_capacity);
+        w.u64(s.last_step_ns);
+        w.u64(s.ghost_edges);
+        w.u64(s.dropped_cross_shard);
+        w.u64(s.shard_unavailable);
+        w.u64(s.threads);
+        w.bool(s.pinned);
+        w.str(s.simd);
+        w.u64(s.step_hist.shed());
+        let buckets = s.step_hist.buckets();
+        w.usize(buckets.len());
+        for &b in buckets {
+            w.u64(b);
+        }
+        w.u64(s.respawns);
+        w.u64(s.replayed_docs);
+        w.u64(s.degraded_queries);
+    })
 }
 
 /// Decodes [`enc_stats`].
 pub fn dec_stats(payload: &[u8]) -> Result<EngineStats, String> {
-    let mut r = Rd::new(payload);
-    let mut s = EngineStats {
-        queued: r.u64("queued")?,
-        ingested: r.u64("ingested")?,
-        dropped_capacity: r.u64("dropped_capacity")?,
-        last_step_ns: r.u64("last_step_ns")?,
-        step_hist: LatencyHistogram::new(),
-        ghost_edges: r.u64("ghost_edges")?,
-        dropped_cross_shard: r.u64("dropped_cross_shard")?,
-        shard_unavailable: r.u64("shard_unavailable")?,
-        threads: r.u64("threads")?,
-        pinned: r.u8("pinned")? != 0,
-        simd: "",
-        respawns: 0,
-        replayed_docs: 0,
-        degraded_queries: 0,
-    };
-    let simd = r.str("simd tier")?;
-    s.simd = SIMD_TIERS
-        .iter()
-        .find(|&&name| name == simd)
-        .copied()
-        .unwrap_or("");
-    let shed = r.u64("histogram shed")?;
-    let n = r.u64("histogram bucket count")? as usize;
-    if n.saturating_mul(8) > r.remaining() {
-        return Err(format!("implausible histogram bucket count {n}"));
-    }
-    let buckets: Vec<u64> = (0..n)
-        .map(|_| r.u64("histogram bucket"))
-        .collect::<Result<_, _>>()?;
-    s.step_hist = LatencyHistogram::from_parts(&buckets, shed);
-    // Optional trailing record: absent on payloads from peers built
-    // before the recovery counters existed.
-    if r.remaining() > 0 {
-        s.respawns = r.u64("respawns")?;
-        s.replayed_docs = r.u64("replayed_docs")?;
-        s.degraded_queries = r.u64("degraded_queries")?;
-    }
-    r.done()?;
-    Ok(s)
+    decode(payload, |r| {
+        let mut s = EngineStats {
+            queued: r.u64("queued")?,
+            ingested: r.u64("ingested")?,
+            dropped_capacity: r.u64("dropped_capacity")?,
+            last_step_ns: r.u64("last_step_ns")?,
+            step_hist: LatencyHistogram::new(),
+            ghost_edges: r.u64("ghost_edges")?,
+            dropped_cross_shard: r.u64("dropped_cross_shard")?,
+            shard_unavailable: r.u64("shard_unavailable")?,
+            threads: r.u64("threads")?,
+            pinned: r.bool("pinned")?,
+            simd: "",
+            respawns: 0,
+            replayed_docs: 0,
+            degraded_queries: 0,
+        };
+        let simd = r.str("simd tier")?;
+        s.simd = SIMD_TIERS
+            .iter()
+            .find(|&&name| name == simd)
+            .copied()
+            .unwrap_or("");
+        let shed = r.u64("histogram shed")?;
+        let n = r.count(8, "histogram bucket count")?;
+        let buckets: Vec<u64> = (0..n)
+            .map(|_| r.u64("histogram bucket"))
+            .collect::<Result<_, _>>()?;
+        s.step_hist = LatencyHistogram::from_parts(&buckets, shed);
+        // Optional trailing record: absent on payloads from peers built
+        // before the recovery counters existed.
+        if r.remaining() > 0 {
+            s.respawns = r.u64("respawns")?;
+            s.replayed_docs = r.u64("replayed_docs")?;
+            s.degraded_queries = r.u64("degraded_queries")?;
+        }
+        Ok(s)
+    })
 }
 
-/// Encodes one [`DenseMatrix`] (the `sf_at` result).
+/// Encodes one [`DenseMatrix`] (the `sf_at` result) in the codec's
+/// matrix layout — the same bytes as [`tgs_core::encode_matrix`].
 pub fn enc_matrix(m: &DenseMatrix) -> Vec<u8> {
-    let mut w = Wr::new();
-    w.usize(m.rows());
-    w.usize(m.cols());
-    for &v in m.as_slice() {
-        w.f64(v);
-    }
-    w.finish()
+    encode(|w| w.matrix(m))
 }
 
 /// Decodes [`enc_matrix`].
 pub fn dec_matrix(payload: &[u8]) -> Result<DenseMatrix, String> {
-    let mut r = Rd::new(payload);
-    let rows = r.usize("matrix rows")?;
-    let cols = r.usize("matrix cols")?;
-    let n = rows
-        .checked_mul(cols)
-        .filter(|&n| n.saturating_mul(8) <= r.remaining())
-        .ok_or_else(|| format!("implausible matrix shape {rows}x{cols}"))?;
-    let data: Vec<f64> = (0..n)
-        .map(|_| r.f64("matrix element"))
-        .collect::<Result<_, _>>()?;
-    r.done()?;
-    DenseMatrix::from_vec(rows, cols, data).map_err(|e| format!("bad matrix payload: {e}"))
+    decode(payload, |r| Ok(r.matrix("matrix")?))
 }
 
 // --- error codec ----------------------------------------------------
@@ -724,8 +526,7 @@ const ERR_STALE_TOPOLOGY: u8 = 9;
 /// the router's lazy re-keying matches on it — round-trip exactly;
 /// everything else degrades to its display string.
 pub fn enc_error(e: &TgsError) -> Vec<u8> {
-    let mut w = Wr::new();
-    match e {
+    encode(|w| match e {
         TgsError::InvalidConfig { message, .. } => {
             w.u8(ERR_INVALID_CONFIG);
             w.str(message);
@@ -766,8 +567,7 @@ pub fn enc_error(e: &TgsError) -> Vec<u8> {
             w.u8(ERR_GENERIC);
             w.str(&other.to_string());
         }
-    }
-    w.finish()
+    })
 }
 
 /// Decodes [`enc_error`]. A malformed error payload itself decodes as a
@@ -780,39 +580,38 @@ pub fn dec_error(payload: &[u8], peer: &str) -> TgsError {
 }
 
 fn try_dec_error(payload: &[u8]) -> Result<TgsError, String> {
-    let mut r = Rd::new(payload);
-    let e = match r.u8("error tag")? {
-        ERR_GENERIC => TgsError::invalid_argument(r.str("error message")?),
-        ERR_INVALID_CONFIG => TgsError::InvalidConfig {
-            field: "remote",
-            message: r.str("config message")?,
-        },
-        ERR_ENGINE_CLOSED => TgsError::EngineClosed,
-        ERR_SNAPSHOT_UNAVAILABLE => TgsError::SnapshotUnavailable {
-            timestamp: r.u64("timestamp")?,
-        },
-        ERR_UNKNOWN_USER => TgsError::UnknownUser {
-            user: r.usize("user")?,
-        },
-        ERR_CORRUPT_CHECKPOINT => TgsError::corrupt(r.str("detail")?),
-        ERR_IO => {
-            let context = r.str("io context")?;
-            let detail = r.str("io detail")?;
-            TgsError::io(context, std::io::Error::other(detail))
-        }
-        ERR_INVALID_ARGUMENT => TgsError::invalid_argument(r.str("message")?),
-        ERR_NET => {
-            let peer = r.str("net peer")?;
-            TgsError::net(peer, r.str("net detail")?)
-        }
-        ERR_STALE_TOPOLOGY => TgsError::StaleTopology {
-            have: r.u64("have generation")?,
-            current: r.u64("current generation")?,
-        },
-        t => return Err(format!("unknown error tag {t}")),
-    };
-    r.done()?;
-    Ok(e)
+    decode(payload, |r| {
+        Ok(match r.u8("error tag")? {
+            ERR_GENERIC => TgsError::invalid_argument(r.str("error message")?),
+            ERR_INVALID_CONFIG => TgsError::InvalidConfig {
+                field: "remote",
+                message: r.str("config message")?,
+            },
+            ERR_ENGINE_CLOSED => TgsError::EngineClosed,
+            ERR_SNAPSHOT_UNAVAILABLE => TgsError::SnapshotUnavailable {
+                timestamp: r.u64("timestamp")?,
+            },
+            ERR_UNKNOWN_USER => TgsError::UnknownUser {
+                user: r.usize("user")?,
+            },
+            ERR_CORRUPT_CHECKPOINT => TgsError::corrupt(r.str("detail")?),
+            ERR_IO => {
+                let context = r.str("io context")?;
+                let detail = r.str("io detail")?;
+                TgsError::io(context, std::io::Error::other(detail))
+            }
+            ERR_INVALID_ARGUMENT => TgsError::invalid_argument(r.str("message")?),
+            ERR_NET => {
+                let peer = r.str("net peer")?;
+                TgsError::net(peer, r.str("net detail")?)
+            }
+            ERR_STALE_TOPOLOGY => TgsError::StaleTopology {
+                have: r.u64("have generation")?,
+                current: r.u64("current generation")?,
+            },
+            t => return Err(format!("unknown error tag {t}")),
+        })
+    })
 }
 
 #[cfg(test)]
@@ -921,7 +720,7 @@ mod tests {
         };
         assert_eq!(dec_stats(&enc_stats(&stats)).unwrap(), stats);
         // An unknown tier name degrades to "" instead of failing.
-        let mut w = Wr::new();
+        let mut w = Writer::new();
         for v in 1..=8u64 {
             w.u64(v);
         }
@@ -931,7 +730,7 @@ mod tests {
         w.u64(0); // histogram bucket count
         assert_eq!(dec_stats(&w.finish()).unwrap().simd, "");
         // An implausible bucket count is rejected before allocation.
-        let mut w = Wr::new();
+        let mut w = Writer::new();
         for v in 1..=8u64 {
             w.u64(v);
         }
@@ -946,7 +745,7 @@ mod tests {
     fn stats_codec_histogram_survives_bucket_count_revisions() {
         // A peer built with fewer buckets zero-fills; one with more
         // clamps its tail into the last bucket — counts never vanish.
-        let mut w = Wr::new();
+        let mut w = Writer::new();
         for v in 1..=8u64 {
             w.u64(v);
         }

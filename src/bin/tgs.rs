@@ -33,7 +33,7 @@
 //! checkpoints, re-materializing locally and verifying base ⊕ deltas
 //! stays byte-identical to a full snapshot (re-anchoring automatically
 //! when a rebalance invalidates the base). `query` restores any
-//! checkpoint flavor (single-engine, v1 stride-map, v2 elastic) and
+//! checkpoint flavor (single-engine or multi-shard) and
 //! serves the history API (`timeline`, `user`, `summary`, `top-words`,
 //! `shard-info`) without re-solving anything. `--stats` surfaces the
 //! ingest/backpressure metrics plus per-shard load and skew. Every

@@ -132,7 +132,7 @@ pub mod prelude {
         build_offline, build_offline_sharded, build_offline_sharded_ghost, corpus_stats,
         daily_tweet_counts, day_windows, generate, presets, top_words, Corpus, GeneratorConfig,
         PartitionMap, ProblemInstance, RepartitionOp, RepartitionPlan, ShardedProblem,
-        SnapshotBuilder, UserRangePartitioner,
+        SnapshotBuilder,
     };
     pub use tgs_engine::{
         BatchPolicy, BatchingIngest, CheckpointDelta, ClusterSummary, Coverage, DeltaChain,

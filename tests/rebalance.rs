@@ -245,52 +245,6 @@ fn ghost_mode_with_mid_stream_rebalance_drops_nothing() {
 }
 
 #[test]
-fn v1_sharded_checkpoints_still_restore() {
-    // Hand-encode the v1 header (stride partitioner) around sections
-    // produced today: exactly what a PR-3 era `tgs stream --shards 2
-    // --checkpoint` file looks like.
-    let c = corpus();
-    let engine = fleet(&c, 2, false);
-    stream(&engine, &c, &windows(&c));
-    let sections = engine.checkpoint().unwrap().sections().unwrap();
-
-    let partitioner = tripartite_sentiment::data::UserRangePartitioner::new(c.num_users(), 2);
-    assert_eq!(
-        partitioner.to_map(),
-        engine.map(),
-        "the fleet still uses the stride layout, so v1 sections line up"
-    );
-    let mut v1 = Vec::new();
-    v1.extend_from_slice(b"TGSSHR\x00\x01");
-    v1.extend_from_slice(&2u64.to_le_bytes());
-    v1.extend_from_slice(&(partitioner.universe() as u64).to_le_bytes());
-    v1.extend_from_slice(&(partitioner.stride() as u64).to_le_bytes());
-    v1.extend_from_slice(&partitioner.fingerprint().to_le_bytes());
-    for section in &sections {
-        v1.extend_from_slice(&(section.len() as u64).to_le_bytes());
-        v1.extend_from_slice(section);
-    }
-
-    let restored = ShardedEngine::restore_any(v1).unwrap();
-    assert_eq!(restored.shards(), 2);
-    assert_eq!(restored.map(), engine.map());
-    assert!(!restored.ghost_mode(), "v1 fleets always dropped edges");
-    assert_eq!(
-        restored.query().timeline(..).unwrap(),
-        engine.query().timeline(..).unwrap()
-    );
-    // And the restored (v1-born) fleet is fully elastic: it can
-    // rebalance and keep streaming.
-    let new_map = restored
-        .rebalance(&RepartitionPlan::single(RepartitionOp::MoveBoundary {
-            boundary: 1,
-            to: restored.map().starts()[1] + 1,
-        }))
-        .unwrap();
-    assert_eq!(new_map.shards(), 2);
-}
-
-#[test]
 fn auto_rebalance_splits_the_hottest_shard() {
     // A deliberately skewed stream: one author produces almost all
     // documents, so the fleet's skew blows past any sane budget and the
