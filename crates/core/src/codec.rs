@@ -75,6 +75,12 @@ impl Writer {
         self.buf
     }
 
+    /// Unprefixed bytes that run to the end of the input (read back
+    /// with [`Reader::rest`]).
+    pub fn raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// An 8-byte format magic (format name plus version), unprefixed.
     pub fn magic(&mut self, magic: &[u8; 8]) {
         self.buf.extend_from_slice(magic);
@@ -292,6 +298,13 @@ impl<'a> Reader<'a> {
             })?;
         let data = self.f64_block(n, what)?;
         DenseMatrix::from_vec(rows, cols, data).map_err(|e| CodecError(format!("{what}: {e}")))
+    }
+
+    /// Every unread byte: a blob written by [`Writer::raw`].
+    pub fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        rest
     }
 
     /// Fails unless every byte was consumed.

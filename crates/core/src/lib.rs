@@ -70,7 +70,7 @@ pub use online::{
 };
 pub use sharded::{
     solve_offline_sharded, try_solve_offline_sharded, try_solve_offline_sharded_with_ghosts,
-    GhostRowLink, ShardedOfflineResult, ShardedOnlineSolver, ShardedStepOutcome,
+    GhostRowLink, ShardedOfflineResult,
 };
 pub use store::{decode_matrix, encode_matrix, SnapshotStore};
 pub use window::{FactorWindow, HistoryRows, SentimentHistory, UserHistoryRows, UserPartition};

@@ -226,61 +226,7 @@ impl OnlineSolver {
     /// history. Malformed inputs are reported as the matching
     /// [`TgsError`] shape variant.
     pub fn try_step(&mut self, data: &SnapshotData<'_>) -> Result<OnlineStepResult, TgsError> {
-        self.step_impl(data, None, &[])
-    }
-
-    /// Like [`OnlineSolver::try_step`], but with ghost rows: each
-    /// `(user, factor)` pair in `ghosts` names a user of `data.user_ids`
-    /// whose row is a ghost — a remote user materialized on this shard
-    /// for a cross-shard re-tweet edge. Ghost rows warm-start from (and
-    /// are γ-regularized toward) the carried remote factor instead of
-    /// local history, and they are **not** recorded into this solver's
-    /// per-user history — the owning shard records them. With an empty
-    /// list this is exactly `try_step`.
-    pub fn try_step_with_ghosts(
-        &mut self,
-        data: &SnapshotData<'_>,
-        ghosts: &[GhostFactor],
-    ) -> Result<OnlineStepResult, TgsError> {
-        self.step_impl(data, None, ghosts)
-    }
-
-    /// Like [`OnlineSolver::try_step`], but sourcing the `Sfw(t)`
-    /// warm-start/regularization target from an *externally shared*
-    /// window instead of this solver's own.
-    ///
-    /// This is the seam shard-parallel solving hangs off
-    /// ([`crate::ShardedOnlineSolver`]): each shard solves its user/tweet
-    /// factors locally against the globally merged word–sentiment window,
-    /// and the coordinator — not this solver — pushes the merged `Sf(t)`
-    /// back into `shared`. The solver's own window stays untouched (and
-    /// empty when every step goes through this entry point); per-user
-    /// history still advances normally, since users are shard-local.
-    pub fn try_step_shared(
-        &mut self,
-        data: &SnapshotData<'_>,
-        shared: &FactorWindow,
-    ) -> Result<OnlineStepResult, TgsError> {
-        self.step_impl(data, Some(shared), &[])
-    }
-
-    /// Shared-window stepping with ghost rows — the full sharded
-    /// protocol: `Sfw(t)` comes from the coordinator's merged window and
-    /// ghost rows carry the owning shards' broadcast factors (see
-    /// [`OnlineSolver::try_step_with_ghosts`]).
-    pub fn try_step_shared_with_ghosts(
-        &mut self,
-        data: &SnapshotData<'_>,
-        shared: &FactorWindow,
-        ghosts: &[GhostFactor],
-    ) -> Result<OnlineStepResult, TgsError> {
-        self.step_impl(data, Some(shared), ghosts)
-    }
-
-    /// True when this solver has in-window history for `user` (i.e. it
-    /// acts as the user's owner for ghost-factor broadcasts).
-    pub fn knows_user(&self, user: usize) -> bool {
-        self.history.knows(user)
+        self.try_step_with_ghosts(data, &[])
     }
 
     /// Removes and returns the temporal state of every user with id in
@@ -307,14 +253,17 @@ impl OnlineSolver {
             .map_err(|(e, rows)| (e, MigratedUsers { rows }))
     }
 
-    /// The one step implementation behind [`OnlineSolver::try_step`]
-    /// (own window) and [`OnlineSolver::try_step_shared`] (coordinator's
-    /// window), optionally with ghost rows. All paths are bit-identical
-    /// given windows with equal contents and no ghosts.
-    fn step_impl(
+    /// Like [`OnlineSolver::try_step`], but with ghost rows: each
+    /// `(user, factor)` pair in `ghosts` names a user of `data.user_ids`
+    /// whose row is a ghost — a remote user materialized on this shard
+    /// for a cross-shard re-tweet edge. Ghost rows warm-start from (and
+    /// are γ-regularized toward) the carried remote factor instead of
+    /// local history, and they are **not** recorded into this solver's
+    /// per-user history — the owning shard records them. With an empty
+    /// list this is exactly `try_step`.
+    pub fn try_step_with_ghosts(
         &mut self,
         data: &SnapshotData<'_>,
-        shared: Option<&FactorWindow>,
         ghosts: &[GhostFactor],
     ) -> Result<OnlineStepResult, TgsError> {
         let input = &data.input;
@@ -383,10 +332,12 @@ impl OnlineSolver {
             self.config.init,
             step_seed,
         );
-        let sf_window = shared.unwrap_or(&self.sf_window);
-        let sf_target = sf_window.aggregate().unwrap_or_else(|| input.sf0.clone());
+        let sf_target = self
+            .sf_window
+            .aggregate()
+            .unwrap_or_else(|| input.sf0.clone());
         // Sf(t) = Sfw(t) on non-first snapshots.
-        if !sf_window.is_empty() {
+        if !self.sf_window.is_empty() {
             factors.sf = sf_target.clone();
             factors.sf.clamp_min(tgs_linalg::FACTOR_FLOOR);
         }
@@ -530,12 +481,7 @@ impl OnlineSolver {
         // Ghost rows are withheld: the owning shard records those users.
         self.history
             .record_masked(data.user_ids, &su_dist, &partition.ghost_rows);
-        // Under a shared window the coordinator pushes the *merged* Sf(t)
-        // after gathering every shard; pushing the local one here would
-        // desynchronize the two windows.
-        if shared.is_none() {
-            self.sf_window.push(factors.sf.clone());
-        }
+        self.sf_window.push(factors.sf.clone());
         self.steps += 1;
 
         Ok(OnlineStepResult {

@@ -1,9 +1,11 @@
-//! Shard-parallel solves sharing the global word–sentiment factor.
+//! Shard-parallel offline solves sharing the global word–sentiment
+//! factor.
 //!
 //! The user/tweet axes of the tripartite problem dominate its size, so
 //! they shard cleanly by user range (see `tgs_data::PartitionMap`)
 //! while the word axis — and therefore the `l × k` factor `Sf` — stays
-//! global. Both entry points here follow the same scheme:
+//! global. [`try_solve_offline_sharded`] couples the shards once per
+//! *iteration*:
 //!
 //! * every shard solves its local `Sp`/`Su`/`Hp`/`Hu` factors
 //!   independently (in parallel, on scoped threads);
@@ -12,24 +14,20 @@
 //!   (weights = shard tweet counts, accumulated in fixed shard order);
 //! * with a single shard the merge degenerates to a plain clone, which is
 //!   the mechanism behind the tested guarantee that `shards = 1` is
-//!   **bit-identical** to the unsharded [`crate::try_solve_offline`] /
-//!   [`OnlineSolver::try_step`] paths.
+//!   **bit-identical** to the unsharded [`crate::try_solve_offline`].
 //!
-//! [`try_solve_offline_sharded`] couples shards once per *iteration*;
-//! [`ShardedOnlineSolver`] couples them once per *snapshot* (the shared
-//! `Sfw(t)` window of Algorithm 2), matching the engine-level router
-//! where each shard advances its own user history.
+//! Online (Algorithm 2) solves shard one level up: each engine shard
+//! steps its own [`crate::OnlineSolver`], and the engine merges their
+//! `Sf` factors with [`merge_sf`] when a query needs the global one.
 
 use tgs_linalg::DenseMatrix;
 
-use crate::config::{OfflineConfig, OnlineConfig};
+use crate::config::OfflineConfig;
 use crate::error::TgsError;
 use crate::factors::TriFactors;
 use crate::input::TriInput;
 use crate::objective::{offline_objective, ObjectiveParts};
 use crate::offline::OfflineResult;
-use crate::online::{GhostFactor, OnlineSolver, OnlineStepResult, SnapshotData};
-use crate::window::FactorWindow;
 use crate::workspace::UpdateWorkspace;
 
 /// A ghost row's coupling link for the offline sharded solver: shard
@@ -354,223 +352,11 @@ pub fn solve_offline_sharded(
     try_solve_offline_sharded(inputs, config).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Result of one [`ShardedOnlineSolver::try_step`].
-#[derive(Debug, Clone)]
-pub struct ShardedStepOutcome {
-    /// Per-shard step results (`None` for shards whose slice was empty
-    /// this snapshot — their solvers do not advance).
-    pub shards: Vec<Option<OnlineStepResult>>,
-    /// The merged global `Sf(t)` pushed into the shared window.
-    pub sf: DenseMatrix,
-}
-
-/// Algorithm 2 over user-range shards: `S` per-shard [`OnlineSolver`]s
-/// (each owning the user history of *its* users) coupled through one
-/// shared `Sfw(t)` window. Per snapshot, the shared aggregate is
-/// broadcast as every shard's warm-start/regularization target, the
-/// shards solve in parallel, and their `Sf(t)` factors are merged
-/// (weighted by shard tweet counts, fixed shard order) into the window.
-///
-/// With one shard this is bit-identical to a plain [`OnlineSolver`] fed
-/// the same snapshots (tested below): the merge is a clone and the
-/// shared window replays exactly the solver-owned one.
-#[derive(Debug, Clone)]
-pub struct ShardedOnlineSolver {
-    config: OnlineConfig,
-    solvers: Vec<OnlineSolver>,
-    sf_window: FactorWindow,
-    steps: u64,
-}
-
-impl ShardedOnlineSolver {
-    /// Creates `shards` per-shard solvers plus the shared `Sf` window.
-    /// Shard 0 keeps the configured seed (single-shard bit-identity);
-    /// later shards derive theirs deterministically.
-    pub fn try_new(config: OnlineConfig, shards: usize) -> Result<Self, TgsError> {
-        if shards == 0 {
-            return Err(TgsError::InvalidConfig {
-                field: "shards",
-                message: "need at least one shard".into(),
-            });
-        }
-        let solvers = (0..shards)
-            .map(|s| {
-                OnlineSolver::try_new(OnlineConfig {
-                    seed: shard_seed(config.seed, s),
-                    ..config.clone()
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        // Mirrors `OnlineSolver`: the Sf window is always normalized.
-        let sf_window = FactorWindow::new(config.window, config.tau, true);
-        Ok(Self {
-            config,
-            solvers,
-            sf_window,
-            steps: 0,
-        })
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.solvers.len()
-    }
-
-    /// Snapshots processed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// The shared solver configuration.
-    pub fn config(&self) -> &OnlineConfig {
-        &self.config
-    }
-
-    /// Decayed sentiment estimate for a user, routed to the shard that
-    /// owns it (`shard` must come from the same partitioner that routed
-    /// the snapshots).
-    pub fn sentiment_of(&self, shard: usize, user: usize) -> Option<Vec<f64>> {
-        self.solvers.get(shard)?.sentiment_of(user)
-    }
-
-    /// Processes one snapshot split into per-shard slices (`data[s]` is
-    /// shard `s`'s slice; empty slices — zero tweets — are skipped).
-    /// Shard slices must be disjoint by user; the caller routes them with
-    /// the partitioner.
-    pub fn try_step(&mut self, data: &[SnapshotData<'_>]) -> Result<ShardedStepOutcome, TgsError> {
-        self.try_step_with_ghosts(data, &[])
-    }
-
-    /// [`ShardedOnlineSolver::try_step`] under the ghost-user protocol:
-    /// `ghosts[s]` lists the global ids of remote users materialized as
-    /// ghost rows on shard `s` (from ghost-mode routing). Before the
-    /// parallel shard steps, each ghost's *current* factor — the decayed
-    /// `Suw` aggregate of whichever shard owns the user's history, or
-    /// uniform for never-seen users — is sampled and broadcast alongside
-    /// the shared `Sf` window; ghost rows warm-start from it, are
-    /// γ-regularized toward it, and are excluded from the receiving
-    /// shard's history and merge weighting. An empty `ghosts` (or all
-    /// shards empty) is exactly [`ShardedOnlineSolver::try_step`].
-    pub fn try_step_with_ghosts(
-        &mut self,
-        data: &[SnapshotData<'_>],
-        ghosts: &[Vec<usize>],
-    ) -> Result<ShardedStepOutcome, TgsError> {
-        if !ghosts.is_empty() && ghosts.len() != self.solvers.len() {
-            return Err(TgsError::invalid_argument(format!(
-                "expected {} ghost lists, got {}",
-                self.solvers.len(),
-                ghosts.len()
-            )));
-        }
-        // Sample every ghost factor against the *pre-step* state, so the
-        // exchange is deterministic and simultaneous across shards.
-        let k = self.config.k;
-        let ghost_factors: Vec<Vec<GhostFactor>> = if ghosts.is_empty() {
-            vec![Vec::new(); self.solvers.len()]
-        } else {
-            ghosts
-                .iter()
-                .map(|users| {
-                    users
-                        .iter()
-                        .map(|&user| {
-                            let dist = self
-                                .solvers
-                                .iter()
-                                .find(|s| s.knows_user(user))
-                                .and_then(|owner| owner.sentiment_of(user))
-                                .unwrap_or_else(|| vec![1.0 / k as f64; k]);
-                            (user, dist)
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        self.step_impl(data, &ghost_factors)
-    }
-
-    fn step_impl(
-        &mut self,
-        data: &[SnapshotData<'_>],
-        ghost_factors: &[Vec<GhostFactor>],
-    ) -> Result<ShardedStepOutcome, TgsError> {
-        if data.len() != self.solvers.len() {
-            return Err(TgsError::invalid_argument(format!(
-                "expected {} shard slices, got {}",
-                self.solvers.len(),
-                data.len()
-            )));
-        }
-        // Validate everything up front so a malformed shard cannot leave
-        // the stream half-stepped.
-        for d in data.iter().filter(|d| d.input.n() > 0) {
-            d.input.try_validate(self.config.k)?;
-            if d.user_ids.len() != d.input.m() {
-                return Err(TgsError::UserIdCountMismatch {
-                    rows: d.input.m(),
-                    ids: d.user_ids.len(),
-                });
-            }
-        }
-        if data.iter().all(|d| d.input.n() == 0) {
-            return Err(TgsError::invalid_argument(
-                "every shard slice is empty; nothing to step",
-            ));
-        }
-
-        // --- Parallel shard-local steps against the shared window ---
-        let window = &self.sf_window;
-        let mut results: Vec<Option<Result<OnlineStepResult, TgsError>>> =
-            std::iter::repeat_with(|| None).take(data.len()).collect();
-        // One pool task per non-empty shard (replacing a per-step thread
-        // spawn); each task takes its solver exactly once from a claim
-        // slot.
-        let tasks: Vec<_> = self
-            .solvers
-            .iter_mut()
-            .zip(data.iter())
-            .zip(results.iter_mut())
-            .zip(ghost_factors.iter())
-            .filter(|(((_, d), _), _)| d.input.n() > 0)
-            .map(|(((solver, d), slot), ghosts)| {
-                std::sync::Mutex::new(Some((solver, d, slot, ghosts)))
-            })
-            .collect();
-        tgs_linalg::pool_run_tasks(tasks.len(), |i| {
-            let (solver, d, slot, ghosts) = tasks[i]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("each shard step claimed once");
-            *slot = Some(solver.try_step_shared_with_ghosts(d, window, ghosts));
-        });
-        drop(tasks);
-        let mut shards = Vec::with_capacity(results.len());
-        for slot in results {
-            match slot {
-                None => shards.push(None),
-                Some(Ok(r)) => shards.push(Some(r)),
-                Some(Err(e)) => return Err(e),
-            }
-        }
-
-        // --- Merge + commit the global Sf(t) ---
-        let parts: Vec<(f64, &DenseMatrix)> = shards
-            .iter()
-            .zip(data.iter())
-            .filter_map(|(r, d)| r.as_ref().map(|r| (d.input.n() as f64, &r.factors.sf)))
-            .collect();
-        let sf = merge_sf(&parts).expect("at least one shard stepped");
-        self.sf_window.push(sf.clone());
-        self.steps += 1;
-        Ok(ShardedStepOutcome { shards, sf })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::OnlineConfig;
+    use crate::online::{OnlineSolver, SnapshotData};
     use rand::RngExt;
     use tgs_graph::UserGraph;
     use tgs_linalg::{seeded_rng, CsrMatrix};
@@ -783,90 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_online_is_bit_identical() {
-        let users: Vec<usize> = (0..8).collect();
-        let cfg = online_config();
-        let mut plain = OnlineSolver::try_new(cfg.clone()).unwrap();
-        let mut sharded = ShardedOnlineSolver::try_new(cfg, 1).unwrap();
-        for t in 0..4u64 {
-            let (xp, xu, xr, graph, sf0) = instance(&users, 30, 12, t + 30);
-            let input = TriInput {
-                xp: &xp,
-                xu: &xu,
-                xr: &xr,
-                graph: &graph,
-                sf0: &sf0,
-            };
-            let data = SnapshotData {
-                input,
-                user_ids: &users,
-            };
-            let a = plain.try_step(&data).unwrap();
-            let b = sharded.try_step(&[data]).unwrap();
-            let b0 = b.shards[0].as_ref().expect("shard stepped");
-            assert_eq!(a.objective, b0.objective, "step {t}");
-            assert_eq!(a.iterations, b0.iterations, "step {t}");
-            assert_eq!(a.factors.su, b0.factors.su, "step {t}");
-            assert_eq!(a.factors.sf, b0.factors.sf, "step {t}");
-            assert_eq!(b.sf, a.factors.sf, "merged Sf is the shard's, step {t}");
-        }
-        assert_eq!(plain.steps(), sharded.steps());
-    }
-
-    #[test]
-    fn sharded_online_couples_shards_through_sf() {
-        // Two disjoint user ranges stream in parallel; the shared window
-        // must make shard B's warm start depend on shard A's data.
-        let users_a: Vec<usize> = (0..5).collect();
-        let users_b: Vec<usize> = (5..10).collect();
-        let cfg = online_config();
-        let mut coupled = ShardedOnlineSolver::try_new(cfg.clone(), 2).unwrap();
-        let mut solo_b = OnlineSolver::try_new(OnlineConfig {
-            seed: shard_seed(cfg.seed, 1),
-            ..cfg
-        })
-        .unwrap();
-        let mut diverged = false;
-        for t in 0..3u64 {
-            let (xp_a, xu_a, xr_a, g_a, sf0) = instance(&users_a, 24, 12, t + 50);
-            let (xp_b, xu_b, xr_b, g_b, _) = instance(&users_b, 24, 12, t + 80);
-            let input_a = TriInput {
-                xp: &xp_a,
-                xu: &xu_a,
-                xr: &xr_a,
-                graph: &g_a,
-                sf0: &sf0,
-            };
-            let input_b = TriInput {
-                xp: &xp_b,
-                xu: &xu_b,
-                xr: &xr_b,
-                graph: &g_b,
-                sf0: &sf0,
-            };
-            let data_a = SnapshotData {
-                input: input_a,
-                user_ids: &users_a,
-            };
-            let data_b = SnapshotData {
-                input: input_b,
-                user_ids: &users_b,
-            };
-            let out = coupled.try_step(&[data_a, data_b]).unwrap();
-            let solo = solo_b.try_step(&data_b).unwrap();
-            let b = out.shards[1].as_ref().unwrap();
-            if b.factors.sf != solo.factors.sf {
-                diverged = true;
-            }
-        }
-        assert!(
-            diverged,
-            "shared-window shard must differ from an isolated solver once \
-             the other shard's data enters the merged Sf"
-        );
-    }
-
-    #[test]
     fn offline_ghost_rows_track_their_owner() {
         let users_a: Vec<usize> = (0..6).collect();
         let users_b: Vec<usize> = (6..12).collect();
@@ -926,7 +628,12 @@ mod tests {
         // ghost row: B holds a re-tweet edge of A's user.
         let users_b_with_ghost: Vec<usize> = vec![2, 5, 6, 7, 8];
         let cfg = online_config();
-        let mut solver = ShardedOnlineSolver::try_new(cfg, 2).unwrap();
+        let mut owner = OnlineSolver::try_new(cfg.clone()).unwrap();
+        let mut holder = OnlineSolver::try_new(OnlineConfig {
+            seed: shard_seed(cfg.seed, 1),
+            ..cfg
+        })
+        .unwrap();
         for t in 0..3u64 {
             let (xp_a, xu_a, xr_a, g_a, sf0) = instance(&users_a, 24, 12, t + 300);
             let (xp_b, xu_b, xr_b, g_b, _) = instance(&users_b_with_ghost, 24, 12, t + 400);
@@ -952,40 +659,23 @@ mod tests {
                 input: input_b,
                 user_ids: &users_b_with_ghost,
             };
-            let out = solver
-                .try_step_with_ghosts(&[data_a, data_b], &[vec![], vec![2]])
+            // The ghost carries the owner's pre-step factor (uniform
+            // before the owner has seen the user).
+            let carried = owner.sentiment_of(2).unwrap_or_else(|| vec![0.5, 0.5]);
+            owner.try_step(&data_a).unwrap();
+            let b = holder
+                .try_step_with_ghosts(&data_b, &[(2, carried)])
                 .unwrap();
-            let b = out.shards[1].as_ref().unwrap();
             assert_eq!(b.partition.ghost_rows, vec![0], "user 2 is row 0 of B");
             assert!(
                 !b.partition.new_rows.contains(&0) && !b.partition.evolving_rows.contains(&0),
                 "ghost rows leave the new/evolving sets"
             );
         }
-        // Only shard A ever recorded user 2: the ghost shard withheld it.
-        assert!(solver.solvers[0].knows_user(2));
-        assert!(!solver.solvers[1].knows_user(2));
-    }
-
-    #[test]
-    fn shard_slice_count_mismatch_is_typed() {
-        let cfg = online_config();
-        let mut solver = ShardedOnlineSolver::try_new(cfg, 2).unwrap();
-        let users: Vec<usize> = (0..4).collect();
-        let (xp, xu, xr, graph, sf0) = instance(&users, 10, 12, 1);
-        let input = TriInput {
-            xp: &xp,
-            xu: &xu,
-            xr: &xr,
-            graph: &graph,
-            sf0: &sf0,
-        };
-        let data = SnapshotData {
-            input,
-            user_ids: &users,
-        };
-        let err = solver.try_step(&[data]).unwrap_err();
-        assert_eq!(err.kind(), crate::error::TgsErrorKind::InvalidArgument);
-        assert_eq!(solver.steps(), 0);
+        // Only the owner ever recorded user 2: the ghost holder withheld
+        // it but recorded its own users.
+        assert!(owner.sentiment_of(2).is_some());
+        assert!(holder.sentiment_of(2).is_none());
+        assert!(holder.sentiment_of(5).is_some());
     }
 }

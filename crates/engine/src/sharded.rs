@@ -1798,7 +1798,7 @@ impl ShardedQuery {
             }
             // The solvers' merge policy verbatim (single part = bit-exact
             // clone), so engine-level rankings can never drift from
-            // `solve_offline_sharded` / `ShardedOnlineSolver` semantics.
+            // `solve_offline_sharded` semantics.
             let borrowed: Vec<(f64, &DenseMatrix)> = parts.iter().map(|(w, sf)| (*w, sf)).collect();
             merge_sf(&borrowed).ok_or(TgsError::SnapshotUnavailable { timestamp: t })
         })

@@ -9,7 +9,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use tgs_core::codec::{Reader, Writer};
 use tgs_core::TgsError;
 use tgs_engine::{
     ClusterSummary, EngineSnapshot, EngineStats, ShardTransport, TimelineEntry, UserSentiment,
@@ -18,7 +17,7 @@ use tgs_linalg::DenseMatrix;
 
 use crate::fault::{splitmix, FaultKind, FaultPolicy};
 use crate::frame::{read_response, write_request, STATUS_ERR, STATUS_OK};
-use crate::wire::{self, op};
+use crate::wire::{self, Op, Retry, ServerInfo};
 
 /// Timeouts and retry budget for one [`TcpShard`].
 #[derive(Debug, Clone)]
@@ -59,47 +58,63 @@ impl Default for NetConfig {
     }
 }
 
-/// Whether a failed call may be transparently retried on a fresh
-/// connection. Before the request frame is fully written the server
-/// cannot have acted, so every call is retry-safe; afterwards only
-/// idempotent calls are (a re-sent `ingest` would double-count a
-/// snapshot if the first one landed and the response was lost).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Retry {
-    Idempotent,
-    OnceOnly,
+/// Bounded retries with seeded jitter: the one backoff schedule behind
+/// [`TcpShard`]'s calls and supervised recovery. The wait before retry
+/// `n` is drawn from `[b/2, b]` with `b = base·2ⁿ⁻¹`, off a counter-based
+/// stream, so handles seeded differently never retry in lockstep.
+pub(crate) struct Backoff {
+    base: Duration,
+    attempts: u32,
+    deadline: Duration,
+    /// Counter behind the jitter stream.
+    draws: AtomicU64,
 }
 
-fn retry_class(opcode: u8) -> Retry {
-    match opcode {
-        // Pure reads, liveness, and monotone or idempotent control ops.
-        op::PING
-        | op::FLUSH
-        | op::STATS
-        | op::TIMESTAMPS
-        | op::TIMELINE
-        | op::LATEST_TIMESTAMP
-        | op::USER_SENTIMENT
-        | op::USER_TIMELINE
-        | op::KNOWN_USERS
-        | op::CLUSTER_SUMMARY
-        | op::SF_AT
-        | op::K
-        | op::VOCAB_TOKENS
-        | op::USER_FACTOR
-        | op::CHECKPOINT_SECTION
-        // Delta ops are idempotent by construction: re-asking the same
-        // base id yields an equivalent delta under a fresh mark id, and
-        // a lost reply's orphaned mark just ages out of the retention
-        // window.
-        | op::CHECKPOINT_BASE
-        | op::DELTA_SINCE
-        | op::SET_GENERATION
-        | op::SHUTDOWN_SLOT
-        | op::TERMINATE
-        | op::SERVER_INFO => Retry::Idempotent,
-        // State-mutating calls whose replay would not be a no-op.
-        _ => Retry::OnceOnly,
+impl Backoff {
+    pub(crate) fn new(base: Duration, attempts: u32, deadline: Duration, seed: u64) -> Self {
+        Self {
+            base,
+            attempts,
+            deadline,
+            draws: AtomicU64::new(seed),
+        }
+    }
+
+    /// Runs `attempt` until it succeeds or fails with `retry == false`,
+    /// it has run `attempts` times, or the next wait would end past
+    /// `deadline` after the first attempt began. The last error
+    /// surfaces.
+    pub(crate) fn run<T>(
+        &self,
+        mut attempt: impl FnMut() -> Result<T, (bool, TgsError)>,
+    ) -> Result<T, TgsError> {
+        let started = Instant::now();
+        let mut backoff = self.base;
+        let mut tries = 0u32;
+        loop {
+            let (retry, err) = match attempt() {
+                Ok(v) => return Ok(v),
+                Err(e) => e,
+            };
+            tries += 1;
+            if !retry || tries >= self.attempts.max(1) {
+                return Err(err);
+            }
+            let wait = self.jittered(backoff);
+            if started.elapsed() + wait >= self.deadline {
+                return Err(err);
+            }
+            std::thread::sleep(wait);
+            backoff = backoff.saturating_mul(2);
+        }
+    }
+
+    /// A wait drawn uniformly from `[backoff/2, backoff]`.
+    fn jittered(&self, backoff: Duration) -> Duration {
+        let nanos = u64::try_from(backoff.as_nanos()).unwrap_or(u64::MAX);
+        let half = nanos / 2;
+        let draw = splitmix(self.draws.fetch_add(1, Ordering::Relaxed));
+        Duration::from_nanos(half + draw % (nanos - half + 1))
     }
 }
 
@@ -123,8 +138,8 @@ pub struct TcpShard {
     slot: u64,
     cfg: NetConfig,
     conn: Mutex<Option<TcpStream>>,
-    /// Counter behind the backoff-jitter stream (keyed by address+slot).
-    jitter: AtomicU64,
+    /// Retry schedule; its jitter stream is keyed by address and slot.
+    backoff: Backoff,
     /// Counter behind the fault-decision stream. Keyed by the policy
     /// seed and the slot only — never the address, whose ephemeral port
     /// would change between runs and break chaos-run determinism.
@@ -135,7 +150,12 @@ impl TcpShard {
     /// A handle to `slot` on the server at `addr` (no IO happens here).
     pub fn new(addr: impl Into<String>, slot: u64, cfg: NetConfig) -> Self {
         let addr = addr.into();
-        let jitter_base = cfg.jitter_seed ^ fnv1a(addr.as_bytes()) ^ slot.rotate_left(17);
+        let backoff = Backoff::new(
+            cfg.backoff_base,
+            cfg.reconnect_attempts,
+            cfg.retry_deadline,
+            cfg.jitter_seed ^ fnv1a(addr.as_bytes()) ^ slot.rotate_left(17),
+        );
         let fault_base = cfg
             .faults
             .as_ref()
@@ -146,7 +166,7 @@ impl TcpShard {
             slot,
             cfg,
             conn: Mutex::new(None),
-            jitter: AtomicU64::new(jitter_base),
+            backoff,
             fault_rng: AtomicU64::new(fault_base),
         }
     }
@@ -181,15 +201,6 @@ impl TcpShard {
     /// Next value of the seeded fault-decision stream.
     fn next_fault_draw(&self) -> u64 {
         splitmix(self.fault_rng.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// A sleep drawn uniformly from `[backoff/2, backoff]` off this
-    /// handle's seeded jitter stream.
-    fn jittered(&self, backoff: Duration) -> Duration {
-        let nanos = backoff.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let half = nanos / 2;
-        let draw = splitmix(self.jitter.fetch_add(1, Ordering::Relaxed));
-        Duration::from_nanos(half + draw % (nanos - half + 1))
     }
 
     /// Consults the configured [`FaultPolicy`] for one call. `Ok(None)`
@@ -295,39 +306,19 @@ impl TcpShard {
         }
     }
 
-    /// Full call: attempt with bounded reconnect/backoff, decode the
-    /// status, and hand the `STATUS_OK` payload to `parse`.
+    /// Sends `op` with bounded reconnect/backoff, decodes the status,
+    /// and hands the `STATUS_OK` payload to `parse`.
     fn call<T>(
         &self,
-        opcode: u8,
-        generation: u64,
-        payload: &[u8],
+        op: Op<'_>,
         parse: impl FnOnce(&[u8]) -> Result<T, String>,
     ) -> Result<T, TgsError> {
-        let started = Instant::now();
-        let mut backoff = self.cfg.backoff_base;
-        let mut attempt_no = 0u32;
-        let (status, body) = loop {
-            match self.attempt(opcode, generation, payload) {
-                Ok(reply) => break reply,
-                Err((sent, err)) => {
-                    let retryable = !sent || retry_class(opcode) == Retry::Idempotent;
-                    attempt_no += 1;
-                    if !retryable || attempt_no >= self.cfg.reconnect_attempts.max(1) {
-                        return Err(err);
-                    }
-                    let wait = self.jittered(backoff);
-                    // Total-deadline cap: once this call has burned its
-                    // wall-clock budget, surface the last error rather
-                    // than sleeping into another attempt.
-                    if started.elapsed() + wait >= self.cfg.retry_deadline {
-                        return Err(err);
-                    }
-                    std::thread::sleep(wait);
-                    backoff = backoff.saturating_mul(2);
-                }
-            }
-        };
+        let (opcode, generation, payload) = (op.opcode(), op.generation(), op.payload());
+        let replayable = op.retry() == Retry::Idempotent;
+        let (status, body) = self.backoff.run(|| {
+            self.attempt(opcode, generation, &payload)
+                .map_err(|(sent, e)| (!sent || replayable, e))
+        })?;
         match status {
             STATUS_OK => parse(&body).map_err(|d| self.net_err(format!("malformed response: {d}"))),
             STATUS_ERR => Err(wire::dec_error(&body, &self.peer())),
@@ -339,66 +330,45 @@ impl TcpShard {
 
     /// Liveness probe.
     pub fn ping(&self) -> Result<(), TgsError> {
-        self.call(op::PING, 0, &[], |_| Ok(()))
+        self.call(Op::Ping {}, |_| Ok(()))
     }
 
     /// Creates this handle's slot on the server from a single-engine
     /// checkpoint section. Fails if the slot already exists.
     pub fn init(&self, section: &[u8]) -> Result<(), TgsError> {
-        self.call(op::INIT, 0, section, |_| Ok(()))
+        self.call(Op::Init { section }, |_| Ok(()))
     }
 
     /// Asks the server process to stop accepting and exit its serve
     /// loop after responding.
     pub fn terminate(&self) -> Result<(), TgsError> {
-        self.call(op::TERMINATE, 0, &[], |_| Ok(()))
+        self.call(Op::Terminate {}, |_| Ok(()))
     }
 
     /// Server metadata: the declared user range (if any) and how many
     /// slots are live.
     pub fn server_info(&self) -> Result<ServerInfo, TgsError> {
-        self.call(op::SERVER_INFO, 0, &[], |body| {
-            let mut r = Reader::new(body);
-            let range = match r.u8("range tag")? {
-                0 => None,
-                1 => Some((r.usize("range lo")?, r.usize("range hi")?)),
-                t => return Err(format!("bad range tag {t}")),
-            };
-            let slots = r.usize("slot count")?;
-            r.done()?;
-            Ok(ServerInfo { range, slots })
-        })
+        self.call(Op::ServerInfo {}, wire::dec_server_info)
     }
-}
-
-/// Metadata reported by a `tgs shard` server.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServerInfo {
-    /// The `--range lo..hi` the operator declared at launch, if any.
-    pub range: Option<(usize, usize)>,
-    /// Live engine slots on the server.
-    pub slots: usize,
 }
 
 impl ShardTransport for TcpShard {
     fn ingest(&self, generation: u64, snapshot: EngineSnapshot) -> Result<(), TgsError> {
         self.call(
-            op::INGEST,
-            generation,
-            &wire::enc_snapshot(&snapshot),
+            Op::Ingest {
+                generation,
+                snapshot,
+            },
             |_| Ok(()),
         )
     }
 
     fn timeline(&self, generation: u64, lo: u64, hi: u64) -> Result<Vec<TimelineEntry>, TgsError> {
-        let mut w = Writer::new();
-        w.u64(lo);
-        w.u64(hi);
-        self.call(op::TIMELINE, generation, &w.finish(), wire::dec_timeline)
+        self.call(Op::Timeline { generation, lo, hi }, wire::dec_timeline)
     }
 
     fn latest_timestamp(&self, generation: u64) -> Result<Option<u64>, TgsError> {
-        self.call(op::LATEST_TIMESTAMP, generation, &[], wire::dec_opt_u64)
+        self.call(Op::LatestTimestamp { generation }, wire::dec_opt_u64)
     }
 
     fn user_sentiment(
@@ -407,13 +377,12 @@ impl ShardTransport for TcpShard {
         user: usize,
         at: u64,
     ) -> Result<UserSentiment, TgsError> {
-        let mut w = Writer::new();
-        w.usize(user);
-        w.u64(at);
         self.call(
-            op::USER_SENTIMENT,
-            generation,
-            &w.finish(),
+            Op::UserSentiment {
+                generation,
+                user,
+                at,
+            },
             wire::dec_user_sentiment,
         )
     }
@@ -424,96 +393,72 @@ impl ShardTransport for TcpShard {
         user: usize,
     ) -> Result<Vec<(u64, Vec<f64>)>, TgsError> {
         self.call(
-            op::USER_TIMELINE,
-            generation,
-            &wire::enc_u64(user as u64),
+            Op::UserTimeline { generation, user },
             wire::dec_user_timeline,
         )
     }
 
     fn known_users(&self, generation: u64) -> Result<usize, TgsError> {
-        self.call(op::KNOWN_USERS, generation, &[], |b| {
-            wire::dec_u64(b).and_then(|v| {
-                usize::try_from(v).map_err(|_| "user count exceeds usize".to_string())
-            })
-        })
+        self.call(Op::KnownUsers { generation }, wire::dec_usize)
     }
 
     fn cluster_summary(&self, generation: u64, t: u64) -> Result<ClusterSummary, TgsError> {
         self.call(
-            op::CLUSTER_SUMMARY,
-            generation,
-            &wire::enc_u64(t),
+            Op::ClusterSummary { generation, t },
             wire::dec_cluster_summary,
         )
     }
 
     fn sf_at(&self, generation: u64, t: u64) -> Result<DenseMatrix, TgsError> {
-        self.call(op::SF_AT, generation, &wire::enc_u64(t), wire::dec_matrix)
+        self.call(Op::SfAt { generation, t }, wire::dec_matrix)
     }
 
     fn flush(&self) -> Result<u64, TgsError> {
-        self.call(op::FLUSH, 0, &[], wire::dec_u64)
+        self.call(Op::Flush {}, wire::dec_u64)
     }
 
     fn stats(&self) -> Result<EngineStats, TgsError> {
-        self.call(op::STATS, 0, &[], wire::dec_stats)
+        self.call(Op::Stats {}, wire::dec_stats)
     }
 
     fn timestamps(&self) -> Result<Vec<u64>, TgsError> {
-        self.call(op::TIMESTAMPS, 0, &[], wire::dec_u64s)
+        self.call(Op::Timestamps {}, wire::dec_u64s)
     }
 
     fn k(&self) -> Result<usize, TgsError> {
-        self.call(op::K, 0, &[], |b| {
-            wire::dec_u64(b)
-                .and_then(|v| usize::try_from(v).map_err(|_| "k exceeds usize".to_string()))
-        })
+        self.call(Op::K {}, wire::dec_usize)
     }
 
     fn vocab_tokens(&self) -> Result<Vec<String>, TgsError> {
-        self.call(op::VOCAB_TOKENS, 0, &[], wire::dec_strs)
+        self.call(Op::VocabTokens {}, wire::dec_strs)
     }
 
     fn user_factor(&self, user: usize) -> Result<Option<Vec<f64>>, TgsError> {
-        self.call(
-            op::USER_FACTOR,
-            0,
-            &wire::enc_u64(user as u64),
-            wire::dec_opt_f64s,
-        )
+        self.call(Op::UserFactor { user }, wire::dec_opt_f64s)
     }
 
     fn checkpoint_section(&self) -> Result<Vec<u8>, TgsError> {
-        self.call(op::CHECKPOINT_SECTION, 0, &[], |b| Ok(b.to_vec()))
+        self.call(Op::CheckpointSection {}, |b| Ok(b.to_vec()))
     }
 
     fn checkpoint_base(&self) -> Result<(u64, Vec<u8>), TgsError> {
-        self.call(op::CHECKPOINT_BASE, 0, &[], wire::dec_id_bytes)
+        self.call(Op::CheckpointBase {}, wire::dec_id_bytes)
     }
 
     fn delta_since(&self, base_id: u64) -> Result<Option<Vec<u8>>, TgsError> {
-        self.call(
-            op::DELTA_SINCE,
-            0,
-            &wire::enc_u64(base_id),
-            wire::dec_opt_bytes,
-        )
+        self.call(Op::DeltaSince { base_id }, wire::dec_opt_bytes)
     }
 
     fn export_users(&self, lo: usize, hi: usize) -> Result<Vec<u8>, TgsError> {
-        let mut w = Writer::new();
-        w.usize(lo);
-        w.usize(hi);
-        self.call(op::EXPORT_USERS, 0, &w.finish(), |b| Ok(b.to_vec()))
+        self.call(Op::ExportUsers { lo, hi }, |b| Ok(b.to_vec()))
     }
 
     fn import_users(&self, users: &[u8]) -> Result<(), TgsError> {
-        self.call(op::IMPORT_USERS, 0, users, |_| Ok(()))
+        self.call(Op::ImportUsers { users }, |_| Ok(()))
     }
 
     fn spawn_sibling(&self) -> Result<Arc<dyn ShardTransport>, TgsError> {
-        let slot = self.call(op::SPAWN_SIBLING, 0, &[], wire::dec_u64)?;
+        let slot = self.call(Op::SpawnSibling {}, wire::dec_u64)?;
         Ok(Arc::new(TcpShard::new(
             self.addr.clone(),
             slot,
@@ -522,16 +467,11 @@ impl ShardTransport for TcpShard {
     }
 
     fn absorb_section(&self, section: &[u8]) -> Result<(), TgsError> {
-        self.call(op::ABSORB_SECTION, 0, section, |_| Ok(()))
+        self.call(Op::AbsorbSection { section }, |_| Ok(()))
     }
 
     fn set_generation(&self, generation: u64) -> Result<(), TgsError> {
-        self.call(
-            op::SET_GENERATION,
-            0,
-            &wire::enc_u64(generation),
-            |_| Ok(()),
-        )
+        self.call(Op::SetGeneration { floor: generation }, |_| Ok(()))
     }
 
     fn request_core_set(&self, _set_index: usize, _n_sets: usize) {
@@ -540,7 +480,7 @@ impl ShardTransport for TcpShard {
     }
 
     fn shutdown(&self) -> Result<(), TgsError> {
-        let out = self.call(op::SHUTDOWN_SLOT, 0, &[], |_| Ok(()));
+        let out = self.call(Op::ShutdownSlot {}, |_| Ok(()));
         self.disconnect();
         out
     }
@@ -639,22 +579,5 @@ mod tests {
             err.to_string().contains("dropped before send"),
             "err: {err}"
         );
-    }
-
-    #[test]
-    fn non_idempotent_opcodes_are_classified() {
-        for opc in [
-            op::INGEST,
-            op::INIT,
-            op::IMPORT_USERS,
-            op::EXPORT_USERS,
-            op::SPAWN_SIBLING,
-            op::ABSORB_SECTION,
-        ] {
-            assert_eq!(retry_class(opc), Retry::OnceOnly);
-        }
-        for opc in [op::TIMELINE, op::FLUSH, op::SET_GENERATION, op::PING] {
-            assert_eq!(retry_class(opc), Retry::Idempotent);
-        }
     }
 }

@@ -17,15 +17,15 @@
 //! ```
 //!
 //! Each fault clause is `<opcode-name|*>.<drop|delay|truncate|error> =
-//! <probability>`; opcode names are the lower-case names from the
-//! opcode table in `PROTOCOL.md` (`ingest`, `flush`, `stats`, …), `*`
+//! <probability>`; opcode names are the lower-case names of
+//! [`crate::wire`]'s opcode table (`ingest`, `flush`, `stats`, …), `*`
 //! matches every opcode. Rules are evaluated in clause order and the
 //! first hit wins, so a specific clause listed before a wildcard takes
 //! precedence for its opcode.
 
 use std::time::Duration;
 
-use crate::wire::op;
+use crate::wire::opcode_named;
 
 /// What an injected fault does to one transport call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +99,7 @@ impl FaultPolicy {
                     let opcode = match opname {
                         "*" => None,
                         name => Some(
-                            opcode_by_name(name)
+                            opcode_named(name)
                                 .ok_or_else(|| format!("unknown opcode name '{name}'"))?,
                         ),
                     };
@@ -174,40 +174,13 @@ pub(crate) fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn opcode_by_name(name: &str) -> Option<u8> {
-    Some(match name {
-        "ping" => op::PING,
-        "init" => op::INIT,
-        "ingest" => op::INGEST,
-        "flush" => op::FLUSH,
-        "stats" => op::STATS,
-        "timestamps" => op::TIMESTAMPS,
-        "timeline" => op::TIMELINE,
-        "latest_timestamp" => op::LATEST_TIMESTAMP,
-        "user_sentiment" => op::USER_SENTIMENT,
-        "user_timeline" => op::USER_TIMELINE,
-        "known_users" => op::KNOWN_USERS,
-        "cluster_summary" => op::CLUSTER_SUMMARY,
-        "sf_at" => op::SF_AT,
-        "k" => op::K,
-        "vocab_tokens" => op::VOCAB_TOKENS,
-        "user_factor" => op::USER_FACTOR,
-        "checkpoint_section" => op::CHECKPOINT_SECTION,
-        "export_users" => op::EXPORT_USERS,
-        "import_users" => op::IMPORT_USERS,
-        "spawn_sibling" => op::SPAWN_SIBLING,
-        "absorb_section" => op::ABSORB_SECTION,
-        "set_generation" => op::SET_GENERATION,
-        "shutdown_slot" => op::SHUTDOWN_SLOT,
-        "terminate" => op::TERMINATE,
-        "server_info" => op::SERVER_INFO,
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::OPCODES;
+
+    const INGEST: u8 = 2;
+    const FLUSH: u8 = 3;
 
     #[test]
     fn parse_accepts_the_documented_grammar() {
@@ -216,7 +189,7 @@ mod tests {
         assert_eq!(p.seed, 7);
         assert_eq!(p.delay, Duration::from_millis(5));
         assert_eq!(p.rules.len(), 2);
-        assert_eq!(p.rules[0].opcode, Some(op::INGEST));
+        assert_eq!(p.rules[0].opcode, Some(INGEST));
         assert_eq!(p.rules[0].kind, FaultKind::Truncate);
         assert_eq!(p.rules[1].opcode, None);
         assert!(p.is_armed());
@@ -242,7 +215,7 @@ mod tests {
             let mut counter = p.seed;
             (0..64)
                 .map(|_| {
-                    p.decide(op::INGEST, || {
+                    p.decide(INGEST, || {
                         counter = counter.wrapping_add(1);
                         splitmix(counter)
                     })
@@ -257,7 +230,7 @@ mod tests {
         // A non-matching opcode never draws and never faults.
         let mut draws = 0;
         assert_eq!(
-            p.decide(op::FLUSH, || {
+            p.decide(FLUSH, || {
                 draws += 1;
                 0
             }),
@@ -269,7 +242,19 @@ mod tests {
     #[test]
     fn specific_rules_win_over_wildcards_in_clause_order() {
         let p = FaultPolicy::parse("ingest.drop=1.0, *.error=1.0").expect("valid");
-        assert_eq!(p.decide(op::INGEST, || 0), Some(FaultKind::Drop));
-        assert_eq!(p.decide(op::FLUSH, || 0), Some(FaultKind::ErrorReply));
+        assert_eq!(p.decide(INGEST, || 0), Some(FaultKind::Drop));
+        assert_eq!(p.decide(FLUSH, || 0), Some(FaultKind::ErrorReply));
+    }
+
+    #[test]
+    fn every_opcode_name_arms_a_fault_for_that_opcode_only() {
+        for &(opcode, name) in OPCODES {
+            let p = FaultPolicy::parse(&format!("{name}.error=1"))
+                .unwrap_or_else(|e| panic!("'{name}' must parse: {e}"));
+            for &(other, _) in OPCODES {
+                let fired = p.decide(other, || 0).is_some();
+                assert_eq!(fired, other == opcode, "'{name}' rule vs opcode {other}");
+            }
+        }
     }
 }

@@ -8,9 +8,10 @@
 //! - [`frame`] — the length-prefixed frame layer: `[u32 len][u8
 //!   version][u8 opcode][u64 generation][u64 slot][payload]` requests,
 //!   `[u32 len][u8 version][u8 status][payload]` responses.
-//! - [`wire`] — payload codecs for every engine value that crosses the
-//!   wire (snapshots, timelines, stats, factors, checkpoint sections)
-//!   plus a [`TgsError`](tgs_core::TgsError) codec that keeps
+//! - [`wire`] — the opcode table (one declaration per opcode), payload
+//!   codecs for every engine value that crosses the wire (snapshots,
+//!   timelines, stats, factors, checkpoint sections) plus a
+//!   [`TgsError`](tgs_core::TgsError) codec that keeps
 //!   dispatch-relevant variants — above all `StaleTopology`, which the
 //!   router's lazy re-keying matches on — intact across the trip.
 //! - [`TcpShard`] — the client: one lazily-dialed connection per shard
@@ -20,11 +21,11 @@
 //! - [`ShardServer`] — the `tgs shard` side: a slot-hosting TCP server
 //!   whose slots are created over the wire (`INIT` from a checkpoint
 //!   section, `SPAWN_SIBLING` during a live split).
-//! - [`deploy_fleet`] / [`attach_fleet`] — the `tgs serve` bootstrap:
-//!   checkpoint a deterministic cold local fleet, ship one section per
-//!   server, rebuild the router over TCP transports. Restore is exact,
-//!   so a loopback fleet is bit-identical to the in-process engine it
-//!   was cloned from.
+//! - [`deploy_fleet`] — the `tgs serve` bootstrap: checkpoint a
+//!   deterministic cold local fleet, ship one section per server,
+//!   rebuild the router over TCP transports. Restore is exact, so a
+//!   loopback fleet is bit-identical to the in-process engine it was
+//!   cloned from.
 //!
 //! Every frame carries the topology generation of the partition map the
 //! caller routed with; shards reject stale generations so a handle
@@ -56,11 +57,12 @@ pub mod server;
 pub mod supervise;
 pub mod wire;
 
-pub use client::{NetConfig, ServerInfo, TcpShard};
+pub use client::{NetConfig, TcpShard};
 pub use fault::{FaultKind, FaultPolicy};
-pub use router::{attach_fleet, deploy_fleet, deploy_supervised, RouterEndpoint};
+pub use router::{deploy_fleet, deploy_supervised, RouterEndpoint};
 pub use server::ShardServer;
 pub use supervise::{SupervisedShard, Supervisor, SupervisorConfig};
+pub use wire::ServerInfo;
 
 // Re-exported so downstream code can name the seam without also
 // depending on tgs_engine directly.

@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use tgs_core::TgsError;
+use tgs_data::PartitionMap;
 use tgs_engine::{
     ClusterSummary, EngineSnapshot, EngineStats, FleetTips, RecoveryCounters, ShardTransport,
     ShardedEngine, TimelineEntry, UserSentiment,
@@ -36,35 +37,11 @@ pub fn deploy_fleet(
     addrs: &[String],
     cfg: &NetConfig,
 ) -> Result<ShardedEngine, TgsError> {
-    if addrs.len() != template.shards() {
-        return Err(TgsError::invalid_argument(format!(
-            "{} shard servers for a {}-shard template",
-            addrs.len(),
-            template.shards()
-        )));
-    }
-    let map = template.map();
-    let ghost_mode = template.ghost_mode();
-    let sections = template.checkpoint()?.sections()?;
-    template.shutdown()?;
-
-    let mut transports: Vec<Arc<dyn ShardTransport>> = Vec::with_capacity(addrs.len());
-    for (shard, (addr, section)) in addrs.iter().zip(&sections).enumerate() {
-        let handle = TcpShard::new(addr.clone(), 0, cfg.clone());
-        let info = handle.server_info()?;
-        if let Some((lo, hi)) = info.range {
-            let expected = map.range(shard);
-            if (lo, hi) != expected {
-                return Err(TgsError::invalid_argument(format!(
-                    "shard server {addr} declared user range {lo}..{hi} but the \
-                     partition map assigns {}..{} to shard {shard}",
-                    expected.0, expected.1
-                )));
-            }
-        }
-        handle.init(section)?;
-        transports.push(Arc::new(handle));
-    }
+    let (map, ghost_mode, shipped) = ship_sections(template, addrs, cfg)?;
+    let transports = shipped
+        .into_iter()
+        .map(|(handle, _)| handle as Arc<dyn ShardTransport>)
+        .collect();
     ShardedEngine::from_transports(map, transports, ghost_mode)
 }
 
@@ -83,6 +60,39 @@ pub fn deploy_supervised(
     cfg: &NetConfig,
     sup_cfg: SupervisorConfig,
 ) -> Result<(ShardedEngine, Arc<Supervisor>), TgsError> {
+    let (map, ghost_mode, shipped) = ship_sections(template, addrs, cfg)?;
+    let counters = Arc::new(RecoveryCounters::default());
+    let supervised: Vec<Arc<SupervisedShard>> = shipped
+        .into_iter()
+        .map(|(handle, section)| {
+            SupervisedShard::new(
+                handle,
+                Some(section),
+                Arc::clone(&counters),
+                sup_cfg.clone(),
+            )
+        })
+        .collect();
+    let transports = supervised
+        .iter()
+        .map(|shard| Arc::clone(shard) as Arc<dyn ShardTransport>)
+        .collect();
+    let mut engine = ShardedEngine::from_transports(map, transports, ghost_mode)?;
+    engine.set_recovery_counters(Arc::clone(&counters));
+    let supervisor = Supervisor::new(supervised, counters, sup_cfg);
+    Ok((engine, supervisor))
+}
+
+/// The deploy step both entry points share: checkpoints and shuts down
+/// `template`, then, per server, checks its declared range against the
+/// partition map and `INIT`s slot 0 with its section. Returns the map,
+/// the ghost mode and each server's handle with the section it got.
+#[allow(clippy::type_complexity)]
+fn ship_sections(
+    template: ShardedEngine,
+    addrs: &[String],
+    cfg: &NetConfig,
+) -> Result<(PartitionMap, bool, Vec<(Arc<TcpShard>, Vec<u8>)>), TgsError> {
     if addrs.len() != template.shards() {
         return Err(TgsError::invalid_argument(format!(
             "{} shard servers for a {}-shard template",
@@ -95,13 +105,10 @@ pub fn deploy_supervised(
     let sections = template.checkpoint()?.sections()?;
     template.shutdown()?;
 
-    let counters = Arc::new(RecoveryCounters::default());
-    let mut supervised = Vec::with_capacity(addrs.len());
-    let mut transports: Vec<Arc<dyn ShardTransport>> = Vec::with_capacity(addrs.len());
-    for (shard, (addr, section)) in addrs.iter().zip(&sections).enumerate() {
+    let mut shipped = Vec::with_capacity(addrs.len());
+    for (shard, (addr, section)) in addrs.iter().zip(sections).enumerate() {
         let handle = Arc::new(TcpShard::new(addr.clone(), 0, cfg.clone()));
-        let info = handle.server_info()?;
-        if let Some((lo, hi)) = info.range {
+        if let Some((lo, hi)) = handle.server_info()?.range {
             let expected = map.range(shard);
             if (lo, hi) != expected {
                 return Err(TgsError::invalid_argument(format!(
@@ -111,40 +118,10 @@ pub fn deploy_supervised(
                 )));
             }
         }
-        handle.init(section)?;
-        let wrapped = SupervisedShard::new(
-            handle,
-            Some(section.clone()),
-            Arc::clone(&counters),
-            sup_cfg.clone(),
-        );
-        supervised.push(Arc::clone(&wrapped));
-        transports.push(wrapped as Arc<dyn ShardTransport>);
+        handle.init(&section)?;
+        shipped.push((handle, section));
     }
-    let mut engine = ShardedEngine::from_transports(map, transports, ghost_mode)?;
-    engine.set_recovery_counters(Arc::clone(&counters));
-    let supervisor = Supervisor::new(supervised, counters, sup_cfg);
-    Ok((engine, supervisor))
-}
-
-/// Re-attaches to servers that already hold fleet state (slot 0 each)
-/// without shipping anything — the reconnect path after a router
-/// restart. `map` and `ghost_mode` must match what was deployed (take
-/// them from a saved fleet checkpoint header or the original launch
-/// configuration).
-pub fn attach_fleet(
-    map: tgs_data::PartitionMap,
-    addrs: &[String],
-    ghost_mode: bool,
-    cfg: &NetConfig,
-) -> Result<ShardedEngine, TgsError> {
-    let transports: Vec<Arc<dyn ShardTransport>> = addrs
-        .iter()
-        .map(|addr| {
-            Arc::new(TcpShard::new(addr.clone(), 0, cfg.clone())) as Arc<dyn ShardTransport>
-        })
-        .collect();
-    ShardedEngine::from_transports(map, transports, ghost_mode)
+    Ok((map, ghost_mode, shipped))
 }
 
 /// The router itself as a [`ShardTransport`]: hosting one of these on a

@@ -5,34 +5,67 @@
 //! created over the wire (`INIT` restores one from a checkpoint
 //! section, `SPAWN_SIBLING` forks a cold sibling for a shard split), so
 //! a server starts empty and the router deploys topology onto it. One
-//! thread per connection; the listener polls non-blocking so a
-//! `TERMINATE` request (or [`ShardServer::stop`]) shuts the loop down
-//! cleanly.
+//! thread per connection. The accept and the reads block; a `TERMINATE`
+//! request (or [`ShardServer::stop`]) wakes the accept with a loopback
+//! connect, and the exiting serve loop shuts the open connections down.
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use tgs_core::codec::{Reader, Writer};
 use tgs_core::TgsError;
 use tgs_engine::{EngineCheckpoint, LocalShard, SentimentEngine, ShardTransport};
 
-use crate::frame::{read_request, write_response, Request, STATUS_ERR, STATUS_OK};
-use crate::wire::{self, op};
-
-/// How often blocked readers and the accept loop re-check the stop
-/// flag. Short enough for prompt shutdown, long enough to stay idle.
-const POLL: Duration = Duration::from_millis(25);
+use crate::frame::{read_request, write_response, STATUS_ERR, STATUS_OK};
+use crate::wire::{self, Op, ServerInfo};
 
 struct Srv {
     range: Option<(usize, usize)>,
+    /// The bound address as a client reaches it: a loopback connect here
+    /// wakes the blocking accept.
+    wake_addr: SocketAddr,
     slots: Mutex<HashMap<u64, Arc<dyn ShardTransport>>>,
     next_slot: AtomicU64,
     stop: AtomicBool,
+}
+
+impl Srv {
+    /// Flags the serve loop to exit and wakes its accept.
+    fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
+
+    /// Hosts `shard` under `slot`, which must be free.
+    fn insert(&self, slot: u64, shard: Arc<dyn ShardTransport>) -> Result<(), TgsError> {
+        let mut slots = self.slots.lock();
+        if slots.contains_key(&slot) {
+            return Err(TgsError::invalid_argument(format!(
+                "slot {slot} already exists on this server"
+            )));
+        }
+        slots.insert(slot, shard);
+        self.next_slot.fetch_max(slot + 1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn slot(&self, slot: u64) -> Result<Arc<dyn ShardTransport>, TgsError> {
+        // A missing slot is a *Net*-kinded error, not InvalidArgument: the
+        // router only addresses slots it deployed, so reaching an empty one
+        // means the server restarted and lost its state — exactly the
+        // condition the supervisor's respawn path must classify as
+        // recoverable (see PROTOCOL.md, "Failure semantics").
+        self.slots.lock().get(&slot).cloned().ok_or_else(|| {
+            TgsError::net(
+                format!("slot {slot}"),
+                "no such slot on this server (restarted or never initialised)",
+            )
+        })
+    }
 }
 
 /// A running shard host bound to one TCP address.
@@ -48,13 +81,20 @@ impl ShardServer {
     pub fn bind(addr: &str, range: Option<(usize, usize)>) -> Result<Self, TgsError> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| TgsError::net(addr, format!("cannot bind listener: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| TgsError::net(addr, format!("cannot set non-blocking accept: {e}")))?;
+        let mut wake_addr = listener
+            .local_addr()
+            .map_err(|e| TgsError::net(addr, format!("cannot read bound address: {e}")))?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Ok(Self {
             listener,
             srv: Arc::new(Srv {
                 range,
+                wake_addr,
                 slots: Mutex::new(HashMap::new()),
                 next_slot: AtomicU64::new(1),
                 stop: AtomicBool::new(false),
@@ -69,20 +109,6 @@ impl ShardServer {
             .map_err(|e| TgsError::net("listener", format!("cannot read bound address: {e}")))
     }
 
-    /// Hosts a pre-built engine under `slot` (the non-wire way to
-    /// populate a server, used by embedding tests and tools).
-    pub fn add_engine(&self, slot: u64, engine: SentimentEngine) -> Result<(), TgsError> {
-        let mut slots = self.srv.slots.lock();
-        if slots.contains_key(&slot) {
-            return Err(TgsError::invalid_argument(format!(
-                "slot {slot} already exists on this server"
-            )));
-        }
-        slots.insert(slot, Arc::new(LocalShard::new(engine)));
-        self.srv.next_slot.fetch_max(slot + 1, Ordering::Relaxed);
-        Ok(())
-    }
-
     /// Hosts an arbitrary transport under `slot`. This is how `tgs
     /// serve --hold` exposes its whole fleet as one endpoint: the
     /// hosted transport is a router fanning requests back out to the
@@ -92,42 +118,46 @@ impl ShardServer {
         slot: u64,
         transport: Arc<dyn ShardTransport>,
     ) -> Result<(), TgsError> {
-        let mut slots = self.srv.slots.lock();
-        if slots.contains_key(&slot) {
-            return Err(TgsError::invalid_argument(format!(
-                "slot {slot} already exists on this server"
-            )));
-        }
-        slots.insert(slot, transport);
-        self.srv.next_slot.fetch_max(slot + 1, Ordering::Relaxed);
-        Ok(())
+        self.srv.insert(slot, transport)
     }
 
     /// Asks the serve loop to wind down (same effect as a `TERMINATE`
     /// request). Safe from any thread.
     pub fn stop(&self) {
-        self.srv.stop.store(true, Ordering::Relaxed);
+        self.srv.stop();
     }
 
-    /// Serves until terminated, then drains connection threads and
-    /// shuts every hosted slot down. Blocks the calling thread.
+    /// Serves until terminated, then closes the open connections, joins
+    /// their threads and shuts every hosted slot down. Blocks the
+    /// calling thread.
     pub fn run(self) -> Result<(), TgsError> {
-        let mut conns = Vec::new();
-        while !self.srv.stop.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let srv = Arc::clone(&self.srv);
-                    conns.push(std::thread::spawn(move || serve_conn(stream, srv)));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.stop();
-                    return Err(TgsError::net("listener", format!("accept failed: {e}")));
-                }
+        // Each live connection's thread, with a handle on its socket.
+        let mut conns: Vec<(TcpStream, std::thread::JoinHandle<()>)> = Vec::new();
+        let outcome = loop {
+            if self.srv.stop.load(Ordering::SeqCst) {
+                break Ok(());
             }
+            match self.listener.accept() {
+                // A stop request's wake-up connect: the check above exits.
+                Ok(_) if self.srv.stop.load(Ordering::SeqCst) => {}
+                Ok((stream, _)) => {
+                    conns.retain(|(_, conn)| !conn.is_finished());
+                    let Ok(socket) = stream.try_clone() else {
+                        continue;
+                    };
+                    let srv = Arc::clone(&self.srv);
+                    conns.push((socket, std::thread::spawn(move || serve_conn(stream, srv))));
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => break Err(TgsError::net("listener", format!("accept failed: {e}"))),
+            }
+        };
+        // Idle connections wait in a read: shutting their sockets down
+        // ends it.
+        for (socket, _) in &conns {
+            let _ = socket.shutdown(Shutdown::Both);
         }
-        for conn in conns {
+        for (_, conn) in conns {
             let _ = conn.join();
         }
         // Final drain: surface nothing (teardown is best effort), but
@@ -135,51 +165,50 @@ impl ShardServer {
         for (_, shard) in self.srv.slots.lock().drain() {
             let _ = shard.shutdown();
         }
-        Ok(())
+        outcome
     }
 }
 
 /// Serves one connection until EOF, a fatal IO error, or server stop.
 fn serve_conn(mut stream: TcpStream, srv: Arc<Srv>) {
-    // Once a frame has started arriving it is read under this budget;
-    // the short POLL timeout only governs the idle wait, so a large
-    // checkpoint body cannot be cut off by the stop-flag polling.
-    const BODY_TIMEOUT: Duration = Duration::from_secs(30);
-    if stream.set_nodelay(true).is_err() || stream.set_write_timeout(Some(BODY_TIMEOUT)).is_err() {
+    // Bounds each read and write once a frame is under way, so a large
+    // checkpoint body has 30 s per read. A wait for the next frame that
+    // times out just waits again: idle connections stay open.
+    const IO_TIMEOUT: Duration = Duration::from_secs(30);
+    if stream
+        .set_nodelay(true)
+        .and_then(|()| stream.set_read_timeout(Some(IO_TIMEOUT)))
+        .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)))
+        .is_err()
+    {
         return;
     }
     loop {
-        if stream.set_read_timeout(Some(POLL)).is_err() {
-            return;
-        }
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
+        match stream.peek(&mut [0u8; 1]) {
             Ok(0) => return, // clean EOF
             Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if srv.stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                continue;
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                continue
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
-        if stream.set_read_timeout(Some(BODY_TIMEOUT)).is_err() {
-            return;
-        }
-        let request = match read_request(&mut stream) {
-            Ok(Some(request)) => request,
+        let frame = match read_request(&mut stream) {
+            Ok(Some(frame)) => frame,
             Ok(None) | Err(_) => return,
         };
-        let terminate = request.opcode == op::TERMINATE;
-        let reply = dispatch(&srv, &request);
-        let wrote = match reply {
+        let op = Op::decode(frame.opcode, frame.generation, &frame.payload);
+        let terminate = matches!(op, Ok(Op::Terminate {}));
+        let wrote = match op.and_then(|op| dispatch(&srv, frame.slot, op)) {
             Ok(payload) => write_response(&mut stream, STATUS_OK, &payload),
             Err(e) => write_response(&mut stream, STATUS_ERR, &wire::enc_error(&e)),
         };
         if terminate {
-            srv.stop.store(true, Ordering::Relaxed);
+            srv.stop();
             return;
         }
         if wrote.is_err() {
@@ -188,171 +217,80 @@ fn serve_conn(mut stream: TcpStream, srv: Arc<Srv>) {
     }
 }
 
-fn bad_payload(detail: impl std::fmt::Display) -> TgsError {
-    TgsError::invalid_argument(format!("bad request payload: {detail}"))
-}
-
-fn slot_of(srv: &Srv, slot: u64) -> Result<Arc<dyn ShardTransport>, TgsError> {
-    // A missing slot is a *Net*-kinded error, not InvalidArgument: the
-    // router only addresses slots it deployed, so reaching an empty one
-    // means the server restarted and lost its state — exactly the
-    // condition the supervisor's respawn path must classify as
-    // recoverable (see PROTOCOL.md, "Failure semantics").
-    srv.slots.lock().get(&slot).cloned().ok_or_else(|| {
-        TgsError::net(
-            format!("slot {slot}"),
-            "no such slot on this server (restarted or never initialised)",
-        )
-    })
-}
-
-fn dispatch(srv: &Srv, request: &Request) -> Result<Vec<u8>, TgsError> {
-    let Request {
-        opcode,
-        generation,
-        slot,
-        ref payload,
-    } = *request;
-    match opcode {
-        op::PING | op::TERMINATE => Ok(Vec::new()),
-        op::SERVER_INFO => {
-            let mut w = Writer::new();
-            match srv.range {
-                Some((lo, hi)) => {
-                    w.u8(1);
-                    w.usize(lo);
-                    w.usize(hi);
-                }
-                None => w.u8(0),
-            }
-            w.usize(srv.slots.lock().len());
-            Ok(w.finish())
+/// Runs one request against the server or its `slot` and encodes the
+/// reply payload.
+fn dispatch(srv: &Srv, slot: u64, op: Op<'_>) -> Result<Vec<u8>, TgsError> {
+    let shard = || srv.slot(slot);
+    // The reply of a call that returns nothing.
+    let empty = |()| Vec::new();
+    Ok(match op {
+        Op::Ping {} | Op::Terminate {} => Vec::new(),
+        Op::ServerInfo {} => wire::enc_server_info(&ServerInfo {
+            range: srv.range,
+            slots: srv.slots.lock().len(),
+        }),
+        Op::Init { section } => {
+            let engine = SentimentEngine::restore(&EngineCheckpoint::from_bytes(section.to_vec()))?;
+            empty(srv.insert(slot, Arc::new(LocalShard::new(engine)))?)
         }
-        op::INIT => {
-            let engine = SentimentEngine::restore(&EngineCheckpoint::from_bytes(payload.clone()))?;
-            let mut slots = srv.slots.lock();
-            if slots.contains_key(&slot) {
-                return Err(TgsError::invalid_argument(format!(
-                    "slot {slot} already exists on this server"
-                )));
-            }
-            slots.insert(slot, Arc::new(LocalShard::new(engine)));
-            srv.next_slot.fetch_max(slot + 1, Ordering::Relaxed);
-            Ok(Vec::new())
-        }
-        op::SHUTDOWN_SLOT => {
+        Op::ShutdownSlot {} => {
             // Idempotent: removing an absent slot is a success, so a
             // retried teardown cannot fail the fleet shutdown.
-            match srv.slots.lock().remove(&slot) {
-                Some(shard) => shard.shutdown().map(|()| Vec::new()),
-                None => Ok(Vec::new()),
+            let removed = srv.slots.lock().remove(&slot);
+            empty(removed.map_or(Ok(()), |shard| shard.shutdown())?)
+        }
+        Op::SpawnSibling {} => {
+            let sibling = shard()?.spawn_sibling()?;
+            // The first id past every slot ever hosted that is still free.
+            loop {
+                let id = srv.next_slot.fetch_add(1, Ordering::Relaxed);
+                if srv.insert(id, Arc::clone(&sibling)).is_ok() {
+                    break wire::enc_u64(id);
+                }
             }
         }
-        op::SPAWN_SIBLING => {
-            let sibling = slot_of(srv, slot)?.spawn_sibling()?;
-            let mut slots = srv.slots.lock();
-            let mut id = srv.next_slot.fetch_add(1, Ordering::Relaxed);
-            while slots.contains_key(&id) {
-                id = srv.next_slot.fetch_add(1, Ordering::Relaxed);
-            }
-            slots.insert(id, sibling);
-            Ok(wire::enc_u64(id))
+        Op::Ingest {
+            generation,
+            snapshot,
+        } => empty(shard()?.ingest(generation, snapshot)?),
+        Op::Flush {} => wire::enc_u64(shard()?.flush()?),
+        Op::Stats {} => wire::enc_stats(&shard()?.stats()?),
+        Op::Timestamps {} => wire::enc_u64s(&shard()?.timestamps()?),
+        Op::Timeline { generation, lo, hi } => {
+            wire::enc_timeline(&shard()?.timeline(generation, lo, hi)?)
         }
-        op::INGEST => {
-            let snapshot = wire::dec_snapshot(payload).map_err(bad_payload)?;
-            slot_of(srv, slot)?
-                .ingest(generation, snapshot)
-                .map(|()| Vec::new())
+        Op::LatestTimestamp { generation } => {
+            wire::enc_opt_u64(shard()?.latest_timestamp(generation)?)
         }
-        op::FLUSH => slot_of(srv, slot)?.flush().map(wire::enc_u64),
-        op::STATS => slot_of(srv, slot)?.stats().map(|s| wire::enc_stats(&s)),
-        op::TIMESTAMPS => slot_of(srv, slot)?.timestamps().map(|t| wire::enc_u64s(&t)),
-        op::TIMELINE => {
-            let mut r = Reader::new(payload);
-            let lo = r.u64("timeline lo").map_err(bad_payload)?;
-            let hi = r.u64("timeline hi").map_err(bad_payload)?;
-            r.done().map_err(bad_payload)?;
-            slot_of(srv, slot)?
-                .timeline(generation, lo, hi)
-                .map(|t| wire::enc_timeline(&t))
+        Op::UserSentiment {
+            generation,
+            user,
+            at,
+        } => wire::enc_user_sentiment(&shard()?.user_sentiment(generation, user, at)?),
+        Op::UserTimeline { generation, user } => {
+            wire::enc_user_timeline(&shard()?.user_timeline(generation, user)?)
         }
-        op::LATEST_TIMESTAMP => slot_of(srv, slot)?
-            .latest_timestamp(generation)
-            .map(wire::enc_opt_u64),
-        op::USER_SENTIMENT => {
-            let mut r = Reader::new(payload);
-            let user = r.usize("user").map_err(bad_payload)?;
-            let at = r.u64("at").map_err(bad_payload)?;
-            r.done().map_err(bad_payload)?;
-            slot_of(srv, slot)?
-                .user_sentiment(generation, user, at)
-                .map(|s| wire::enc_user_sentiment(&s))
+        Op::KnownUsers { generation } => wire::enc_u64(shard()?.known_users(generation)? as u64),
+        Op::ClusterSummary { generation, t } => {
+            wire::enc_cluster_summary(&shard()?.cluster_summary(generation, t)?)
         }
-        op::USER_TIMELINE => {
-            let user = wire::dec_u64(payload).map_err(bad_payload)? as usize;
-            slot_of(srv, slot)?
-                .user_timeline(generation, user)
-                .map(|t| wire::enc_user_timeline(&t))
+        Op::SfAt { generation, t } => wire::enc_matrix(&shard()?.sf_at(generation, t)?),
+        Op::K {} => wire::enc_u64(shard()?.k()? as u64),
+        Op::VocabTokens {} => wire::enc_strs(&shard()?.vocab_tokens()?),
+        Op::UserFactor { user } => wire::enc_opt_f64s(&shard()?.user_factor(user)?),
+        Op::CheckpointSection {} => shard()?.checkpoint_section()?,
+        Op::CheckpointBase {} => {
+            let (id, section) = shard()?.checkpoint_base()?;
+            wire::enc_id_bytes(id, &section)
         }
-        op::KNOWN_USERS => slot_of(srv, slot)?
-            .known_users(generation)
-            .map(|n| wire::enc_u64(n as u64)),
-        op::CLUSTER_SUMMARY => {
-            let t = wire::dec_u64(payload).map_err(bad_payload)?;
-            slot_of(srv, slot)?
-                .cluster_summary(generation, t)
-                .map(|s| wire::enc_cluster_summary(&s))
+        Op::DeltaSince { base_id } => {
+            wire::enc_opt_bytes(shard()?.delta_since(base_id)?.as_deref())
         }
-        op::SF_AT => {
-            let t = wire::dec_u64(payload).map_err(bad_payload)?;
-            slot_of(srv, slot)?
-                .sf_at(generation, t)
-                .map(|m| wire::enc_matrix(&m))
-        }
-        op::K => slot_of(srv, slot)?.k().map(|k| wire::enc_u64(k as u64)),
-        op::VOCAB_TOKENS => slot_of(srv, slot)?
-            .vocab_tokens()
-            .map(|v| wire::enc_strs(&v)),
-        op::USER_FACTOR => {
-            let user = wire::dec_u64(payload).map_err(bad_payload)? as usize;
-            slot_of(srv, slot)?
-                .user_factor(user)
-                .map(|f| wire::enc_opt_f64s(&f))
-        }
-        op::CHECKPOINT_SECTION => slot_of(srv, slot)?.checkpoint_section(),
-        op::CHECKPOINT_BASE => slot_of(srv, slot)?
-            .checkpoint_base()
-            .map(|(id, section)| wire::enc_id_bytes(id, &section)),
-        op::DELTA_SINCE => {
-            let base_id = wire::dec_u64(payload).map_err(bad_payload)?;
-            slot_of(srv, slot)?
-                .delta_since(base_id)
-                .map(|d| wire::enc_opt_bytes(d.as_deref()))
-        }
-        op::EXPORT_USERS => {
-            let mut r = Reader::new(payload);
-            let lo = r.usize("export lo").map_err(bad_payload)?;
-            let hi = r.usize("export hi").map_err(bad_payload)?;
-            r.done().map_err(bad_payload)?;
-            slot_of(srv, slot)?.export_users(lo, hi)
-        }
-        op::IMPORT_USERS => slot_of(srv, slot)?
-            .import_users(payload)
-            .map(|()| Vec::new()),
-        op::ABSORB_SECTION => slot_of(srv, slot)?
-            .absorb_section(payload)
-            .map(|()| Vec::new()),
-        op::SET_GENERATION => {
-            let generation = wire::dec_u64(payload).map_err(bad_payload)?;
-            slot_of(srv, slot)?
-                .set_generation(generation)
-                .map(|()| Vec::new())
-        }
-        other => Err(TgsError::invalid_argument(format!(
-            "unknown opcode {other} (this server speaks protocol version {})",
-            crate::frame::WIRE_VERSION
-        ))),
-    }
+        Op::ExportUsers { lo, hi } => shard()?.export_users(lo, hi)?,
+        Op::ImportUsers { users } => empty(shard()?.import_users(users)?),
+        Op::AbsorbSection { section } => empty(shard()?.absorb_section(section)?),
+        Op::SetGeneration { floor } => empty(shard()?.set_generation(floor)?),
+    })
 }
 
 #[cfg(test)]

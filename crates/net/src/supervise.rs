@@ -37,7 +37,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use tgs_core::{TgsError, TgsErrorKind};
@@ -47,7 +47,7 @@ use tgs_linalg::DenseMatrix;
 
 use tgs_engine::{CheckpointDelta, DeltaChain, EngineCheckpoint};
 
-use crate::client::TcpShard;
+use crate::client::{Backoff, TcpShard};
 use crate::fault::splitmix;
 
 /// Tuning for the supervision layer. Defaults suit tests and the CLI;
@@ -134,6 +134,22 @@ struct SlotState {
     overflowed: bool,
 }
 
+impl SlotState {
+    /// Re-bases on the server's mark `id` and the section it anchors.
+    fn anchor(&mut self, id: u64, section: Vec<u8>) {
+        let base = EngineCheckpoint::from_bytes(section);
+        self.last_good = Some(Baseline::Chain(DeltaChain::new(id, base)));
+        self.caught_up();
+    }
+
+    /// The baseline now covers every journaled snapshot.
+    fn caught_up(&mut self) {
+        self.journal.clear();
+        self.stale = false;
+        self.overflowed = false;
+    }
+}
+
 /// A [`TcpShard`] wrapped with the respawn/re-seed state machine (see
 /// the module docs).
 pub struct SupervisedShard {
@@ -143,8 +159,8 @@ pub struct SupervisedShard {
     /// Highest generation seen — what a rebuilt slot is re-keyed to.
     generation: AtomicU64,
     state: Mutex<SlotState>,
-    /// Jitter stream for recovery backoff.
-    rng: AtomicU64,
+    /// Rebuild-attempt schedule of one recovery episode.
+    backoff: Backoff,
 }
 
 impl SupervisedShard {
@@ -157,7 +173,12 @@ impl SupervisedShard {
         counters: Arc<RecoveryCounters>,
         cfg: SupervisorConfig,
     ) -> Arc<Self> {
-        let rng = splitmix(cfg.jitter_seed ^ inner.slot().rotate_left(23) ^ 0x9E37);
+        let backoff = Backoff::new(
+            cfg.recover_backoff,
+            cfg.recover_attempts,
+            cfg.recover_deadline,
+            splitmix(cfg.jitter_seed ^ inner.slot().rotate_left(23) ^ 0x9E37),
+        );
         Arc::new(Self {
             inner,
             cfg,
@@ -167,7 +188,7 @@ impl SupervisedShard {
                 last_good: baseline.map(Baseline::Section),
                 ..Default::default()
             }),
-            rng: AtomicU64::new(rng),
+            backoff,
         })
     }
 
@@ -188,24 +209,6 @@ impl SupervisedShard {
         self.recover_and_replay(self.generation.load(Ordering::Relaxed), None)
     }
 
-    fn next_jitter(&self) -> u64 {
-        let mut z = self.rng.load(Ordering::Relaxed);
-        z = splitmix(z);
-        self.rng.store(z, Ordering::Relaxed);
-        z
-    }
-
-    /// `[base/2, base]`, seeded — recoveries across shards desynchronise
-    /// instead of hammering a restarting server in lockstep.
-    fn jittered(&self, backoff: Duration) -> Duration {
-        let nanos = backoff.as_nanos().min(u128::from(u64::MAX)) as u64;
-        if nanos == 0 {
-            return Duration::ZERO;
-        }
-        let half = nanos / 2;
-        Duration::from_nanos(half + self.next_jitter() % (nanos - half + 1))
-    }
-
     /// Advances the slot's baseline to the shard's current state,
     /// shipping only changed bytes when possible.
     ///
@@ -217,32 +220,19 @@ impl SupervisedShard {
     /// slot deployed from a plain section.
     fn refresh_locked(&self, state: &mut SlotState) -> Result<(), TgsError> {
         if let Some(Baseline::Chain(chain)) = &mut state.last_good {
-            match self.inner.delta_since(chain.tip()?) {
-                Ok(Some(bytes)) => {
-                    let delta = CheckpointDelta::from_bytes(bytes);
-                    chain.push(delta)?;
-                    state.journal.clear();
-                    state.stale = false;
-                    state.overflowed = false;
-                    self.counters
-                        .delta_refreshes
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-                // Mark unknown on the server: fall through to a full
-                // base rather than failing the refresh.
-                Ok(None) => {}
-                Err(e) => return Err(e),
+            // A mark unknown on the server falls through to a full base
+            // rather than failing the refresh.
+            if let Some(bytes) = self.inner.delta_since(chain.tip()?)? {
+                chain.push(CheckpointDelta::from_bytes(bytes))?;
+                state.caught_up();
+                self.counters
+                    .delta_refreshes
+                    .fetch_add(1, Ordering::Relaxed);
+                return Ok(());
             }
         }
         let (id, section) = self.inner.checkpoint_base()?;
-        state.last_good = Some(Baseline::Chain(DeltaChain::new(
-            id,
-            EngineCheckpoint::from_bytes(section),
-        )));
-        state.journal.clear();
-        state.stale = false;
-        state.overflowed = false;
+        state.anchor(id, section);
         Ok(())
     }
 
@@ -283,9 +273,9 @@ impl SupervisedShard {
         }
     }
 
-    /// The recovery state machine: backoff-with-jitter loop around
-    /// [`SupervisedShard::try_rebuild`], bounded by attempts and a
-    /// wall-clock deadline.
+    /// The recovery state machine: [`SupervisedShard::try_rebuild`]
+    /// under the slot's [`Backoff`] (attempt cap, wall-clock deadline,
+    /// seeded jitter so recoveries across shards desynchronise).
     fn recover_and_replay(
         &self,
         generation: u64,
@@ -314,42 +304,24 @@ impl SupervisedShard {
             }
         };
 
-        let started = Instant::now();
-        let mut backoff = self.cfg.recover_backoff;
-        let mut last_err = None;
-        for attempt in 0..self.cfg.recover_attempts.max(1) {
-            if attempt > 0 {
-                let wait = self.jittered(backoff);
-                if started.elapsed() + wait >= self.cfg.recover_deadline {
-                    break;
-                }
-                std::thread::sleep(wait);
-                backoff = backoff.saturating_mul(2);
-            }
-            match self.try_rebuild(generation, &baseline, &state.journal, pending.as_ref()) {
-                Ok(replayed) => {
-                    if let Some(snapshot) = pending {
-                        state.journal.push(snapshot);
-                    }
-                    // The respawned slot is a fresh engine with fresh
-                    // delta marks — a chain tip id kept across the
-                    // rebuild could collide with a newly minted mark on
-                    // unrelated state. Demote to a plain section; the
-                    // next refresh re-anchors delta capability with a
-                    // full CHECKPOINT_BASE.
-                    state.last_good = Some(Baseline::Section(baseline));
-                    self.counters.respawns.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .replayed_docs
-                        .fetch_add(replayed, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Err(e) => last_err = Some(e),
-            }
+        let replayed = self.backoff.run(|| {
+            self.try_rebuild(generation, &baseline, &state.journal, pending.as_ref())
+                .map_err(|e| (true, e))
+        })?;
+        if let Some(snapshot) = pending {
+            state.journal.push(snapshot);
         }
-        Err(last_err.unwrap_or_else(|| {
-            TgsError::net(self.inner.peer(), "recovery gave up before first attempt")
-        }))
+        // The respawned slot is a fresh engine with fresh delta marks — a
+        // chain tip id kept across the rebuild could collide with a newly
+        // minted mark on unrelated state. Demote to a plain section; the
+        // next refresh re-anchors delta capability with a full
+        // CHECKPOINT_BASE.
+        state.last_good = Some(Baseline::Section(baseline));
+        self.counters.respawns.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .replayed_docs
+            .fetch_add(replayed, Ordering::Relaxed);
+        Ok(())
     }
 
     /// One rebuild attempt: reconnect, clear the slot, re-seed from the
@@ -467,28 +439,12 @@ impl ShardTransport for SupervisedShard {
         // Same bytes as a plain section read, but `CHECKPOINT_BASE`
         // also mints a delta mark — so a full fetch doubles as the
         // anchor for O(changes) refreshes afterwards.
-        let (id, section) = self.inner.checkpoint_base()?;
-        let mut state = self.state.lock();
-        state.last_good = Some(Baseline::Chain(DeltaChain::new(
-            id,
-            EngineCheckpoint::from_bytes(section.clone()),
-        )));
-        state.journal.clear();
-        state.stale = false;
-        state.overflowed = false;
-        Ok(section)
+        self.checkpoint_base().map(|(_, section)| section)
     }
 
     fn checkpoint_base(&self) -> Result<(u64, Vec<u8>), TgsError> {
         let (id, section) = self.inner.checkpoint_base()?;
-        let mut state = self.state.lock();
-        state.last_good = Some(Baseline::Chain(DeltaChain::new(
-            id,
-            EngineCheckpoint::from_bytes(section.clone()),
-        )));
-        state.journal.clear();
-        state.stale = false;
-        state.overflowed = false;
+        self.state.lock().anchor(id, section.clone());
         Ok((id, section))
     }
 
@@ -630,16 +586,11 @@ impl Supervisor {
         let sup = Arc::clone(self);
         let stop = Arc::clone(&self.stop);
         *guard = Some(std::thread::spawn(move || {
-            // Sleep in short slices so stop() returns promptly even
-            // with a slow probe cadence.
-            let slice = Duration::from_millis(25);
             while !stop.load(Ordering::Relaxed) {
                 sup.probe_once();
-                let mut slept = Duration::ZERO;
-                while slept < sup.cfg.probe_interval && !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(slice.min(sup.cfg.probe_interval - slept));
-                    slept += slice;
-                }
+                // stop() unparks the thread, so it returns promptly even
+                // with a slow probe cadence.
+                std::thread::park_timeout(sup.cfg.probe_interval);
             }
         }));
     }
@@ -648,6 +599,7 @@ impl Supervisor {
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.probe_thread.lock().take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }
@@ -655,9 +607,6 @@ impl Supervisor {
 
 impl Drop for Supervisor {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.probe_thread.lock().take() {
-            let _ = handle.join();
-        }
+        self.stop();
     }
 }

@@ -1,10 +1,11 @@
-//! Payload codecs: how every engine value crosses the wire.
+//! The opcode table and the payload codecs: how every request and
+//! every engine value crosses the wire.
 //!
 //! Payloads are written and read with [`tgs_core::codec`], the same
 //! codec the checkpoint formats use: little-endian `u64` integers
 //! (usizes widen losslessly), `f64`s by bit pattern (so factors and
 //! objectives round-trip byte-identically), `u64`-length-prefixed
-//! strings and blobs. Decoders return a `String` description on
+//! strings and blobs. Value decoders return a `String` description on
 //! malformed input; callers wrap it with peer context
 //! ([`tgs_core::TgsError::Net`] on the client, an error response on the
 //! server).
@@ -17,66 +18,196 @@ use tgs_engine::{
 };
 use tgs_linalg::DenseMatrix;
 
-/// Opcode table — one per [`crate::ShardTransport`] method plus the
-/// server-management verbs. Values are wire-stable: append, never
-/// renumber.
-pub mod op {
-    /// Liveness probe; echoes an empty payload.
-    pub const PING: u8 = 0;
-    /// Creates a slot from a checkpoint section payload.
-    pub const INIT: u8 = 1;
-    /// [`crate::ShardTransport::ingest`].
-    pub const INGEST: u8 = 2;
-    /// [`crate::ShardTransport::flush`].
-    pub const FLUSH: u8 = 3;
-    /// [`crate::ShardTransport::stats`].
-    pub const STATS: u8 = 4;
-    /// [`crate::ShardTransport::timestamps`].
-    pub const TIMESTAMPS: u8 = 5;
-    /// [`crate::ShardTransport::timeline`].
-    pub const TIMELINE: u8 = 6;
-    /// [`crate::ShardTransport::latest_timestamp`].
-    pub const LATEST_TIMESTAMP: u8 = 7;
-    /// [`crate::ShardTransport::user_sentiment`].
-    pub const USER_SENTIMENT: u8 = 8;
-    /// [`crate::ShardTransport::user_timeline`].
-    pub const USER_TIMELINE: u8 = 9;
-    /// [`crate::ShardTransport::known_users`].
-    pub const KNOWN_USERS: u8 = 10;
-    /// [`crate::ShardTransport::cluster_summary`].
-    pub const CLUSTER_SUMMARY: u8 = 11;
-    /// [`crate::ShardTransport::sf_at`].
-    pub const SF_AT: u8 = 12;
-    /// [`crate::ShardTransport::k`].
-    pub const K: u8 = 13;
-    /// [`crate::ShardTransport::vocab_tokens`].
-    pub const VOCAB_TOKENS: u8 = 14;
-    /// [`crate::ShardTransport::user_factor`].
-    pub const USER_FACTOR: u8 = 15;
-    /// [`crate::ShardTransport::checkpoint_section`].
-    pub const CHECKPOINT_SECTION: u8 = 16;
-    /// [`crate::ShardTransport::export_users`].
-    pub const EXPORT_USERS: u8 = 17;
-    /// [`crate::ShardTransport::import_users`].
-    pub const IMPORT_USERS: u8 = 18;
-    /// [`crate::ShardTransport::spawn_sibling`]; returns the new slot id.
-    pub const SPAWN_SIBLING: u8 = 19;
-    /// [`crate::ShardTransport::absorb_section`].
-    pub const ABSORB_SECTION: u8 = 20;
-    /// [`crate::ShardTransport::set_generation`].
-    pub const SET_GENERATION: u8 = 21;
-    /// [`crate::ShardTransport::shutdown`] + slot removal (idempotent).
-    pub const SHUTDOWN_SLOT: u8 = 22;
-    /// Stops the whole server process after responding.
-    pub const TERMINATE: u8 = 23;
-    /// Server metadata: declared user range and live slot count.
-    pub const SERVER_INFO: u8 = 24;
-    /// [`crate::ShardTransport::checkpoint_base`]: a full checkpoint
-    /// section plus its delta-base mark id.
-    pub const CHECKPOINT_BASE: u8 = 25;
-    /// [`crate::ShardTransport::delta_since`]: everything that changed
-    /// on the slot since a mark, or an unavailability marker.
-    pub const DELTA_SINCE: u8 = 26;
+use crate::frame::WIRE_VERSION;
+
+/// Whether a failed call may be re-sent on a fresh connection after its
+/// request frame was fully written. Before that the server cannot have
+/// acted, so any request may be re-sent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Retry {
+    /// Replaying the request is harmless: pure reads, liveness, and
+    /// monotone or idempotent control requests.
+    Idempotent,
+    /// Replaying could apply the request twice (a re-sent `ingest` would
+    /// double-count a snapshot if the first one landed and the reply was
+    /// lost).
+    OnceOnly,
+}
+
+/// How one request argument crosses the wire.
+trait Arg<'a>: Sized {
+    fn put(&self, w: &mut Writer);
+    /// `what` names the argument in error messages.
+    fn get(r: &mut Reader<'a>, what: &str) -> Result<Self, String>;
+}
+
+impl Arg<'_> for u64 {
+    fn put(&self, w: &mut Writer) {
+        w.u64(*self);
+    }
+    fn get(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        Ok(r.u64(what)?)
+    }
+}
+
+impl Arg<'_> for usize {
+    fn put(&self, w: &mut Writer) {
+        w.usize(*self);
+    }
+    fn get(r: &mut Reader<'_>, what: &str) -> Result<Self, String> {
+        Ok(r.usize(what)?)
+    }
+}
+
+/// A checkpoint section or migration blob. It is unprefixed and runs to
+/// the end of the payload, so it can only be a request's last argument.
+impl<'a> Arg<'a> for &'a [u8] {
+    fn put(&self, w: &mut Writer) {
+        w.raw(self);
+    }
+    fn get(r: &mut Reader<'a>, _: &str) -> Result<Self, String> {
+        Ok(r.rest())
+    }
+}
+
+/// Declares [`Op`] from the opcode table below, one row per opcode:
+///
+/// ```text
+/// number "fault name" RetryClass Variant(generation)? { argument: Type, ... };
+/// ```
+///
+/// The fault name is the opcode's `TGS_FAULTS` spelling. A
+/// `(generation)` variant carries the caller's routing generation in
+/// the frame header, where the slot checks it; every other request
+/// sends 0 there. The arguments, in order, are the payload, each
+/// written and read by its [`Arg`] codec.
+macro_rules! opcodes {
+    ($(
+        $(#[$doc:meta])*
+        $code:literal $name:literal $retry:ident
+        $variant:ident $(($gen:ident))? { $($arg:ident: $ty:ty),* };
+    )*) => {
+        /// One request per opcode, holding its arguments.
+        #[derive(Debug, PartialEq)]
+        pub(crate) enum Op<'a> {
+            $($(#[$doc])* $variant { $($gen: u64,)? $($arg: $ty),* },)*
+        }
+
+        /// Every opcode's number and fault name.
+        pub(crate) const OPCODES: &[(u8, &str)] = &[$(($code, $name)),*];
+
+        impl<'a> Op<'a> {
+            pub(crate) fn opcode(&self) -> u8 {
+                match self {
+                    $(Op::$variant { .. } => $code,)*
+                }
+            }
+
+            pub(crate) fn retry(&self) -> Retry {
+                match self {
+                    $(Op::$variant { .. } => Retry::$retry,)*
+                }
+            }
+
+            /// The routing generation the frame carries.
+            pub(crate) fn generation(&self) -> u64 {
+                $($(if let Op::$variant { $gen, .. } = self {
+                    return *$gen;
+                })?)*
+                0
+            }
+
+            /// The request payload: the arguments in declaration order.
+            pub(crate) fn payload(&self) -> Vec<u8> {
+                let mut w = Writer::new();
+                match self {
+                    $(Op::$variant { $($arg,)* .. } => {
+                        $($arg.put(&mut w);)*
+                    })*
+                }
+                w.finish()
+            }
+
+            /// The request a frame carries. Fails typed on an unknown
+            /// opcode or a payload that does not decode exactly.
+            pub(crate) fn decode(
+                opcode: u8,
+                generation: u64,
+                payload: &'a [u8],
+            ) -> Result<Self, TgsError> {
+                let bad = |detail: String| {
+                    TgsError::invalid_argument(format!("bad request payload: {detail}"))
+                };
+                let mut r = Reader::new(payload);
+                let op = match opcode {
+                    $($code => Op::$variant {
+                        $($gen: generation,)?
+                        $($arg: Arg::get(&mut r, concat!($name, " ", stringify!($arg)))
+                            .map_err(bad)?,)*
+                    },)*
+                    other => {
+                        return Err(TgsError::invalid_argument(format!(
+                            "unknown opcode {other} (this server speaks protocol version \
+                             {WIRE_VERSION})"
+                        )))
+                    }
+                };
+                r.done().map_err(|e| bad(e.into()))?;
+                Ok(op)
+            }
+        }
+    };
+}
+
+// The opcode table: one row per opcode, numbered in order. Numbers are
+// wire-stable: append, never renumber.
+opcodes! {
+    /// Liveness probe.
+    0 "ping" Idempotent Ping {};
+    /// Creates the slot from a checkpoint section.
+    1 "init" OnceOnly Init { section: &'a [u8] };
+    2 "ingest" OnceOnly Ingest(generation) { snapshot: EngineSnapshot };
+    3 "flush" Idempotent Flush {};
+    4 "stats" Idempotent Stats {};
+    5 "timestamps" Idempotent Timestamps {};
+    /// Entries with `lo <= timestamp <= hi`.
+    6 "timeline" Idempotent Timeline(generation) { lo: u64, hi: u64 };
+    7 "latest_timestamp" Idempotent LatestTimestamp(generation) {};
+    8 "user_sentiment" Idempotent UserSentiment(generation) { user: usize, at: u64 };
+    9 "user_timeline" Idempotent UserTimeline(generation) { user: usize };
+    10 "known_users" Idempotent KnownUsers(generation) {};
+    11 "cluster_summary" Idempotent ClusterSummary(generation) { t: u64 };
+    12 "sf_at" Idempotent SfAt(generation) { t: u64 };
+    13 "k" Idempotent K {};
+    14 "vocab_tokens" Idempotent VocabTokens {};
+    15 "user_factor" Idempotent UserFactor { user: usize };
+    16 "checkpoint_section" Idempotent CheckpointSection {};
+    17 "export_users" OnceOnly ExportUsers { lo: usize, hi: usize };
+    18 "import_users" OnceOnly ImportUsers { users: &'a [u8] };
+    /// Answers the new slot's id.
+    19 "spawn_sibling" OnceOnly SpawnSibling {};
+    20 "absorb_section" OnceOnly AbsorbSection { section: &'a [u8] };
+    /// Raises the slot's generation floor to `floor`.
+    21 "set_generation" Idempotent SetGeneration { floor: u64 };
+    /// Shuts the slot down and removes it; an absent slot is a success.
+    22 "shutdown_slot" Idempotent ShutdownSlot {};
+    /// Stops the whole server after replying.
+    23 "terminate" Idempotent Terminate {};
+    /// The declared user range and live slot count.
+    24 "server_info" Idempotent ServerInfo {};
+    // Re-asking the same base id yields an equivalent delta under a
+    // fresh mark id, and a lost reply's orphaned mark ages out of the
+    // retention window, so both delta requests are idempotent.
+    25 "checkpoint_base" Idempotent CheckpointBase {};
+    26 "delta_since" Idempotent DeltaSince { base_id: u64 };
+}
+
+/// The opcode whose fault name is `name`.
+pub(crate) fn opcode_named(name: &str) -> Option<u8> {
+    OPCODES
+        .iter()
+        .find(|&&(_, n)| n == name)
+        .map(|&(code, _)| code)
 }
 
 // --- value codecs ---------------------------------------------------
@@ -131,6 +262,11 @@ pub fn enc_u64(v: u64) -> Vec<u8> {
 /// Decodes a bare `u64` payload.
 pub fn dec_u64(payload: &[u8]) -> Result<u64, String> {
     decode(payload, |r| Ok(r.u64("u64 value")?))
+}
+
+/// Decodes a bare `u64` payload holding a count.
+pub fn dec_usize(payload: &[u8]) -> Result<usize, String> {
+    decode(payload, |r| Ok(r.usize("u64 value")?))
 }
 
 /// Encodes `Option<u64>` as a presence byte plus the value.
@@ -224,10 +360,19 @@ pub fn dec_strs(payload: &[u8]) -> Result<Vec<String>, String> {
 
 /// Encodes one pre-routed [`EngineSnapshot`] (the `ingest` payload).
 pub fn enc_snapshot(s: &EngineSnapshot) -> Vec<u8> {
-    encode(|w| {
-        w.u64(s.timestamp);
-        w.usize(s.docs.len());
-        for doc in &s.docs {
+    encode(|w| s.put(w))
+}
+
+/// Decodes [`enc_snapshot`].
+pub fn dec_snapshot(payload: &[u8]) -> Result<EngineSnapshot, String> {
+    decode(payload, |r| EngineSnapshot::get(r, "snapshot"))
+}
+
+impl Arg<'_> for EngineSnapshot {
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.timestamp);
+        w.usize(self.docs.len());
+        for doc in &self.docs {
             w.usize(doc.user);
             match &doc.content {
                 DocContent::Raw(text) => {
@@ -243,22 +388,19 @@ pub fn enc_snapshot(s: &EngineSnapshot) -> Vec<u8> {
                 }
             }
         }
-        w.usize(s.retweets.len());
-        for rt in &s.retweets {
+        w.usize(self.retweets.len());
+        for rt in &self.retweets {
             w.usize(rt.user);
             w.usize(rt.doc);
         }
-        w.usize(s.ghosts.len());
-        for (user, factor) in &s.ghosts {
+        w.usize(self.ghosts.len());
+        for (user, factor) in &self.ghosts {
             w.usize(*user);
             w.f64s(factor);
         }
-    })
-}
+    }
 
-/// Decodes [`enc_snapshot`].
-pub fn dec_snapshot(payload: &[u8]) -> Result<EngineSnapshot, String> {
-    decode(payload, |r| {
+    fn get(r: &mut Reader<'_>, _: &str) -> Result<Self, String> {
         let timestamp = r.u64("snapshot timestamp")?;
         let n_docs = r.count(9, "doc count")?;
         let mut docs = Vec::with_capacity(n_docs);
@@ -298,7 +440,7 @@ pub fn dec_snapshot(payload: &[u8]) -> Result<EngineSnapshot, String> {
             retweets,
             ghosts,
         })
-    })
+    }
 }
 
 fn wr_timeline_entry(w: &mut Writer, e: &TimelineEntry) {
@@ -505,6 +647,46 @@ pub fn dec_matrix(payload: &[u8]) -> Result<DenseMatrix, String> {
     decode(payload, |r| Ok(r.matrix("matrix")?))
 }
 
+/// Metadata reported by a `tgs shard` server (the `SERVER_INFO` reply).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ServerInfo {
+    /// The `--range lo..hi` the operator declared at launch, if any.
+    pub range: Option<(usize, usize)>,
+    /// Live engine slots on the server.
+    pub slots: usize,
+}
+
+/// Encodes a [`ServerInfo`]: the optional range (presence byte, then
+/// `lo`, `hi`), then the slot count.
+pub fn enc_server_info(info: &ServerInfo) -> Vec<u8> {
+    encode(|w| {
+        match info.range {
+            Some((lo, hi)) => {
+                w.u8(1);
+                w.usize(lo);
+                w.usize(hi);
+            }
+            None => w.u8(0),
+        }
+        w.usize(info.slots);
+    })
+}
+
+/// Decodes [`enc_server_info`].
+pub fn dec_server_info(payload: &[u8]) -> Result<ServerInfo, String> {
+    decode(payload, |r| {
+        let range = match r.u8("range tag")? {
+            0 => None,
+            1 => Some((r.usize("range lo")?, r.usize("range hi")?)),
+            t => return Err(format!("bad range tag {t}")),
+        };
+        Ok(ServerInfo {
+            range,
+            slots: r.usize("slot count")?,
+        })
+    })
+}
+
 // --- error codec ----------------------------------------------------
 
 // Wire tags for TgsError variants that must survive the trip intact.
@@ -618,6 +800,108 @@ fn try_dec_error(payload: &[u8]) -> Result<TgsError, String> {
 mod tests {
     use super::*;
     use tgs_core::TgsErrorKind;
+
+    /// One request per opcode, in opcode order.
+    fn one_of_each() -> Vec<Op<'static>> {
+        let mut snapshot = EngineSnapshot::new(17);
+        snapshot.push_text(3, "great game tonight");
+        vec![
+            Op::Ping {},
+            Op::Init {
+                section: b"section",
+            },
+            Op::Ingest {
+                generation: 4,
+                snapshot,
+            },
+            Op::Flush {},
+            Op::Stats {},
+            Op::Timestamps {},
+            Op::Timeline {
+                generation: 4,
+                lo: 1,
+                hi: 9,
+            },
+            Op::LatestTimestamp { generation: 4 },
+            Op::UserSentiment {
+                generation: 4,
+                user: 2,
+                at: 9,
+            },
+            Op::UserTimeline {
+                generation: 4,
+                user: 2,
+            },
+            Op::KnownUsers { generation: 4 },
+            Op::ClusterSummary {
+                generation: 4,
+                t: 9,
+            },
+            Op::SfAt {
+                generation: 4,
+                t: 9,
+            },
+            Op::K {},
+            Op::VocabTokens {},
+            Op::UserFactor { user: 2 },
+            Op::CheckpointSection {},
+            Op::ExportUsers { lo: 1, hi: 5 },
+            Op::ImportUsers { users: b"users" },
+            Op::SpawnSibling {},
+            Op::AbsorbSection { section: b"donor" },
+            Op::SetGeneration { floor: 6 },
+            Op::ShutdownSlot {},
+            Op::Terminate {},
+            Op::ServerInfo {},
+            Op::CheckpointBase {},
+            Op::DeltaSince { base_id: 3 },
+        ]
+    }
+
+    #[test]
+    fn every_request_roundtrips_through_its_frame_fields() {
+        let ops = one_of_each();
+        assert_eq!(ops.len(), OPCODES.len());
+        for (i, op) in ops.iter().enumerate() {
+            assert_eq!(usize::from(op.opcode()), i, "{op:?}");
+            let payload = op.payload();
+            let back = Op::decode(op.opcode(), op.generation(), &payload).expect("decodes");
+            assert_eq!(&back, op);
+        }
+        // Exactly the eight data-plane transport calls carry a generation.
+        assert_eq!(ops.iter().filter(|op| op.generation() != 0).count(), 8);
+        let err = Op::decode(OPCODES.len() as u8, 0, &[]).expect_err("unknown opcode");
+        assert_eq!(err.kind(), TgsErrorKind::InvalidArgument);
+        let err = Op::decode(6, 0, &[1, 2, 3]).expect_err("short timeline payload");
+        assert!(err.to_string().contains("bad request payload"), "{err}");
+        let err = Op::decode(3, 0, &[0]).expect_err("flush takes no payload");
+        assert!(err.to_string().contains("trailing bytes"), "{err}");
+    }
+
+    #[test]
+    fn opcode_table_is_numbered_in_order_with_the_protocol_retry_classes() {
+        for (i, &(code, _)) in OPCODES.iter().enumerate() {
+            assert_eq!(usize::from(code), i, "rows are numbered in order");
+        }
+        let once: Vec<&str> = one_of_each()
+            .iter()
+            .filter(|op| op.retry() == Retry::OnceOnly)
+            .map(|op| OPCODES[usize::from(op.opcode())].1)
+            .collect();
+        assert_eq!(
+            once,
+            [
+                "init",
+                "ingest",
+                "export_users",
+                "import_users",
+                "spawn_sibling",
+                "absorb_section"
+            ]
+        );
+        assert_eq!(opcode_named("delta_since"), Some(26));
+        assert_eq!(opcode_named("warp"), None);
+    }
 
     #[test]
     fn scalar_codecs_roundtrip() {

@@ -4,6 +4,10 @@
 # timeline and checkpoint byte-identical to in-process
 # `tgs stream --shards 2`, answer a query roundtrip on the assembled
 # checkpoint, and shut down cleanly on --terminate.
+# A second fleet is then held open with `tgs serve --hold`:
+# `tgs query --connect` must print the same timeline as the checkpoint,
+# read the live stats, and wind the router and its shard servers down
+# with --terminate.
 #
 # Usage: ./scripts/net_smoke.sh   (run from anywhere; builds release tgs)
 set -euo pipefail
@@ -76,5 +80,54 @@ for i in $(seq 1 100); do
     sleep 0.05
 done
 PIDS=()
+
+echo "==> tgs serve --hold (the router answers over the wire after streaming)"
+start_shard "$DIR/c.log"
+start_shard "$DIR/d.log"
+C=$(sed -n 's/^listening on //p' "$DIR/c.log" | head -1)
+D=$(sed -n 's/^listening on //p' "$DIR/d.log" | head -1)
+"$TGS" serve --shards "$C,$D" --corpus "$DIR/corpus.tsv" \
+    --out "$DIR/hold.tsv" --hold 127.0.0.1:0 --terminate >"$DIR/hold.log" &
+SERVE=$!
+PIDS+=("$SERVE")
+HOLD=""
+for _ in $(seq 1 600); do
+    HOLD=$(sed -n 's/^holding on //p' "$DIR/hold.log" | head -1)
+    [[ -n "$HOLD" ]] && break
+    if ! kill -0 "$SERVE" 2>/dev/null; then
+        echo "tgs serve exited before holding" >&2
+        exit 1
+    fi
+    sleep 0.05
+done
+if [[ -z "$HOLD" ]]; then
+    echo "tgs serve --hold never announced its address" >&2
+    exit 1
+fi
+echo "    holding on $HOLD"
+
+echo "==> query --connect must match the checkpoint, then stats and terminate"
+"$TGS" query --connect "$HOLD" --timeline all >"$DIR/held.out"
+"$TGS" query --checkpoint "$DIR/serve.ckpt" --timeline all >"$DIR/ckpt.out"
+test -s "$DIR/held.out"
+cmp "$DIR/held.out" "$DIR/ckpt.out"
+"$TGS" query --connect "$HOLD" --stats
+"$TGS" query --connect "$HOLD" --terminate
+
+echo "==> the held router and its shard servers must exit"
+for i in $(seq 1 100); do
+    alive=0
+    for pid in "${PIDS[@]}"; do
+        if kill -0 "$pid" 2>/dev/null; then alive=1; fi
+    done
+    [[ "$alive" == 0 ]] && break
+    if [[ "$i" == 100 ]]; then
+        echo "held router or shard servers still running after --terminate" >&2
+        exit 1
+    fi
+    sleep 0.05
+done
+PIDS=()
+wait "$SERVE"
 
 echo "net smoke green."

@@ -125,9 +125,7 @@ pub mod prelude {
         solve_offline, try_solve_offline, InitStrategy, ObjectiveParts, OfflineConfig,
         OnlineConfig, OnlineSolver, SnapshotData, TgsError, TgsErrorKind, TriFactors, TriInput,
     };
-    pub use tgs_core::{
-        solve_offline_sharded, try_solve_offline_sharded, ShardedOfflineResult, ShardedOnlineSolver,
-    };
+    pub use tgs_core::{solve_offline_sharded, try_solve_offline_sharded, ShardedOfflineResult};
     pub use tgs_data::{
         build_offline, build_offline_sharded, build_offline_sharded_ghost, corpus_stats,
         daily_tweet_counts, day_windows, generate, presets, top_words, Corpus, GeneratorConfig,
@@ -145,8 +143,8 @@ pub mod prelude {
     pub use tgs_linalg::{CsrMatrix, DenseMatrix};
     pub use tgs_load::{LoadConfig, LoadGen};
     pub use tgs_net::{
-        attach_fleet, deploy_fleet, deploy_supervised, FaultPolicy, NetConfig, RouterEndpoint,
-        ShardServer, Supervisor, SupervisorConfig, TcpShard,
+        deploy_fleet, deploy_supervised, FaultPolicy, NetConfig, RouterEndpoint, ShardServer,
+        Supervisor, SupervisorConfig, TcpShard,
     };
     pub use tgs_text::{Lexicon, PipelineConfig, Sentiment, Vocabulary};
 }

@@ -14,6 +14,7 @@ use std::time::Duration;
 
 use tripartite_sentiment::data::{RepartitionOp, RepartitionPlan};
 use tripartite_sentiment::engine::ShardTransport;
+use tripartite_sentiment::net::RouterEndpoint;
 use tripartite_sentiment::net::{deploy_fleet, NetConfig, ShardServer, TcpShard};
 use tripartite_sentiment::prelude::*;
 
@@ -246,6 +247,89 @@ fn handles_created_before_the_server_exists_connect_lazily() {
         .expect("ping should succeed once the server appears");
     shard.terminate().expect("terminate");
     starter.join().expect("join").expect("run");
+}
+
+#[test]
+fn held_router_endpoint_answers_like_its_fleet() {
+    // `tgs serve --hold` hosts the router itself on a shard server slot;
+    // every query verb a client sends must come back exactly as the
+    // fleet answers it in process.
+    let c = corpus();
+    let engine = Arc::new(fleet(&c, 2, false));
+    for &(lo, hi) in &windows(&c) {
+        engine
+            .ingest(EngineSnapshot::from_corpus_window(&c, lo, hi))
+            .expect("ingest");
+    }
+    engine.flush().expect("flush");
+    let server = ShardServer::bind("127.0.0.1:0", None).expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    server
+        .add_transport(0, RouterEndpoint::new(Arc::clone(&engine)))
+        .expect("host the router");
+    let run = std::thread::spawn(move || server.run());
+    let held = TcpShard::new(addr, 0, test_cfg());
+
+    let q = engine.query();
+    let timeline = q.timeline(..).expect("timeline");
+    let t = timeline.last().expect("history").timestamp;
+    let user = c.num_users() / 2;
+    assert_eq!(
+        held.timeline(0, 0, u64::MAX).expect("held timeline"),
+        timeline
+    );
+    assert_eq!(held.latest_timestamp(0).expect("held latest"), Some(t));
+    assert_eq!(
+        held.user_sentiment(0, user, t).expect("held sentiment"),
+        q.user_sentiment(user, t).expect("sentiment")
+    );
+    assert_eq!(
+        held.user_timeline(0, user).expect("held user timeline"),
+        q.user_timeline(user).expect("user timeline")
+    );
+    assert_eq!(
+        held.known_users(0).expect("held users"),
+        q.known_users().expect("users")
+    );
+    assert_eq!(
+        held.cluster_summary(0, t).expect("held summary"),
+        q.cluster_summary(t).expect("summary")
+    );
+    assert_eq!(
+        held.sf_at(0, t).expect("held sf"),
+        q.merged_sf(t).expect("sf")
+    );
+    assert_eq!(held.stats().expect("held stats"), engine.stats());
+    assert_eq!(
+        held.checkpoint_section().expect("held section"),
+        engine.checkpoint().expect("checkpoint").as_bytes()
+    );
+
+    // Rebalancing a held fleet is the router's job: the topology verbs
+    // are refused with a typed error.
+    let refusals = [
+        held.export_users(0, 1).err(),
+        held.import_users(&[]).err(),
+        held.spawn_sibling().err(),
+        held.absorb_section(&[]).err(),
+    ];
+    for err in refusals {
+        let err = err.expect("topology verbs are refused");
+        assert_eq!(err.kind(), TgsErrorKind::InvalidArgument, "{err}");
+        assert!(
+            err.to_string()
+                .contains("not supported on a router endpoint"),
+            "{err}"
+        );
+    }
+
+    held.terminate().expect("terminate");
+    run.join().expect("server thread").expect("server run");
+    Arc::try_unwrap(engine)
+        .ok()
+        .expect("the server released its endpoint")
+        .shutdown()
+        .expect("fleet shutdown");
 }
 
 // ---------------------------------------------------------------------
