@@ -188,9 +188,10 @@ pub fn pin_current_to_core_set(set_index: usize, n_sets: usize) -> bool {
 /// A scatter-gather job, owned by the caller's stack frame for the
 /// duration of one [`run_tasks`] call. Workers only touch it while it is
 /// reachable from the queue (under the queue lock) or while running a
-/// task they claimed — and the caller cannot return before `pending`
-/// hits zero and the job is unlinked from the queue, so no worker ever
-/// observes a dangling job.
+/// task they claimed, up to releasing the `pending` lock after counting
+/// it finished — and the caller cannot return before it has taken that
+/// lock and read zero, and unlinked the job from the queue, so no worker
+/// ever observes a dangling job.
 struct Job {
     /// Lifetime-erased task body; valid for the lifetime of the
     /// `run_tasks` call that owns this job.
@@ -200,11 +201,11 @@ struct Job {
     /// workers can race without double-running a task.
     next: AtomicUsize,
     /// Tasks not yet *finished* (claimed ≠ finished); the caller waits
-    /// on this reaching zero.
-    pending: AtomicUsize,
+    /// on this reaching zero. Read and written only under the lock, so a
+    /// worker's last touch of the job is releasing it.
+    pending: Mutex<usize>,
     /// Set when any task body panicked; the caller re-panics.
     panicked: AtomicBool,
-    done_mx: Mutex<()>,
     done_cv: Condvar,
 }
 
@@ -313,10 +314,9 @@ fn run_one(job: &Job, t: usize) {
     if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(t))).is_err() {
         job.panicked.store(true, Ordering::Release);
     }
-    if job.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-        // Pair the notify with the mutex so the caller cannot miss it
-        // between its `pending` check and its wait.
-        let _g = job.done_mx.lock().unwrap_or_else(|e| e.into_inner());
+    let mut pending = job.pending.lock().unwrap_or_else(|e| e.into_inner());
+    *pending -= 1;
+    if *pending == 0 {
         job.done_cv.notify_all();
     }
 }
@@ -356,9 +356,8 @@ where
         body: body_static as *const _,
         n_tasks,
         next: AtomicUsize::new(0),
-        pending: AtomicUsize::new(n_tasks),
+        pending: Mutex::new(n_tasks),
         panicked: AtomicBool::new(false),
-        done_mx: Mutex::new(()),
         done_cv: Condvar::new(),
     };
     let job_ref = JobRef(&job as *const Job);
@@ -378,12 +377,11 @@ where
         run_one(&job, t);
     }
     // Wait for tasks claimed by workers.
-    if job.pending.load(Ordering::Acquire) != 0 {
-        let mut g = job.done_mx.lock().unwrap_or_else(|e| e.into_inner());
-        while job.pending.load(Ordering::Acquire) != 0 {
-            g = job.done_cv.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
+    let mut pending = job.pending.lock().unwrap_or_else(|e| e.into_inner());
+    while *pending != 0 {
+        pending = job.done_cv.wait(pending).unwrap_or_else(|e| e.into_inner());
     }
+    drop(pending);
     // Unlink before the frame dies; a worker may have parked without
     // revisiting the exhausted entry.
     {
