@@ -74,6 +74,31 @@ fn reference_run(c: &Corpus) -> (Vec<TimelineEntry>, Vec<u8>) {
     (timeline, bytes)
 }
 
+/// 1-day windows over the corpus (12 on the tiny preset): enough
+/// per-window refreshes for each slot's baseline to re-base mid-stream.
+fn daily_windows(c: &Corpus) -> Vec<(u32, u32)> {
+    day_windows(c.num_days, 1)
+}
+
+/// [`reference_run`] over [`daily_windows`].
+fn daily_reference_run(c: &Corpus) -> (Vec<TimelineEntry>, Vec<u8>) {
+    let local = fleet(c, 2);
+    for &(lo, hi) in &daily_windows(c) {
+        local
+            .ingest(EngineSnapshot::from_corpus_window(c, lo, hi))
+            .expect("reference ingest");
+    }
+    local.flush().expect("reference flush");
+    let timeline = local.query().timeline(..).expect("reference timeline");
+    let bytes = local
+        .checkpoint()
+        .expect("reference ckpt")
+        .as_bytes()
+        .to_vec();
+    local.shutdown().expect("reference shutdown");
+    (timeline, bytes)
+}
+
 // ---------------------------------------------------------------------
 // Subprocess helpers (same contract as tests/net_fleet.rs).
 // ---------------------------------------------------------------------
@@ -418,6 +443,74 @@ fn probe_threshold_triggers_proactive_recovery() {
         engine.query().timeline(..).expect("timeline after"),
         before,
         "proactively recovered fleet serves its full history"
+    );
+
+    supervisor.stop();
+    engine.shutdown().expect("fleet shutdown");
+    for (child, addr) in [(child_a, &addr_a), (child_b2, &addr_b)] {
+        terminate(addr);
+        wait_exit(child, "shard server");
+    }
+}
+
+/// Recovery after the baseline has re-based: refreshing every 1-day
+/// window, each slot's retained deltas outgrow its base around window 4
+/// and again around window 10. Killing shard b after window 7 therefore
+/// rebuilds it from a baseline that was re-based once and has grown at
+/// least one delta since — and the result must still be bit-identical
+/// to a never-faulted run.
+#[test]
+fn slot_recovers_bit_identically_after_its_baseline_rebased() {
+    let c = corpus();
+    let all = daily_windows(&c);
+    assert_eq!(all.len(), 12, "the tiny preset streams 12 daily windows");
+    let (reference_timeline, reference_ckpt) = daily_reference_run(&c);
+
+    let (child_a, addr_a) = spawn_shard_process("127.0.0.1:0");
+    let (mut child_b, addr_b) = spawn_shard_process("127.0.0.1:0");
+    let cfg = SupervisorConfig {
+        checkpoint_every: 1,
+        ..sup_cfg()
+    };
+    let (engine, supervisor) = deploy_supervised(
+        fleet(&c, 2),
+        &[addr_a.clone(), addr_b.clone()],
+        &test_cfg(),
+        cfg,
+    )
+    .expect("deploy supervised");
+
+    let (head, tail) = all.split_at(7);
+    for &(lo, hi) in head {
+        engine
+            .ingest(EngineSnapshot::from_corpus_window(&c, lo, hi))
+            .expect("head ingest");
+        supervisor.tick();
+    }
+
+    child_b.kill().expect("kill shard b");
+    child_b.wait().expect("reap shard b");
+    let child_b2 = respawn_shard_process(&addr_b);
+
+    for &(lo, hi) in tail {
+        engine
+            .ingest(EngineSnapshot::from_corpus_window(&c, lo, hi))
+            .expect("tail ingest rides through the respawn");
+        supervisor.tick();
+    }
+    engine.flush().expect("flush");
+
+    let stats = engine.stats();
+    assert!(stats.respawns >= 1, "a respawn happened");
+    assert_eq!(
+        engine.query().timeline(..).expect("recovered timeline"),
+        reference_timeline,
+        "recovery from a re-based baseline must match the never-faulted timeline"
+    );
+    assert_eq!(
+        engine.checkpoint().expect("recovered ckpt").as_bytes(),
+        &reference_ckpt[..],
+        "recovery from a re-based baseline must be byte-identical to the never-faulted run"
     );
 
     supervisor.stop();
