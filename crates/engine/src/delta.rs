@@ -18,10 +18,9 @@
 //!   folds a delta into a base, producing bytes **identical** to the
 //!   full checkpoint the engine would have written at the delta's tip
 //!   (the reconstruction re-runs the deterministic full encoder, so byte
-//!   equality follows from state equality);
-//! * [`DeltaChain`] keeps a base plus its deltas and **compacts** —
-//!   materializes a fresh base — once the chain's byte cost exceeds the
-//!   base's, bounding both storage and recovery replay cost.
+//!   equality follows from state equality). A fold decodes and
+//!   re-encodes the whole base, so holders keep their deltas and fold
+//!   only when they need the full section.
 //!
 //! Deltas are *unavailable* (not an error — `Ok(None)`) when the engine
 //! cannot prove O(changes) coverage: an unknown or trimmed mark, or a
@@ -417,7 +416,7 @@ fn reconcile(store: &mut SnapshotStore, (removed, appended): StoreDiff) {
 /// delta's tip. Byte-identical to the checkpoint the source engine
 /// writes at that tip: the base is decoded, edited at the state level,
 /// and re-encoded through the same deterministic full encoder.
-pub fn apply_delta(
+pub(crate) fn apply_delta(
     base: &EngineCheckpoint,
     delta: &CheckpointDelta,
 ) -> Result<EngineCheckpoint, TgsError> {
@@ -516,106 +515,6 @@ pub fn apply_delta(
     Ok(checkpoint::encode(&shared, &solver, &state))
 }
 
-// ---------------------------------------------------------------------
-// Bounded chains with automatic compaction
-// ---------------------------------------------------------------------
-
-/// A base checkpoint plus the deltas recorded on top of it, with
-/// automatic compaction: once the chain's cumulative delta bytes exceed
-/// the base's size, the chain folds into a fresh materialized base (at
-/// that point a full snapshot is cheaper than the chain it replaces).
-/// This is the client-side half of delta checkpointing — the supervisor
-/// and the CLI both hold one per source.
-#[derive(Debug, Clone)]
-pub struct DeltaChain {
-    base_id: u64,
-    base: EngineCheckpoint,
-    deltas: Vec<CheckpointDelta>,
-    delta_bytes: usize,
-}
-
-impl DeltaChain {
-    /// Starts a chain at a freshly taken base.
-    pub fn new(base_id: u64, base: EngineCheckpoint) -> Self {
-        Self {
-            base_id,
-            base,
-            deltas: Vec::new(),
-            delta_bytes: 0,
-        }
-    }
-
-    /// The mark id the next delta must name as its base — the last
-    /// delta's `new_id`, or the base's own id on a fresh/compacted chain.
-    pub fn tip(&self) -> Result<u64, TgsError> {
-        match self.deltas.last() {
-            Some(d) => d.new_id(),
-            None => Ok(self.base_id),
-        }
-    }
-
-    /// The chain's base checkpoint (post-compaction: the materialized
-    /// fold of every delta so far).
-    pub fn base(&self) -> &EngineCheckpoint {
-        &self.base
-    }
-
-    /// The deltas not yet folded into the base.
-    pub fn deltas(&self) -> &[CheckpointDelta] {
-        &self.deltas
-    }
-
-    /// Cumulative serialized size of the retained deltas.
-    pub fn delta_bytes(&self) -> usize {
-        self.delta_bytes
-    }
-
-    /// Appends a delta (which must extend the current tip), compacting
-    /// if the chain cost now exceeds a full snapshot. Returns whether a
-    /// compaction ran.
-    pub fn push(&mut self, delta: CheckpointDelta) -> Result<bool, TgsError> {
-        let tip = self.tip()?;
-        let base_id = delta.base_id()?;
-        if base_id != tip {
-            return Err(TgsError::invalid_argument(format!(
-                "delta extends mark {base_id}, but the chain tip is {tip}"
-            )));
-        }
-        self.delta_bytes += delta.len();
-        self.deltas.push(delta);
-        if self.delta_bytes > self.base.len() {
-            let tip = self.tip()?;
-            let materialized = self.materialize()?;
-            self.base_id = tip;
-            self.base = materialized;
-            self.deltas.clear();
-            self.delta_bytes = 0;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// Folds every retained delta into the base: the full checkpoint at
-    /// the chain's tip, byte-identical to what the source engine would
-    /// write there.
-    pub fn materialize(&self) -> Result<EngineCheckpoint, TgsError> {
-        let mut current = self.base.clone();
-        for delta in &self.deltas {
-            current = apply_delta(&current, delta)?;
-        }
-        Ok(current)
-    }
-
-    /// Restarts the chain at a fresh base (the fallback when
-    /// `delta_since` reports the old tip unavailable).
-    pub fn reset(&mut self, base_id: u64, base: EngineCheckpoint) {
-        self.base_id = base_id;
-        self.base = base;
-        self.deltas.clear();
-        self.delta_bytes = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,23 +550,29 @@ mod tests {
             engine.checkpoint().unwrap().as_bytes(),
             "a base is byte-identical to a plain checkpoint"
         );
-        let mut chain = DeltaChain::new(base_id, base);
+        let (mut tip, mut deltas) = (base_id, Vec::new());
         for &(lo, hi) in &windows[2..] {
             engine
                 .ingest(EngineSnapshot::from_corpus_window(&c, lo, hi))
                 .unwrap();
             let delta = engine
-                .delta_since(chain.tip().unwrap())
+                .delta_since(tip)
                 .unwrap()
                 .expect("live mark must serve a delta");
-            chain.push(delta).unwrap();
+            tip = delta.new_id().unwrap();
+            deltas.push(delta);
+            let folded = deltas
+                .iter()
+                .try_fold(base.clone(), |ckpt, d| {
+                    SentimentEngine::apply_delta(&ckpt, d)
+                })
+                .unwrap();
             assert_eq!(
-                chain.materialize().unwrap().as_bytes(),
+                folded.as_bytes(),
                 engine.checkpoint().unwrap().as_bytes(),
                 "base + deltas must be byte-identical to the full checkpoint"
             );
         }
-        assert!(chain.deltas().len() <= windows.len());
     }
 
     #[test]
@@ -722,74 +627,6 @@ mod tests {
             engine.delta_since(first_id).unwrap().is_none(),
             "aged-out mark must be unavailable"
         );
-    }
-
-    #[test]
-    fn chain_compacts_once_deltas_outgrow_the_base() {
-        let c = corpus();
-        let engine = engine_over(&c);
-        let windows = tgs_data::day_windows(c.num_days, 1);
-        engine
-            .ingest(EngineSnapshot::from_corpus_window(
-                &c,
-                windows[0].0,
-                windows[0].1,
-            ))
-            .unwrap();
-        let (base_id, base) = engine.checkpoint_base().unwrap();
-        let mut chain = DeltaChain::new(base_id, base);
-        let mut compacted = false;
-        for &(lo, hi) in &windows[1..] {
-            engine
-                .ingest(EngineSnapshot::from_corpus_window(&c, lo, hi))
-                .unwrap();
-            let delta = engine.delta_since(chain.tip().unwrap()).unwrap().unwrap();
-            compacted |= chain.push(delta).unwrap();
-        }
-        // A tiny first base forces growth past it quickly; whether or not
-        // this corpus triggers it, the invariant must hold:
-        assert!(chain.delta_bytes() <= chain.base().len());
-        // And after any compaction the chain still materializes exactly.
-        assert_eq!(
-            chain.materialize().unwrap().as_bytes(),
-            engine.checkpoint().unwrap().as_bytes()
-        );
-        let _ = compacted;
-    }
-
-    #[test]
-    fn out_of_order_chain_pushes_are_rejected() {
-        let c = corpus();
-        let engine = engine_over(&c);
-        let windows = tgs_data::day_windows(c.num_days, 2);
-        engine
-            .ingest(EngineSnapshot::from_corpus_window(
-                &c,
-                windows[0].0,
-                windows[0].1,
-            ))
-            .unwrap();
-        let (base_id, base) = engine.checkpoint_base().unwrap();
-        engine
-            .ingest(EngineSnapshot::from_corpus_window(
-                &c,
-                windows[1].0,
-                windows[1].1,
-            ))
-            .unwrap();
-        let d1 = engine.delta_since(base_id).unwrap().unwrap();
-        engine
-            .ingest(EngineSnapshot::from_corpus_window(
-                &c,
-                windows[2].0,
-                windows[2].1,
-            ))
-            .unwrap();
-        let d2 = engine.delta_since(d1.new_id().unwrap()).unwrap().unwrap();
-        let mut chain = DeltaChain::new(base_id, base);
-        assert!(chain.push(d2.clone()).is_err(), "gap in the chain");
-        chain.push(d1).unwrap();
-        chain.push(d2).unwrap();
     }
 
     #[test]

@@ -44,7 +44,7 @@
 pub mod batch;
 pub mod builder;
 pub mod checkpoint;
-pub mod delta;
+mod delta;
 mod engine;
 pub mod flaky;
 pub mod hist;
@@ -56,7 +56,7 @@ pub mod transport;
 pub use batch::{BatchPolicy, BatchingIngest, IngestSink};
 pub use builder::{EngineBuilder, DEFAULT_QUEUE_DEPTH, DEFAULT_STORE_BUDGET_BYTES};
 pub use checkpoint::EngineCheckpoint;
-pub use delta::{CheckpointDelta, DeltaChain};
+pub use delta::CheckpointDelta;
 pub use engine::{EngineStats, SentimentEngine};
 pub use flaky::FlakyShard;
 pub use hist::{LatencyHistogram, HIST_BUCKETS};

@@ -115,8 +115,9 @@ pub trait ShardTransport: Send + Sync {
 
     /// Like [`ShardTransport::checkpoint_section`], but also registers
     /// the section as a *base* for delta checkpointing and returns its
-    /// worker-local mark id (see [`crate::delta`]). Ids are per-worker
-    /// and not persisted: a respawned or restored worker starts fresh.
+    /// worker-local mark id (see [`SentimentEngine::checkpoint_base`]).
+    /// Ids are per-worker and not persisted: a respawned or restored
+    /// worker starts fresh.
     fn checkpoint_base(&self) -> Result<(u64, Vec<u8>), TgsError>;
 
     /// The serialized [`crate::CheckpointDelta`] of everything that

@@ -7,17 +7,22 @@
 //!
 //! * **last good baseline** — refreshed by the [`Supervisor`] on a
 //!   window cadence (and whenever anything else asks the shard for its
-//!   section), this is the byte-exact baseline a replacement slot is
-//!   re-seeded from. Once anchored via `CHECKPOINT_BASE` the baseline
-//!   is a base checkpoint plus a bounded delta chain: refreshes ask
-//!   `DELTA_SINCE(tip)` and ship only changed bytes, and the supervisor
-//!   compacts the chain locally when its cost exceeds a full snapshot;
+//!   section), this is what a replacement slot is re-seeded from: a
+//!   base section, the deltas pulled on top of it, and the server mark
+//!   at their tip. While the retained deltas are no larger than the
+//!   base, a refresh asks `DELTA_SINCE(tip)` and ships only changed
+//!   bytes; otherwise it re-anchors with a fresh `CHECKPOINT_BASE`.
+//!   Deltas are folded into the base only when a rebuild needs it;
 //! * **replay journal** — every snapshot ingested since that baseline,
 //!   in order. Bounded: past [`SupervisorConfig::journal_limit`] the
 //!   shard first tries to refresh its baseline (which empties the
 //!   journal); if the shard is unreachable the journal is declared
 //!   overflowed and recovery escalates a typed error instead of
 //!   replaying an incomplete history.
+//!
+//! Each slot's lock is held across the shard call that changes either
+//! piece, so a concurrent checkpoint anchors wholly before or after an
+//! ingest and the pair stays in step with the shard.
 //!
 //! When an ingest fails with a `Net`-kinded error — connection gone,
 //! truncated frame, or the server answering "no such slot" after a
@@ -45,7 +50,7 @@ use tgs_engine::query::{ClusterSummary, TimelineEntry, UserSentiment};
 use tgs_engine::{EngineSnapshot, EngineStats, RecoveryCounters, ShardTransport};
 use tgs_linalg::DenseMatrix;
 
-use tgs_engine::{CheckpointDelta, DeltaChain, EngineCheckpoint};
+use tgs_engine::{CheckpointDelta, EngineCheckpoint, SentimentEngine};
 
 use crate::client::{Backoff, TcpShard};
 use crate::fault::splitmix;
@@ -91,33 +96,68 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// The re-seed baseline a slot keeps beside its replay journal.
-///
-/// A deploy-time section has no server-side mark id, so it can only be
-/// refreshed wholesale; once a refresh goes through `CHECKPOINT_BASE`
-/// the slot holds a [`DeltaChain`] instead and subsequent refreshes
-/// ship only `DELTA_SINCE(tip)` bytes, compacting locally when the
-/// accumulated deltas outgrow the base.
-enum Baseline {
-    /// Full checkpoint bytes with no delta anchor.
-    Section(Vec<u8>),
-    /// Delta-capable: base checkpoint plus the chain of applied deltas,
-    /// keyed by the server-side mark id at its tip.
-    Chain(DeltaChain),
+/// The re-seed baseline a slot keeps beside its replay journal: a base
+/// section, the `DELTA_SINCE` answers pulled on top of it, and the
+/// server mark at their tip.
+struct Baseline {
+    base: Vec<u8>,
+    deltas: Vec<CheckpointDelta>,
+    /// `None` for a deploy-time or post-respawn section: no mark of the
+    /// live slot anchors it, so the next refresh must re-anchor.
+    tip: Option<u64>,
 }
 
 impl Baseline {
-    /// The byte-exact section a replacement slot is seeded from.
-    fn materialize(&self) -> Result<Vec<u8>, TgsError> {
-        match self {
-            Baseline::Section(bytes) => Ok(bytes.clone()),
-            Baseline::Chain(chain) => Ok(chain.materialize()?.as_bytes().to_vec()),
+    fn new(tip: Option<u64>, base: Vec<u8>) -> Self {
+        Self {
+            base,
+            deltas: Vec::new(),
+            tip,
         }
+    }
+
+    /// Serialized size of the retained deltas.
+    fn delta_bytes(&self) -> usize {
+        self.deltas.iter().map(CheckpointDelta::len).sum()
+    }
+
+    /// The mark a refresh extends with `DELTA_SINCE`, or `None` when it
+    /// must re-anchor: there is no tip, or the retained deltas already
+    /// outweigh the base (a fresh base is then cheaper to hold and to
+    /// rebuild from than base ⊕ deltas).
+    fn extendable_tip(&self) -> Option<u64> {
+        self.tip.filter(|_| self.delta_bytes() <= self.base.len())
+    }
+
+    /// Appends a `DELTA_SINCE` answer. The bytes come off the network,
+    /// so one that does not extend the tip is rejected and leaves the
+    /// record unchanged.
+    fn push(&mut self, delta: CheckpointDelta) -> Result<(), TgsError> {
+        let (base_id, new_id) = (delta.base_id()?, delta.new_id()?);
+        if self.tip != Some(base_id) {
+            return Err(TgsError::invalid_argument(format!(
+                "delta extends mark {base_id}, but the baseline tip is {:?}",
+                self.tip
+            )));
+        }
+        self.deltas.push(delta);
+        self.tip = Some(new_id);
+        Ok(())
+    }
+
+    /// Base ⊕ deltas: the byte-exact section a rebuild seeds the slot
+    /// from.
+    fn fold(&self) -> Result<Vec<u8>, TgsError> {
+        let base = EngineCheckpoint::from_bytes(self.base.clone());
+        let folded = self.deltas.iter().try_fold(base, |ckpt, delta| {
+            SentimentEngine::apply_delta(&ckpt, delta)
+        })?;
+        Ok(folded.as_bytes().to_vec())
     }
 }
 
-/// Per-slot recovery state guarded by one mutex (all of it changes
-/// together on the ingest/recover path).
+/// Per-slot recovery state guarded by one mutex, held across every shard
+/// call that changes it (ingest, recovery, anchoring, user moves).
 #[derive(Default)]
 struct SlotState {
     /// Byte-exact baseline a replacement slot is re-seeded from.
@@ -137,8 +177,7 @@ struct SlotState {
 impl SlotState {
     /// Re-bases on the server's mark `id` and the section it anchors.
     fn anchor(&mut self, id: u64, section: Vec<u8>) {
-        let base = EngineCheckpoint::from_bytes(section);
-        self.last_good = Some(Baseline::Chain(DeltaChain::new(id, base)));
+        self.last_good = Some(Baseline::new(Some(id), section));
         self.caught_up();
     }
 
@@ -185,7 +224,7 @@ impl SupervisedShard {
             counters,
             generation: AtomicU64::new(0),
             state: Mutex::new(SlotState {
-                last_good: baseline.map(Baseline::Section),
+                last_good: baseline.map(|section| Baseline::new(None, section)),
                 ..Default::default()
             }),
             backoff,
@@ -206,29 +245,28 @@ impl SupervisedShard {
     /// the supervisor's proactive path when probes cross the failure
     /// threshold.
     pub fn recover(&self) -> Result<(), TgsError> {
-        self.recover_and_replay(self.generation.load(Ordering::Relaxed), None)
+        let generation = self.generation.load(Ordering::Relaxed);
+        self.recover_locked(&mut self.state.lock(), generation, None)
     }
 
     /// Advances the slot's baseline to the shard's current state,
     /// shipping only changed bytes when possible.
     ///
-    /// With a delta-capable baseline this asks `DELTA_SINCE(tip)` and
-    /// appends the answer to the local chain (compacting when the chain
-    /// outgrows the base); an unavailable mark — aged out, or the slot
-    /// was respawned with fresh marks — falls back to a full
-    /// `CHECKPOINT_BASE`, which also re-anchors delta capability for a
-    /// slot deployed from a plain section.
+    /// An extendable tip (see [`Baseline::extendable_tip`]) asks
+    /// `DELTA_SINCE(tip)` and appends the answer; anything else — no
+    /// tip, deltas outweighing the base, or a mark the server no longer
+    /// knows — re-anchors with a full `CHECKPOINT_BASE`.
     fn refresh_locked(&self, state: &mut SlotState) -> Result<(), TgsError> {
-        if let Some(Baseline::Chain(chain)) = &mut state.last_good {
-            // A mark unknown on the server falls through to a full base
-            // rather than failing the refresh.
-            if let Some(bytes) = self.inner.delta_since(chain.tip()?)? {
-                chain.push(CheckpointDelta::from_bytes(bytes))?;
-                state.caught_up();
-                self.counters
-                    .delta_refreshes
-                    .fetch_add(1, Ordering::Relaxed);
-                return Ok(());
+        if let Some(baseline) = &mut state.last_good {
+            if let Some(tip) = baseline.extendable_tip() {
+                if let Some(bytes) = self.inner.delta_since(tip)? {
+                    baseline.push(CheckpointDelta::from_bytes(bytes))?;
+                    state.caught_up();
+                    self.counters
+                        .delta_refreshes
+                        .fetch_add(1, Ordering::Relaxed);
+                    return Ok(());
+                }
             }
         }
         let (id, section) = self.inner.checkpoint_base()?;
@@ -245,16 +283,15 @@ impl SupervisedShard {
 
     /// Records a successfully ingested snapshot in the journal,
     /// refreshing the baseline when the journal hits its bound.
-    fn record(&self, snapshot: EngineSnapshot) -> Result<(), TgsError> {
-        let mut state = self.state.lock();
+    fn record(&self, state: &mut SlotState, snapshot: EngineSnapshot) -> Result<(), TgsError> {
         state.journal.push(snapshot);
         if state.journal.len() <= self.cfg.journal_limit {
             return Ok(());
         }
-        // Bound reached: fold the journal into a fresh baseline (the
+        // Bound reached: advance the baseline past the journal (the
         // refresh drains the worker queue first, so everything in the
         // journal is already covered by the state we anchor to).
-        match self.refresh_locked(&mut state) {
+        match self.refresh_locked(state) {
             Ok(()) => Ok(()),
             Err(e) => {
                 // Unreachable shard with a full journal: any future
@@ -276,12 +313,12 @@ impl SupervisedShard {
     /// The recovery state machine: [`SupervisedShard::try_rebuild`]
     /// under the slot's [`Backoff`] (attempt cap, wall-clock deadline,
     /// seeded jitter so recoveries across shards desynchronise).
-    fn recover_and_replay(
+    fn recover_locked(
         &self,
+        state: &mut SlotState,
         generation: u64,
         pending: Option<EngineSnapshot>,
     ) -> Result<(), TgsError> {
-        let mut state = self.state.lock();
         if state.stale {
             return Err(TgsError::net(
                 self.inner.peer(),
@@ -295,7 +332,7 @@ impl SupervisedShard {
             ));
         }
         let baseline = match &state.last_good {
-            Some(b) => b.materialize()?,
+            Some(b) => b.fold()?,
             None => {
                 return Err(TgsError::net(
                     self.inner.peer(),
@@ -312,11 +349,11 @@ impl SupervisedShard {
             state.journal.push(snapshot);
         }
         // The respawned slot is a fresh engine with fresh delta marks — a
-        // chain tip id kept across the rebuild could collide with a newly
-        // minted mark on unrelated state. Demote to a plain section; the
-        // next refresh re-anchors delta capability with a full
+        // tip id kept across the rebuild could collide with a newly
+        // minted mark on unrelated state. Keep the folded section with
+        // no tip; the next refresh re-anchors with a full
         // CHECKPOINT_BASE.
-        state.last_good = Some(Baseline::Section(baseline));
+        state.last_good = Some(Baseline::new(None, baseline));
         self.counters.respawns.fetch_add(1, Ordering::Relaxed);
         self.counters
             .replayed_docs
@@ -353,6 +390,16 @@ impl SupervisedShard {
         Ok(replayed)
     }
 
+    /// Runs a call that moves user ranges through the slot, under the
+    /// slot lock. On success the baseline+journal pair no longer
+    /// reproduces the slot: stale until the next checkpoint refresh.
+    fn moving_users<T>(&self, call: impl FnOnce() -> Result<T, TgsError>) -> Result<T, TgsError> {
+        let mut state = self.state.lock();
+        let out = call()?;
+        state.stale = true;
+        Ok(out)
+    }
+
     /// Whether `e` means "the slot is gone but a rebuild could bring it
     /// back" — the class recovery keys on.
     fn recoverable(e: &TgsError) -> bool {
@@ -363,9 +410,12 @@ impl SupervisedShard {
 impl ShardTransport for SupervisedShard {
     fn ingest(&self, generation: u64, snapshot: EngineSnapshot) -> Result<(), TgsError> {
         self.generation.fetch_max(generation, Ordering::Relaxed);
+        let mut state = self.state.lock();
         match self.inner.ingest(generation, snapshot.clone()) {
-            Ok(()) => self.record(snapshot),
-            Err(e) if Self::recoverable(&e) => self.recover_and_replay(generation, Some(snapshot)),
+            Ok(()) => self.record(&mut state, snapshot),
+            Err(e) if Self::recoverable(&e) => {
+                self.recover_locked(&mut state, generation, Some(snapshot))
+            }
             Err(e) => Err(e),
         }
     }
@@ -443,41 +493,32 @@ impl ShardTransport for SupervisedShard {
     }
 
     fn checkpoint_base(&self) -> Result<(u64, Vec<u8>), TgsError> {
+        let mut state = self.state.lock();
         let (id, section) = self.inner.checkpoint_base()?;
-        self.state.lock().anchor(id, section.clone());
+        state.anchor(id, section.clone());
         Ok((id, section))
     }
 
     fn delta_since(&self, base_id: u64) -> Result<Option<Vec<u8>>, TgsError> {
         // Pass-through: the caller's base id is their own anchor, not
-        // this slot's local chain tip.
+        // this slot's baseline tip.
         self.inner.delta_since(base_id)
     }
 
     fn export_users(&self, lo: usize, hi: usize) -> Result<Vec<u8>, TgsError> {
-        let out = self.inner.export_users(lo, hi)?;
-        // User rows left this slot: the baseline+journal pair no longer
-        // reproduces it. Stale until the next checkpoint refresh.
-        self.state.lock().stale = true;
-        Ok(out)
+        self.moving_users(|| self.inner.export_users(lo, hi))
     }
 
     fn import_users(&self, users: &[u8]) -> Result<(), TgsError> {
-        self.inner.import_users(users)?;
-        self.state.lock().stale = true;
-        Ok(())
+        self.moving_users(|| self.inner.import_users(users))
     }
 
     fn spawn_sibling(&self) -> Result<Arc<dyn ShardTransport>, TgsError> {
-        let sibling = self.inner.spawn_sibling()?;
-        self.state.lock().stale = true;
-        Ok(sibling)
+        self.moving_users(|| self.inner.spawn_sibling())
     }
 
     fn absorb_section(&self, section: &[u8]) -> Result<(), TgsError> {
-        self.inner.absorb_section(section)?;
-        self.state.lock().stale = true;
-        Ok(())
+        self.moving_users(|| self.inner.absorb_section(section))
     }
 
     fn set_generation(&self, generation: u64) -> Result<(), TgsError> {
@@ -608,5 +649,150 @@ impl Supervisor {
 impl Drop for Supervisor {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::NetConfig;
+    use crate::server::ShardServer;
+    use tgs_data::{day_windows, generate, presets, Corpus};
+    use tgs_engine::EngineBuilder;
+
+    fn quick_cfg() -> NetConfig {
+        NetConfig {
+            connect_timeout: Duration::from_millis(500),
+            io_timeout: Duration::from_secs(5),
+            reconnect_attempts: 2,
+            backoff_base: Duration::from_millis(10),
+            retry_deadline: Duration::from_secs(5),
+            jitter_seed: 1,
+            faults: None,
+        }
+    }
+
+    /// Slot 0 of an in-process server, deployed from a cold engine over
+    /// `corpus` and supervised, plus the server's run thread.
+    fn supervised_slot(
+        corpus: &Corpus,
+    ) -> (
+        Arc<SupervisedShard>,
+        std::thread::JoinHandle<Result<(), TgsError>>,
+    ) {
+        let server = ShardServer::bind("127.0.0.1:0", None).unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let run = std::thread::spawn(move || server.run());
+        let engine = EngineBuilder::new().k(3).max_iters(8).fit(corpus).unwrap();
+        let section = engine.checkpoint().unwrap().as_bytes().to_vec();
+        let tcp = Arc::new(TcpShard::new(addr, 0, quick_cfg()));
+        tcp.init(&section).unwrap();
+        let counters = Arc::new(RecoveryCounters::default());
+        let shard = SupervisedShard::new(tcp, Some(section), counters, Default::default());
+        (shard, run)
+    }
+
+    fn ingest_day(shard: &SupervisedShard, corpus: &Corpus, (lo, hi): (u32, u32)) {
+        let snapshot = EngineSnapshot::from_corpus_window(corpus, lo, hi);
+        shard.ingest(0, snapshot).unwrap();
+    }
+
+    fn stop(shard: Arc<SupervisedShard>, run: std::thread::JoinHandle<Result<(), TgsError>>) {
+        shard.endpoint().terminate().unwrap();
+        run.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn refreshes_extend_the_record_and_re_anchor_once_deltas_outweigh_the_base() {
+        let c = generate(&presets::tiny(42));
+        let (shard, run) = supervised_slot(&c);
+        let mut outgrown = 0;
+        for day in day_windows(c.num_days, 1) {
+            ingest_day(&shard, &c, day);
+            let (had_tip, extendable) = {
+                let state = shard.state.lock();
+                let baseline = state.last_good.as_ref().unwrap();
+                (baseline.tip.is_some(), baseline.extendable_tip().is_some())
+            };
+            let shipped = shard.counters.delta_refreshes.load(Ordering::Relaxed);
+            shard.refresh_baseline().unwrap();
+            let took_delta = shard.counters.delta_refreshes.load(Ordering::Relaxed) > shipped;
+
+            let state = shard.state.lock();
+            let baseline = state.last_good.as_ref().unwrap();
+            assert_eq!(
+                took_delta, extendable,
+                "only an extendable tip ships a delta"
+            );
+            if had_tip && !extendable {
+                outgrown += 1;
+                assert!(baseline.deltas.is_empty(), "a re-anchor drops the deltas");
+            }
+            let last = baseline.deltas.last().map_or(0, CheckpointDelta::len);
+            assert!(
+                baseline.delta_bytes() <= baseline.base.len() + last,
+                "retained deltas {} exceed base {} plus the last delta {last}",
+                baseline.delta_bytes(),
+                baseline.base.len()
+            );
+            // CHECKPOINT_SECTION mints no mark, so reading it leaves the
+            // record's tip live.
+            assert_eq!(
+                baseline.fold().unwrap(),
+                shard.endpoint().checkpoint_section().unwrap(),
+                "base ⊕ deltas must equal the shard's section"
+            );
+        }
+        assert!(outgrown >= 1, "no record outgrew its base over 12 days");
+        assert!(shard.counters.delta_refreshes.load(Ordering::Relaxed) > 0);
+        stop(shard, run);
+    }
+
+    #[test]
+    fn a_delta_off_the_tip_is_rejected_and_leaves_the_record_unchanged() {
+        let c = generate(&presets::tiny(42));
+        let days = day_windows(c.num_days, 1);
+        let (shard, run) = supervised_slot(&c);
+        ingest_day(&shard, &c, days[0]);
+        shard.refresh_baseline().unwrap();
+        let anchor = shard.state.lock().last_good.as_ref().unwrap().tip.unwrap();
+        ingest_day(&shard, &c, days[1]);
+        let d1 = shard.endpoint().delta_since(anchor).unwrap().unwrap();
+        let d1 = CheckpointDelta::from_bytes(d1);
+        ingest_day(&shard, &c, days[2]);
+        let d2 = shard.endpoint().delta_since(d1.new_id().unwrap());
+        let d2 = CheckpointDelta::from_bytes(d2.unwrap().unwrap());
+
+        let mut state = shard.state.lock();
+        let baseline = state.last_good.as_mut().unwrap();
+        let before = (
+            baseline.tip,
+            baseline.deltas.len(),
+            baseline.fold().unwrap(),
+        );
+        for bad in [
+            d2.clone(),
+            CheckpointDelta::from_bytes(b"garbage!".to_vec()),
+        ] {
+            assert!(baseline.push(bad).is_err(), "a gap must be rejected");
+            let after = (
+                baseline.tip,
+                baseline.deltas.len(),
+                baseline.fold().unwrap(),
+            );
+            assert_eq!(
+                after, before,
+                "a rejected delta leaves the record unchanged"
+            );
+        }
+        baseline.push(d1).unwrap();
+        baseline.push(d2.clone()).unwrap();
+        assert_eq!(baseline.tip, Some(d2.new_id().unwrap()));
+        assert_eq!(
+            baseline.fold().unwrap(),
+            shard.endpoint().checkpoint_section().unwrap()
+        );
+        drop(state);
+        stop(shard, run);
     }
 }

@@ -7,11 +7,14 @@
 # outputs must byte-match a plain no-cadence run.
 #
 # Leg 2 (kill → restore): `tgs serve` over a 2-shard loopback fleet
-# under a seeded TGS_FAULTS schedule. The supervisor keeps base+chain
-# baselines and refreshes them with DELTA_SINCE; faulted slots are
-# rebuilt from base ⊕ deltas and the final timeline + checkpoint must
-# still be byte-identical to the fault-free control — and the stats
-# must show both real respawns and real delta refreshes.
+# under a seeded TGS_FAULTS schedule that truncates INGEST frames,
+# fails DELTA_SINCE replies and truncates CHECKPOINT_BASE frames. The
+# supervisor keeps base + deltas baselines, extends them with
+# DELTA_SINCE and re-anchors with CHECKPOINT_BASE once the deltas
+# outgrow the base; faulted slots are rebuilt from base ⊕ deltas and
+# the final timeline + checkpoint must still be byte-identical to the
+# fault-free control — and the stats must show both real respawns and
+# real delta refreshes.
 #
 # Usage: ./scripts/delta_smoke.sh   (run from anywhere; builds release tgs)
 set -euo pipefail
@@ -74,7 +77,7 @@ B=$(sed -n 's/^listening on //p' "$DIR/b.log" | head -1)
 echo "    shards at $A and $B"
 
 echo "==> tgs serve: delta-refreshed baselines under fault injection"
-TGS_FAULTS="seed=23, ingest.truncate=0.25" \
+TGS_FAULTS="seed=23, ingest.truncate=0.25, delta_since.error=0.3, checkpoint_base.truncate=0.2" \
     "$TGS" serve --shards "$A,$B" --corpus "$DIR/corpus.tsv" \
     --checkpoint-every 1 \
     --out "$DIR/served.tsv" --checkpoint "$DIR/served.ckpt" \

@@ -133,10 +133,10 @@ pub mod prelude {
         SnapshotBuilder,
     };
     pub use tgs_engine::{
-        BatchPolicy, BatchingIngest, CheckpointDelta, ClusterSummary, Coverage, DeltaChain,
-        EngineBuilder, EngineCheckpoint, EngineDoc, EngineQuery, EngineSnapshot, EngineStats,
-        FlakyShard, FleetTips, LatencyHistogram, Partial, RecoveryCounters, SentimentEngine,
-        ShardedCheckpoint, ShardedDelta, ShardedEngine, ShardedQuery, TimelineEntry, UserSentiment,
+        BatchPolicy, BatchingIngest, CheckpointDelta, ClusterSummary, Coverage, EngineBuilder,
+        EngineCheckpoint, EngineDoc, EngineQuery, EngineSnapshot, EngineStats, FlakyShard,
+        FleetTips, LatencyHistogram, Partial, RecoveryCounters, SentimentEngine, ShardedCheckpoint,
+        ShardedDelta, ShardedEngine, ShardedQuery, TimelineEntry, UserSentiment,
     };
     pub use tgs_eval::{clustering_accuracy, nmi, ConfusionMatrix};
     pub use tgs_graph::UserGraph;

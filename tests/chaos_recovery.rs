@@ -6,6 +6,7 @@
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use tripartite_sentiment::net::{
@@ -511,6 +512,82 @@ fn slot_recovers_bit_identically_after_its_baseline_rebased() {
         engine.checkpoint().expect("recovered ckpt").as_bytes(),
         &reference_ckpt[..],
         "recovery from a re-based baseline must be byte-identical to the never-faulted run"
+    );
+
+    supervisor.stop();
+    engine.shutdown().expect("fleet shutdown");
+    for (child, addr) in [(child_a, &addr_a), (child_b2, &addr_b)] {
+        terminate(addr);
+        wait_exit(child, "shard server");
+    }
+}
+
+/// Fleet checkpoints taken on one thread while another streams anchor
+/// every slot's baseline mid-stream. Each slot's lock spans its shard
+/// call, so an anchor lands wholly before or after an ingest: the
+/// journal neither loses a snapshot the base lacks nor keeps one the
+/// base already holds. A kill after the head must still rebuild the
+/// slot byte-identically.
+#[test]
+fn checkpoints_concurrent_with_ingest_keep_recovery_bit_identical() {
+    let c = corpus();
+    let (reference_timeline, reference_ckpt) = daily_reference_run(&c);
+
+    let (child_a, addr_a) = spawn_shard_process("127.0.0.1:0");
+    let (mut child_b, addr_b) = spawn_shard_process("127.0.0.1:0");
+    let (engine, supervisor) = deploy_supervised(
+        fleet(&c, 2),
+        &[addr_a.clone(), addr_b.clone()],
+        &test_cfg(),
+        sup_cfg(),
+    )
+    .expect("deploy supervised");
+
+    let all = daily_windows(&c);
+    let (head, tail) = all.split_at(all.len() / 2);
+    let head_streamed = AtomicBool::new(false);
+    let checkpoints = std::thread::scope(|s| {
+        let checkpointer = s.spawn(|| {
+            let mut taken = 0u32;
+            while !head_streamed.load(Ordering::Acquire) {
+                engine.checkpoint().expect("concurrent checkpoint");
+                taken += 1;
+            }
+            taken
+        });
+        for &(lo, hi) in head {
+            engine
+                .ingest(EngineSnapshot::from_corpus_window(&c, lo, hi))
+                .expect("head ingest beside checkpoints");
+            supervisor.tick();
+        }
+        head_streamed.store(true, Ordering::Release);
+        checkpointer.join().expect("checkpoint thread")
+    });
+    assert!(checkpoints > 0, "the checkpoint thread never ran");
+
+    child_b.kill().expect("kill shard b");
+    child_b.wait().expect("reap shard b");
+    let child_b2 = respawn_shard_process(&addr_b);
+
+    for &(lo, hi) in tail {
+        engine
+            .ingest(EngineSnapshot::from_corpus_window(&c, lo, hi))
+            .expect("tail ingest rides through the respawn");
+        supervisor.tick();
+    }
+    engine.flush().expect("flush");
+
+    assert!(engine.stats().respawns >= 1, "a respawn happened");
+    assert_eq!(
+        engine.query().timeline(..).expect("recovered timeline"),
+        reference_timeline,
+        "recovery after concurrent checkpoints must match the never-faulted timeline"
+    );
+    assert_eq!(
+        engine.checkpoint().expect("recovered ckpt").as_bytes(),
+        &reference_ckpt[..],
+        "recovery after concurrent checkpoints must be byte-identical to the never-faulted run"
     );
 
     supervisor.stop();

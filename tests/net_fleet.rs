@@ -323,6 +323,46 @@ fn held_router_endpoint_answers_like_its_fleet() {
         );
     }
 
+    // Fleet deltas: the router's base ids are content-derived
+    // (`FleetTips::key`), so a client holding a delta computes its next
+    // anchor without a round trip.
+    let window_at = |timestamp: u64| {
+        let mut snapshot = EngineSnapshot::from_corpus_window(&c, 0, 2);
+        snapshot.timestamp = timestamp;
+        snapshot
+    };
+    let (base_id, base) = held.checkpoint_base().expect("held base");
+    held.ingest(0, window_at(t + 1)).expect("held ingest");
+    let delta = held
+        .delta_since(base_id)
+        .expect("held delta")
+        .expect("a fresh base serves a delta");
+    let delta = ShardedDelta::from_bytes(delta);
+    let folded = ShardedEngine::apply_delta(&ShardedCheckpoint::from_bytes(base), &delta)
+        .expect("fold the delta");
+    assert_eq!(
+        folded.as_bytes(),
+        held.checkpoint_section().expect("held section")
+    );
+    held.ingest(0, window_at(t + 2)).expect("held ingest");
+    let next_id = delta.tips().expect("delta tips").key();
+    let next = held
+        .delta_since(next_id)
+        .expect("held delta")
+        .expect("the derived anchor serves the next window");
+    let folded = ShardedEngine::apply_delta(&folded, &ShardedDelta::from_bytes(next))
+        .expect("fold the next delta");
+    assert_eq!(
+        folded.as_bytes(),
+        held.checkpoint_section().expect("held section")
+    );
+    assert_eq!(
+        held.delta_since(base_id.wrapping_add(1))
+            .expect("unknown anchor"),
+        None,
+        "an unknown fleet id is unavailable, not an error"
+    );
+
     held.terminate().expect("terminate");
     run.join().expect("server thread").expect("server run");
     Arc::try_unwrap(engine)
