@@ -22,6 +22,9 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+echo "==> cargo test --release (kernel and solver bit-identity suites, optimized as shipped)"
+cargo test --release -q -p tgs_linalg -p tgs_core
+
 echo "==> benchmark package (builds against the workspace's public API; ~9 s smoke)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --offline --manifest-path benchmark/Cargo.toml

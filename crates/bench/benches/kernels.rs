@@ -245,6 +245,107 @@ fn bench_simd_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The kernels the solver runs at the paper's rank, `k = 3`, at the
+/// vocabulary sizes `l` the benchmark workloads reach: 350 (firehose,
+/// dashboard, fleet_tcp) and 2,600 (backfill). At this width per-row
+/// overhead — loading and storing partial sums — dominates, which the
+/// `k = 10` series above hide. Each row drives one kernel the way the
+/// `Sf` update rule does (`l × 3` factors, `3 × 3` right factors). Also
+/// stamps the box into the JSON artifact.
+fn bench_thin_k(c: &mut Criterion) {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    c.stamp("nproc", nproc);
+    c.stamp("simd", tgs_linalg::simd_tier_name());
+    c.stamp("threads", tgs_linalg::pool_threads());
+    let k = 3usize;
+    let mut group = c.benchmark_group("thin_k");
+    for &l in &[350usize, 2_600] {
+        let sf = random_factor(l, k, 1);
+        let e1 = random_factor(l, k, 2);
+        let e2 = random_factor(l, k, 3);
+        let target = random_factor(l, k, 4);
+        let hu = random_factor(k, k, 5);
+        let (dp, dm) = split_pos_neg(&random_factor(k, k, 6).sub(&random_factor(k, k, 7)));
+        let den_k = random_factor(k, k, 8).add(&dp);
+        // Xuᵀ: one row per word, ~12 users each, against Su (users × k).
+        let xut = random_csr(l, 2_000, 12, 9);
+        let su = random_factor(2_000, k, 10);
+        let rows: Vec<usize> = (0..l).step_by(3).collect();
+        let block = random_factor(rows.len(), k, 11);
+
+        let mut out = DenseMatrix::default();
+        group.bench_with_input(BenchmarkId::new("matmul_into", l), &l, |b, _| {
+            b.iter(|| {
+                e1.matmul_into(&hu, &mut out);
+                black_box(out.get(0, 0))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("matmul_transpose_into", l), &l, |b, _| {
+            b.iter(|| {
+                e1.matmul_transpose_into(&hu, &mut out);
+                black_box(out.get(0, 0))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("transpose_matmul_into", l), &l, |b, _| {
+            b.iter(|| {
+                sf.transpose_matmul_into(&e1, &mut out);
+                black_box(out.get(0, 0))
+            })
+        });
+        let (mut ox, mut oy) = (DenseMatrix::default(), DenseMatrix::default());
+        group.bench_with_input(
+            BenchmarkId::new("transpose_matmul_pair_into", l),
+            &l,
+            |b, _| {
+                b.iter(|| {
+                    sf.transpose_matmul_pair_into(&e1, &e2, &mut ox, &mut oy);
+                    black_box(ox.get(0, 0))
+                })
+            },
+        );
+        group.bench_with_input(BenchmarkId::new("gram_into", l), &l, |b, _| {
+            b.iter(|| {
+                sf.gram_into(&mut out);
+                black_box(out.get(0, 0))
+            })
+        });
+        let mut scattered = sf.clone();
+        group.bench_with_input(BenchmarkId::new("scatter_rows_with_gram", l), &l, |b, _| {
+            b.iter(|| {
+                scattered.scatter_rows_with_gram(&rows, &block, &mut out);
+                black_box(out.get(0, 0))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("mul_dense_into", l), &l, |b, _| {
+            b.iter(|| {
+                xut.mul_dense_into(&su, &mut out);
+                black_box(out.get(0, 0))
+            })
+        });
+        let mut s = sf.clone();
+        let mut gram = DenseMatrix::default();
+        group.bench_with_input(BenchmarkId::new("fused_update_gram", l), &l, |b, _| {
+            b.iter(|| {
+                // the Sf rule's call: two data terms, a target axpy and
+                // a proximal denominator term
+                mult_update_from_parts(
+                    &mut s,
+                    &e1,
+                    Some(&e2),
+                    &dm,
+                    &den_k,
+                    &[(0.4, &target)],
+                    None,
+                    0.4,
+                    Some(&mut gram),
+                );
+                black_box(s.get(0, 0))
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_dense_small(c: &mut Criterion) {
     let k = 3usize;
     let a: DenseMatrix = random_factor(k, k, 4);
@@ -371,6 +472,7 @@ fn bench_prefetch_sweep(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_thin_k,
     bench_spmm,
     bench_gram,
     bench_mult_update,

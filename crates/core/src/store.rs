@@ -6,7 +6,7 @@
 //! to compact byte buffers and evicted FIFO beyond a configurable budget,
 //! so long streams cannot grow memory without bound.
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use tgs_linalg::DenseMatrix;
@@ -30,12 +30,19 @@ pub fn decode_matrix(bytes: Bytes) -> Option<DenseMatrix> {
 }
 
 /// A FIFO store of factor snapshots keyed by timestamp, bounded by a byte
-/// budget.
+/// budget. Every lookup, insert and removal is `O(log n)` in the
+/// retained count.
 #[derive(Debug, Clone)]
 pub struct SnapshotStore {
     budget_bytes: usize,
     used_bytes: usize,
-    entries: VecDeque<(u64, Bytes)>,
+    /// `(timestamp, bytes)` by insertion sequence number: iteration
+    /// order is insertion (eviction) order.
+    entries: BTreeMap<u64, (u64, Bytes)>,
+    /// Timestamp → its entry's sequence number.
+    seq_of: BTreeMap<u64, u64>,
+    /// Sequence number of the next new timestamp.
+    next_seq: u64,
 }
 
 impl SnapshotStore {
@@ -44,7 +51,9 @@ impl SnapshotStore {
         Self {
             budget_bytes,
             used_bytes: 0,
-            entries: VecDeque::new(),
+            entries: BTreeMap::new(),
+            seq_of: BTreeMap::new(),
+            next_seq: 0,
         }
     }
 
@@ -74,51 +83,32 @@ impl SnapshotStore {
     /// double-counted). A single snapshot larger than the whole budget is
     /// still stored (the budget then holds exactly one entry).
     pub fn put(&mut self, timestamp: u64, matrix: &DenseMatrix) {
-        let encoded = encode_matrix(matrix);
-        if let Some(slot) = self.entries.iter_mut().find(|(t, _)| *t == timestamp) {
-            self.used_bytes -= slot.1.len();
-            self.used_bytes += encoded.len();
-            slot.1 = encoded;
-        } else {
-            self.used_bytes += encoded.len();
-            self.entries.push_back((timestamp, encoded));
-        }
-        while self.used_bytes > self.budget_bytes && self.entries.len() > 1 {
-            if let Some((_, old)) = self.entries.pop_front() {
-                self.used_bytes -= old.len();
-            }
-        }
+        self.push_encoded(timestamp, encode_matrix(matrix));
     }
 
     /// Retrieves and decodes the snapshot stored under `timestamp`.
     pub fn get(&self, timestamp: u64) -> Option<DenseMatrix> {
-        self.entries
-            .iter()
-            .find(|(t, _)| *t == timestamp)
-            .and_then(|(_, b)| decode_matrix(b.clone()))
+        let seq = self.seq_of.get(&timestamp)?;
+        decode_matrix(self.entries[seq].1.clone())
     }
 
     /// Timestamps currently retained, in ascending timestamp order
     /// (insertion order governs eviction, not this listing).
     pub fn timestamps(&self) -> Vec<u64> {
-        let mut ts: Vec<u64> = self.entries.iter().map(|(t, _)| *t).collect();
-        ts.sort_unstable();
-        ts
+        self.seq_of.keys().copied().collect()
     }
 
     /// The most recent retained snapshot (largest timestamp), decoded.
     pub fn latest(&self) -> Option<(u64, DenseMatrix)> {
-        self.entries
-            .iter()
-            .max_by_key(|(t, _)| *t)
-            .and_then(|(t, b)| decode_matrix(b.clone()).map(|m| (*t, m)))
+        let (&t, seq) = self.seq_of.last_key_value()?;
+        decode_matrix(self.entries[seq].1.clone()).map(|m| (t, m))
     }
 
     /// Iterates the retained `(timestamp, encoded bytes)` entries in
     /// insertion (eviction) order. `Bytes` clones are cheap reference
     /// bumps; decode on demand with [`decode_matrix`].
     pub fn iter(&self) -> impl Iterator<Item = (u64, Bytes)> + '_ {
-        self.entries.iter().map(|(t, b)| (*t, b.clone()))
+        self.entries.values().map(|(t, b)| (*t, b.clone()))
     }
 
     /// Removes the snapshot stored under `timestamp`, returning whether
@@ -126,14 +116,13 @@ impl SnapshotStore {
     /// this is the raw half of delta-checkpoint reconciliation, where a
     /// base store is edited into an exact target store.
     pub fn remove(&mut self, timestamp: u64) -> bool {
-        if let Some(pos) = self.entries.iter().position(|(t, _)| *t == timestamp) {
-            if let Some((_, old)) = self.entries.remove(pos) {
-                self.used_bytes -= old.len();
-            }
-            true
-        } else {
-            false
+        let Some(seq) = self.seq_of.remove(&timestamp) else {
+            return false;
+        };
+        if let Some((_, old)) = self.entries.remove(&seq) {
+            self.used_bytes -= old.len();
         }
+        true
     }
 
     /// Stores pre-encoded snapshot bytes under `timestamp` with the same
@@ -141,16 +130,23 @@ impl SnapshotStore {
     /// append half of delta-checkpoint reconciliation, replaying the
     /// bytes another store produced without a decode/encode round trip.
     pub fn push_encoded(&mut self, timestamp: u64, encoded: Bytes) {
-        if let Some(slot) = self.entries.iter_mut().find(|(t, _)| *t == timestamp) {
-            self.used_bytes -= slot.1.len();
-            self.used_bytes += encoded.len();
-            slot.1 = encoded;
-        } else {
-            self.used_bytes += encoded.len();
-            self.entries.push_back((timestamp, encoded));
+        self.used_bytes += encoded.len();
+        match self.seq_of.get(&timestamp) {
+            Some(seq) => {
+                let slot = self.entries.get_mut(seq).expect("indexed entry exists");
+                self.used_bytes -= slot.1.len();
+                slot.1 = encoded;
+            }
+            None => {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.seq_of.insert(timestamp, seq);
+                self.entries.insert(seq, (timestamp, encoded));
+            }
         }
         while self.used_bytes > self.budget_bytes && self.entries.len() > 1 {
-            if let Some((_, old)) = self.entries.pop_front() {
+            if let Some((_, (t, old))) = self.entries.pop_first() {
+                self.seq_of.remove(&t);
                 self.used_bytes -= old.len();
             }
         }
@@ -262,6 +258,37 @@ mod tests {
         }
         assert_eq!(store.timestamps(), vec![2, 3]);
         assert!(store.used_bytes() <= 60);
+    }
+
+    #[test]
+    fn eviction_follows_insertion_order_through_reputs_and_removes() {
+        // each 1×1 matrix costs 16 + 8 = 24 bytes: the budget holds three
+        let one = |v: f64| DenseMatrix::filled(1, 1, v);
+        let order = |s: &SnapshotStore| s.iter().map(|(t, _)| t).collect::<Vec<_>>();
+        let mut store = SnapshotStore::new(72);
+        // Out-of-order timestamps: the first inserted goes first.
+        for t in [30, 10, 20, 5] {
+            store.put(t, &one(t as f64));
+        }
+        assert_eq!(order(&store), vec![10, 20, 5]);
+        assert_eq!(store.timestamps(), vec![5, 10, 20]);
+        assert_eq!(store.latest().unwrap().0, 20);
+        assert!(store.get(30).is_none());
+        // A re-put of a retained entry keeps its place.
+        store.put(10, &one(11.0));
+        assert_eq!(order(&store), vec![10, 20, 5]);
+        assert_eq!(store.get(10).unwrap().get(0, 0), 11.0);
+        // A re-put after eviction lands at the back.
+        store.put(30, &one(31.0));
+        assert_eq!(order(&store), vec![20, 5, 30]);
+        assert_eq!(store.get(30).unwrap().get(0, 0), 31.0);
+        // A remove frees its bytes; a push then appends at the back.
+        assert!(store.remove(5));
+        assert_eq!((store.len(), store.used_bytes()), (2, 48));
+        store.push_encoded(5, encode_matrix(&one(6.0)));
+        assert_eq!(order(&store), vec![20, 30, 5]);
+        assert_eq!(store.get(5).unwrap().get(0, 0), 6.0);
+        assert_eq!((store.len(), store.used_bytes()), (3, 72));
     }
 
     #[test]

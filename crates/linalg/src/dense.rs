@@ -591,22 +591,96 @@ fn matmul_into_kernel(a: &DenseMatrix, other: &DenseMatrix, out: &mut DenseMatri
 }
 
 simd_kernel! {
-    /// One output-row chunk of `matmul_into` (i-k-j order, zero-skip).
+    /// One output-row chunk of `matmul_into` (i-k-j order, zero-skip),
+    /// monomorphized on the thin output widths.
     fn matmul_chunk(a: &DenseMatrix, other: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
-        let width = other.cols;
-        for (local, out_row) in chunk.chunks_exact_mut(width.max(1)).enumerate() {
-            let a_row = a.row(r0 + local);
-            for (k, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += av * b;
-                }
+        match other.cols {
+            2 => matmul_chunk_w::<2>(a, other, r0, chunk),
+            3 => matmul_chunk_w::<3>(a, other, r0, chunk),
+            10 => matmul_chunk_w::<10>(a, other, r0, chunk),
+            _ => matmul_chunk_dyn(a, other, r0, chunk),
+        }
+    }
+}
+
+/// Fixed-width body of [`matmul_chunk`]: each output row is summed in a
+/// `[f64; W]` local, loaded and stored once per row, so the partial sums
+/// stay in registers instead of round-tripping through the output slice
+/// on every `k` step (same operations in the same order). A `W × W`
+/// right factor (the solver's `k × k` products) is copied into a local
+/// block first, so the `k` loop has a compile-time trip count too.
+#[inline(always)]
+fn matmul_chunk_w<const W: usize>(
+    a: &DenseMatrix,
+    other: &DenseMatrix,
+    r0: usize,
+    chunk: &mut [f64],
+) {
+    let (b_rows, _) = other.data.as_chunks::<W>();
+    let (out_rows, _) = chunk.as_chunks_mut::<W>();
+    if let Ok(&b) = <&[[f64; W]; W]>::try_from(b_rows) {
+        let (a_rows, _) = a.data[r0 * W..].as_chunks::<W>();
+        for (a_row, out_row) in a_rows.iter().zip(out_rows) {
+            *out_row = row_times_block(*out_row, a_row, &b);
+        }
+        return;
+    }
+    for (local, out_row) in out_rows.iter_mut().enumerate() {
+        let mut sum = *out_row;
+        for (&av, b_row) in a.row(r0 + local).iter().zip(b_rows) {
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &b) in sum.iter_mut().zip(b_row) {
+                *o += av * b;
+            }
+        }
+        *out_row = sum;
+    }
+}
+
+/// `sum + a_row · b`, accumulated over `b`'s rows in order, skipping
+/// exact zeros of `a_row`.
+#[inline(always)]
+fn row_times_block<const W: usize>(
+    mut sum: [f64; W],
+    a_row: &[f64; W],
+    b: &[[f64; W]; W],
+) -> [f64; W] {
+    for (&av, b_row) in a_row.iter().zip(b) {
+        if av == 0.0 {
+            continue;
+        }
+        for (o, &bv) in sum.iter_mut().zip(b_row) {
+            *o += av * bv;
+        }
+    }
+    sum
+}
+
+/// Runtime-width body of [`matmul_chunk`].
+#[inline(always)]
+fn matmul_chunk_dyn(a: &DenseMatrix, other: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
+    let width = other.cols;
+    for (local, out_row) in chunk.chunks_exact_mut(width.max(1)).enumerate() {
+        let a_row = a.row(r0 + local);
+        for (k, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let b_row = other.row(k);
+            for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
+                *o += av * b;
             }
         }
     }
+}
+
+/// Views a `W × W` row-major accumulator as a fixed-size block.
+#[inline(always)]
+pub(crate) fn square_mut<const W: usize>(acc: &mut [f64]) -> &mut [[f64; W]; W] {
+    let (rows, _) = acc.as_chunks_mut::<W>();
+    rows.try_into().expect("accumulator must be W × W")
 }
 
 /// Hot loop of [`DenseMatrix::gram_into`]: blocked parallel reduction,
@@ -628,35 +702,74 @@ fn gram_into_kernel(a: &DenseMatrix, out: &mut DenseMatrix) {
 
 simd_kernel! {
     /// Rows `[r0, r1)` of the Gram reduction: symmetric rank-1
-    /// accumulation over the upper triangle. The triangle is walked via
-    /// subslices (not `acc[p * k + q]` indexing) so the inner loop is a
-    /// bounds-check-free lane-ordered axpy — same operations in the same
-    /// order, just better codegen.
+    /// accumulation over the upper triangle (see [`gram_rows_w`]).
     fn gram_rows(a: &DenseMatrix, r0: usize, r1: usize, acc: &mut [f64]) {
-        match a.cols {
-            2 => gram_rows_w::<2>(a, r0, r1, acc),
-            3 => gram_rows_w::<3>(a, r0, r1, acc),
-            10 => gram_rows_w::<10>(a, r0, r1, acc),
-            _ => gram_rows_w::<0>(a, r0, r1, acc),
+        gram_span(&a.data[r0 * a.cols..r1 * a.cols], a.cols, acc);
+    }
+}
+
+/// Gram accumulation of the `k`-wide rows packed in `rows` into the
+/// `k × k` accumulator `acc`, monomorphized on the thin widths.
+#[inline(always)]
+fn gram_span(rows: &[f64], k: usize, acc: &mut [f64]) {
+    match k {
+        2 => gram_rows_w::<2>(rows, acc),
+        3 => gram_rows_w::<3>(rows, acc),
+        10 => gram_rows_w::<10>(rows, acc),
+        _ => gram_rows_dyn(rows, k, acc),
+    }
+}
+
+/// Fixed-width Gram body: rows ascending, summed in a `[[f64; W]; W]`
+/// local that is loaded and stored once per call.
+#[inline(always)]
+fn gram_rows_w<const W: usize>(rows: &[f64], acc: &mut [f64]) {
+    let out = square_mut::<W>(acc);
+    let mut sum = *out;
+    for row in rows.as_chunks::<W>().0 {
+        gram_row_w(&mut sum, row);
+    }
+    *out = sum;
+}
+
+/// Runtime-width Gram body.
+#[inline(always)]
+fn gram_rows_dyn(rows: &[f64], k: usize, acc: &mut [f64]) {
+    for row in rows.chunks_exact(k.max(1)) {
+        gram_row_dyn(acc, row);
+    }
+}
+
+/// Adds one row's outer product to a Gram block: upper triangle only,
+/// exact zeros of the row skipped. Every Gram in this crate (including
+/// the fused update's) accumulates through this or [`gram_row_dyn`], so
+/// all of them share one summation order.
+#[inline(always)]
+pub(crate) fn gram_row_w<const W: usize>(sum: &mut [[f64; W]; W], row: &[f64; W]) {
+    for (p, &rp) in row.iter().enumerate() {
+        if rp == 0.0 {
+            continue;
+        }
+        for (o, &b) in sum[p][p..].iter_mut().zip(&row[p..]) {
+            *o += rp * b;
         }
     }
 }
 
-/// Width-monomorphized body of [`gram_rows`] (`W = 0` means runtime
-/// width).
+/// Runtime-width [`gram_row_w`] over a row-major `k × k` accumulator
+/// (`k = row.len()`). The triangle is walked via subslices (not
+/// `acc[p * k + q]` indexing) so the inner loop is a bounds-check-free
+/// lane-ordered axpy.
 #[inline(always)]
-fn gram_rows_w<const W: usize>(a: &DenseMatrix, r0: usize, r1: usize, acc: &mut [f64]) {
-    let k = if W > 0 { W } else { a.cols };
-    for i in r0..r1 {
-        let row = &a.row(i)[..k];
-        for (p, &rp) in row.iter().enumerate() {
-            if rp == 0.0 {
-                continue;
-            }
-            let acc_row = &mut acc[p * k + p..(p + 1) * k];
-            for (o, &b) in acc_row.iter_mut().zip(row[p..].iter()) {
-                *o += rp * b;
-            }
+pub(crate) fn gram_row_dyn(acc: &mut [f64], row: &[f64]) {
+    let k = row.len();
+    for (p, &rp) in row.iter().enumerate() {
+        if rp == 0.0 {
+            continue;
+        }
+        let acc_row = &mut acc[p * k + p..(p + 1) * k];
+        for (o, &b) in acc_row.iter_mut().zip(row[p..].iter()) {
+            *o += rp * b;
         }
     }
 }
@@ -716,34 +829,11 @@ simd_kernel! {
                 unsafe { std::slice::from_raw_parts_mut((base as *mut f64).add(dst * k), k) };
             dst_row.copy_from_slice(src);
         }
-        match k {
-            2 => gram_span_w::<2>(base, k, r0, r1, acc),
-            3 => gram_span_w::<3>(base, k, r0, r1, acc),
-            10 => gram_span_w::<10>(base, k, r0, r1, acc),
-            _ => gram_span_w::<0>(base, k, r0, r1, acc),
-        }
-    }
-}
-
-/// Gram accumulation over rows `[r0, r1)` read through a raw base
-/// address: the same subslice-upper-triangle, zero-skip loop as
-/// [`gram_rows_w`], so the floating-point sequence is identical.
-#[inline(always)]
-fn gram_span_w<const W: usize>(base: usize, k: usize, r0: usize, r1: usize, acc: &mut [f64]) {
-    let k = if W > 0 { W } else { k };
-    for i in r0..r1 {
-        // SAFETY: row `i` lies in this call's owned range (disjoint
+        // SAFETY: rows `[r0, r1)` are this call's owned range (disjoint
         // across reduction blocks), and its scatter writes are done.
-        let row = unsafe { std::slice::from_raw_parts((base as *const f64).add(i * k), k) };
-        for (p, &rp) in row.iter().enumerate() {
-            if rp == 0.0 {
-                continue;
-            }
-            let acc_row = &mut acc[p * k + p..(p + 1) * k];
-            for (o, &b) in acc_row.iter_mut().zip(row[p..].iter()) {
-                *o += rp * b;
-            }
-        }
+        let span =
+            unsafe { std::slice::from_raw_parts((base as *const f64).add(r0 * k), (r1 - r0) * k) };
+        gram_span(span, k, acc);
     }
 }
 
@@ -768,13 +858,44 @@ simd_kernel! {
         r1: usize,
         acc: &mut [f64],
     ) {
-        match other.cols {
-            2 => transpose_matmul_rows_w::<2>(a, other, r0, r1, acc),
-            3 => transpose_matmul_rows_w::<3>(a, other, r0, r1, acc),
-            10 => transpose_matmul_rows_w::<10>(a, other, r0, r1, acc),
+        match (a.cols, other.cols) {
+            (2, 2) => transpose_matmul_square_w::<2>(a, other, r0, r1, acc),
+            (3, 3) => transpose_matmul_square_w::<3>(a, other, r0, r1, acc),
+            (10, 10) => transpose_matmul_square_w::<10>(a, other, r0, r1, acc),
+            (_, 2) => transpose_matmul_rows_w::<2>(a, other, r0, r1, acc),
+            (_, 3) => transpose_matmul_rows_w::<3>(a, other, r0, r1, acc),
+            (_, 10) => transpose_matmul_rows_w::<10>(a, other, r0, r1, acc),
             _ => transpose_matmul_rows_w::<0>(a, other, r0, r1, acc),
         }
     }
+}
+
+/// Body of [`transpose_matmul_rows`] when both factors are `W` wide: the
+/// `W × W` partial is summed in a local block, loaded and stored once
+/// per call (rows ascending, exact zeros of `a` skipped).
+#[inline(always)]
+fn transpose_matmul_square_w<const W: usize>(
+    a: &DenseMatrix,
+    other: &DenseMatrix,
+    r0: usize,
+    r1: usize,
+    acc: &mut [f64],
+) {
+    let out = square_mut::<W>(acc);
+    let mut sum = *out;
+    let (a_rows, _) = a.data[r0 * W..r1 * W].as_chunks::<W>();
+    let (b_rows, _) = other.data[r0 * W..r1 * W].as_chunks::<W>();
+    for (a_row, b_row) in a_rows.iter().zip(b_rows) {
+        for (sum_row, &av) in sum.iter_mut().zip(a_row) {
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &b) in sum_row.iter_mut().zip(b_row) {
+                *o += av * b;
+            }
+        }
+    }
+    *out = sum;
 }
 
 /// Width-monomorphized body of [`transpose_matmul_rows`] (`W = 0` means
@@ -850,13 +971,51 @@ simd_kernel! {
         acc_x: &mut [f64],
         acc_y: &mut [f64],
     ) {
-        match x.cols() {
-            2 => pair_rows_w::<2>(s, x, y, r0, r1, acc_x, acc_y),
-            3 => pair_rows_w::<3>(s, x, y, r0, r1, acc_x, acc_y),
-            10 => pair_rows_w::<10>(s, x, y, r0, r1, acc_x, acc_y),
+        match (s.cols, x.cols()) {
+            (2, 2) => pair_square_w::<2>(s, x, y, r0, r1, acc_x, acc_y),
+            (3, 3) => pair_square_w::<3>(s, x, y, r0, r1, acc_x, acc_y),
+            (10, 10) => pair_square_w::<10>(s, x, y, r0, r1, acc_x, acc_y),
+            (_, 2) => pair_rows_w::<2>(s, x, y, r0, r1, acc_x, acc_y),
+            (_, 3) => pair_rows_w::<3>(s, x, y, r0, r1, acc_x, acc_y),
+            (_, 10) => pair_rows_w::<10>(s, x, y, r0, r1, acc_x, acc_y),
             _ => pair_rows_w::<0>(s, x, y, r0, r1, acc_x, acc_y),
         }
     }
+}
+
+/// Body of [`transpose_matmul_pair_rows`] when `s` is also `W` wide:
+/// both `W × W` partials are summed in local blocks, loaded and stored
+/// once per call (the same per-element order as [`pair_rows_w`]).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn pair_square_w<const W: usize>(
+    s: &DenseMatrix,
+    x: &DenseMatrix,
+    y: &DenseMatrix,
+    r0: usize,
+    r1: usize,
+    acc_x: &mut [f64],
+    acc_y: &mut [f64],
+) {
+    let (out_x, out_y) = (square_mut::<W>(acc_x), square_mut::<W>(acc_y));
+    let (mut sum_x, mut sum_y) = (*out_x, *out_y);
+    let (s_rows, _) = s.data[r0 * W..r1 * W].as_chunks::<W>();
+    let (x_rows, _) = x.data[r0 * W..r1 * W].as_chunks::<W>();
+    let (y_rows, _) = y.data[r0 * W..r1 * W].as_chunks::<W>();
+    for ((s_row, x_row), y_row) in s_rows.iter().zip(x_rows).zip(y_rows) {
+        for ((sx, sy), &a) in sum_x.iter_mut().zip(sum_y.iter_mut()).zip(s_row) {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in sx.iter_mut().zip(x_row) {
+                *o += a * b;
+            }
+            for (o, &b) in sy.iter_mut().zip(y_row) {
+                *o += a * b;
+            }
+        }
+    }
+    (*out_x, *out_y) = (sum_x, sum_y);
 }
 
 /// Width-monomorphized body of [`transpose_matmul_pair_rows`] (`W = 0`
@@ -904,37 +1063,56 @@ fn matmul_transpose_into_kernel(a: &DenseMatrix, other: &DenseMatrix, out: &mut 
 }
 
 simd_kernel! {
-    /// One output-row chunk of `matmul_transpose_into` (row-dot layout).
-    /// Outputs are computed four at a time: the four dot chains run in
-    /// independent lanes, and every individual output still accumulates
-    /// `(((0 + a₀b₀) + a₁b₁) + …)` in exactly [`dot`]'s order, so the
-    /// tile is bit-identical to the plain per-output loop while breaking
-    /// the add-latency chain that serializes it.
+    /// One output-row chunk of `matmul_transpose_into` (row-dot layout),
+    /// monomorphized on the thin inner widths.
     fn matmul_transpose_chunk(a: &DenseMatrix, other: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
-        let width = other.rows;
-        for (local, out_row) in chunk.chunks_exact_mut(width.max(1)).enumerate() {
-            let a_row = a.row(r0 + local);
-            let mut j = 0;
-            while j + 4 <= width {
-                let (b0, b1, b2, b3) = (
-                    other.row(j),
-                    other.row(j + 1),
-                    other.row(j + 2),
-                    other.row(j + 3),
-                );
-                let mut acc = [0.0f64; 4];
-                for (t, &av) in a_row.iter().enumerate() {
-                    acc[0] += av * b0[t];
-                    acc[1] += av * b1[t];
-                    acc[2] += av * b2[t];
-                    acc[3] += av * b3[t];
-                }
-                out_row[j..j + 4].copy_from_slice(&acc);
-                j += 4;
+        match a.cols {
+            2 => matmul_transpose_chunk_w::<2>(a, other, r0, chunk),
+            3 => matmul_transpose_chunk_w::<3>(a, other, r0, chunk),
+            10 => matmul_transpose_chunk_w::<10>(a, other, r0, chunk),
+            _ => matmul_transpose_chunk_w::<0>(a, other, r0, chunk),
+        }
+    }
+}
+
+/// Width-monomorphized body of [`matmul_transpose_chunk`] (`W = 0`
+/// means runtime width): every row is cut to `W`, so each dot has a
+/// compile-time trip count. Outputs are computed four at a time: the
+/// four dot chains run in independent lanes, and every individual output
+/// still accumulates `(((0 + a₀b₀) + a₁b₁) + …)` in exactly [`dot`]'s
+/// order, so the tile is bit-identical to the plain per-output loop
+/// while breaking the add-latency chain that serializes it.
+#[inline(always)]
+fn matmul_transpose_chunk_w<const W: usize>(
+    a: &DenseMatrix,
+    other: &DenseMatrix,
+    r0: usize,
+    chunk: &mut [f64],
+) {
+    let k = if W > 0 { W } else { a.cols };
+    let width = other.rows;
+    for (local, out_row) in chunk.chunks_exact_mut(width.max(1)).enumerate() {
+        let a_row = &a.row(r0 + local)[..k];
+        let mut j = 0;
+        while j + 4 <= width {
+            let (b0, b1, b2, b3) = (
+                &other.row(j)[..k],
+                &other.row(j + 1)[..k],
+                &other.row(j + 2)[..k],
+                &other.row(j + 3)[..k],
+            );
+            let mut acc = [0.0f64; 4];
+            for (t, &av) in a_row.iter().enumerate() {
+                acc[0] += av * b0[t];
+                acc[1] += av * b1[t];
+                acc[2] += av * b2[t];
+                acc[3] += av * b3[t];
             }
-            for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
-                *o = dot(a_row, other.row(jj));
-            }
+            out_row[j..j + 4].copy_from_slice(&acc);
+            j += 4;
+        }
+        for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
+            *o = dot(a_row, &other.row(jj)[..k]);
         }
     }
 }

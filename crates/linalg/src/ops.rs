@@ -197,7 +197,6 @@ pub fn mult_update_from_parts(
     match k {
         2 => fused_update_rows::<2>(s, &args, gram),
         3 => fused_update_rows::<3>(s, &args, gram),
-        4 => fused_update_rows::<4>(s, &args, gram),
         10 => fused_update_rows::<10>(s, &args, gram),
         _ => fused_update_rows::<0>(s, &args, gram), // 0 = dynamic width
     }
@@ -215,11 +214,12 @@ struct FusedUpdateArgs<'a> {
 }
 
 /// Row loop of the fused update. `K > 0` monomorphizes the rank (loops
-/// fully unrolled, scratch in registers); `K = 0` uses runtime width.
-/// With `gram` present the rows run through the fixed-block reduction
-/// of [`crate::parallel::for_each_row_block_reduce`] so the fused
-/// `SᵀS` matches a post-hoc `gram_into` bit-for-bit (the per-row update
-/// itself is row-independent, so chunking never affects the factor).
+/// fully unrolled, scratch and Gram partial in `[f64; K]` locals);
+/// `K = 0` uses runtime width. With `gram` present the rows run through
+/// the fixed-block reduction of
+/// [`crate::parallel::for_each_row_block_reduce`] so the fused `SᵀS`
+/// matches a post-hoc `gram_into` bit-for-bit (the per-row update itself
+/// is row-independent, so chunking never affects the factor).
 fn fused_update_rows<const K: usize>(
     s: &mut DenseMatrix,
     args: &FusedUpdateArgs<'_>,
@@ -233,7 +233,7 @@ fn fused_update_rows<const K: usize>(
     match gram {
         None => {
             crate::parallel::for_each_row_chunk(rows, work, s.as_mut_slice(), k, |r0, chunk| {
-                fused_update_chunk::<K>(tier, args, k, r0, chunk);
+                fused_update_chunk::<K>(tier, args, k, r0, chunk, None);
             });
         }
         Some(g) => {
@@ -245,7 +245,7 @@ fn fused_update_rows<const K: usize>(
                 k,
                 g.as_mut_slice(),
                 |r0, chunk, partial| {
-                    fused_update_gram_chunk::<K>(tier, args, k, r0, chunk, partial);
+                    fused_update_chunk::<K>(tier, args, k, r0, chunk, Some(partial));
                 },
             );
             // mirror the upper triangle (same tail as `gram_into`)
@@ -259,31 +259,40 @@ fn fused_update_rows<const K: usize>(
     }
 }
 
-/// The per-row arithmetic of the fused update, shared by the plain and
-/// gram-accumulating chunk kernels. `#[inline(always)]` so it compiles
-/// into each dispatched wrapper with that wrapper's target features.
+/// The per-row arithmetic of the fused update, shared by the fixed-rank
+/// and runtime-width chunk bodies. Every row it reads is cut to
+/// `s_row.len()`, so with `[f64; K]` scratch each inner loop has a
+/// compile-time trip count. `#[inline(always)]` so it compiles into each
+/// dispatched wrapper with that wrapper's target features.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn fused_update_one_row<const K: usize>(
+fn fused_update_one_row(
     args: &FusedUpdateArgs<'_>,
+    dm: &[f64],
+    den_k: &[f64],
     i: usize,
     s_row: &mut [f64],
     s_old: &mut [f64],
     num_row: &mut [f64],
     den_row: &mut [f64],
 ) {
+    let width = s_row.len();
     s_old.copy_from_slice(s_row);
     // (S·Δ⁻)[i,:] and (S·den_k)[i,:], accumulated in the exact
     // i-k-j order (and zero-skip) of DenseMatrix::matmul, with
     // `dm`/`den_k` rows streamed contiguously.
     num_row.fill(0.0);
     den_row.fill(0.0);
-    for (a, &sa) in s_old.iter().enumerate() {
+    for ((&sa, dm_row), dk_row) in s_old
+        .iter()
+        .zip(dm.chunks_exact(width))
+        .zip(den_k.chunks_exact(width))
+    {
         if sa != 0.0 {
-            for (o, &b) in num_row.iter_mut().zip(args.dm.row(a)) {
+            for (o, &b) in num_row.iter_mut().zip(dm_row) {
                 *o += sa * b;
             }
-            for (o, &b) in den_row.iter_mut().zip(args.den_k.row(a)) {
+            for (o, &b) in den_row.iter_mut().zip(dk_row) {
                 *o += sa * b;
             }
         }
@@ -291,21 +300,22 @@ fn fused_update_one_row<const K: usize>(
     // num = num_base[i,:] (+ num_base2[i,:]) + S·Δ⁻ (+ axpys
     // in order) — grouped as (base1 + base2) + prod, matching
     // `a.add(&c).add(&s.matmul(&dm))`.
+    let base = &args.num_base.row(i)[..width];
     #[allow(clippy::assign_op_pattern)] // written as (base + prod) to mirror the chain
     match args.num_base2 {
         Some(b2) => {
-            for ((o, &b), &b2v) in num_row.iter_mut().zip(args.num_base.row(i)).zip(b2.row(i)) {
+            for ((o, &b), &b2v) in num_row.iter_mut().zip(base).zip(&b2.row(i)[..width]) {
                 *o = (b + b2v) + *o;
             }
         }
         None => {
-            for (o, &b) in num_row.iter_mut().zip(args.num_base.row(i)) {
+            for (o, &b) in num_row.iter_mut().zip(base) {
                 *o = b + *o;
             }
         }
     }
     for &(c, m) in args.num_axpys {
-        for (o, &b) in num_row.iter_mut().zip(m.row(i)) {
+        for (o, &b) in num_row.iter_mut().zip(&m.row(i)[..width]) {
             *o += c * b;
         }
     }
@@ -334,82 +344,95 @@ fn fused_update_one_row<const K: usize>(
 }
 
 simd_kernel! {
-    /// One row chunk of the fused update (no gram accumulation).
+    /// One row chunk of the fused update. With `partial` present, each
+    /// updated row's outer product also accumulates into it with
+    /// exactly the upper-triangle loop of `gram_into`.
     fn fused_update_chunk<const K: usize>(
         args: &FusedUpdateArgs<'_>,
         k: usize,
         r0: usize,
         chunk: &mut [f64],
+        partial: Option<&mut [f64]>,
     ) {
-        let mut stack = [0.0f64; 3 * MAX_FUSED_K];
-        let mut heap; // cold fallback for very wide factors
-        let scratch: &mut [f64] = if k <= MAX_FUSED_K {
-            &mut stack[..3 * k]
+        if K > 0 {
+            fused_update_chunk_w::<K>(args, r0, chunk, partial);
         } else {
-            heap = vec![0.0f64; 3 * k];
-            &mut heap
-        };
-        let (s_old, rest) = scratch.split_at_mut(k);
-        let (num_row, den_row) = rest.split_at_mut(k);
-        for (local, s_row) in chunk.chunks_exact_mut(k).enumerate() {
-            // Fix the slice lengths to the monomorphized rank so every
-            // inner loop has a compile-time trip count.
-            let width = if K > 0 { K } else { k };
-            fused_update_one_row::<K>(
-                args,
-                r0 + local,
-                s_row,
-                &mut s_old[..width],
-                &mut num_row[..width],
-                &mut den_row[..width],
-            );
+            fused_update_chunk_dyn(args, k, r0, chunk, partial);
         }
     }
 }
 
-simd_kernel! {
-    /// One row block of the fused update **with** gram accumulation:
-    /// after updating each row, its outer product accumulates into
-    /// `partial` with exactly the upper-triangle loop of `gram_into`.
-    fn fused_update_gram_chunk<const K: usize>(
-        args: &FusedUpdateArgs<'_>,
-        k: usize,
-        r0: usize,
-        chunk: &mut [f64],
-        partial: &mut [f64],
-    ) {
-        let mut stack = [0.0f64; 3 * MAX_FUSED_K];
-        let mut heap; // cold fallback for very wide factors
-        let scratch: &mut [f64] = if k <= MAX_FUSED_K {
-            &mut stack[..3 * k]
-        } else {
-            heap = vec![0.0f64; 3 * k];
-            &mut heap
-        };
-        let (s_old, rest) = scratch.split_at_mut(k);
-        let (num_row, den_row) = rest.split_at_mut(k);
-        for (local, s_row) in chunk.chunks_exact_mut(k).enumerate() {
-            let width = if K > 0 { K } else { k };
-            fused_update_one_row::<K>(
-                args,
-                r0 + local,
-                s_row,
-                &mut s_old[..width],
-                &mut num_row[..width],
-                &mut den_row[..width],
-            );
-            // Same loop shape (zero-skip, upper triangle, increasing
-            // rows) as `gram_into`'s reduction body, subslice-walked
-            // like `gram_rows` so the inner axpy is bounds-check free.
-            for (p, &rp) in s_row.iter().enumerate() {
-                if rp == 0.0 {
-                    continue;
-                }
-                let acc_row = &mut partial[p * k + p..(p + 1) * k];
-                for (o, &b) in acc_row.iter_mut().zip(s_row[p..].iter()) {
-                    *o += rp * b;
-                }
-            }
+/// Fixed-rank body of [`fused_update_chunk`]: per-row scratch lives in
+/// `[f64; K]` locals, and the Gram partial in a `[[f64; K]; K]` local
+/// loaded and stored once per chunk.
+#[inline(always)]
+fn fused_update_chunk_w<const K: usize>(
+    args: &FusedUpdateArgs<'_>,
+    r0: usize,
+    chunk: &mut [f64],
+    partial: Option<&mut [f64]>,
+) {
+    let mut partial = partial.map(crate::dense::square_mut::<K>);
+    let mut sum = partial.as_deref().copied();
+    let square = |m: &DenseMatrix| -> [[f64; K]; K] {
+        let (rows, _) = m.as_slice().as_chunks::<K>();
+        *<&[[f64; K]; K]>::try_from(rows).expect("k × k operand")
+    };
+    let (dm, den_k) = (square(args.dm), square(args.den_k));
+    let (s_rows, _) = chunk.as_chunks_mut::<K>();
+    for (local, s_row) in s_rows.iter_mut().enumerate() {
+        let [mut s_old, mut num_row, mut den_row] = [[0.0f64; K]; 3];
+        fused_update_one_row(
+            args,
+            dm.as_flattened(),
+            den_k.as_flattened(),
+            r0 + local,
+            s_row,
+            &mut s_old,
+            &mut num_row,
+            &mut den_row,
+        );
+        if let Some(sum) = &mut sum {
+            crate::dense::gram_row_w(sum, s_row);
+        }
+    }
+    if let (Some(out), Some(sum)) = (&mut partial, sum) {
+        **out = sum;
+    }
+}
+
+/// Runtime-width body of [`fused_update_chunk`].
+#[inline(always)]
+fn fused_update_chunk_dyn(
+    args: &FusedUpdateArgs<'_>,
+    k: usize,
+    r0: usize,
+    chunk: &mut [f64],
+    mut partial: Option<&mut [f64]>,
+) {
+    let mut stack = [0.0f64; 3 * MAX_FUSED_K];
+    let mut heap; // cold fallback for very wide factors
+    let scratch: &mut [f64] = if k <= MAX_FUSED_K {
+        &mut stack[..3 * k]
+    } else {
+        heap = vec![0.0f64; 3 * k];
+        &mut heap
+    };
+    let (s_old, rest) = scratch.split_at_mut(k);
+    let (num_row, den_row) = rest.split_at_mut(k);
+    for (local, s_row) in chunk.chunks_exact_mut(k).enumerate() {
+        fused_update_one_row(
+            args,
+            args.dm.as_slice(),
+            args.den_k.as_slice(),
+            r0 + local,
+            s_row,
+            s_old,
+            num_row,
+            den_row,
+        );
+        if let Some(acc) = partial.as_deref_mut() {
+            crate::dense::gram_row_dyn(acc, s_row);
         }
     }
 }

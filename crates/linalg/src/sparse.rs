@@ -544,19 +544,44 @@ simd_kernel! {
             2 => spmm_chunk_w::<2>(x, d, r0, chunk),
             3 => spmm_chunk_w::<3>(x, d, r0, chunk),
             10 => spmm_chunk_w::<10>(x, d, r0, chunk),
-            _ => spmm_chunk_w::<0>(x, d, r0, chunk),
+            _ => spmm_chunk_dyn(x, d, r0, chunk),
         }
     }
 }
 
-/// Width-monomorphized body of [`spmm_chunk`] (`W = 0` means runtime
-/// width). The gathered `d` rows are the kernel's cache-miss source, so
-/// each iteration issues a prefetch hint [`prefetch_lookahead`] entries
-/// ahead — a pure latency hint with no effect on the computed values
-/// (distance 0 disables the hints entirely).
+/// Fixed-width body of [`spmm_chunk`]: each output row is summed in a
+/// `[f64; W]` local, loaded and stored once per row (entries in column
+/// order, as in [`spmm_chunk_dyn`]). The gathered `d` rows are the
+/// kernel's cache-miss source, so each iteration issues a prefetch hint
+/// [`prefetch_lookahead`] entries ahead — a pure latency hint with no
+/// effect on the computed values (distance 0 disables the hints
+/// entirely).
 #[inline(always)]
 fn spmm_chunk_w<const W: usize>(x: &CsrMatrix, d: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
-    let k = if W > 0 { W } else { d.cols() };
+    let lookahead = prefetch_lookahead();
+    let (d_rows, _) = d.as_slice().as_chunks::<W>();
+    let (out_rows, _) = chunk.as_chunks_mut::<W>();
+    for (local, out_row) in out_rows.iter_mut().enumerate() {
+        let (cols, vals) = x.row_entries(r0 + local);
+        let mut sum = *out_row;
+        for (idx, (&c, &v)) in cols.iter().zip(vals.iter()).enumerate() {
+            if lookahead != 0 {
+                if let Some(&cn) = cols.get(idx + lookahead) {
+                    prefetch_read(&d_rows[cn as usize]);
+                }
+            }
+            for (o, &dv) in sum.iter_mut().zip(&d_rows[c as usize]) {
+                *o += v * dv;
+            }
+        }
+        *out_row = sum;
+    }
+}
+
+/// Runtime-width body of [`spmm_chunk`], with the same prefetch hints.
+#[inline(always)]
+fn spmm_chunk_dyn(x: &CsrMatrix, d: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
+    let k = d.cols();
     let lookahead = prefetch_lookahead();
     for (local, out_row) in chunk.chunks_exact_mut(k.max(1)).enumerate() {
         let r = r0 + local;
