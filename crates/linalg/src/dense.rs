@@ -572,10 +572,10 @@ impl DenseMatrix {
 //
 // Each kernel below is the scalar body of the corresponding public
 // method, re-instantiated under runtime-selected `target_feature`
-// wrappers. The bodies are unchanged from the pre-dispatch
-// implementations, so every tier is bit-identical (property-tested in
-// `tests/simd_parity.rs`); shape checks and output sizing stay in the
-// public methods. The tier is resolved once on the calling thread and
+// wrappers. Every tier runs the same operations in the same order, so
+// results are bit-identical (property-tested in `tests/simd_parity.rs`;
+// the order itself is pinned by `tests/reference_order.rs`); shape
+// checks and output sizing stay in the public methods. The tier is resolved once on the calling thread and
 // passed into the row-parallel chunk closures, so worker threads run
 // the caller's tier (including test overrides).
 

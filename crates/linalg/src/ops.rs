@@ -260,10 +260,12 @@ fn fused_update_rows<const K: usize>(
 }
 
 /// The per-row arithmetic of the fused update, shared by the fixed-rank
-/// and runtime-width chunk bodies. Every row it reads is cut to
-/// `s_row.len()`, so with `[f64; K]` scratch each inner loop has a
-/// compile-time trip count. `#[inline(always)]` so it compiles into each
-/// dispatched wrapper with that wrapper's target features.
+/// and runtime-width chunk bodies. `dm` / `den_k` are the row-major
+/// `k × k` operands, passed apart from `args` so the fixed-rank body can
+/// hand in local copies. Every row it reads is cut to `s_row.len()`, so
+/// with `[f64; K]` scratch each inner loop has a compile-time trip
+/// count. `#[inline(always)]` so it compiles into each dispatched wrapper
+/// with that wrapper's target features.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn fused_update_one_row(
