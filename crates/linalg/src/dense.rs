@@ -621,32 +621,19 @@ fn matmul_chunk_w<const W: usize>(
     if let Ok(&b) = <&[[f64; W]; W]>::try_from(b_rows) {
         let (a_rows, _) = a.data[r0 * W..].as_chunks::<W>();
         for (a_row, out_row) in a_rows.iter().zip(out_rows) {
-            *out_row = row_times_block(*out_row, a_row, &b);
+            *out_row = row_times(*out_row, a_row, &b);
         }
         return;
     }
     for (local, out_row) in out_rows.iter_mut().enumerate() {
-        let mut sum = *out_row;
-        for (&av, b_row) in a.row(r0 + local).iter().zip(b_rows) {
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &b) in sum.iter_mut().zip(b_row) {
-                *o += av * b;
-            }
-        }
-        *out_row = sum;
+        *out_row = row_times(*out_row, a.row(r0 + local), b_rows);
     }
 }
 
 /// `sum + a_row · b`, accumulated over `b`'s rows in order, skipping
 /// exact zeros of `a_row`.
 #[inline(always)]
-fn row_times_block<const W: usize>(
-    mut sum: [f64; W],
-    a_row: &[f64; W],
-    b: &[[f64; W]; W],
-) -> [f64; W] {
+fn row_times<const W: usize>(mut sum: [f64; W], a_row: &[f64], b: &[[f64; W]]) -> [f64; W] {
     for (&av, b_row) in a_row.iter().zip(b) {
         if av == 0.0 {
             continue;
