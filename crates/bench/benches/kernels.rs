@@ -248,10 +248,10 @@ fn bench_simd_kernels(c: &mut Criterion) {
 /// The kernels the solver runs at the paper's rank, `k = 3`, at the
 /// vocabulary sizes `l` the benchmark workloads reach: 350 (firehose,
 /// dashboard, fleet_tcp) and 2,600 (backfill). At this width per-row
-/// overhead — loading and storing partial sums — dominates, which the
-/// `k = 10` series above hide. Each row drives one kernel the way the
-/// `Sf` update rule does (`l × 3` factors, `3 × 3` right factors). Also
-/// stamps the box into the JSON artifact.
+/// overhead, not arithmetic, sets the time, which the `k = 10` series
+/// above hide. Each row drives one kernel the way the `Sf` update rule
+/// does (`l × 3` factors, `3 × 3` right factors). Also stamps the box
+/// into the JSON artifact.
 fn bench_thin_k(c: &mut Criterion) {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     c.stamp("nproc", nproc);

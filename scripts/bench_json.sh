@@ -47,6 +47,10 @@
 #     the JSON carries bytes alongside nanoseconds; acceptance is the
 #     5% point staying ≥5× smaller and faster than full. BENCH_FAST=1
 #     shrinks the corpus to 4k users (smoke only, not for committing).
+# `thin_k/<kernel>/{350,2600}` (BENCH_kernels.json) times each
+# fixed-width kernel at the solver's k = 3 and the workloads' vocabulary
+# sizes; the artifact's `box` object stamps cores, SIMD tier and pool
+# threads.
 #
 # Usage:
 #   ./scripts/bench_json.sh           # full regeneration (commit these)
