@@ -121,6 +121,15 @@ impl DenseMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Rows `[r0, r1)` packed row-major, for a kernel that has matched
+    /// `width` against the column count (at a thin rank, a compile-time
+    /// constant, so every row offset is too).
+    #[inline(always)]
+    fn span(&self, r0: usize, r1: usize, width: usize) -> &[f64] {
+        debug_assert_eq!(width, self.cols);
+        &self.data[r0 * width..r1 * width]
+    }
+
     /// Mutable row slice.
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
@@ -575,9 +584,10 @@ impl DenseMatrix {
 // wrappers. Every tier runs the same operations in the same order, so
 // results are bit-identical (property-tested in `tests/simd_parity.rs`;
 // the order itself is pinned by `tests/reference_order.rs`); shape
-// checks and output sizing stay in the public methods. The tier is resolved once on the calling thread and
-// passed into the row-parallel chunk closures, so worker threads run
-// the caller's tier (including test overrides).
+// checks and output sizing stay in the public methods. The tier is
+// resolved once on the calling thread and passed into the row-parallel
+// chunk closures, so worker threads run the caller's tier (including
+// test overrides).
 
 /// Hot loop of [`DenseMatrix::matmul_into`]: row-parallel over output
 /// chunks, each chunk dispatched to the active tier.
@@ -591,24 +601,26 @@ fn matmul_into_kernel(a: &DenseMatrix, other: &DenseMatrix, out: &mut DenseMatri
 }
 
 simd_kernel! {
-    /// One output-row chunk of `matmul_into` (i-k-j order, zero-skip),
-    /// monomorphized on the thin output widths.
+    /// One output-row chunk of `matmul_into` (i-k-j order, zero-skip).
     fn matmul_chunk(a: &DenseMatrix, other: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
-        match other.cols {
-            2 => matmul_chunk_w::<2>(a, other, r0, chunk),
-            3 => matmul_chunk_w::<3>(a, other, r0, chunk),
-            10 => matmul_chunk_w::<10>(a, other, r0, chunk),
-            _ => matmul_chunk_dyn(a, other, r0, chunk),
+        match (other.rows, other.cols) {
+            (2, 2) => matmul_chunk_w::<2>(a, other, r0, chunk),
+            (3, 3) => matmul_chunk_w::<3>(a, other, r0, chunk),
+            (10, 10) => matmul_chunk_w::<10>(a, other, r0, chunk),
+            (_, width) => {
+                for (local, out_row) in chunk.chunks_exact_mut(width.max(1)).enumerate() {
+                    matmul_row(out_row, a.row(r0 + local), &other.data);
+                }
+            }
         }
     }
 }
 
-/// Fixed-width body of [`matmul_chunk`]: each output row is summed in a
-/// `[f64; W]` local, loaded and stored once per row, so the partial sums
-/// stay in registers instead of round-tripping through the output slice
-/// on every `k` step (same operations in the same order). A `W × W`
-/// right factor (the solver's `k × k` products) is copied into a local
-/// block first, so the `k` loop has a compile-time trip count too.
+/// [`matmul_chunk`] for a `W × W` right factor (the solver's `k × k`
+/// products): the factor is copied into a local block and each output
+/// row is summed in a `[f64; W]` local, loaded and stored once, so the
+/// loops have compile-time trip counts and the partial sums stay in
+/// registers.
 #[inline(always)]
 fn matmul_chunk_w<const W: usize>(
     a: &DenseMatrix,
@@ -616,58 +628,35 @@ fn matmul_chunk_w<const W: usize>(
     r0: usize,
     chunk: &mut [f64],
 ) {
-    let (b_rows, _) = other.data.as_chunks::<W>();
-    let (out_rows, _) = chunk.as_chunks_mut::<W>();
-    if let Ok(&b) = <&[[f64; W]; W]>::try_from(b_rows) {
-        let (a_rows, _) = a.data[r0 * W..].as_chunks::<W>();
-        for (a_row, out_row) in a_rows.iter().zip(out_rows) {
-            *out_row = row_times(*out_row, a_row, &b);
-        }
-        return;
-    }
-    for (local, out_row) in out_rows.iter_mut().enumerate() {
-        *out_row = row_times(*out_row, a.row(r0 + local), b_rows);
+    let b = local_square::<W>(&other.data);
+    let (a_rows, _) = a.data[r0 * W..].as_chunks::<W>();
+    for (a_row, out_row) in a_rows.iter().zip(chunk.as_chunks_mut::<W>().0) {
+        let mut sum = *out_row;
+        matmul_row(&mut sum, a_row, b.as_flattened());
+        *out_row = sum;
     }
 }
 
-/// `sum + a_row · b`, accumulated over `b`'s rows in order, skipping
-/// exact zeros of `a_row`.
+/// `out_row += a_row · b` for a row-major `b` as wide as `out_row`:
+/// `b`'s rows in order, exact zeros of `a_row` skipped.
 #[inline(always)]
-fn row_times<const W: usize>(mut sum: [f64; W], a_row: &[f64], b: &[[f64; W]]) -> [f64; W] {
-    for (&av, b_row) in a_row.iter().zip(b) {
+fn matmul_row(out_row: &mut [f64], a_row: &[f64], b: &[f64]) {
+    for (&av, b_row) in a_row.iter().zip(b.chunks_exact(out_row.len())) {
         if av == 0.0 {
             continue;
         }
-        for (o, &bv) in sum.iter_mut().zip(b_row) {
+        for (o, &bv) in out_row.iter_mut().zip(b_row) {
             *o += av * bv;
         }
     }
-    sum
 }
 
-/// Runtime-width body of [`matmul_chunk`].
+/// A row-major `W × W` matrix copied into a local block.
 #[inline(always)]
-fn matmul_chunk_dyn(a: &DenseMatrix, other: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
-    let width = other.cols;
-    for (local, out_row) in chunk.chunks_exact_mut(width.max(1)).enumerate() {
-        let a_row = a.row(r0 + local);
-        for (k, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = other.row(k);
-            for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += av * b;
-            }
-        }
-    }
-}
-
-/// Views a `W × W` row-major accumulator as a fixed-size block.
-#[inline(always)]
-pub(crate) fn square_mut<const W: usize>(acc: &mut [f64]) -> &mut [[f64; W]; W] {
-    let (rows, _) = acc.as_chunks_mut::<W>();
-    rows.try_into().expect("accumulator must be W × W")
+pub(crate) fn local_square<const W: usize>(m: &[f64]) -> [[f64; W]; W] {
+    let mut block = [[0.0; W]; W];
+    block.as_flattened_mut().copy_from_slice(m);
+    block
 }
 
 /// Hot loop of [`DenseMatrix::gram_into`]: blocked parallel reduction,
@@ -689,66 +678,50 @@ fn gram_into_kernel(a: &DenseMatrix, out: &mut DenseMatrix) {
 
 simd_kernel! {
     /// Rows `[r0, r1)` of the Gram reduction: symmetric rank-1
-    /// accumulation over the upper triangle (see [`gram_rows_w`]).
+    /// accumulation over the upper triangle (see [`gram_span`]).
     fn gram_rows(a: &DenseMatrix, r0: usize, r1: usize, acc: &mut [f64]) {
-        gram_span(&a.data[r0 * a.cols..r1 * a.cols], a.cols, acc);
+        gram_span(a.span(r0, r1, a.cols), a.cols, acc);
     }
 }
 
 /// Gram accumulation of the `k`-wide rows packed in `rows` into the
-/// `k × k` accumulator `acc`, monomorphized on the thin widths.
+/// `k × k` accumulator `acc`: rows ascending, each through [`gram_row`].
 #[inline(always)]
 fn gram_span(rows: &[f64], k: usize, acc: &mut [f64]) {
     match k {
-        2 => gram_rows_w::<2>(rows, acc),
-        3 => gram_rows_w::<3>(rows, acc),
-        10 => gram_rows_w::<10>(rows, acc),
-        _ => gram_rows_dyn(rows, k, acc),
+        2 => gram_span_w::<2>(rows, acc),
+        3 => gram_span_w::<3>(rows, acc),
+        10 => gram_span_w::<10>(rows, acc),
+        _ => gram_add_rows(acc, rows, k),
     }
 }
 
-/// Fixed-width Gram body: rows ascending, summed in a `[[f64; W]; W]`
-/// local that is loaded and stored once per call.
+/// [`gram_span`] at width `W`: the `W × W` block is summed in a local,
+/// loaded and stored once, so the loops have compile-time trip counts
+/// and the partial sums stay in registers instead of being stored back
+/// to the slice after every step (same operations in the same order).
 #[inline(always)]
-fn gram_rows_w<const W: usize>(rows: &[f64], acc: &mut [f64]) {
-    let out = square_mut::<W>(acc);
-    let mut sum = *out;
-    for row in rows.as_chunks::<W>().0 {
-        gram_row_w(&mut sum, row);
-    }
-    *out = sum;
+fn gram_span_w<const W: usize>(rows: &[f64], acc: &mut [f64]) {
+    let mut sum = local_square::<W>(acc);
+    gram_add_rows(sum.as_flattened_mut(), rows, W);
+    acc.copy_from_slice(sum.as_flattened());
 }
 
-/// Runtime-width Gram body.
 #[inline(always)]
-fn gram_rows_dyn(rows: &[f64], k: usize, acc: &mut [f64]) {
+fn gram_add_rows(acc: &mut [f64], rows: &[f64], k: usize) {
     for row in rows.chunks_exact(k.max(1)) {
-        gram_row_dyn(acc, row);
+        gram_row(acc, row);
     }
 }
 
-/// Adds one row's outer product to a Gram block: upper triangle only,
-/// exact zeros of the row skipped. Every Gram in this crate (including
-/// the fused update's) accumulates through this or [`gram_row_dyn`], so
-/// all of them share one summation order.
+/// Adds one row's outer product to a row-major `k × k` Gram block
+/// (`k = row.len()`): upper triangle only, exact zeros of the row
+/// skipped. Every Gram in this crate (including the fused update's)
+/// accumulates through this loop, so all of them share one summation
+/// order. The triangle is walked via subslices (not `acc[p * k + q]`
+/// indexing) so the inner loop is a bounds-check-free lane-ordered axpy.
 #[inline(always)]
-pub(crate) fn gram_row_w<const W: usize>(sum: &mut [[f64; W]; W], row: &[f64; W]) {
-    for (p, &rp) in row.iter().enumerate() {
-        if rp == 0.0 {
-            continue;
-        }
-        for (o, &b) in sum[p][p..].iter_mut().zip(&row[p..]) {
-            *o += rp * b;
-        }
-    }
-}
-
-/// Runtime-width [`gram_row_w`] over a row-major `k × k` accumulator
-/// (`k = row.len()`). The triangle is walked via subslices (not
-/// `acc[p * k + q]` indexing) so the inner loop is a bounds-check-free
-/// lane-ordered axpy.
-#[inline(always)]
-pub(crate) fn gram_row_dyn(acc: &mut [f64], row: &[f64]) {
+pub(crate) fn gram_row(acc: &mut [f64], row: &[f64]) {
     let k = row.len();
     for (p, &rp) in row.iter().enumerate() {
         if rp == 0.0 {
@@ -835,9 +808,8 @@ fn transpose_matmul_into_kernel(a: &DenseMatrix, other: &DenseMatrix, out: &mut 
 }
 
 simd_kernel! {
-    /// Rows `[r0, r1)` of the `selfᵀ·other` reduction, monomorphized on
-    /// the common thin widths so the inner axpy fully unrolls (identical
-    /// floating-point sequence at every width).
+    /// Rows `[r0, r1)` of the `selfᵀ·other` reduction: rows ascending,
+    /// each through [`add_outer`].
     fn transpose_matmul_rows(
         a: &DenseMatrix,
         other: &DenseMatrix,
@@ -849,17 +821,14 @@ simd_kernel! {
             (2, 2) => transpose_matmul_square_w::<2>(a, other, r0, r1, acc),
             (3, 3) => transpose_matmul_square_w::<3>(a, other, r0, r1, acc),
             (10, 10) => transpose_matmul_square_w::<10>(a, other, r0, r1, acc),
-            (_, 2) => transpose_matmul_rows_w::<2>(a, other, r0, r1, acc),
-            (_, 3) => transpose_matmul_rows_w::<3>(a, other, r0, r1, acc),
-            (_, 10) => transpose_matmul_rows_w::<10>(a, other, r0, r1, acc),
-            _ => transpose_matmul_rows_w::<0>(a, other, r0, r1, acc),
+            (ka, kb) => transpose_matmul_span(acc, a.span(r0, r1, ka), ka, other.span(r0, r1, kb), kb),
         }
     }
 }
 
-/// Body of [`transpose_matmul_rows`] when both factors are `W` wide: the
-/// `W × W` partial is summed in a local block, loaded and stored once
-/// per call (rows ascending, exact zeros of `a` skipped).
+/// [`transpose_matmul_rows`] when both factors are `W` wide (every
+/// solver call): the `W × W` block is summed in a local, loaded and
+/// stored once.
 #[inline(always)]
 fn transpose_matmul_square_w<const W: usize>(
     a: &DenseMatrix,
@@ -868,46 +837,34 @@ fn transpose_matmul_square_w<const W: usize>(
     r1: usize,
     acc: &mut [f64],
 ) {
-    let out = square_mut::<W>(acc);
-    let mut sum = *out;
-    let (a_rows, _) = a.data[r0 * W..r1 * W].as_chunks::<W>();
-    let (b_rows, _) = other.data[r0 * W..r1 * W].as_chunks::<W>();
-    for (a_row, b_row) in a_rows.iter().zip(b_rows) {
-        for (sum_row, &av) in sum.iter_mut().zip(a_row) {
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &b) in sum_row.iter_mut().zip(b_row) {
-                *o += av * b;
-            }
-        }
-    }
-    *out = sum;
+    let mut sum = local_square::<W>(acc);
+    transpose_matmul_span(
+        sum.as_flattened_mut(),
+        a.span(r0, r1, W),
+        W,
+        other.span(r0, r1, W),
+        W,
+    );
+    acc.copy_from_slice(sum.as_flattened());
 }
 
-/// Width-monomorphized body of [`transpose_matmul_rows`] (`W = 0` means
-/// runtime width). `#[inline(always)]` so it compiles into each
-/// dispatched wrapper with that wrapper's target features.
 #[inline(always)]
-fn transpose_matmul_rows_w<const W: usize>(
-    a: &DenseMatrix,
-    other: &DenseMatrix,
-    r0: usize,
-    r1: usize,
-    acc: &mut [f64],
-) {
-    let width = if W > 0 { W } else { other.cols };
-    for i in r0..r1 {
-        let a_row = a.row(i);
-        let b_row = &other.row(i)[..width];
-        for (a_idx, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let out_row = &mut acc[a_idx * width..(a_idx + 1) * width];
-            for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += av * b;
-            }
+fn transpose_matmul_span(acc: &mut [f64], a: &[f64], ka: usize, b: &[f64], kb: usize) {
+    for (a_row, b_row) in a.chunks_exact(ka.max(1)).zip(b.chunks_exact(kb.max(1))) {
+        add_outer(acc, a_row, b_row);
+    }
+}
+
+/// `acc += a_rowᵀ · b_row` for a row-major `a_row.len() × b_row.len()`
+/// accumulator, exact zeros of `a_row` skipped.
+#[inline(always)]
+fn add_outer(acc: &mut [f64], a_row: &[f64], b_row: &[f64]) {
+    for (&av, out_row) in a_row.iter().zip(acc.chunks_exact_mut(b_row.len())) {
+        if av == 0.0 {
+            continue;
+        }
+        for (o, &b) in out_row.iter_mut().zip(b_row) {
+            *o += av * b;
         }
     }
 }
@@ -947,8 +904,9 @@ fn transpose_matmul_pair_kernel(
 }
 
 simd_kernel! {
-    /// Rows `[r0, r1)` of the fused pair reduction, monomorphized on the
-    /// common thin widths (identical floating-point sequence).
+    /// Rows `[r0, r1)` of the fused pair reduction (see [`pair_span`]):
+    /// each accumulator sums in exactly [`transpose_matmul_rows`]'s
+    /// order.
     fn transpose_matmul_pair_rows(
         s: &DenseMatrix,
         x: &DenseMatrix,
@@ -958,21 +916,21 @@ simd_kernel! {
         acc_x: &mut [f64],
         acc_y: &mut [f64],
     ) {
-        match (s.cols, x.cols()) {
+        match (s.cols, x.cols) {
             (2, 2) => pair_square_w::<2>(s, x, y, r0, r1, acc_x, acc_y),
             (3, 3) => pair_square_w::<3>(s, x, y, r0, r1, acc_x, acc_y),
             (10, 10) => pair_square_w::<10>(s, x, y, r0, r1, acc_x, acc_y),
-            (_, 2) => pair_rows_w::<2>(s, x, y, r0, r1, acc_x, acc_y),
-            (_, 3) => pair_rows_w::<3>(s, x, y, r0, r1, acc_x, acc_y),
-            (_, 10) => pair_rows_w::<10>(s, x, y, r0, r1, acc_x, acc_y),
-            _ => pair_rows_w::<0>(s, x, y, r0, r1, acc_x, acc_y),
+            (ks, kx) => {
+                let (x, y) = (x.span(r0, r1, kx), y.span(r0, r1, kx));
+                pair_span(acc_x, acc_y, s.span(r0, r1, ks), ks, x, y, kx);
+            }
         }
     }
 }
 
-/// Body of [`transpose_matmul_pair_rows`] when `s` is also `W` wide:
-/// both `W × W` partials are summed in local blocks, loaded and stored
-/// once per call (the same per-element order as [`pair_rows_w`]).
+/// [`transpose_matmul_pair_rows`] when all three factors are `W` wide
+/// (every solver call): both `W × W` blocks are summed in locals, loaded
+/// and stored once.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn pair_square_w<const W: usize>(
@@ -984,55 +942,45 @@ fn pair_square_w<const W: usize>(
     acc_x: &mut [f64],
     acc_y: &mut [f64],
 ) {
-    let (out_x, out_y) = (square_mut::<W>(acc_x), square_mut::<W>(acc_y));
-    let (mut sum_x, mut sum_y) = (*out_x, *out_y);
-    let (s_rows, _) = s.data[r0 * W..r1 * W].as_chunks::<W>();
-    let (x_rows, _) = x.data[r0 * W..r1 * W].as_chunks::<W>();
-    let (y_rows, _) = y.data[r0 * W..r1 * W].as_chunks::<W>();
-    for ((s_row, x_row), y_row) in s_rows.iter().zip(x_rows).zip(y_rows) {
-        for ((sx, sy), &a) in sum_x.iter_mut().zip(sum_y.iter_mut()).zip(s_row) {
-            if a == 0.0 {
-                continue;
-            }
-            for (o, &b) in sx.iter_mut().zip(x_row) {
-                *o += a * b;
-            }
-            for (o, &b) in sy.iter_mut().zip(y_row) {
-                *o += a * b;
-            }
-        }
-    }
-    (*out_x, *out_y) = (sum_x, sum_y);
+    let (mut sum_x, mut sum_y) = (local_square::<W>(acc_x), local_square::<W>(acc_y));
+    let (x, y) = (x.span(r0, r1, W), y.span(r0, r1, W));
+    let s = s.span(r0, r1, W);
+    pair_span(
+        sum_x.as_flattened_mut(),
+        sum_y.as_flattened_mut(),
+        s,
+        W,
+        x,
+        y,
+        W,
+    );
+    acc_x.copy_from_slice(sum_x.as_flattened());
+    acc_y.copy_from_slice(sum_y.as_flattened());
 }
 
-/// Width-monomorphized body of [`transpose_matmul_pair_rows`] (`W = 0`
-/// means runtime width).
+/// Per row, `acc_x += s_rowᵀ · x_row` and `acc_y += s_rowᵀ · y_row`, in
+/// [`add_outer`]'s per-element order with one zero test for both.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn pair_rows_w<const W: usize>(
-    s: &DenseMatrix,
-    x: &DenseMatrix,
-    y: &DenseMatrix,
-    r0: usize,
-    r1: usize,
+fn pair_span(
     acc_x: &mut [f64],
     acc_y: &mut [f64],
+    s: &[f64],
+    ks: usize,
+    x: &[f64],
+    y: &[f64],
+    kx: usize,
 ) {
-    let width = if W > 0 { W } else { x.cols() };
-    for i in r0..r1 {
-        let a_row = s.row(i);
-        let x_row = &x.row(i)[..width];
-        let y_row = &y.row(i)[..width];
-        for (a_idx, &a) in a_row.iter().enumerate() {
+    let (x_rows, y_rows) = (x.chunks_exact(kx.max(1)), y.chunks_exact(kx.max(1)));
+    for ((s_row, x_row), y_row) in s.chunks_exact(ks.max(1)).zip(x_rows).zip(y_rows) {
+        let outs = acc_x.chunks_exact_mut(kx).zip(acc_y.chunks_exact_mut(kx));
+        for (&a, (out_x, out_y)) in s_row.iter().zip(outs) {
             if a == 0.0 {
                 continue;
             }
-            let out_x = &mut acc_x[a_idx * width..(a_idx + 1) * width];
-            for (o, &b) in out_x.iter_mut().zip(x_row.iter()) {
+            for (o, &b) in out_x.iter_mut().zip(x_row) {
                 *o += a * b;
             }
-            let out_y = &mut acc_y[a_idx * width..(a_idx + 1) * width];
-            for (o, &b) in out_y.iter_mut().zip(y_row.iter()) {
+            for (o, &b) in out_y.iter_mut().zip(y_row) {
                 *o += a * b;
             }
         }

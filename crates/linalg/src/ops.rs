@@ -2,7 +2,7 @@
 //! tri-factorization: Δ-splitting, the square-root multiplicative update,
 //! and factored-form objective evaluation.
 
-use crate::dense::DenseMatrix;
+use crate::dense::{gram_row, local_square, DenseMatrix};
 use crate::simd::simd_kernel;
 use crate::sparse::CsrMatrix;
 
@@ -189,17 +189,7 @@ pub fn mult_update_from_parts(
         den_row_scale,
         den_self_scale,
     };
-    // The paper's ranks (k ∈ {2, 3}) are so thin that per-row loop setup
-    // dominates the arithmetic; monomorphized fixed-rank bodies keep the
-    // kernel competitive there (k = 10 is the scaling rank the benches
-    // track). All variants execute the identical floating-point
-    // sequence, so results do not depend on the dispatch.
-    match k {
-        2 => fused_update_rows::<2>(s, &args, gram),
-        3 => fused_update_rows::<3>(s, &args, gram),
-        10 => fused_update_rows::<10>(s, &args, gram),
-        _ => fused_update_rows::<0>(s, &args, gram), // 0 = dynamic width
-    }
+    fused_update_rows(s, &args, gram);
 }
 
 /// Shared operand bundle for [`mult_update_from_parts`].
@@ -213,27 +203,24 @@ struct FusedUpdateArgs<'a> {
     den_self_scale: f64,
 }
 
-/// Row loop of the fused update. `K > 0` monomorphizes the rank (loops
-/// fully unrolled, scratch and Gram partial in `[f64; K]` locals);
-/// `K = 0` uses runtime width. With `gram` present the rows run through
-/// the fixed-block reduction of
+/// Row loop of the fused update. With `gram` present the rows run
+/// through the fixed-block reduction of
 /// [`crate::parallel::for_each_row_block_reduce`] so the fused `SᵀS`
 /// matches a post-hoc `gram_into` bit-for-bit (the per-row update itself
 /// is row-independent, so chunking never affects the factor).
-fn fused_update_rows<const K: usize>(
+fn fused_update_rows(
     s: &mut DenseMatrix,
     args: &FusedUpdateArgs<'_>,
     gram: Option<&mut DenseMatrix>,
 ) {
     let (rows, k) = s.shape();
-    debug_assert!(K == 0 || K == k);
     let tier = crate::simd::active_tier();
     // ~3 k-wide dots per output entry.
     let work = rows * k * k * 3;
     match gram {
         None => {
             crate::parallel::for_each_row_chunk(rows, work, s.as_mut_slice(), k, |r0, chunk| {
-                fused_update_chunk::<K>(tier, args, k, r0, chunk, None);
+                fused_update_chunk(tier, args, k, r0, chunk, None);
             });
         }
         Some(g) => {
@@ -245,7 +232,7 @@ fn fused_update_rows<const K: usize>(
                 k,
                 g.as_mut_slice(),
                 |r0, chunk, partial| {
-                    fused_update_chunk::<K>(tier, args, k, r0, chunk, Some(partial));
+                    fused_update_chunk(tier, args, k, r0, chunk, Some(partial));
                 },
             );
             // mirror the upper triangle (same tail as `gram_into`)
@@ -259,13 +246,12 @@ fn fused_update_rows<const K: usize>(
     }
 }
 
-/// The per-row arithmetic of the fused update, shared by the fixed-rank
-/// and runtime-width chunk bodies. `dm` / `den_k` are the row-major
-/// `k × k` operands, passed apart from `args` so the fixed-rank body can
-/// hand in local copies. Every row it reads is cut to `s_row.len()`, so
-/// with `[f64; K]` scratch each inner loop has a compile-time trip
-/// count. `#[inline(always)]` so it compiles into each dispatched wrapper
-/// with that wrapper's target features.
+/// The per-row arithmetic of the fused update. `dm` / `den_k` are the
+/// row-major `k × k` operands, passed apart from `args` so the
+/// fixed-rank body can hand in local copies. Every row it reads is cut
+/// to `s_row.len()`, so at a fixed rank each inner loop has a
+/// compile-time trip count. `#[inline(always)]` so it compiles into
+/// each dispatched wrapper with that wrapper's target features.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn fused_update_one_row(
@@ -347,26 +333,43 @@ fn fused_update_one_row(
 
 simd_kernel! {
     /// One row chunk of the fused update. With `partial` present, each
-    /// updated row's outer product also accumulates into it with
-    /// exactly the upper-triangle loop of `gram_into`.
-    fn fused_update_chunk<const K: usize>(
+    /// updated row's outer product also accumulates into it through
+    /// `gram_into`'s row loop. The paper's ranks are so thin that per-row
+    /// overhead dominates the arithmetic, so at `k ∈ {2, 3, 10}`
+    /// [`fused_update_chunk_w`] runs the same rows with compile-time
+    /// widths and register-resident operands.
+    fn fused_update_chunk(
         args: &FusedUpdateArgs<'_>,
         k: usize,
         r0: usize,
         chunk: &mut [f64],
         partial: Option<&mut [f64]>,
     ) {
-        if K > 0 {
-            fused_update_chunk_w::<K>(args, r0, chunk, partial);
-        } else {
-            fused_update_chunk_dyn(args, k, r0, chunk, partial);
+        match k {
+            2 => fused_update_chunk_w::<2>(args, r0, chunk, partial),
+            3 => fused_update_chunk_w::<3>(args, r0, chunk, partial),
+            10 => fused_update_chunk_w::<10>(args, r0, chunk, partial),
+            _ => {
+                let mut stack = [0.0f64; 3 * MAX_FUSED_K];
+                let mut heap; // cold fallback for very wide factors
+                let scratch: &mut [f64] = if k <= MAX_FUSED_K {
+                    &mut stack[..3 * k]
+                } else {
+                    heap = vec![0.0f64; 3 * k];
+                    &mut heap
+                };
+                let (dm, den_k) = (args.dm.as_slice(), args.den_k.as_slice());
+                fused_update_span(args, dm, den_k, k, r0, chunk, partial, scratch);
+            }
         }
     }
 }
 
-/// Fixed-rank body of [`fused_update_chunk`]: per-row scratch lives in
-/// `[f64; K]` locals, and the Gram partial in a `[[f64; K]; K]` local
-/// loaded and stored once per chunk.
+/// [`fused_update_chunk`] at rank `K`: `Δ⁻` and `den_k` are copied into
+/// local blocks, the per-row scratch is a local array, and the Gram
+/// partial is summed in a local block, loaded and stored once, so the
+/// loops have compile-time trip counts and the operands stay in
+/// registers.
 #[inline(always)]
 fn fused_update_chunk_w<const K: usize>(
     args: &FusedUpdateArgs<'_>,
@@ -374,67 +377,43 @@ fn fused_update_chunk_w<const K: usize>(
     chunk: &mut [f64],
     partial: Option<&mut [f64]>,
 ) {
-    let mut partial = partial.map(crate::dense::square_mut::<K>);
-    let mut sum = partial.as_deref().copied();
-    let square = |m: &DenseMatrix| -> [[f64; K]; K] {
-        let (rows, _) = m.as_slice().as_chunks::<K>();
-        *<&[[f64; K]; K]>::try_from(rows).expect("k × k operand")
-    };
-    let (dm, den_k) = (square(args.dm), square(args.den_k));
-    let (s_rows, _) = chunk.as_chunks_mut::<K>();
-    for (local, s_row) in s_rows.iter_mut().enumerate() {
-        let [mut s_old, mut num_row, mut den_row] = [[0.0f64; K]; 3];
-        fused_update_one_row(
-            args,
-            dm.as_flattened(),
-            den_k.as_flattened(),
-            r0 + local,
-            s_row,
-            &mut s_old,
-            &mut num_row,
-            &mut den_row,
-        );
-        if let Some(sum) = &mut sum {
-            crate::dense::gram_row_w(sum, s_row);
+    let dm = local_square::<K>(args.dm.as_slice());
+    let den_k = local_square::<K>(args.den_k.as_slice());
+    let (dm, den_k) = (dm.as_flattened(), den_k.as_flattened());
+    let mut scratch = [[0.0f64; K]; 3];
+    let scratch = scratch.as_flattened_mut();
+    match partial {
+        Some(acc) => {
+            let mut sum = local_square::<K>(acc);
+            let partial = Some(sum.as_flattened_mut());
+            fused_update_span(args, dm, den_k, K, r0, chunk, partial, scratch);
+            acc.copy_from_slice(sum.as_flattened());
         }
-    }
-    if let (Some(out), Some(sum)) = (&mut partial, sum) {
-        **out = sum;
+        None => fused_update_span(args, dm, den_k, K, r0, chunk, None, scratch),
     }
 }
 
-/// Runtime-width body of [`fused_update_chunk`].
+/// The rows of one chunk through [`fused_update_one_row`], each updated
+/// row then added to `partial` through [`gram_row`].
+/// `scratch` holds the three `k`-wide per-row buffers.
 #[inline(always)]
-fn fused_update_chunk_dyn(
+#[allow(clippy::too_many_arguments)]
+fn fused_update_span(
     args: &FusedUpdateArgs<'_>,
+    dm: &[f64],
+    den_k: &[f64],
     k: usize,
     r0: usize,
     chunk: &mut [f64],
     mut partial: Option<&mut [f64]>,
+    scratch: &mut [f64],
 ) {
-    let mut stack = [0.0f64; 3 * MAX_FUSED_K];
-    let mut heap; // cold fallback for very wide factors
-    let scratch: &mut [f64] = if k <= MAX_FUSED_K {
-        &mut stack[..3 * k]
-    } else {
-        heap = vec![0.0f64; 3 * k];
-        &mut heap
-    };
     let (s_old, rest) = scratch.split_at_mut(k);
     let (num_row, den_row) = rest.split_at_mut(k);
     for (local, s_row) in chunk.chunks_exact_mut(k).enumerate() {
-        fused_update_one_row(
-            args,
-            args.dm.as_slice(),
-            args.den_k.as_slice(),
-            r0 + local,
-            s_row,
-            s_old,
-            num_row,
-            den_row,
-        );
+        fused_update_one_row(args, dm, den_k, r0 + local, s_row, s_old, num_row, den_row);
         if let Some(acc) = partial.as_deref_mut() {
-            crate::dense::gram_row_dyn(acc, s_row);
+            gram_row(acc, s_row);
         }
     }
 }

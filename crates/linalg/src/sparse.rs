@@ -535,69 +535,67 @@ impl CsrMatrix {
 }
 
 simd_kernel! {
-    /// One output-row chunk of the CSR×dense product: the row-accumulate
-    /// inner loop streams `d` rows into the output row `k` lanes wide,
-    /// monomorphized on the common thin widths (identical floating-point
-    /// sequence at every width).
+    /// One output-row chunk of the CSR×dense product: each output row
+    /// through [`spmm_row`] (identical floating-point sequence at every
+    /// width).
     fn spmm_chunk(x: &CsrMatrix, d: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
+        let lookahead = prefetch_lookahead();
         match d.cols() {
-            2 => spmm_chunk_w::<2>(x, d, r0, chunk),
-            3 => spmm_chunk_w::<3>(x, d, r0, chunk),
-            10 => spmm_chunk_w::<10>(x, d, r0, chunk),
-            _ => spmm_chunk_dyn(x, d, r0, chunk),
+            2 => spmm_chunk_w::<2>(x, d, lookahead, r0, chunk),
+            3 => spmm_chunk_w::<3>(x, d, lookahead, r0, chunk),
+            10 => spmm_chunk_w::<10>(x, d, lookahead, r0, chunk),
+            k => {
+                for (local, out_row) in chunk.chunks_exact_mut(k.max(1)).enumerate() {
+                    spmm_row(out_row, x, r0 + local, |c| d.row(c), lookahead);
+                }
+            }
         }
     }
 }
 
-/// Fixed-width body of [`spmm_chunk`]: each output row is summed in a
-/// `[f64; W]` local, loaded and stored once per row (entries in column
-/// order, as in [`spmm_chunk_dyn`]). The gathered `d` rows are the
-/// kernel's cache-miss source, so each iteration issues a prefetch hint
-/// [`prefetch_lookahead`] entries ahead — a pure latency hint with no
-/// effect on the computed values (distance 0 disables the hints
-/// entirely).
+/// [`spmm_chunk`] at width `W`: each output row is summed in a
+/// `[f64; W]` local, loaded and stored once, so the loops have
+/// compile-time trip counts and the partial sums stay in registers.
 #[inline(always)]
-fn spmm_chunk_w<const W: usize>(x: &CsrMatrix, d: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
-    let lookahead = prefetch_lookahead();
+fn spmm_chunk_w<const W: usize>(
+    x: &CsrMatrix,
+    d: &DenseMatrix,
+    lookahead: usize,
+    r0: usize,
+    chunk: &mut [f64],
+) {
     let (d_rows, _) = d.as_slice().as_chunks::<W>();
-    let (out_rows, _) = chunk.as_chunks_mut::<W>();
-    for (local, out_row) in out_rows.iter_mut().enumerate() {
-        let (cols, vals) = x.row_entries(r0 + local);
+    for (local, out_row) in chunk.as_chunks_mut::<W>().0.iter_mut().enumerate() {
         let mut sum = *out_row;
-        for (idx, (&c, &v)) in cols.iter().zip(vals.iter()).enumerate() {
-            if lookahead != 0 {
-                if let Some(&cn) = cols.get(idx + lookahead) {
-                    prefetch_read(&d_rows[cn as usize]);
-                }
-            }
-            for (o, &dv) in sum.iter_mut().zip(&d_rows[c as usize]) {
-                *o += v * dv;
-            }
-        }
+        spmm_row(&mut sum, x, r0 + local, |c| &d_rows[c], lookahead);
         *out_row = sum;
     }
 }
 
-/// Runtime-width body of [`spmm_chunk`], with the same prefetch hints.
+/// `out_row += x[r, :] · d`, entries in column order, with `d_row(c)`
+/// giving row `c` of `d` (typed `[f64; W]` rows at the thin widths, so
+/// each gather is one bounds check). The gathered rows are the kernel's
+/// cache-miss source, so each entry issues a prefetch hint `lookahead`
+/// entries ahead — a pure latency hint with no effect on the computed
+/// values (distance 0 disables the hints entirely).
 #[inline(always)]
-fn spmm_chunk_dyn(x: &CsrMatrix, d: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
-    let k = d.cols();
-    let lookahead = prefetch_lookahead();
-    for (local, out_row) in chunk.chunks_exact_mut(k.max(1)).enumerate() {
-        let r = r0 + local;
-        let range = x.indptr[r]..x.indptr[r + 1];
-        let cols = &x.indices[range.clone()];
-        let vals = &x.values[range];
-        for (idx, (&c, &v)) in cols.iter().zip(vals.iter()).enumerate() {
-            if lookahead != 0 {
-                if let Some(&cn) = cols.get(idx + lookahead) {
-                    prefetch_read(d.row(cn as usize));
-                }
+fn spmm_row<'d>(
+    out_row: &mut [f64],
+    x: &CsrMatrix,
+    r: usize,
+    d_row: impl Fn(usize) -> &'d [f64],
+    lookahead: usize,
+) {
+    let k = out_row.len();
+    let (cols, vals) = x.row_entries(r);
+    for (idx, (&c, &v)) in cols.iter().zip(vals.iter()).enumerate() {
+        if lookahead != 0 {
+            if let Some(&cn) = cols.get(idx + lookahead) {
+                prefetch_read(d_row(cn as usize));
             }
-            let d_row = &d.row(c as usize)[..k];
-            for (o, &dv) in out_row.iter_mut().zip(d_row.iter()) {
-                *o += v * dv;
-            }
+        }
+        for (o, &dv) in out_row.iter_mut().zip(&d_row(c as usize)[..k]) {
+            *o += v * dv;
         }
     }
 }
