@@ -8,10 +8,10 @@ use rand::RngExt;
 use std::hint::black_box;
 use tgs_bench::common::pipeline;
 use tgs_core::{
-    solve_offline, solve_offline_sharded, updates, OfflineConfig, OnlineConfig, OnlineSolver,
-    SnapshotData, TriFactors, TriInput, UpdateWorkspace,
+    solve_offline, updates, OfflineConfig, OnlineConfig, OnlineSolver, SnapshotData, TriFactors,
+    TriInput, UpdateWorkspace,
 };
-use tgs_data::{build_offline, build_offline_sharded, generate, GeneratorConfig, SnapshotBuilder};
+use tgs_data::{build_offline, generate, GeneratorConfig, SnapshotBuilder};
 use tgs_graph::UserGraph;
 use tgs_linalg::{seeded_rng, CsrMatrix, DenseMatrix};
 
@@ -47,102 +47,6 @@ fn bench_offline_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("10_iters", n), &n, |b, _| {
             b.iter(|| black_box(solve_offline(&input, &cfg)))
         });
-    }
-    group.finish();
-}
-
-/// The sharded-solve series: the same offline problem split into
-/// `S ∈ {1, 2, 4}` user-range shards and solved through
-/// [`solve_offline_sharded`] (parallel shard-local sweeps, one global
-/// `Sf` merge per iteration). `S = 1` measures the sharding layer's
-/// overhead against `offline_solve` (it is bit-identical in results);
-/// `S > 1` is the multi-core scaling series — on a single-vCPU host the
-/// scoped shard threads serialize, so the points there measure routing +
-/// merge overhead, not speedup (see PERF.md).
-fn bench_sharded_offline(c: &mut Criterion) {
-    let corpus = generate(&corpus_of_size(8_000));
-    let cfg = OfflineConfig {
-        k: 3,
-        max_iters: 10,
-        tol: 0.0,
-        ..Default::default()
-    };
-    let mut group = c.benchmark_group("sharded_offline_solve");
-    group.sample_size(10);
-    for &shards in &[1usize, 2, 4] {
-        let problem = build_offline_sharded(&corpus, 3, shards, &pipeline());
-        let inputs: Vec<TriInput> = problem
-            .shards
-            .iter()
-            .map(|s| TriInput {
-                xp: &s.matrices.xp,
-                xu: &s.matrices.xu,
-                xr: &s.matrices.xr,
-                graph: &s.matrices.graph,
-                sf0: &problem.sf0,
-            })
-            .collect();
-        group.bench_with_input(BenchmarkId::new("10_iters", shards), &shards, |b, _| {
-            b.iter(|| black_box(solve_offline_sharded(&inputs, &cfg)))
-        });
-    }
-    // The Zipf-skew point: real social-media load concentrates on a few
-    // super-active users (the generator's user-activity exponent), so an
-    // even user-range split gives one shard most of the tweets — the
-    // worst case for shard-parallel sweeps (the hottest shard gates the
-    // iteration) and the motivation for `ShardedEngine::maybe_rebalance`.
-    let skewed = generate(&GeneratorConfig {
-        user_activity_exponent: 1.3,
-        ..corpus_of_size(8_000)
-    });
-    let problem = build_offline_sharded(&skewed, 3, 4, &pipeline());
-    let inputs: Vec<TriInput> = problem
-        .shards
-        .iter()
-        .map(|s| TriInput {
-            xp: &s.matrices.xp,
-            xu: &s.matrices.xu,
-            xr: &s.matrices.xr,
-            graph: &s.matrices.graph,
-            sf0: &problem.sf0,
-        })
-        .collect();
-    group.bench_with_input(BenchmarkId::new("zipf_skew", 4), &4, |b, _| {
-        b.iter(|| black_box(solve_offline_sharded(&inputs, &cfg)))
-    });
-
-    // PR 6 scaling series: the same solves with the worker-pool budget
-    // pinned to 1/2/4 threads (`TGS_THREADS`). Results are bit-identical
-    // at every budget (the pool preserves chunk boundaries and the
-    // block-ordered reduction fold), so the series records wall-clock
-    // only. On a multi-core host this is the multi-core scaling curve;
-    // on a single-vCPU host all budgets share one core and the spread is
-    // pool-dispatch overhead (see PERF.md).
-    let problem = build_offline_sharded(&corpus, 3, 4, &pipeline());
-    let even_inputs: Vec<TriInput> = problem
-        .shards
-        .iter()
-        .map(|s| TriInput {
-            xp: &s.matrices.xp,
-            xu: &s.matrices.xu,
-            xr: &s.matrices.xr,
-            graph: &s.matrices.graph,
-            sf0: &problem.sf0,
-        })
-        .collect();
-    for &threads in &[1usize, 2, 4] {
-        let prev = tgs_linalg::set_pool_threads_override(Some(threads));
-        group.bench_with_input(
-            BenchmarkId::new("10_iters_4shards_threads", threads),
-            &threads,
-            |b, _| b.iter(|| black_box(solve_offline_sharded(&even_inputs, &cfg))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("zipf_skew_4shards_threads", threads),
-            &threads,
-            |b, _| b.iter(|| black_box(solve_offline_sharded(&inputs, &cfg))),
-        );
-        tgs_linalg::set_pool_threads_override(prev);
     }
     group.finish();
 }
@@ -438,7 +342,6 @@ criterion_group!(
     benches,
     bench_offline_iteration_fused_vs_reference,
     bench_offline_scaling,
-    bench_sharded_offline,
     bench_sharded_rebalance,
     bench_online_vs_batch,
     bench_online_step_rebind

@@ -62,15 +62,9 @@ pub use labels::{
     align_clusters_to_classes, hard_labels, label_confidence, membership_distribution,
 };
 pub use objective::{offline_objective, online_objective, ObjectiveParts};
-pub use offline::{
-    solve_offline, solve_offline_from, try_solve_offline, try_solve_offline_from, OfflineResult,
-};
+pub use offline::{solve_offline, try_solve_offline, OfflineResult};
 pub use online::{
     GhostFactor, MigratedUsers, OnlineSolver, OnlineSolverState, OnlineStepResult, SnapshotData,
-};
-pub use sharded::{
-    solve_offline_sharded, try_solve_offline_sharded, try_solve_offline_sharded_with_ghosts,
-    GhostRowLink, ShardedOfflineResult,
 };
 pub use store::{decode_matrix, encode_matrix, SnapshotStore};
 pub use window::{FactorWindow, HistoryRows, SentimentHistory, UserHistoryRows, UserPartition};

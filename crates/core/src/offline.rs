@@ -54,51 +54,12 @@ pub fn try_solve_offline(
         config.init,
         config.seed,
     );
+    // Sweeps run through the fused `UpdateWorkspace` engine:
+    // bit-identical to the reference rules in `crate::updates`, without
+    // their per-rule allocations and redundant shared products.
     let mut workspace = UpdateWorkspace::new();
     workspace.bind(input);
     workspace.balance_init_scales(input, &mut factors);
-    Ok(solve_with_workspace(input, config, factors, &mut workspace))
-}
-
-/// Panicking wrapper around [`try_solve_offline`], kept for the bench
-/// binaries and quick scripts.
-pub fn solve_offline(input: &TriInput<'_>, config: &OfflineConfig) -> OfflineResult {
-    try_solve_offline(input, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Same as [`try_solve_offline`] but starting from caller-provided
-/// factors (used by warm starts and the full-batch baseline).
-pub fn try_solve_offline_from(
-    input: &TriInput<'_>,
-    config: &OfflineConfig,
-    factors: TriFactors,
-) -> Result<OfflineResult, TgsError> {
-    config.try_validate()?;
-    input.try_validate(config.k)?;
-    let mut workspace = UpdateWorkspace::new();
-    workspace.bind(input);
-    Ok(solve_with_workspace(input, config, factors, &mut workspace))
-}
-
-/// Panicking wrapper around [`try_solve_offline_from`].
-pub fn solve_offline_from(
-    input: &TriInput<'_>,
-    config: &OfflineConfig,
-    factors: TriFactors,
-) -> OfflineResult {
-    try_solve_offline_from(input, config, factors).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The shared iteration loop: sweeps run through the fused
-/// [`UpdateWorkspace`] engine (bit-identical to the reference rules in
-/// [`crate::updates`], without their per-rule allocations and redundant
-/// shared products).
-fn solve_with_workspace(
-    input: &TriInput<'_>,
-    config: &OfflineConfig,
-    mut factors: TriFactors,
-    workspace: &mut UpdateWorkspace,
-) -> OfflineResult {
     let mut history = Vec::new();
     let mut prev = offline_objective(input, &factors, config.alpha, config.beta);
     if config.track_objective {
@@ -131,13 +92,19 @@ fn solve_with_workspace(
         factors.all_nonnegative(),
         "updates must preserve non-negativity"
     );
-    OfflineResult {
+    Ok(OfflineResult {
         factors,
         history,
         iterations,
         converged,
         objective: prev.total(),
-    }
+    })
+}
+
+/// Panicking wrapper around [`try_solve_offline`], kept for the bench
+/// binaries and quick scripts.
+pub fn solve_offline(input: &TriInput<'_>, config: &OfflineConfig) -> OfflineResult {
+    try_solve_offline(input, config).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

@@ -740,22 +740,6 @@ impl UpdateWorkspace {
         }
     }
 
-    /// Invalidates the cached factor Grams (`SpᵀSp`, `SuᵀSu`, `SfᵀSf`).
-    ///
-    /// The freshness contract assumes factors only change through this
-    /// workspace's own sweeps; any caller that mutates a factor
-    /// *externally* between sweeps — e.g. the sharded offline solver
-    /// broadcasting the merged `Sf` into each shard — must call this, or
-    /// the next sweep/objective will reuse a Gram of the replaced
-    /// factor. The subsequent recompute is bit-identical whenever the
-    /// factors did not actually change, so over-invalidating costs only
-    /// an `O(rows·k²)` pass, never exactness.
-    pub fn invalidate_factor_caches(&mut self) {
-        self.sf_gram_fresh = false;
-        self.su_gram_fresh = false;
-        self.sp_gram_fresh = false;
-    }
-
     /// (`‖Xp‖²`, `‖Xu‖²`, `‖Xr‖²`) of the bound window.
     fn x_norms(&self) -> (f64, f64, f64) {
         (
@@ -1097,36 +1081,6 @@ mod tests {
                 &format!("round {round}: incremental bind diverged"),
             );
         }
-    }
-
-    /// External factor mutation (the sharded solver's merged-`Sf`
-    /// broadcast) must not leave the next sweep running on a stale
-    /// cached Gram: after `invalidate_factor_caches`, a warmed
-    /// workspace must match a fresh one bit-for-bit.
-    #[test]
-    fn invalidate_after_external_factor_mutation() {
-        let (xp, xu, xr, graph, sf0) = instance(9);
-        let input = TriInput {
-            xp: &xp,
-            xu: &xu,
-            xr: &xr,
-            graph: &graph,
-            sf0: &sf0,
-        };
-        let mut warmed = UpdateWorkspace::new();
-        let mut f_warmed = TriFactors::random(12, 8, 10, 3, 21);
-        warmed.bind(&input);
-        warmed.sweep_offline(&input, &mut f_warmed, 0.07, 0.4, &sf0);
-        warmed.objective_offline(&input, &f_warmed, 0.07, 0.4);
-        // Simulate the sharded merge: replace Sf from outside.
-        f_warmed.sf.map_in_place(|v| (v * 0.9).max(1e-12));
-        warmed.invalidate_factor_caches();
-        let mut f_fresh = f_warmed.clone();
-        warmed.sweep_offline(&input, &mut f_warmed, 0.07, 0.4, &sf0);
-        let mut fresh = UpdateWorkspace::new();
-        fresh.bind(&input);
-        fresh.sweep_offline(&input, &mut f_fresh, 0.07, 0.4, &sf0);
-        assert_factors_identical(&f_warmed, &f_fresh, "post-mutation sweep");
     }
 
     #[test]

@@ -37,9 +37,8 @@ pub use matrices::{
 };
 pub use model::{Corpus, Retweet, Trajectory, Tweet, UserProfile};
 pub use partition::{
-    build_offline_sharded, build_offline_sharded_ghost, route_docs, route_docs_ghost, GhostLink,
-    MigrationRange, PartitionError, PartitionMap, RepartitionOp, RepartitionPlan, ShardRouting,
-    ShardSlice, ShardedProblem,
+    route_docs, route_docs_ghost, MigrationRange, PartitionError, PartitionMap, RepartitionOp,
+    RepartitionPlan, ShardRouting,
 };
 pub use pools::{WordPool, WordPools};
 pub use stats::{

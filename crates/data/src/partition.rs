@@ -25,19 +25,14 @@
 //! * **ghost mode** ([`route_docs_ghost`]) — the edge follows its
 //!   document, and the re-tweeting user materializes as a *ghost row* on
 //!   the document's shard: the local `Gu` keeps the edge, the ghost row
-//!   carries the remote user's current sentiment factor (broadcast by the
-//!   solvers), and the row is excluded from that shard's ownership and
-//!   history weighting. No edge is ever dropped.
+//!   carries the remote user's sentiment factor (the engine seeds it at
+//!   ingest from the owning shard's committed factor), and the row is
+//!   excluded from that shard's ownership and history weighting. No edge
+//!   is ever dropped.
 //!
 //! With `shards = 1` both modes are the identity, which is the basis of
 //! the stack-wide "one shard is bit-identical to the unsharded path"
 //! guarantee.
-
-use tgs_linalg::DenseMatrix;
-use tgs_text::{PipelineConfig, Vocabulary};
-
-use crate::matrices::{assemble_snapshot_matrices, SnapshotMatrices};
-use crate::model::Corpus;
 
 /// A malformed [`PartitionMap`] or inapplicable [`RepartitionPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -455,228 +450,9 @@ pub fn route_docs_ghost(
     route_docs_impl(map, doc_authors, retweets, true)
 }
 
-/// One shard's slice of an offline problem: its tweets, its users, and
-/// the tripartite matrices over the *global* feature axis.
-#[derive(Debug, Clone)]
-pub struct ShardSlice {
-    /// The shard index.
-    pub shard: usize,
-    /// Global tweet ids, in row order of `xp`.
-    pub tweet_ids: Vec<usize>,
-    /// Global user ids, in row order of `xu` / `xr` (includes ghost
-    /// users when the problem was built in ghost mode).
-    pub user_ids: Vec<usize>,
-    /// Sorted local row indices (into `user_ids`) that are ghost rows:
-    /// remote users materialized for a cross-shard re-tweet edge. Empty
-    /// in drop mode.
-    pub ghost_rows: Vec<usize>,
-    /// The shard's matrices (`xp`, `xu`, `xr`, `graph`).
-    pub matrices: SnapshotMatrices,
-}
-
-/// A ghost row's link back to its owning shard: shard `shard`'s local
-/// user row `row` mirrors shard `owner_shard`'s local user row
-/// `owner_row` (the solvers broadcast the owner's `Su` row into the
-/// ghost row each coupling round).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GhostLink {
-    /// The shard holding the ghost row.
-    pub shard: usize,
-    /// Local user row of the ghost on `shard`.
-    pub row: usize,
-    /// The shard that owns the user.
-    pub owner_shard: usize,
-    /// The user's local row on the owning shard.
-    pub owner_row: usize,
-}
-
-/// A whole corpus partitioned into shard-local problem slices sharing one
-/// frozen vocabulary and lexicon prior.
-#[derive(Debug, Clone)]
-pub struct ShardedProblem {
-    /// The routing function used (checkpointable via its fingerprint).
-    pub map: PartitionMap,
-    /// The global vocabulary (shared feature axis of every shard).
-    pub vocab: Vocabulary,
-    /// The `l × k` lexicon prior, shared by every shard.
-    pub sf0: DenseMatrix,
-    /// Number of sentiment classes.
-    pub k: usize,
-    /// One slice per shard (possibly with zero tweets for tiny corpora).
-    pub shards: Vec<ShardSlice>,
-    /// Ghost-row links (ghost mode only): how each ghost row mirrors its
-    /// owner. Ghosts whose owner has no presence on their home shard
-    /// (users who only ever re-tweet, cross-shard) carry no link.
-    pub ghosts: Vec<GhostLink>,
-    /// Cross-shard re-tweets dropped during routing (drop mode).
-    pub dropped_retweets: usize,
-    /// Cross-shard re-tweets kept as ghost edges (ghost mode).
-    pub ghost_edges: usize,
-}
-
-fn build_offline_sharded_impl(
-    corpus: &Corpus,
-    k: usize,
-    map: PartitionMap,
-    config: &PipelineConfig,
-    ghosts: bool,
-) -> ShardedProblem {
-    let vocab = Vocabulary::build(
-        corpus
-            .tweets
-            .iter()
-            .map(|t| t.tokens.iter().map(String::as_str)),
-        &config.vocab,
-    );
-    let sf0 = corpus
-        .lexicon
-        .prior_matrix(&vocab, k, config.lexicon_confidence);
-    let shards = map.shards();
-    let doc_authors: Vec<usize> = corpus.tweets.iter().map(|t| t.author).collect();
-    let retweets: Vec<(usize, usize)> = corpus.retweets.iter().map(|r| (r.user, r.tweet)).collect();
-    let routing = route_docs_impl(&map, &doc_authors, &retweets, ghosts);
-
-    let mut slices = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        let tweet_ids = routing.shard_docs[shard].clone();
-        // Users present in the shard: authors of its tweets plus its kept
-        // re-tweeters (same-shard, plus ghosts in ghost mode), in
-        // ascending global-id order.
-        let mut user_ids: Vec<usize> = tweet_ids
-            .iter()
-            .map(|&t| doc_authors[t])
-            .chain(routing.shard_retweets[shard].iter().map(|&(u, _)| u))
-            .collect();
-        user_ids.sort_unstable();
-        user_ids.dedup();
-        let ghost_rows: Vec<usize> = routing.shard_ghosts[shard]
-            .iter()
-            .map(|g| user_ids.binary_search(g).expect("ghost user has a row"))
-            .collect();
-        let user_local: std::collections::HashMap<usize, usize> =
-            user_ids.iter().enumerate().map(|(i, &u)| (u, i)).collect();
-        let encoded: Vec<Vec<usize>> = tweet_ids
-            .iter()
-            .map(|&t| vocab.encode(corpus.tweets[t].tokens.iter().map(String::as_str)))
-            .collect();
-        let doc_user_local: Vec<usize> = tweet_ids
-            .iter()
-            .map(|&t| user_local[&doc_authors[t]])
-            .collect();
-        let retweet_pairs: Vec<(usize, usize)> = routing.shard_retweets[shard]
-            .iter()
-            .map(|&(u, local_doc)| (user_local[&u], local_doc))
-            .collect();
-        let matrices = assemble_snapshot_matrices(
-            &vocab,
-            &encoded,
-            &doc_user_local,
-            user_ids.len(),
-            &retweet_pairs,
-            config.weighting,
-        );
-        slices.push(ShardSlice {
-            shard,
-            tweet_ids,
-            user_ids,
-            ghost_rows,
-            matrices,
-        });
-    }
-
-    // Ghost links: each ghost row mirrors the owner's local row on the
-    // user's home shard (present iff the user has any activity there).
-    let mut ghost_links = Vec::new();
-    for slice in &slices {
-        for &row in &slice.ghost_rows {
-            let user = slice.user_ids[row];
-            let owner_shard = map.shard_of(user);
-            if let Ok(owner_row) = slices[owner_shard].user_ids.binary_search(&user) {
-                ghost_links.push(GhostLink {
-                    shard: slice.shard,
-                    row,
-                    owner_shard,
-                    owner_row,
-                });
-            }
-        }
-    }
-
-    ShardedProblem {
-        map,
-        vocab,
-        sf0,
-        k,
-        shards: slices,
-        ghosts: ghost_links,
-        dropped_retweets: routing.dropped_retweets,
-        ghost_edges: routing.ghost_edges,
-    }
-}
-
-/// Splits a corpus into `shards` disjoint shard-local offline problems:
-/// the vocabulary and lexicon prior are fitted globally (frozen feature
-/// axis), then each shard's matrices are assembled through the same
-/// [`assemble_snapshot_matrices`] pipeline the unsharded paths use.
-///
-/// Every user and all their tweets land in exactly one shard;
-/// concatenating the shard slices recovers the unsharded assembly up to
-/// row order (exactly for count/binary weighting — TF-IDF weights are
-/// fitted per document set, so they are shard-dependent by construction —
-/// and minus cross-shard re-tweet edges, which are counted in
-/// [`ShardedProblem::dropped_retweets`]). Use
-/// [`build_offline_sharded_ghost`] to keep those edges instead.
-pub fn build_offline_sharded(
-    corpus: &Corpus,
-    k: usize,
-    shards: usize,
-    config: &PipelineConfig,
-) -> ShardedProblem {
-    build_offline_sharded_impl(
-        corpus,
-        k,
-        PartitionMap::even(corpus.num_users(), shards),
-        config,
-        false,
-    )
-}
-
-/// Like [`build_offline_sharded`], but over an explicit [`PartitionMap`]
-/// and in ghost mode: cross-shard re-tweet edges stay on their document's
-/// shard with the remote user materialized as a ghost row
-/// ([`ShardSlice::ghost_rows`], linked via [`ShardedProblem::ghosts`]).
-/// No edge is dropped.
-pub fn build_offline_sharded_ghost(
-    corpus: &Corpus,
-    k: usize,
-    map: PartitionMap,
-    config: &PipelineConfig,
-) -> ShardedProblem {
-    build_offline_sharded_impl(corpus, k, map, config, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::GeneratorConfig;
-    use crate::generator::generate;
-    use tgs_text::Weighting;
-
-    fn corpus() -> Corpus {
-        generate(&GeneratorConfig {
-            num_users: 30,
-            total_tweets: 200,
-            num_days: 8,
-            ..Default::default()
-        })
-    }
-
-    fn pipeline() -> PipelineConfig {
-        let mut cfg = PipelineConfig::paper_defaults();
-        cfg.vocab.min_count = 1;
-        cfg.weighting = Weighting::Counts;
-        cfg
-    }
 
     #[test]
     fn ranges_cover_universe_disjointly() {
@@ -876,116 +652,5 @@ mod tests {
         assert_eq!(r.shard_retweets[0], vec![(1, 0), (2, 0)]);
         assert_eq!(r.shard_ghosts[0], vec![2]);
         assert!(r.shard_ghosts[1].is_empty());
-    }
-
-    #[test]
-    fn sharded_problem_partitions_tweets_and_users() {
-        let c = corpus();
-        for shards in [1, 2, 4] {
-            let p = build_offline_sharded(&c, 3, shards, &pipeline());
-            let mut tweet_seen = vec![0usize; c.num_tweets()];
-            for slice in &p.shards {
-                assert_eq!(slice.matrices.xp.rows(), slice.tweet_ids.len());
-                assert_eq!(slice.matrices.xp.cols(), p.vocab.len());
-                assert_eq!(slice.matrices.xu.rows(), slice.user_ids.len());
-                assert!(slice.ghost_rows.is_empty(), "drop mode has no ghosts");
-                for &t in &slice.tweet_ids {
-                    tweet_seen[t] += 1;
-                    assert_eq!(
-                        p.map.shard_of(c.tweets[t].author),
-                        slice.shard,
-                        "tweet {t} must follow its author"
-                    );
-                }
-                for &u in &slice.user_ids {
-                    assert_eq!(p.map.shard_of(u), slice.shard);
-                }
-            }
-            assert!(tweet_seen.iter().all(|&n| n == 1), "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn ghost_problem_keeps_every_edge_and_links_owners() {
-        let c = corpus();
-        let map = PartitionMap::even(c.num_users(), 4);
-        let p = build_offline_sharded_ghost(&c, 3, map, &pipeline());
-        assert_eq!(p.dropped_retweets, 0);
-        // No re-tweet event vanishes: routing keeps every edge somewhere.
-        let authors: Vec<usize> = c.tweets.iter().map(|t| t.author).collect();
-        let events: Vec<(usize, usize)> = c.retweets.iter().map(|r| (r.user, r.tweet)).collect();
-        let routing = route_docs_ghost(&p.map, &authors, &events);
-        let kept: usize = routing.shard_retweets.iter().map(Vec::len).sum();
-        assert_eq!(kept, events.len());
-        assert!(p.ghost_edges > 0, "tiny corpus re-tweets across 4 shards");
-        for link in &p.ghosts {
-            let ghost_user = p.shards[link.shard].user_ids[link.row];
-            assert_eq!(
-                p.shards[link.owner_shard].user_ids[link.owner_row],
-                ghost_user
-            );
-            assert_eq!(p.map.shard_of(ghost_user), link.owner_shard);
-            assert!(p.shards[link.shard].ghost_rows.contains(&link.row));
-        }
-        // Every ghost row is either linked or its user has no home-shard
-        // presence.
-        for slice in &p.shards {
-            for &row in &slice.ghost_rows {
-                let user = slice.user_ids[row];
-                let owner = p.map.shard_of(user);
-                let linked = p
-                    .ghosts
-                    .iter()
-                    .any(|l| l.shard == slice.shard && l.row == row);
-                assert_eq!(
-                    linked,
-                    p.shards[owner].user_ids.binary_search(&user).is_ok(),
-                    "link present iff the owner shard has the user"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn single_shard_matches_unsharded_assembly() {
-        let c = corpus();
-        let cfg = pipeline();
-        let p = build_offline_sharded(&c, 3, 1, &cfg);
-        assert_eq!(p.dropped_retweets, 0);
-        let slice = &p.shards[0];
-        // Unsharded assembly over the same frozen vocabulary.
-        let doc_authors: Vec<usize> = c.tweets.iter().map(|t| t.author).collect();
-        let mut users: Vec<usize> = doc_authors
-            .iter()
-            .copied()
-            .chain(c.retweets.iter().map(|r| r.user))
-            .collect();
-        users.sort_unstable();
-        users.dedup();
-        let local: std::collections::HashMap<usize, usize> =
-            users.iter().enumerate().map(|(i, &u)| (u, i)).collect();
-        let encoded: Vec<Vec<usize>> = c
-            .tweets
-            .iter()
-            .map(|t| p.vocab.encode(t.tokens.iter().map(String::as_str)))
-            .collect();
-        let doc_user_local: Vec<usize> = doc_authors.iter().map(|u| local[u]).collect();
-        let retweet_pairs: Vec<(usize, usize)> = c
-            .retweets
-            .iter()
-            .map(|r| (local[&r.user], r.tweet))
-            .collect();
-        let reference = assemble_snapshot_matrices(
-            &p.vocab,
-            &encoded,
-            &doc_user_local,
-            users.len(),
-            &retweet_pairs,
-            cfg.weighting,
-        );
-        assert_eq!(slice.user_ids, users);
-        assert_eq!(slice.matrices.xp, reference.xp);
-        assert_eq!(slice.matrices.xu, reference.xu);
-        assert_eq!(slice.matrices.xr, reference.xr);
     }
 }

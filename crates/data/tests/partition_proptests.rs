@@ -12,10 +12,10 @@
 
 use proptest::prelude::*;
 use tgs_data::{
-    build_offline_sharded, generate, route_docs, route_docs_ghost, GeneratorConfig, PartitionMap,
-    RepartitionOp, RepartitionPlan,
+    assemble_snapshot_matrices, generate, route_docs, route_docs_ghost, Corpus, GeneratorConfig,
+    PartitionMap, RepartitionOp, RepartitionPlan, SnapshotMatrices,
 };
-use tgs_text::{PipelineConfig, Weighting};
+use tgs_text::{PipelineConfig, Vocabulary, Weighting};
 
 /// Derives an arbitrary-but-valid repartition plan from a map and a
 /// stream of raw op choices, applying each op as it is derived so later
@@ -79,6 +79,65 @@ fn pipeline() -> PipelineConfig {
     cfg.vocab.min_count = 1;
     cfg.weighting = Weighting::Counts;
     cfg
+}
+
+/// One shard's documents, users and matrices.
+struct ShardAssembly {
+    /// Global tweet ids, in row order of `xp`.
+    tweet_ids: Vec<usize>,
+    /// Global user ids, in row order of `xu` / `xr`.
+    user_ids: Vec<usize>,
+    matrices: SnapshotMatrices,
+}
+
+/// Splits a corpus over `shards` even user ranges the way the engine
+/// worker assembles a routed snapshot: `route_docs` sends each document
+/// to its author's shard, and `assemble_snapshot_matrices` builds each
+/// shard's matrices over the one shared vocabulary, with the shard's
+/// users in ascending global-id order.
+fn assemble_shards(
+    corpus: &Corpus,
+    vocab: &Vocabulary,
+    shards: usize,
+    cfg: &PipelineConfig,
+) -> Vec<ShardAssembly> {
+    let map = PartitionMap::even(corpus.num_users(), shards);
+    let authors: Vec<usize> = corpus.tweets.iter().map(|t| t.author).collect();
+    let events: Vec<(usize, usize)> = corpus.retweets.iter().map(|r| (r.user, r.tweet)).collect();
+    let routing = route_docs(&map, &authors, &events);
+    (0..shards)
+        .map(|shard| {
+            let tweet_ids = routing.shard_docs[shard].clone();
+            let retweets = &routing.shard_retweets[shard];
+            let mut user_ids: Vec<usize> = tweet_ids
+                .iter()
+                .map(|&t| authors[t])
+                .chain(retweets.iter().map(|&(u, _)| u))
+                .collect();
+            user_ids.sort_unstable();
+            user_ids.dedup();
+            let local = |u: usize| user_ids.binary_search(&u).expect("user has a row");
+            let encoded: Vec<Vec<usize>> = tweet_ids
+                .iter()
+                .map(|&t| vocab.encode(corpus.tweets[t].tokens.iter().map(String::as_str)))
+                .collect();
+            let doc_users: Vec<usize> = tweet_ids.iter().map(|&t| local(authors[t])).collect();
+            let pairs: Vec<(usize, usize)> = retweets.iter().map(|&(u, d)| (local(u), d)).collect();
+            let matrices = assemble_snapshot_matrices(
+                vocab,
+                &encoded,
+                &doc_users,
+                user_ids.len(),
+                &pairs,
+                cfg.weighting,
+            );
+            ShardAssembly {
+                tweet_ids,
+                user_ids,
+                matrices,
+            }
+        })
+        .collect()
 }
 
 fn corpus_config(users: usize, tweets: usize, days: u32, seed: u64) -> GeneratorConfig {
@@ -242,10 +301,13 @@ proptest! {
         let mut corpus = generate(&corpus_config(users, tweets, days, seed));
         corpus.retweets.clear();
         let cfg = pipeline();
-        let sharded = build_offline_sharded(&corpus, 3, shards, &cfg);
-        let unsharded = build_offline_sharded(&corpus, 3, 1, &cfg);
-        prop_assert_eq!(sharded.dropped_retweets, 0);
-        let global = &unsharded.shards[0];
+        let vocab = Vocabulary::build(
+            corpus.tweets.iter().map(|t| t.tokens.iter().map(String::as_str)),
+            &cfg.vocab,
+        );
+        let sharded = assemble_shards(&corpus, &vocab, shards, &cfg);
+        let unsharded = assemble_shards(&corpus, &vocab, 1, &cfg);
+        let global = &unsharded[0];
         let tweet_row: std::collections::HashMap<usize, usize> = global
             .tweet_ids
             .iter()
@@ -261,7 +323,7 @@ proptest! {
 
         let mut tweets_seen = 0usize;
         let mut users_seen = 0usize;
-        for slice in &sharded.shards {
+        for slice in &sharded {
             // Tweet rows: identical values wherever the row landed.
             for (local, &t) in slice.tweet_ids.iter().enumerate() {
                 let global_row = tweet_row[&t];

@@ -1796,9 +1796,9 @@ impl ShardedQuery {
                     parts.push(part);
                 }
             }
-            // The solvers' merge policy verbatim (single part = bit-exact
-            // clone), so engine-level rankings can never drift from
-            // `solve_offline_sharded` semantics.
+            // The stack's one merge policy (single part = bit-exact
+            // clone), so a one-shard fleet ranks exactly like the
+            // unsharded engine.
             let borrowed: Vec<(f64, &DenseMatrix)> = parts.iter().map(|(w, sf)| (*w, sf)).collect();
             merge_sf(&borrowed).ok_or(TgsError::SnapshotUnavailable { timestamp: t })
         })

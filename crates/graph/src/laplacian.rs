@@ -1,8 +1,8 @@
-//! Graph Laplacian utilities.
+//! The explicit graph Laplacian.
 //!
 //! The hot-path quadratic form `tr(SᵀLS)` lives in `tgs_linalg::ops`
-//! (it never materializes `L`); this module provides explicit Laplacians
-//! for tests, baselines (BACG, label propagation) and spectral checks.
+//! (it never materializes `L`); this module builds `L` itself as the
+//! slow reference that tests check the fast path against.
 
 use tgs_linalg::{CsrMatrix, DenseMatrix};
 
@@ -21,40 +21,6 @@ pub fn laplacian(graph: &UserGraph) -> CsrMatrix {
         triplets.push((i, j, -w));
     }
     CsrMatrix::from_triplets(n, n, &triplets).expect("laplacian triplets in bounds")
-}
-
-/// The random-walk normalized transition matrix `P = D⁻¹·G`
-/// (rows of isolated nodes are left zero). The workhorse of label
-/// propagation.
-pub fn transition_matrix(graph: &UserGraph) -> CsrMatrix {
-    let n = graph.num_nodes();
-    let mut triplets = Vec::with_capacity(graph.adjacency().nnz());
-    for (i, j, w) in graph.adjacency().iter() {
-        let d = graph.degree(i);
-        if d > 0.0 {
-            triplets.push((i, j, w / d));
-        }
-    }
-    CsrMatrix::from_triplets(n, n, &triplets).expect("transition triplets in bounds")
-}
-
-/// The symmetric normalized Laplacian `L_sym = I − D^{-1/2}·G·D^{-1/2}`
-/// (used by spectral baselines).
-pub fn normalized_laplacian(graph: &UserGraph) -> CsrMatrix {
-    let n = graph.num_nodes();
-    let inv_sqrt: Vec<f64> = graph
-        .degrees()
-        .iter()
-        .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-        .collect();
-    let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(graph.adjacency().nnz() + n);
-    for i in 0..n {
-        triplets.push((i, i, 1.0));
-    }
-    for (i, j, w) in graph.adjacency().iter() {
-        triplets.push((i, j, -w * inv_sqrt[i] * inv_sqrt[j]));
-    }
-    CsrMatrix::from_triplets(n, n, &triplets).expect("normalized laplacian triplets in bounds")
 }
 
 /// Evaluates `tr(SᵀLS)` through the explicit Laplacian (slow reference
@@ -98,30 +64,5 @@ mod tests {
         let slow = laplacian_quad_reference(&g, &s);
         let fast = laplacian_quad(g.adjacency(), g.degrees(), &s);
         assert!((slow - fast).abs() < 1e-10);
-    }
-
-    #[test]
-    fn transition_rows_are_stochastic() {
-        let p = transition_matrix(&path3());
-        for (i, s) in p.row_sums().iter().enumerate() {
-            assert!((s - 1.0).abs() < 1e-12, "row {i} sums to {s}");
-        }
-    }
-
-    #[test]
-    fn transition_isolated_nodes_zero_rows() {
-        let g = UserGraph::from_edges(3, &[(0, 1, 1.0)]);
-        let p = transition_matrix(&g);
-        assert_eq!(p.iter_row(2).count(), 0);
-    }
-
-    #[test]
-    fn normalized_laplacian_diagonal_ones_for_connected() {
-        let l = normalized_laplacian(&path3());
-        for i in 0..3 {
-            assert!((l.get(i, i) - 1.0).abs() < 1e-12);
-        }
-        // symmetric
-        assert!(l.is_symmetric(1e-12));
     }
 }

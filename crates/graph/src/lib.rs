@@ -1,9 +1,9 @@
 //! # tgs-graph
 //!
 //! Social-graph substrate: the user–user re-tweeting graph `Gu` (with
-//! degrees and Laplacians), connected components, and builders that turn
-//! raw posting/re-tweeting event logs into the `Xr` matrix and `Gu` graph
-//! the tri-clustering framework consumes.
+//! its degrees and a reference Laplacian) and builders that turn raw
+//! posting/re-tweeting event logs into the `Xr` matrix and `Gu` graph the
+//! tri-clustering framework consumes.
 //!
 //! ```
 //! use tgs_graph::{build_interactions, Interaction, InteractionWeights};
@@ -18,11 +18,9 @@
 //! ```
 
 pub mod builder;
-pub mod components;
 pub mod graph;
 pub mod laplacian;
 
 pub use builder::{build_interactions, Interaction, InteractionWeights};
-pub use components::{connected_components, largest_component, num_components, UnionFind};
 pub use graph::UserGraph;
-pub use laplacian::{laplacian, laplacian_quad_reference, normalized_laplacian, transition_matrix};
+pub use laplacian::{laplacian, laplacian_quad_reference};

@@ -40,14 +40,28 @@ fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
+/// Size of a frame body's first read; each later read doubles the body.
+const FIRST_READ: usize = 4096;
+
+/// Reads a `len`-byte body into a buffer that grows with the bytes
+/// received, never ahead of them by more than the bytes already read (or
+/// [`FIRST_READ`]): a length prefix alone cannot make the reader allocate
+/// what the peer never sends.
 fn read_body(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
     if len > MAX_FRAME {
         return Err(bad_data(format!(
             "frame of {len} bytes exceeds the {MAX_FRAME}-byte bound"
         )));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::new();
+    let mut end = len.min(FIRST_READ);
+    while body.len() < len {
+        let start = body.len();
+        body.reserve_exact(end - start);
+        body.resize(end, 0);
+        r.read_exact(&mut body[start..])?;
+        end = (2 * end).min(len);
+    }
     Ok(body)
 }
 

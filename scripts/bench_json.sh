@@ -5,17 +5,11 @@
 # trajectory baseline: the `offline_iteration_k10/seed_baseline` series
 # is a frozen snapshot of the pre-workspace implementation (see
 # crates/bench/src/seed_baseline.rs) and must keep its meaning forever.
-# The `sharded_offline_solve/10_iters/{1,2,4}` series tracks the
-# user-range sharded solver (parallel shard-local sweeps + global Sf
-# merge); on a single-vCPU host it measures sharding overhead, on
-# multi-core hosts it is the scaling series (see PERF.md). PR 4 added
+# Other series:
 # `simd_kernels/{scalar,dispatched}/*` (per-kernel SIMD-dispatch A/B;
 # results are bit-identical across tiers, the series records the speed
 # delta only) and `online_step_rebind/{cold,amortized}` (per-snapshot
 # `UpdateWorkspace::bind` cost, throwaway vs fingerprint-amortized).
-# PR 5 added `sharded_offline_solve/zipf_skew/4` (an activity-skewed
-# corpus under an even 4-way split: the hottest shard gates the
-# iteration — the case `tgs stream --max-skew` exists to fix) and
 # `sharded_rebalance/move_roundtrip_users/{25,100,400}` (a live
 # boundary-move rebalance and its inverse on a warmed 4-shard fleet:
 # two quiesces + two export/import migrations of that many users).
@@ -27,9 +21,6 @@
 #   `thread_scaling/{gram_100k,mult_update_100k}/{1,2,4}` — row-parallel
 #     kernel shapes at pinned TGS_THREADS budgets (scaling curve on
 #     multi-core hosts, dispatch overhead on a single vCPU).
-#   `sharded_offline_solve/{10_iters,zipf_skew}_4shards_threads/{1,2,4}`
-#     — the 4-shard solve at pinned pool budgets; results are
-#     bit-identical at every budget, the series is wall-clock only.
 #   `spmm_prefetch/mul_dense_into_40k/{0,2,4,8}` — the TGS_PREFETCH
 #     lookahead sweep for the CSR-gather SpMM (0 = hints off).
 # PR 8 added BENCH_soak.json (written by `tgs soak`, not by this
@@ -59,6 +50,11 @@
 #                                     # (the ci.sh gate so bench code can't
 #                                     # bit-rot; numbers NOT for committing)
 #
+# --quick also fails when the committed BENCH_{kernels,solvers}.json do
+# not list exactly the row ids the benches just emitted, so a deleted or
+# renamed bench cannot leave stale rows behind. BENCH_ckpt.json is not
+# compared: its ids embed measured byte sizes, which BENCH_FAST changes.
+#
 # Set BENCH_FAST=1 yourself for a quick regeneration in-place.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -75,3 +71,14 @@ BENCH_JSON="$OUT_DIR/BENCH_kernels.json" cargo bench -p tgs_bench --bench kernel
 BENCH_JSON="$OUT_DIR/BENCH_solvers.json" cargo bench -p tgs_bench --bench solvers
 BENCH_JSON="$OUT_DIR/BENCH_ckpt.json" cargo bench -p tgs_bench --bench ckpt
 echo "wrote $OUT_DIR/BENCH_{kernels,solvers,ckpt}.json"
+
+if [[ "${1:-}" == "--quick" ]]; then
+    ids() { grep -o '"id": *"[^"]*"' "$1" | sort; }
+    for name in BENCH_kernels.json BENCH_solvers.json; do
+        if ! diff <(ids "$name") <(ids "$OUT_DIR/$name"); then
+            echo "error: $name ids differ from this bench run (< committed, > run)" >&2
+            exit 1
+        fi
+    done
+    echo "committed BENCH_{kernels,solvers}.json ids match this bench run"
+fi

@@ -78,42 +78,6 @@ pub use tgs_load as load;
 pub use tgs_net as net;
 pub use tgs_text as text;
 
-/// Solves a [`data::ShardedProblem`] with the sharded offline solver,
-/// wiring the problem's ghost-row links (if it was built in ghost mode
-/// via [`data::build_offline_sharded_ghost`]) into the solver's
-/// per-round broadcast — the end-to-end offline ghost pipeline. The
-/// data-layer [`data::GhostLink`] and solver-layer
-/// [`core::GhostRowLink`] deliberately live in their own crates
-/// (`tgs-data` and `tgs-core` do not depend on each other); this is the
-/// one place they meet.
-pub fn try_solve_sharded_problem(
-    problem: &data::ShardedProblem,
-    config: &core::OfflineConfig,
-) -> Result<core::ShardedOfflineResult, core::TgsError> {
-    let inputs: Vec<core::TriInput<'_>> = problem
-        .shards
-        .iter()
-        .map(|s| core::TriInput {
-            xp: &s.matrices.xp,
-            xu: &s.matrices.xu,
-            xr: &s.matrices.xr,
-            graph: &s.matrices.graph,
-            sf0: &problem.sf0,
-        })
-        .collect();
-    let links: Vec<core::GhostRowLink> = problem
-        .ghosts
-        .iter()
-        .map(|g| core::GhostRowLink {
-            shard: g.shard,
-            row: g.row,
-            owner_shard: g.owner_shard,
-            owner_row: g.owner_row,
-        })
-        .collect();
-    core::try_solve_offline_sharded_with_ghosts(&inputs, config, &links)
-}
-
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use tgs_baselines::{
@@ -125,11 +89,9 @@ pub mod prelude {
         solve_offline, try_solve_offline, InitStrategy, ObjectiveParts, OfflineConfig,
         OnlineConfig, OnlineSolver, SnapshotData, TgsError, TgsErrorKind, TriFactors, TriInput,
     };
-    pub use tgs_core::{solve_offline_sharded, try_solve_offline_sharded, ShardedOfflineResult};
     pub use tgs_data::{
-        build_offline, build_offline_sharded, build_offline_sharded_ghost, corpus_stats,
-        daily_tweet_counts, day_windows, generate, presets, top_words, Corpus, GeneratorConfig,
-        PartitionMap, ProblemInstance, RepartitionOp, RepartitionPlan, ShardedProblem,
+        build_offline, corpus_stats, daily_tweet_counts, day_windows, generate, presets, top_words,
+        Corpus, GeneratorConfig, PartitionMap, ProblemInstance, RepartitionOp, RepartitionPlan,
         SnapshotBuilder,
     };
     pub use tgs_engine::{

@@ -10,13 +10,16 @@
 //!   anything is allocated for it. A counting global allocator records
 //!   the largest single allocation the decode makes on this thread, which
 //!   must stay within a small multiple of the input size.
+//!
+//! The frame reader gets the second check too, with its length prefix
+//! forged to `MAX_FRAME`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tgs_engine::transport::{decode_user_range, encode_user_range};
-use tgs_net::wire;
+use tgs_net::{frame, wire};
 use tripartite_sentiment::prelude::*;
 
 struct CountingAllocator;
@@ -328,6 +331,14 @@ fn forged_counts_are_rejected_before_allocation() {
         let (decoded, largest) = largest_allocation(|| decodes(&bad));
         checks.push((what, bad.len(), largest, !decoded));
     }
+
+    // Request frame: a length prefix claiming `MAX_FRAME` bytes over an
+    // ingest frame that carries far fewer.
+    let mut bad = Vec::new();
+    frame::write_request(&mut bad, 2, 0, 0, &snapshot_payload()).expect("frame");
+    bad[..4].copy_from_slice(&(frame::MAX_FRAME as u32).to_le_bytes());
+    let (result, largest) = largest_allocation(|| frame::read_request(&mut bad.as_slice()));
+    checks.push(("request frame", bad.len(), largest, result.is_err()));
 
     for (what, input, largest, failed) in checks {
         assert!(failed, "{what}: a u64::MAX count decoded");

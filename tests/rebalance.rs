@@ -305,47 +305,6 @@ fn auto_split_isolates_a_hot_trailing_user() {
 }
 
 #[test]
-fn offline_ghost_pipeline_solves_end_to_end() {
-    use tripartite_sentiment::core::OfflineConfig;
-    use tripartite_sentiment::data::build_offline_sharded_ghost;
-    use tripartite_sentiment::try_solve_sharded_problem;
-
-    let c = corpus();
-    let mut pipeline = PipelineConfig::paper_defaults();
-    pipeline.vocab.min_count = 1;
-    let map = PartitionMap::even(c.num_users(), 4);
-    let problem = build_offline_sharded_ghost(&c, 3, map, &pipeline);
-    assert_eq!(problem.dropped_retweets, 0);
-    assert!(
-        problem.ghost_edges > 0,
-        "the corpus re-tweets across shards"
-    );
-    assert!(!problem.ghosts.is_empty(), "ghost links connect owners");
-
-    let cfg = OfflineConfig {
-        k: 3,
-        max_iters: 20,
-        tol: 1e-7,
-        ..Default::default()
-    };
-    let a = try_solve_sharded_problem(&problem, &cfg).unwrap();
-    let b = try_solve_sharded_problem(&problem, &cfg).unwrap();
-    assert!(a.objective.is_finite());
-    assert_eq!(a.sf, b.sf, "the ghost-coupled solve is deterministic");
-    // Every linked ghost row mirrors its owner after the final
-    // broadcast round.
-    for link in &problem.ghosts {
-        assert_eq!(
-            a.shards[link.shard].factors.su.row(link.row),
-            a.shards[link.owner_shard].factors.su.row(link.owner_row),
-            "ghost ({}, {}) must carry its owner's factor",
-            link.shard,
-            link.row
-        );
-    }
-}
-
-#[test]
 fn router_rejects_producer_filled_ghost_seeds() {
     let c = corpus();
     let engine = fleet(&c, 2, true);
