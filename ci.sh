@@ -25,6 +25,9 @@ cargo test --workspace -q
 echo "==> cargo test --release (kernel and solver bit-identity suites, optimized as shipped)"
 cargo test --release -q -p tgs_linalg -p tgs_core
 
+echo "==> pinned checkpoint digests at the scalar tier (TGS_SIMD=off)"
+TGS_SIMD=off cargo test --release -q --test codec_golden
+
 echo "==> benchmark package (builds against the workspace's public API; ~9 s smoke)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --offline --manifest-path benchmark/Cargo.toml

@@ -440,36 +440,6 @@ fn bench_thread_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `TGS_PREFETCH` sweep: CSR-gather SpMM with the software-prefetch
-/// lookahead forced to 0 (hints off) / 2 / 4 / 8 (default). Distance
-/// never changes the computed bits (asserted in `pool_parity.rs`), so
-/// the series records latency-hiding quality only.
-fn bench_prefetch_sweep(c: &mut Criterion) {
-    use tgs_linalg::set_prefetch_lookahead;
-
-    let n = 40_000usize;
-    let x = random_csr(n, 3_000, 10, 7);
-    let d = random_factor(3_000, 3, 8);
-    let mut out = DenseMatrix::default();
-    let mut group = c.benchmark_group("spmm_prefetch");
-    let prev = set_prefetch_lookahead(Some(8));
-    for &distance in &[0usize, 2, 4, 8] {
-        set_prefetch_lookahead(Some(distance));
-        group.bench_with_input(
-            BenchmarkId::new("mul_dense_into_40k", distance),
-            &distance,
-            |b, _| {
-                b.iter(|| {
-                    x.mul_dense_into(&d, &mut out);
-                    black_box(out.get(0, 0))
-                })
-            },
-        );
-    }
-    set_prefetch_lookahead(Some(prev));
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_thin_k,
@@ -481,7 +451,6 @@ criterion_group!(
     bench_objective,
     bench_dense_small,
     bench_pool_overhead,
-    bench_thread_scaling,
-    bench_prefetch_sweep
+    bench_thread_scaling
 );
 criterion_main!(benches);

@@ -304,10 +304,21 @@ impl OnlineSolver {
                     dist.len()
                 )));
             }
+            if !dist.iter().all(|v| v.is_finite() && *v >= 0.0) {
+                return Err(TgsError::invalid_argument(format!(
+                    "ghost factor for user {user} has a negative or non-finite entry"
+                )));
+            }
             ghost_dists.push((row, dist.as_slice()));
         }
         if !ghost_dists.is_empty() {
             ghost_dists.sort_unstable_by_key(|&(row, _)| row);
+            if let Some(pair) = ghost_dists.windows(2).find(|p| p[0].0 == p[1].0) {
+                return Err(TgsError::invalid_argument(format!(
+                    "ghost user {} is listed more than once",
+                    data.user_ids[pair[0].0]
+                )));
+            }
             let ghost_rows: Vec<usize> = ghost_dists.iter().map(|&(row, _)| row).collect();
             partition
                 .new_rows

@@ -13,11 +13,7 @@
 //! only the time-bucket granularity changes.
 //!
 //! Flushes happen when the stream moves to a new bucket, when the batch
-//! reaches [`BatchPolicy::max_docs`], when it has been pending longer
-//! than [`BatchPolicy::max_delay`] (checked on every submit and on
-//! [`BatchingIngest::tick`] — there is no timer thread), or explicitly.
-
-use std::time::{Duration, Instant};
+//! reaches [`BatchPolicy::max_docs`], or explicitly.
 
 use tgs_core::TgsError;
 
@@ -36,10 +32,6 @@ pub struct BatchPolicy {
     /// Flush as soon as the pending batch holds at least this many
     /// documents — bounds per-step latency and memory under bursts.
     pub max_docs: usize,
-    /// Flush a batch that has been pending at least this long, checked
-    /// on the next [`BatchingIngest::submit`] or
-    /// [`BatchingIngest::tick`] — bounds staleness on a quiet stream.
-    pub max_delay: Option<Duration>,
 }
 
 impl Default for BatchPolicy {
@@ -47,7 +39,6 @@ impl Default for BatchPolicy {
         Self {
             bucket_width: 1,
             max_docs: 1024,
-            max_delay: None,
         }
     }
 }
@@ -58,8 +49,8 @@ impl BatchPolicy {
         Self::default()
     }
 
-    /// Rejects degenerate knobs (zero bucket width, zero-size batches,
-    /// zero deadline) with a message naming the offender.
+    /// Rejects degenerate knobs (zero bucket width, zero-size batches)
+    /// with a message naming the offender.
     pub fn validate(&self) -> Result<(), TgsError> {
         if self.bucket_width == 0 {
             return Err(TgsError::invalid_argument(
@@ -69,11 +60,6 @@ impl BatchPolicy {
         if self.max_docs == 0 {
             return Err(TgsError::invalid_argument(
                 "batch max_docs must be >= 1 (a zero-document flush threshold never admits work)",
-            ));
-        }
-        if self.max_delay.is_some_and(|d| d.is_zero()) {
-            return Err(TgsError::invalid_argument(
-                "batch max_delay must be > 0 (use None to disable the deadline)",
             ));
         }
         Ok(())
@@ -114,10 +100,10 @@ impl<T: IngestSink + ?Sized> IngestSink for &T {
     }
 }
 
-/// The pending batch: the coalesced snapshot plus when it opened.
+/// The pending batch: the coalesced snapshot and how many
+/// micro-snapshots it holds.
 struct Pending {
     batch: EngineSnapshot,
-    opened: Instant,
     snapshots: u64,
 }
 
@@ -127,7 +113,7 @@ struct Pending {
 /// per producer thread, each feeding the shared engine. Callers must
 /// [`BatchingIngest::flush`] before flushing/checkpointing the engine —
 /// the batcher holds data the engine has not seen, and there is no timer
-/// thread to push it (deadlines fire on the next `submit`/`tick`).
+/// thread to push it.
 pub struct BatchingIngest<S: IngestSink> {
     sink: S,
     policy: BatchPolicy,
@@ -161,10 +147,10 @@ impl<S: IngestSink> BatchingIngest<S> {
 
     /// Folds one micro-snapshot into the pending batch, flushing first
     /// when the snapshot opens a new bucket and afterwards when the
-    /// size or deadline policy trips. `Ok(None)` means everything is
-    /// either pending or accepted by the sink; `Ok(Some(batch))` returns
-    /// a batch the sink shed (full queue) — the caller decides whether
-    /// to retry it or drop it.
+    /// size policy trips. `Ok(None)` means everything is either pending
+    /// or accepted by the sink; `Ok(Some(batch))` returns a batch the
+    /// sink shed (full queue) — the caller decides whether to retry it
+    /// or drop it.
     ///
     /// Empty snapshots are ignored (the engine skips them without
     /// advancing the stream). Snapshots carrying ghost seeds are
@@ -200,38 +186,26 @@ impl<S: IngestSink> BatchingIngest<S> {
                 batch.timestamp = bucket;
                 self.pending = Some(Pending {
                     batch,
-                    opened: Instant::now(),
                     snapshots: 1,
                 });
             }
         }
         if shed.is_some() {
             // The bucket-change flush shed its batch. The one return
-            // slot is taken: running the size/deadline valve now could
-            // shed the *new* batch too and silently overwrite this one.
-            // Leave the new bucket pending — the valve re-fires on the
-            // next submit/tick/flush, and no document is ever dropped.
+            // slot is taken: running the size valve now could shed the
+            // *new* batch too and silently overwrite this one. Leave the
+            // new bucket pending — the valve re-fires on the next submit
+            // or flush, and no document is ever dropped.
             return Ok(shed);
         }
         let full = self
             .pending
             .as_ref()
             .is_some_and(|p| p.batch.len() >= self.policy.max_docs);
-        if full || self.deadline_expired() {
+        if full {
             shed = self.flush()?;
         }
         Ok(shed)
-    }
-
-    /// Flushes the pending batch if its deadline has expired — the hook
-    /// for producers that poll between bursts. `Ok(None)` when nothing
-    /// was due or the sink accepted; `Ok(Some(batch))` on a shed.
-    pub fn tick(&mut self) -> Result<Option<EngineSnapshot>, TgsError> {
-        if self.deadline_expired() {
-            self.flush()
-        } else {
-            Ok(None)
-        }
     }
 
     /// Hands the pending batch to the sink regardless of policy.
@@ -253,13 +227,6 @@ impl<S: IngestSink> BatchingIngest<S> {
                 self.batches_shed += 1;
                 Ok(Some(batch))
             }
-        }
-    }
-
-    fn deadline_expired(&self) -> bool {
-        match (self.policy.max_delay, self.pending.as_ref()) {
-            (Some(d), Some(p)) => p.opened.elapsed() >= d,
-            _ => false,
         }
     }
 
@@ -348,11 +315,6 @@ mod tests {
             ..Default::default()
         };
         assert!(bad.validate().is_err());
-        let bad = BatchPolicy {
-            max_delay: Some(Duration::ZERO),
-            ..Default::default()
-        };
-        assert!(bad.validate().is_err());
     }
 
     #[test]
@@ -394,25 +356,6 @@ mod tests {
         assert_eq!(sink.batches.borrow().len(), 1);
         assert_eq!(sink.batches.borrow()[0].len(), 3);
         assert_eq!(b.pending_docs(), 0);
-    }
-
-    #[test]
-    fn deadline_flushes_on_tick() {
-        let sink = Capture::default();
-        let policy = BatchPolicy {
-            max_delay: Some(Duration::from_millis(1)),
-            ..Default::default()
-        };
-        let mut b = BatchingIngest::new(&sink, policy).unwrap();
-        b.submit(snap(9, &[1])).unwrap();
-        assert_eq!(sink.batches.borrow().len(), 0);
-        std::thread::sleep(Duration::from_millis(5));
-        b.tick().unwrap();
-        assert_eq!(sink.batches.borrow().len(), 1);
-        assert_eq!(b.pending_docs(), 0);
-        // An empty batcher ticks without flushing anything.
-        b.tick().unwrap();
-        assert_eq!(sink.batches.borrow().len(), 1);
     }
 
     #[test]

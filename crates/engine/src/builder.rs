@@ -1,6 +1,6 @@
 //! Builder-style construction and validation of a [`SentimentEngine`].
 
-use tgs_core::{OfflineConfig, OnlineConfig, OnlineSolver, TgsError};
+use tgs_core::{OnlineConfig, OnlineSolver, TgsError};
 use tgs_data::{Corpus, PartitionMap};
 use tgs_linalg::DenseMatrix;
 use tgs_text::{PipelineConfig, Vocabulary};
@@ -14,10 +14,10 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 8;
 /// Default byte budget of each per-snapshot factor store (64 MiB).
 pub const DEFAULT_STORE_BUDGET_BYTES: usize = 64 << 20;
 
-/// Builds a [`SentimentEngine`], wrapping [`OnlineConfig`] (and
-/// optionally [`OfflineConfig`]) with validation at `fit` time: every
-/// parameter is checked against its documented domain and violations are
-/// reported as [`TgsError::InvalidConfig`] instead of a panic.
+/// Builds a [`SentimentEngine`], wrapping [`OnlineConfig`] with
+/// validation at `fit` time: every parameter is checked against its
+/// documented domain and violations are reported as
+/// [`TgsError::InvalidConfig`] instead of a panic.
 ///
 /// ```
 /// use tgs_engine::EngineBuilder;
@@ -64,22 +64,6 @@ impl EngineBuilder {
     /// Replaces the whole online configuration.
     pub fn online(mut self, config: OnlineConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Seeds the shared solver parameters (`k`, `α`, `β`, iteration cap,
-    /// tolerance, seed, init) from an offline configuration, keeping the
-    /// online-only temporal knobs (`γ`, `τ`, window) at their current
-    /// values.
-    pub fn offline_defaults(mut self, offline: &OfflineConfig) -> Self {
-        self.config.k = offline.k;
-        self.config.alpha = offline.alpha;
-        self.config.beta = offline.beta;
-        self.config.max_iters = offline.max_iters;
-        self.config.tol = offline.tol;
-        self.config.seed = offline.seed;
-        self.config.init = offline.init;
-        self.config.track_objective = offline.track_objective;
         self
     }
 
@@ -192,14 +176,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Flush-on-deadline: a pending batch flushes once it has been open
-    /// this long (checked on the next submit or tick — there is no timer
-    /// thread).
-    pub fn batch_max_delay(mut self, delay: std::time::Duration) -> Self {
-        self.batch.max_delay = Some(delay);
-        self
-    }
-
     fn try_validate(&self) -> Result<(), TgsError> {
         self.config.try_validate()?;
         self.batch.validate()?;
@@ -278,25 +254,7 @@ impl EngineBuilder {
         Ok(fleet)
     }
 
-    /// Starts the engine from an already-fitted vocabulary and `l × k`
-    /// lexicon prior (e.g. shipped with a deployed model).
-    pub fn with_vocabulary(
-        self,
-        vocab: Vocabulary,
-        sf0: DenseMatrix,
-    ) -> Result<SentimentEngine, TgsError> {
-        self.try_validate()?;
-        self.start(vocab, sf0)
-    }
-
     fn start(self, vocab: Vocabulary, sf0: DenseMatrix) -> Result<SentimentEngine, TgsError> {
-        let expected = (vocab.len(), self.config.k);
-        if sf0.shape() != expected {
-            return Err(TgsError::PriorShapeMismatch {
-                expected,
-                got: sf0.shape(),
-            });
-        }
         let solver = OnlineSolver::try_new(self.config.clone())?;
         let shared = EngineShared {
             vocab,

@@ -169,20 +169,46 @@ mod tests {
     }
 
     #[test]
-    fn bad_retweet_reference_surfaces_on_flush() {
+    fn malformed_snapshots_surface_on_flush() {
         let c = corpus();
-        let engine = engine_over(&c);
-        let mut snap = EngineSnapshot::new(0);
-        snap.push_tokens(1, vec!["hello".into()]);
-        snap.push_retweet(2, 5); // no such document
-        engine.ingest(snap).unwrap();
-        let err = engine.flush().unwrap_err();
-        assert_eq!(err.kind(), TgsErrorKind::InvalidArgument);
-        // the engine stays usable afterwards
-        engine
-            .ingest(EngineSnapshot::from_corpus_window(&c, 0, c.num_days))
-            .unwrap();
-        assert_eq!(engine.flush().unwrap(), 1);
+        // One document by user 0, re-tweeted by user 1.
+        let with_ghosts = |ghosts: &[(usize, Vec<f64>)]| {
+            let mut snap = EngineSnapshot::new(0);
+            snap.push_tokens(0, vec!["hello".into()]);
+            snap.push_retweet(1, 0);
+            snap.ghosts = ghosts.to_vec();
+            snap
+        };
+        let mut bad_retweet = EngineSnapshot::new(0);
+        bad_retweet.push_tokens(1, vec!["hello".into()]);
+        bad_retweet.push_retweet(2, 5); // no such document
+        let ghost = (1, vec![0.3, 0.3, 0.4]);
+        let cases = [
+            ("retweet of a missing document", bad_retweet),
+            (
+                "ghost listed three times",
+                with_ghosts(&[ghost.clone(), ghost.clone(), ghost]),
+            ),
+            (
+                "NaN ghost entry",
+                with_ghosts(&[(1, vec![0.3, f64::NAN, 0.4])]),
+            ),
+            (
+                "negative ghost entry",
+                with_ghosts(&[(1, vec![0.3, -0.3, 1.0])]),
+            ),
+        ];
+        for (case, snap) in cases {
+            let engine = engine_over(&c);
+            engine.ingest(snap).unwrap();
+            let err = engine.flush().unwrap_err();
+            assert_eq!(err.kind(), TgsErrorKind::InvalidArgument, "{case}: {err}");
+            // the engine stays usable afterwards
+            engine
+                .ingest(EngineSnapshot::from_corpus_window(&c, 0, c.num_days))
+                .unwrap();
+            assert_eq!(engine.flush().unwrap(), 1, "{case}");
+        }
     }
 
     #[test]

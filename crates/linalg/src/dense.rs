@@ -1,7 +1,7 @@
 //! Row-major dense matrices.
 //!
 //! The tri-clustering algorithm only ever materializes *thin* dense matrices
-//! (`n×k`, `m×k`, `l×k` with `k ∈ {2,3}`) and tiny `k×k` association
+//! (`n×k`, `m×k`, `l×k` with the paper's `k = 3`) and tiny `k×k` association
 //! matrices, so a simple contiguous row-major layout is both cache-friendly
 //! and sufficient. All hot kernels operate on row slices to let the compiler
 //! elide bounds checks.
@@ -604,7 +604,6 @@ simd_kernel! {
     /// One output-row chunk of `matmul_into` (i-k-j order, zero-skip).
     fn matmul_chunk(a: &DenseMatrix, other: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
         match (other.rows, other.cols) {
-            (2, 2) => matmul_chunk_w::<2>(a, other, r0, chunk),
             (3, 3) => matmul_chunk_w::<3>(a, other, r0, chunk),
             (10, 10) => matmul_chunk_w::<10>(a, other, r0, chunk),
             (_, width) => {
@@ -689,7 +688,6 @@ simd_kernel! {
 #[inline(always)]
 fn gram_span(rows: &[f64], k: usize, acc: &mut [f64]) {
     match k {
-        2 => gram_span_w::<2>(rows, acc),
         3 => gram_span_w::<3>(rows, acc),
         10 => gram_span_w::<10>(rows, acc),
         _ => gram_add_rows(acc, rows, k),
@@ -818,7 +816,6 @@ simd_kernel! {
         acc: &mut [f64],
     ) {
         match (a.cols, other.cols) {
-            (2, 2) => transpose_matmul_square_w::<2>(a, other, r0, r1, acc),
             (3, 3) => transpose_matmul_square_w::<3>(a, other, r0, r1, acc),
             (10, 10) => transpose_matmul_square_w::<10>(a, other, r0, r1, acc),
             (ka, kb) => transpose_matmul_span(acc, a.span(r0, r1, ka), ka, other.span(r0, r1, kb), kb),
@@ -917,7 +914,6 @@ simd_kernel! {
         acc_y: &mut [f64],
     ) {
         match (s.cols, x.cols) {
-            (2, 2) => pair_square_w::<2>(s, x, y, r0, r1, acc_x, acc_y),
             (3, 3) => pair_square_w::<3>(s, x, y, r0, r1, acc_x, acc_y),
             (10, 10) => pair_square_w::<10>(s, x, y, r0, r1, acc_x, acc_y),
             (ks, kx) => {
@@ -1002,7 +998,6 @@ simd_kernel! {
     /// monomorphized on the thin inner widths.
     fn matmul_transpose_chunk(a: &DenseMatrix, other: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
         match a.cols {
-            2 => matmul_transpose_chunk_w::<2>(a, other, r0, chunk),
             3 => matmul_transpose_chunk_w::<3>(a, other, r0, chunk),
             10 => matmul_transpose_chunk_w::<10>(a, other, r0, chunk),
             _ => matmul_transpose_chunk_w::<0>(a, other, r0, chunk),

@@ -8,7 +8,7 @@
 //!
 //! * Data matrices (`Xp`, `Xu`, `Xr`, `Gu`) are huge but very sparse → CSR
 //!   with `O(nnz·k)` kernels, never densified.
-//! * Factor matrices are *thin* (`rows × k`, `k ∈ {2, 3}`) → contiguous
+//! * Factor matrices are *thin* (`rows × k`, the paper's `k = 3`) → contiguous
 //!   row-major dense storage, Gram products in `O(rows·k²)`.
 //! * Objective values are needed every iteration → factored Frobenius
 //!   identities (`‖X − ABᵀ‖² = ‖X‖² − 2⟨X, ABᵀ⟩ + tr((AᵀA)(BᵀB))`).
@@ -46,9 +46,7 @@ pub use simd::{
     active_tier as simd_tier, active_tier_name as simd_tier_name, detected_tier as simd_detected,
     set_simd_tier_override, SimdTier,
 };
-pub use sparse::{
-    prefetch_lookahead, set_prefetch_lookahead, CscView, CsrMatrix, DEFAULT_PREFETCH_LOOKAHEAD,
-};
+pub use sparse::{CscView, CsrMatrix};
 
 /// Errors produced when constructing matrices from user data.
 #[derive(Debug, Clone, PartialEq)]

@@ -91,7 +91,7 @@ simd_kernel! {
 }
 
 /// Widest factor rank handled by [`mult_update_from_parts`]'s stack
-/// buffers (the paper uses `k ∈ {2, 3}`; scaling experiments go to ~10).
+/// buffers (the paper uses `k = 3`; scaling experiments go to ~10).
 pub const MAX_FUSED_K: usize = 64;
 
 /// The fused multiplicative update: performs
@@ -335,7 +335,7 @@ simd_kernel! {
     /// One row chunk of the fused update. With `partial` present, each
     /// updated row's outer product also accumulates into it through
     /// `gram_into`'s row loop. The paper's ranks are so thin that per-row
-    /// overhead dominates the arithmetic, so at `k ∈ {2, 3, 10}`
+    /// overhead dominates the arithmetic, so at `k ∈ {3, 10}`
     /// [`fused_update_chunk_w`] runs the same rows with compile-time
     /// widths and register-resident operands.
     fn fused_update_chunk(
@@ -346,7 +346,6 @@ simd_kernel! {
         partial: Option<&mut [f64]>,
     ) {
         match k {
-            2 => fused_update_chunk_w::<2>(args, r0, chunk, partial),
             3 => fused_update_chunk_w::<3>(args, r0, chunk, partial),
             10 => fused_update_chunk_w::<10>(args, r0, chunk, partial),
             _ => {

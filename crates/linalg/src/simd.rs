@@ -20,9 +20,9 @@
 //! * [`SimdTier::Avx2`] — AVX2 without FMA.
 //! * [`SimdTier::Avx2Fma`] — AVX2 + FMA detected. Arithmetic is still
 //!   mul-then-add (contraction would change rounding and break the
-//!   bit-identity contract); the tier exists so diagnostics record the
-//!   precise ISA and codegen may use FMA-set encodings where
-//!   rounding-neutral.
+//!   bit-identity contract), so enabling FMA would compile the same
+//!   instructions: the tier is reported for diagnostics and dispatches
+//!   to the AVX2 body.
 //! * [`SimdTier::Neon`] — aarch64, where NEON is part of the baseline
 //!   target: the "scalar" body already compiles to NEON, so the tier is
 //!   reported for diagnostics and dispatches to the shared body.
@@ -42,8 +42,8 @@ pub enum SimdTier {
     Scalar = 0,
     /// AVX2 (256-bit, 4×f64 lanes).
     Avx2 = 1,
-    /// AVX2 + FMA available (arithmetic stays mul-then-add; see module
-    /// docs).
+    /// AVX2 + FMA available (arithmetic stays mul-then-add, so it runs
+    /// the AVX2 body; see module docs).
     Avx2Fma = 2,
     /// aarch64 NEON (baseline on that target; reported for diagnostics).
     Neon = 3,
@@ -188,20 +188,20 @@ pub fn set_simd_tier_override(tier: Option<SimdTier>) -> Option<SimdTier> {
 }
 
 /// Defines a runtime-dispatched kernel: the body is instantiated once as
-/// the portable `scalar` function and again under
-/// `#[target_feature(enable = "avx2")]` / `"avx2,fma"` wrappers; the
-/// generated front function takes the tier as its **first argument** and
-/// selects a variant. Callers resolve [`active_tier`] once on the
-/// calling thread and pass it down — dispatch therefore works inside
-/// row-parallel chunk closures running on worker threads (where a
-/// thread-local lookup would miss the caller's override), and the cost
-/// per chunk is one match.
+/// the portable `scalar` function and once more under a
+/// `#[target_feature(enable = "avx2")]` wrapper, which both x86 SIMD
+/// tiers run; the generated front function takes the tier as its
+/// **first argument** and selects a body. Callers resolve
+/// [`active_tier`] once on the calling thread and pass it down —
+/// dispatch therefore works inside row-parallel chunk closures running
+/// on worker threads (where a thread-local lookup would miss the
+/// caller's override), and the cost per chunk is one match.
 ///
-/// The body is duplicated *textually* into each wrapper (not shared via
+/// The body is duplicated *textually* into the wrapper (not shared via
 /// an inlined helper) so that rustc's closure-inherits-target-feature
 /// rule applies to any closure in the body, and because the identical
 /// source compiled at a higher feature level executes the identical
-/// IEEE-754 sequence (no fast-math, no contraction), every variant is
+/// IEEE-754 sequence (no fast-math, no contraction), both bodies are
 /// bit-identical.
 macro_rules! simd_kernel {
     ($(#[$meta:meta])* $vis:vis fn $name:ident$(<const $K:ident: usize>)?( $($arg:ident: $ty:ty),* $(,)? ) $body:block) => {
@@ -217,20 +217,15 @@ macro_rules! simd_kernel {
             #[allow(clippy::too_many_arguments)]
             unsafe fn variant_avx2$(<const $K: usize>)?($($arg: $ty),*) $body
 
-            #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx2,fma")]
-            #[allow(clippy::too_many_arguments)]
-            unsafe fn variant_avx2_fma$(<const $K: usize>)?($($arg: $ty),*) $body
-
             match tier {
                 // SAFETY: tiers are only ever produced by `active_tier`,
                 // which reports a tier strictly after
                 // `is_x86_feature_detected!` confirmed the features (env
                 // and test overrides are clamped to detection).
                 #[cfg(target_arch = "x86_64")]
-                $crate::simd::SimdTier::Avx2 => unsafe { variant_avx2$(::<$K>)?($($arg),*) },
-                #[cfg(target_arch = "x86_64")]
-                $crate::simd::SimdTier::Avx2Fma => unsafe { variant_avx2_fma$(::<$K>)?($($arg),*) },
+                $crate::simd::SimdTier::Avx2 | $crate::simd::SimdTier::Avx2Fma => unsafe {
+                    variant_avx2$(::<$K>)?($($arg),*)
+                },
                 _ => variant_scalar$(::<$K>)?($($arg),*),
             }
         }

@@ -7,54 +7,9 @@
 //! tens of thousands of columns, far below the 4.3B limit — which halves the
 //! index memory versus `usize`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::dense::DenseMatrix;
 use crate::simd::simd_kernel;
 use crate::LinalgError;
-
-/// Default CSR-gather prefetch distance: how many entries ahead of the
-/// current nonzero the dense-row prefetch hint is issued. 8 entries ≈
-/// the L2 latency a thin-row gather needs to hide on the campaign box
-/// (see the `spmm_prefetch` bench sweep).
-pub const DEFAULT_PREFETCH_LOOKAHEAD: usize = 8;
-
-/// Upper clamp for `TGS_PREFETCH`: beyond this the hints evict lines
-/// before the gather arrives, so larger requests are meaningless.
-const MAX_PREFETCH_LOOKAHEAD: usize = 64;
-
-/// Cached effective distance; `usize::MAX` means "not yet resolved".
-static PREFETCH_LOOKAHEAD: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-/// Effective CSR-gather prefetch distance: `TGS_PREFETCH` (clamped to
-/// `0..=64`; `0` disables the hints) or
-/// [`DEFAULT_PREFETCH_LOOKAHEAD`]. Prefetching is a pure latency hint —
-/// the distance never changes computed values, only when cache lines
-/// arrive.
-pub fn prefetch_lookahead() -> usize {
-    let cached = PREFETCH_LOOKAHEAD.load(Ordering::Relaxed);
-    if cached != usize::MAX {
-        return cached;
-    }
-    let resolved = std::env::var("TGS_PREFETCH")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .map(|n| n.min(MAX_PREFETCH_LOOKAHEAD))
-        .unwrap_or(DEFAULT_PREFETCH_LOOKAHEAD);
-    PREFETCH_LOOKAHEAD.store(resolved, Ordering::Relaxed);
-    resolved
-}
-
-/// Overrides the prefetch distance process-wide (clamped like
-/// `TGS_PREFETCH`); `None` re-resolves from the environment on next
-/// use. Returns the previous effective distance. Benches use this to
-/// sweep distances within one process.
-pub fn set_prefetch_lookahead(distance: Option<usize>) -> usize {
-    let prev = prefetch_lookahead();
-    let raw = distance.map_or(usize::MAX, |n| n.min(MAX_PREFETCH_LOOKAHEAD));
-    PREFETCH_LOOKAHEAD.store(raw, Ordering::Relaxed);
-    prev
-}
 
 /// A CSR sparse matrix of `f64` values.
 #[derive(Debug, Clone, PartialEq)]
@@ -539,14 +494,12 @@ simd_kernel! {
     /// through [`spmm_row`] (identical floating-point sequence at every
     /// width).
     fn spmm_chunk(x: &CsrMatrix, d: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
-        let lookahead = prefetch_lookahead();
         match d.cols() {
-            2 => spmm_chunk_w::<2>(x, d, lookahead, r0, chunk),
-            3 => spmm_chunk_w::<3>(x, d, lookahead, r0, chunk),
-            10 => spmm_chunk_w::<10>(x, d, lookahead, r0, chunk),
+            3 => spmm_chunk_w::<3>(x, d, r0, chunk),
+            10 => spmm_chunk_w::<10>(x, d, r0, chunk),
             k => {
                 for (local, out_row) in chunk.chunks_exact_mut(k.max(1)).enumerate() {
-                    spmm_row(out_row, x, r0 + local, |c| d.row(c), lookahead);
+                    spmm_row(out_row, x, r0 + local, |c| d.row(c));
                 }
             }
         }
@@ -557,67 +510,27 @@ simd_kernel! {
 /// `[f64; W]` local, loaded and stored once, so the loops have
 /// compile-time trip counts and the partial sums stay in registers.
 #[inline(always)]
-fn spmm_chunk_w<const W: usize>(
-    x: &CsrMatrix,
-    d: &DenseMatrix,
-    lookahead: usize,
-    r0: usize,
-    chunk: &mut [f64],
-) {
+fn spmm_chunk_w<const W: usize>(x: &CsrMatrix, d: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
     let (d_rows, _) = d.as_slice().as_chunks::<W>();
     for (local, out_row) in chunk.as_chunks_mut::<W>().0.iter_mut().enumerate() {
         let mut sum = *out_row;
-        spmm_row(&mut sum, x, r0 + local, |c| &d_rows[c], lookahead);
+        spmm_row(&mut sum, x, r0 + local, |c| &d_rows[c]);
         *out_row = sum;
     }
 }
 
 /// `out_row += x[r, :] · d`, entries in column order, with `d_row(c)`
 /// giving row `c` of `d` (typed `[f64; W]` rows at the thin widths, so
-/// each gather is one bounds check). The gathered rows are the kernel's
-/// cache-miss source, so each entry issues a prefetch hint `lookahead`
-/// entries ahead — a pure latency hint with no effect on the computed
-/// values (distance 0 disables the hints entirely).
+/// each gather is one bounds check).
 #[inline(always)]
-fn spmm_row<'d>(
-    out_row: &mut [f64],
-    x: &CsrMatrix,
-    r: usize,
-    d_row: impl Fn(usize) -> &'d [f64],
-    lookahead: usize,
-) {
+fn spmm_row<'d>(out_row: &mut [f64], x: &CsrMatrix, r: usize, d_row: impl Fn(usize) -> &'d [f64]) {
     let k = out_row.len();
     let (cols, vals) = x.row_entries(r);
-    for (idx, (&c, &v)) in cols.iter().zip(vals.iter()).enumerate() {
-        if lookahead != 0 {
-            if let Some(&cn) = cols.get(idx + lookahead) {
-                prefetch_read(d_row(cn as usize));
-            }
-        }
+    for (&c, &v) in cols.iter().zip(vals.iter()) {
         for (o, &dv) in out_row.iter_mut().zip(&d_row(c as usize)[..k]) {
             *o += v * dv;
         }
     }
-}
-
-/// Architectural prefetch hint for an upcoming read. Hints never change
-/// results — only when the cache lines arrive.
-#[inline(always)]
-fn prefetch_read(s: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `_mm_prefetch` is a hint; it performs no memory access
-    // that could fault and has no architectural effect on state beyond
-    // the caches. The pointer is derived from a live slice.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(s.as_ptr() as *const i8);
-        if s.len() > 8 {
-            // thin rows can straddle two cache lines
-            _mm_prefetch::<_MM_HINT_T0>(s.as_ptr().wrapping_add(s.len() - 1) as *const i8);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = s;
 }
 
 simd_kernel! {

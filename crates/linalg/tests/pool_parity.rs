@@ -6,7 +6,7 @@
 //! pool migration must be invisible to every published number.
 //!
 //! The pool budget (`TGS_THREADS` / [`set_pool_threads_override`]) and
-//! the prefetch distance are process-global, so every test here
+//! the work threshold are process-global, so every test here
 //! serializes on one mutex instead of trusting libtest's parallel
 //! harness.
 
@@ -15,12 +15,11 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use tgs_linalg::parallel::{for_each_row_block_reduce, for_each_row_chunk, reduce_rows};
 use tgs_linalg::{
-    set_parallel_work_threshold, set_pool_threads_override, set_prefetch_lookahead, CsrMatrix,
-    DenseMatrix, REDUCE_BLOCK_ROWS,
+    set_parallel_work_threshold, set_pool_threads_override, DenseMatrix, REDUCE_BLOCK_ROWS,
 };
 
-/// Serializes tests that touch the process-global pool budget, work
-/// threshold, or prefetch distance.
+/// Serializes tests that touch the process-global pool budget or work
+/// threshold.
 static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
 
 /// Runs `f` with the pool budget forced to `threads` and the work
@@ -338,35 +337,6 @@ fn pool_survives_contention_from_concurrent_callers() {
             assert_eq!(hb.join().unwrap(), solo_b, "caller B saw cross-talk");
         });
     });
-}
-
-#[test]
-fn prefetch_distance_never_changes_results() {
-    let _g = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-    let trip: Vec<(usize, usize, f64)> = lcg_fill(49, 600)
-        .chunks_exact(3)
-        .map(|c| {
-            (
-                (c[0].to_bits() % 300) as usize,
-                (c[1].to_bits() % 500) as usize,
-                c[2],
-            )
-        })
-        .collect();
-    let x = CsrMatrix::from_triplets(300, 500, &trip).unwrap();
-    let d = DenseMatrix::from_vec(500, 4, lcg_fill(50, 2000)).unwrap();
-
-    let prev = set_prefetch_lookahead(Some(8));
-    let reference = x.mul_dense(&d);
-    for distance in [0usize, 2, 4, 64] {
-        set_prefetch_lookahead(Some(distance));
-        assert_eq!(
-            x.mul_dense(&d),
-            reference,
-            "prefetch distance {distance} changed spmm bits"
-        );
-    }
-    set_prefetch_lookahead(Some(prev));
 }
 
 // Arbitrary row counts (spanning the single-block/multi-block

@@ -21,8 +21,6 @@
 #   `thread_scaling/{gram_100k,mult_update_100k}/{1,2,4}` — row-parallel
 #     kernel shapes at pinned TGS_THREADS budgets (scaling curve on
 #     multi-core hosts, dispatch overhead on a single vCPU).
-#   `spmm_prefetch/mul_dense_into_40k/{0,2,4,8}` — the TGS_PREFETCH
-#     lookahead sweep for the CSR-gather SpMM (0 = hints off).
 # PR 8 added BENCH_soak.json (written by `tgs soak`, not by this
 # script): the `soak/{unbatched,batched}` series drives the identical
 # seeded Zipf firehose through per-snapshot `try_ingest` and through

@@ -66,7 +66,6 @@ fn assert_batched_is_identity(seed: u64, width: u64, steps: usize, ts_stride: u6
     let policy = BatchPolicy {
         bucket_width: width,
         max_docs: 1 << 20,
-        max_delay: None,
     };
 
     let batched = engine_over(&corpus, shards, policy);

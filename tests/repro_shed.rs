@@ -1,5 +1,4 @@
 use std::cell::RefCell;
-use std::time::Duration;
 
 use tripartite_sentiment::core::TgsError;
 use tripartite_sentiment::engine::{BatchPolicy, BatchingIngest, EngineSnapshot, IngestSink};
@@ -37,7 +36,6 @@ fn bucket_change_shed_then_full_flush_conserves_every_document() {
     let policy = BatchPolicy {
         bucket_width: 1,
         max_docs: 2,
-        max_delay: Some(Duration::from_secs(60)),
     };
     let mut b = BatchingIngest::new(&sink, policy).unwrap();
     // Open a pending batch at bucket 0 (1 doc < max_docs: stays pending).
