@@ -22,8 +22,8 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test --workspace -q
 
-echo "==> cargo test --release (kernel and solver bit-identity suites, optimized as shipped)"
-cargo test --release -q -p tgs_linalg -p tgs_core
+echo "==> cargo test --release (kernel, solver and matrix-assembly bit-identity suites, optimized as shipped)"
+cargo test --release -q -p tgs_linalg -p tgs_core -p tgs_text -p tgs_data
 
 echo "==> pinned checkpoint digests at the scalar tier (TGS_SIMD=off)"
 TGS_SIMD=off cargo test --release -q --test codec_golden

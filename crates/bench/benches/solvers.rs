@@ -254,6 +254,106 @@ fn bench_online_step_rebind(c: &mut Criterion) {
     group.finish();
 }
 
+/// Per-snapshot matrix assembly as a worker runs it:
+/// `assemble_snapshot_matrices` (idf fit, `Xp`, `Xu`, `Xr` and the
+/// re-tweet graph) over already-encoded documents. The stream is the
+/// `backfill` workload's: the Prop 37 preset at 4× its users and tweets,
+/// one-day snapshots split over 2 shards the way the router splits them.
+/// `day` is the median day by documents, `burst` the election-day peak;
+/// one iteration assembles every shard's part of that day. Also stamps
+/// the box into the JSON artifact.
+fn bench_assemble_snapshot(c: &mut Criterion) {
+    use tgs_data::{assemble_snapshot_matrices, presets, route_docs, PartitionMap};
+    use tgs_engine::{DocContent, EngineSnapshot};
+    use tgs_text::{Vocabulary, Weighting};
+
+    /// One shard's part of a snapshot, encoded and locally indexed.
+    struct ShardPart {
+        encoded: Vec<Vec<usize>>,
+        doc_users: Vec<usize>,
+        num_users: usize,
+        retweets: Vec<(usize, usize)>,
+    }
+
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    c.stamp("nproc", nproc);
+    c.stamp("simd", tgs_linalg::simd_tier_name());
+    c.stamp("threads", tgs_linalg::pool_threads());
+    let mut cfg = presets::prop37(42);
+    cfg.num_users *= 4;
+    cfg.total_tweets *= 4;
+    let corpus = generate(&cfg);
+    let vocab = Vocabulary::build(
+        corpus
+            .tweets
+            .iter()
+            .map(|t| t.tokens.iter().map(String::as_str)),
+        &pipeline().vocab,
+    );
+    let map = PartitionMap::even(corpus.num_users(), 2);
+    let mut days: Vec<EngineSnapshot> = tgs_data::day_windows(corpus.num_days, 1)
+        .into_iter()
+        .map(|(lo, hi)| EngineSnapshot::from_corpus_window(&corpus, lo, hi))
+        .filter(|s| !s.is_empty())
+        .collect();
+    days.sort_by_key(EngineSnapshot::len);
+    let split = |snap: &EngineSnapshot| -> Vec<ShardPart> {
+        let authors: Vec<usize> = snap.docs.iter().map(|d| d.user).collect();
+        let events: Vec<(usize, usize)> = snap.retweets.iter().map(|r| (r.user, r.doc)).collect();
+        let routing = route_docs(&map, &authors, &events);
+        routing
+            .shard_docs
+            .iter()
+            .zip(&routing.shard_retweets)
+            .map(|(docs, retweets)| {
+                let mut users: Vec<usize> = docs
+                    .iter()
+                    .map(|&d| authors[d])
+                    .chain(retweets.iter().map(|&(u, _)| u))
+                    .collect();
+                users.sort_unstable();
+                users.dedup();
+                let local = |u: &usize| users.binary_search(u).unwrap();
+                ShardPart {
+                    encoded: docs
+                        .iter()
+                        .map(|&d| match &snap.docs[d].content {
+                            DocContent::Tokens(t) => vocab.encode(t.iter().map(String::as_str)),
+                            DocContent::Raw(_) => unreachable!("corpus windows carry tokens"),
+                        })
+                        .collect(),
+                    doc_users: docs.iter().map(|&d| local(&authors[d])).collect(),
+                    num_users: users.len(),
+                    retweets: retweets.iter().map(|&(u, d)| (local(&u), d)).collect(),
+                }
+            })
+            .collect()
+    };
+
+    let mut group = c.benchmark_group("assemble_snapshot");
+    for (name, snap) in [
+        ("day", &days[days.len() / 2]),
+        ("burst", &days[days.len() - 1]),
+    ] {
+        let parts = split(snap);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for p in &parts {
+                    black_box(assemble_snapshot_matrices(
+                        &vocab,
+                        &p.encoded,
+                        &p.doc_users,
+                        p.num_users,
+                        &p.retweets,
+                        Weighting::TfIdf,
+                    ));
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Preset synthetic instance for the iteration benchmark.
 fn synthetic_sweep_instance(
     n: usize,
@@ -344,6 +444,7 @@ criterion_group!(
     bench_offline_scaling,
     bench_sharded_rebalance,
     bench_online_vs_batch,
-    bench_online_step_rebind
+    bench_online_step_rebind,
+    bench_assemble_snapshot
 );
 criterion_main!(benches);

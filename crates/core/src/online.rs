@@ -1,10 +1,11 @@
 //! Algorithm 2: the online solver for dynamic sentiment clustering.
 //!
-//! Per snapshot `t`, the solver (1) partitions users into new / evolving /
-//! disappeared, (2) warm-starts `Sf(t)` from the decayed window `Sfw(t)`
-//! and evolving users from `Suw(t)` (Algorithm 2 line 1), and (3) iterates
-//! the online update rules — the temporal regularizers `α‖Sf(t)−Sfw(t)‖²`
-//! and `γ‖Su(d,e)(t)−Suw(t)‖²` keep the solution smooth over time.
+//! Per snapshot `t`, the solver (1) partitions the snapshot's users into
+//! new / evolving (disappeared users keep their history), (2) warm-starts
+//! `Sf(t)` from the decayed window `Sfw(t)` and evolving users from
+//! `Suw(t)` (Algorithm 2 line 1), and (3) iterates the online update
+//! rules — the temporal regularizers `α‖Sf(t)−Sfw(t)‖²` and
+//! `γ‖Su(d,e)(t)−Suw(t)‖²` keep the solution smooth over time.
 
 use tgs_linalg::{random_factor_with, seeded_rng};
 
@@ -32,7 +33,7 @@ pub struct OnlineStepResult {
     /// Converged local factors (`Su` rows align with
     /// [`SnapshotData::user_ids`]).
     pub factors: TriFactors,
-    /// New/evolving/disappeared user partition used for this step.
+    /// New/evolving user partition used for this step.
     pub partition: UserPartition,
     /// Per-iteration objective decomposition (empty unless tracking).
     pub history: Vec<ObjectiveParts>,
@@ -644,7 +645,12 @@ mod tests {
         });
         assert_eq!(result.partition.evolving_rows, vec![0, 1]); // users 2, 3
         assert_eq!(result.partition.new_rows, vec![2, 3]); // users 4, 5
-        assert_eq!(result.partition.disappeared, vec![0, 1]);
+
+        // disappeared: known, but not in the snapshot
+        let gone: Vec<usize> = (0..6)
+            .filter(|&u| solver.history.knows(u) && !users_b.contains(&u))
+            .collect();
+        assert_eq!(gone, vec![0, 1]);
     }
 
     #[test]

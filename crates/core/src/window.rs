@@ -126,17 +126,16 @@ pub struct SentimentHistory {
     rows: HashMap<usize, VecDeque<(i64, Vec<f64>)>>,
 }
 
-/// The three user categories of the online framework, as *local row
-/// indices* into the current snapshot (plus global ids of users that
-/// vanished).
+/// The user categories of the online framework present in a snapshot,
+/// as *local row indices* into it. The third category, users with
+/// history but absent from the snapshot, needs no list: their history
+/// is kept ([`SentimentHistory::knows`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UserPartition {
     /// Local rows of users never seen within the window.
     pub new_rows: Vec<usize>,
     /// Local rows of users with in-window history.
     pub evolving_rows: Vec<usize>,
-    /// Global ids of users with history but absent from this snapshot.
-    pub disappeared: Vec<usize>,
     /// Local rows that are ghosts: remote users materialized for a
     /// cross-shard re-tweet edge. Their factors are prescribed by the
     /// owning shard and they are excluded from this shard's history.
@@ -176,10 +175,9 @@ impl SentimentHistory {
     }
 
     /// Splits the snapshot's users (global ids, in row order) into
-    /// new/evolving, and lists known users that disappeared.
+    /// new/evolving, in time linear in the snapshot's users.
     pub fn partition(&self, current_users: &[usize]) -> UserPartition {
         let mut part = UserPartition::default();
-        let current: std::collections::HashSet<usize> = current_users.iter().copied().collect();
         for (row, &u) in current_users.iter().enumerate() {
             if self.knows(u) {
                 part.evolving_rows.push(row);
@@ -187,12 +185,6 @@ impl SentimentHistory {
                 part.new_rows.push(row);
             }
         }
-        for &u in self.rows.keys() {
-            if !current.contains(&u) {
-                part.disappeared.push(u);
-            }
-        }
-        part.disappeared.sort_unstable();
         part
     }
 
@@ -537,7 +529,13 @@ mod tests {
         let part = h.partition(&[20, 30]);
         assert_eq!(part.evolving_rows, vec![0]); // user 20 at row 0
         assert_eq!(part.new_rows, vec![1]); // user 30 at row 1
-        assert_eq!(part.disappeared, vec![10]);
+
+        // disappeared: known, but not in the snapshot
+        let gone: Vec<usize> = [10, 20, 30]
+            .into_iter()
+            .filter(|&u| h.knows(u) && ![20, 30].contains(&u))
+            .collect();
+        assert_eq!(gone, vec![10]);
     }
 
     #[test]

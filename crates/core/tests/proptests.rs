@@ -78,9 +78,9 @@ proptest! {
             prop_assert!(!first.contains(&second[r]));
         }
         // disappeared = first \ second
-        for &u in &part.disappeared {
-            prop_assert!(first.contains(&u) && !second.contains(&u));
-        }
+        let gone: Vec<usize> = (0..20).filter(|&u| h.knows(u) && !second.contains(&u)).collect();
+        let expected: Vec<usize> = first.iter().copied().filter(|u| !second.contains(u)).collect();
+        prop_assert_eq!(gone, expected);
     }
 
     #[test]

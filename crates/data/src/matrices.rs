@@ -3,7 +3,7 @@
 
 use tgs_graph::{build_interactions, Interaction, InteractionWeights, UserGraph};
 use tgs_linalg::{CsrMatrix, DenseMatrix};
-use tgs_text::{PipelineConfig, Vectorizer, Vocabulary, Weighting};
+use tgs_text::{doc_feature_matrix, user_feature_matrix, PipelineConfig, Vocabulary, Weighting};
 
 use crate::model::Corpus;
 
@@ -120,9 +120,8 @@ pub fn assemble_snapshot_matrices(
     retweets: &[(usize, usize)],
     weighting: Weighting,
 ) -> SnapshotMatrices {
-    let vectorizer = Vectorizer::fit(vocab, encoded, weighting);
-    let xp = vectorizer.doc_feature_matrix(encoded);
-    let xu = vectorizer.user_feature_matrix(encoded, doc_authors, num_users);
+    let xp = doc_feature_matrix(encoded, vocab.len(), weighting);
+    let xu = user_feature_matrix(&xp, doc_authors, num_users);
     let mut events = Vec::with_capacity(encoded.len() + retweets.len());
     for (doc, &author) in doc_authors.iter().enumerate() {
         events.push(Interaction::Post {

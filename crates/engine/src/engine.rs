@@ -848,18 +848,22 @@ fn process(
     scratch.user_ids.sort_unstable();
     scratch.user_ids.dedup();
     let user_ids = &scratch.user_ids;
-    let local: HashMap<usize, usize> = user_ids.iter().enumerate().map(|(i, &u)| (u, i)).collect();
+    let local = |user: &usize| {
+        user_ids
+            .binary_search(user)
+            .expect("every author and re-tweeter is in user_ids")
+    };
     let m = user_ids.len();
 
     // --- Vectorize + assemble through the shared snapshot pipeline ---
     scratch.doc_user_local.clear();
     scratch
         .doc_user_local
-        .extend(scratch.doc_users.iter().map(|u| local[u]));
+        .extend(scratch.doc_users.iter().map(local));
     scratch.retweet_pairs.clear();
     scratch
         .retweet_pairs
-        .extend(retweets.iter().map(|r| (local[&r.user], r.doc)));
+        .extend(retweets.iter().map(|r| (local(&r.user), r.doc)));
     let SnapshotMatrices { xp, xu, xr, graph } = assemble_snapshot_matrices(
         &shared.vocab,
         &scratch.encoded[..n],

@@ -83,6 +83,15 @@ pub enum LinalgError {
         /// Requested column count.
         cols: usize,
     },
+    /// CSR parts that do not form a matrix: `None` when the part
+    /// lengths disagree (row pointers not `rows + 1` offsets from 0 to the
+    /// entry count, or indices and values differing in number), else the
+    /// first row whose pointers decrease, whose columns are not strictly
+    /// increasing or that stores an explicit zero.
+    MalformedCsr {
+        /// Offending row, if one is to blame.
+        row: Option<usize>,
+    },
 }
 
 impl std::fmt::Display for LinalgError {
@@ -107,6 +116,12 @@ impl std::fmt::Display for LinalgError {
             }
             LinalgError::TooManyColumns { cols } => {
                 write!(f, "{cols} columns exceed the u32 index limit")
+            }
+            LinalgError::MalformedCsr { row: None } => {
+                write!(f, "CSR part lengths disagree")
+            }
+            LinalgError::MalformedCsr { row: Some(row) } => {
+                write!(f, "malformed CSR row {row}")
             }
         }
     }

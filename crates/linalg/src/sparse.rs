@@ -106,6 +106,68 @@ impl CsrMatrix {
         })
     }
 
+    /// Builds a CSR matrix from its parts: row `i` holds the columns
+    /// `indices[indptr[i]..indptr[i + 1]]` with the matching `values`.
+    ///
+    /// Unlike [`CsrMatrix::from_triplets`] nothing is sorted or summed;
+    /// the parts are checked and kept as they are. Returns an error when
+    /// `indptr` is not `rows + 1` non-decreasing offsets from 0 to the
+    /// entry count, when `indices` and `values` differ in length, when a
+    /// column is out of range or not strictly increasing within its row,
+    /// or when a value is non-finite or zero.
+    pub fn from_sorted_rows(
+        rows: usize,
+        cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        values: Vec<f64>,
+    ) -> Result<Self, LinalgError> {
+        if cols > u32::MAX as usize {
+            return Err(LinalgError::TooManyColumns { cols });
+        }
+        let lengths_agree = indptr.len().checked_sub(1) == Some(rows)
+            && indptr[0] == 0
+            && indptr[rows] == values.len()
+            && indices.len() == values.len();
+        if !lengths_agree {
+            return Err(LinalgError::MalformedCsr { row: None });
+        }
+        if let Some(row) = indptr.windows(2).position(|w| w[0] > w[1]) {
+            return Err(LinalgError::MalformedCsr { row: Some(row) });
+        }
+        for (row, span) in indptr.windows(2).enumerate() {
+            let mut prev = None;
+            for (&c, &v) in indices[span[0]..span[1]]
+                .iter()
+                .zip(&values[span[0]..span[1]])
+            {
+                let col = c as usize;
+                if col >= cols {
+                    return Err(LinalgError::IndexOutOfBounds {
+                        row,
+                        col,
+                        rows,
+                        cols,
+                    });
+                }
+                if prev.is_some_and(|p| c <= p) || v == 0.0 {
+                    return Err(LinalgError::MalformedCsr { row: Some(row) });
+                }
+                if !v.is_finite() {
+                    return Err(LinalgError::NonFiniteValue { row, col });
+                }
+                prev = Some(c);
+            }
+        }
+        Ok(Self {
+            rows,
+            cols,
+            indptr,
+            indices,
+            values,
+        })
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -668,6 +730,75 @@ mod tests {
     fn from_triplets_rejects_out_of_bounds_and_nan() {
         assert!(CsrMatrix::from_triplets(1, 1, &[(1, 0, 1.0)]).is_err());
         assert!(CsrMatrix::from_triplets(1, 1, &[(0, 0, f64::NAN)]).is_err());
+    }
+
+    #[test]
+    fn from_sorted_rows_keeps_well_formed_parts() {
+        let m = CsrMatrix::from_sorted_rows(
+            3,
+            3,
+            vec![0, 2, 2, 4],
+            vec![0, 2, 0, 1],
+            vec![1.0, 2.0, 3.0, 4.0],
+        )
+        .unwrap();
+        assert_eq!(m, sample());
+        let empty = CsrMatrix::from_sorted_rows(2, 5, vec![0, 0, 0], vec![], vec![]).unwrap();
+        assert_eq!(empty, CsrMatrix::zeros(2, 5));
+    }
+
+    #[test]
+    fn from_sorted_rows_rejects_each_malformed_part() {
+        let build = |rows, cols, indptr: &[usize], indices: &[u32], values: &[f64]| {
+            CsrMatrix::from_sorted_rows(
+                rows,
+                cols,
+                indptr.to_vec(),
+                indices.to_vec(),
+                values.to_vec(),
+            )
+        };
+        let lengths = Err(LinalgError::MalformedCsr { row: None });
+        let at = |row| Err(LinalgError::MalformedCsr { row: Some(row) });
+        // indptr too short, too long, empty, not from 0 or not ending at
+        // the entry count; indices and values of different lengths
+        assert_eq!(build(2, 3, &[0, 1], &[0], &[1.0]), lengths);
+        assert_eq!(build(2, 3, &[0, 1, 1, 1], &[0], &[1.0]), lengths);
+        assert_eq!(build(2, 3, &[], &[], &[]), lengths);
+        assert_eq!(build(2, 3, &[1, 1, 1], &[0], &[1.0]), lengths);
+        assert_eq!(build(2, 3, &[0, 1, 2], &[0], &[1.0]), lengths);
+        assert_eq!(build(2, 3, &[0, 1, 1], &[0, 1], &[1.0]), lengths);
+        assert_eq!(build(2, 3, &[0, 1, 1], &[0], &[1.0, 2.0]), lengths);
+        // decreasing row pointers
+        assert_eq!(build(2, 3, &[0, 2, 1], &[0], &[1.0]), at(1));
+        // a column out of range, repeated, or below its predecessor
+        assert_eq!(
+            build(2, 3, &[0, 0, 1], &[3], &[1.0]),
+            Err(LinalgError::IndexOutOfBounds {
+                row: 1,
+                col: 3,
+                rows: 2,
+                cols: 3
+            })
+        );
+        assert_eq!(build(2, 3, &[0, 2, 2], &[1, 1], &[1.0, 2.0]), at(0));
+        assert_eq!(build(2, 3, &[0, 0, 2], &[2, 0], &[1.0, 2.0]), at(1));
+        // non-finite and zero values
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                build(2, 3, &[0, 1, 1], &[2], &[bad]),
+                Err(LinalgError::NonFiniteValue { row: 0, col: 2 })
+            );
+        }
+        for zero in [0.0, -0.0] {
+            assert_eq!(build(2, 3, &[0, 1, 2], &[0, 1], &[1.0, zero]), at(1));
+        }
+        // more columns than a u32 index addresses
+        let cols = u32::MAX as usize + 1;
+        assert_eq!(
+            build(0, cols, &[0], &[], &[]),
+            Err(LinalgError::TooManyColumns { cols })
+        );
     }
 
     #[test]

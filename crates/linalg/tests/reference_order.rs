@@ -5,8 +5,8 @@
 //! factor skipped, and Gram matrices summed over the upper triangle and
 //! then mirrored. Every comparison is on bits (`==`), not a tolerance.
 //!
-//! The widths cover the monomorphized ranks (2, 3, 10) and k = 4, which
-//! takes the runtime-width bodies. Inputs carry exact zeros, a left
+//! The widths cover the monomorphized ranks (3, 10) and k = 2 and 4,
+//! which take the runtime-width bodies. Inputs carry exact zeros, a left
 //! factor narrower or wider than the right one, and row counts past one
 //! reduction block, at pool budgets 1 and 2 and at the scalar and the
 //! detected SIMD tier.

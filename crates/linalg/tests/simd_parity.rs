@@ -172,9 +172,9 @@ proptest! {
         prop_assert_eq!(s, v);
     }
 
-    // The fused update at the solver ranks (k in {2, 3, 10} hits the
-    // monomorphized bodies and their lane tails), with the fused gram
-    // output compared too.
+    // The fused update at the solver ranks (k in {3, 10} hits the
+    // monomorphized bodies and their lane tails, k = 2 the runtime-width
+    // body), with the fused gram output compared too.
     #[test]
     fn mult_update_from_parts_parity(
         k in solver_k(),

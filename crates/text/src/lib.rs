@@ -26,6 +26,6 @@ pub mod vocab;
 pub use lexicon::{lexicon_vote, Lexicon};
 pub use pipeline::{build_from_tokens, build_text_matrices, PipelineConfig, TextMatrices};
 pub use sentiment::Sentiment;
-pub use tfidf::{Vectorizer, Weighting};
+pub use tfidf::{doc_feature_matrix, user_feature_matrix, Weighting};
 pub use token::{tokenize, tokenize_features, tokenize_features_into, Token, TokenizerConfig};
 pub use vocab::{VocabConfig, Vocabulary, STOPWORDS};

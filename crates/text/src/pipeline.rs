@@ -7,7 +7,7 @@
 use tgs_linalg::{CsrMatrix, DenseMatrix};
 
 use crate::lexicon::Lexicon;
-use crate::tfidf::{Vectorizer, Weighting};
+use crate::tfidf::{doc_feature_matrix, user_feature_matrix, Weighting};
 use crate::token::{tokenize_features, TokenizerConfig};
 use crate::vocab::{VocabConfig, Vocabulary};
 
@@ -79,9 +79,8 @@ pub fn build_text_matrices(
         .iter()
         .map(|d| vocab.encode(d.iter().map(String::as_str)))
         .collect();
-    let vectorizer = Vectorizer::fit(&vocab, &encoded, config.weighting);
-    let xp = vectorizer.doc_feature_matrix(&encoded);
-    let xu = vectorizer.user_feature_matrix(&encoded, doc_user, num_users);
+    let xp = doc_feature_matrix(&encoded, vocab.len(), config.weighting);
+    let xu = user_feature_matrix(&xp, doc_user, num_users);
     let sf0 = lexicon.prior_matrix(&vocab, k, config.lexicon_confidence);
     TextMatrices {
         vocab,
@@ -115,9 +114,8 @@ pub fn build_from_tokens(
         .iter()
         .map(|d| vocab.encode(d.iter().map(String::as_str)))
         .collect();
-    let vectorizer = Vectorizer::fit(&vocab, &encoded, config.weighting);
-    let xp = vectorizer.doc_feature_matrix(&encoded);
-    let xu = vectorizer.user_feature_matrix(&encoded, doc_user, num_users);
+    let xp = doc_feature_matrix(&encoded, vocab.len(), config.weighting);
+    let xu = user_feature_matrix(&xp, doc_user, num_users);
     let sf0 = lexicon.prior_matrix(&vocab, k, config.lexicon_confidence);
     TextMatrices {
         vocab,

@@ -3,8 +3,6 @@
 
 use tgs_linalg::CsrMatrix;
 
-use crate::vocab::Vocabulary;
-
 /// Term weighting schemes for document vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Weighting {
@@ -19,150 +17,122 @@ pub enum Weighting {
     TfIdf,
 }
 
-/// Builds document vectors over a fixed vocabulary.
-#[derive(Debug, Clone)]
-pub struct Vectorizer {
-    weighting: Weighting,
-    /// Smoothed idf per feature (all ones for non-tf-idf schemes).
-    idf: Vec<f64>,
+/// Builds the document–feature matrix (`docs.len() × vocab_len`) — the
+/// paper's `Xp` when documents are tweets. `docs[d]` lists the feature
+/// ids of document `d`, each below `vocab_len`. Document frequencies, and
+/// so the idf weights, are taken from `docs` themselves. Rows stay raw
+/// (the scale the tri-clustering solver is balanced for).
+///
+/// One sort of each document yields both its term counts and its
+/// distinct features; the rows are written straight into CSR arrays.
+pub fn doc_feature_matrix(
+    docs: &[Vec<usize>],
     vocab_len: usize,
-    /// L2-normalize each document/user vector. Standard for tf-idf and
-    /// essential for the paper's regularization weights: with raw
-    /// magnitudes the Frobenius data terms dwarf `α‖Sf−Sf0‖²` and
-    /// `β·tr(SuᵀLuSu)` by orders of magnitude and α, β ∈ [0, 1] become
-    /// inert.
-    l2_normalize: bool,
-}
-
-impl Vectorizer {
-    /// Fits idf statistics on `docs` (documents as feature-id slices).
-    /// Vectors stay raw (the scale the tri-clustering solver is balanced
-    /// for); use [`Vectorizer::fit_with_norm`] for L2-normalized rows.
-    pub fn fit(vocab: &Vocabulary, docs: &[Vec<usize>], weighting: Weighting) -> Self {
-        Self::fit_with_norm(vocab, docs, weighting, false)
-    }
-
-    /// [`Vectorizer::fit`] with explicit control over L2 normalization.
-    pub fn fit_with_norm(
-        vocab: &Vocabulary,
-        docs: &[Vec<usize>],
-        weighting: Weighting,
-        l2_normalize: bool,
-    ) -> Self {
-        let mut df = vec![0u64; vocab.len()];
-        for doc in docs {
-            let mut seen = doc.clone();
-            seen.sort_unstable();
-            seen.dedup();
-            for &f in &seen {
-                df[f] += 1;
-            }
-        }
-        let n = docs.len() as f64;
-        let idf = match weighting {
-            Weighting::TfIdf => df
-                .iter()
-                .map(|&d| ((1.0 + n) / (1.0 + d as f64)).ln() + 1.0)
-                .collect(),
-            _ => vec![1.0; vocab.len()],
-        };
-        Self {
-            weighting,
-            idf,
-            vocab_len: vocab.len(),
-            l2_normalize,
-        }
-    }
-
-    /// Number of features this vectorizer emits.
-    pub fn num_features(&self) -> usize {
-        self.vocab_len
-    }
-
-    /// Weights a single encoded document into `(feature, weight)` pairs.
-    pub fn transform_doc(&self, doc: &[usize]) -> Vec<(usize, f64)> {
-        let mut counts: Vec<(usize, f64)> = Vec::with_capacity(doc.len());
-        let mut sorted = doc.to_vec();
+    weighting: Weighting,
+) -> CsrMatrix {
+    let mut df = vec![0u64; vocab_len];
+    let mut indptr = Vec::with_capacity(docs.len() + 1);
+    let total: usize = docs.iter().map(Vec::len).sum();
+    let mut indices: Vec<u32> = Vec::with_capacity(total);
+    let mut values: Vec<f64> = Vec::with_capacity(total);
+    let mut sorted: Vec<usize> = Vec::new();
+    indptr.push(0);
+    for doc in docs {
+        sorted.clear();
+        sorted.extend_from_slice(doc);
         sorted.sort_unstable();
-        let mut i = 0;
-        while i < sorted.len() {
-            let f = sorted[i];
-            let mut c = 0.0;
-            while i < sorted.len() && sorted[i] == f {
-                c += 1.0;
-                i += 1;
-            }
-            let w = match self.weighting {
-                Weighting::Counts => c,
-                Weighting::Binary => 1.0,
-                Weighting::TfIdf => c * self.idf[f],
-            };
-            counts.push((f, w));
+        for run in sorted.chunk_by(|a, b| a == b) {
+            df[run[0]] += 1;
+            // lossless: below `vocab_len`, which `from_sorted_rows`
+            // caps at `u32::MAX` before it reads an index
+            indices.push(run[0] as u32);
+            values.push(run.len() as f64);
         }
-        if self.l2_normalize {
-            normalize_l2(&mut counts);
-        }
-        counts
+        indptr.push(indices.len());
     }
-
-    /// Builds the document–feature matrix (`docs.len() × vocab`) —
-    /// the paper's `Xp` when documents are tweets.
-    pub fn doc_feature_matrix(&self, docs: &[Vec<usize>]) -> CsrMatrix {
-        let mut triplets = Vec::new();
-        for (d, doc) in docs.iter().enumerate() {
-            for (f, w) in self.transform_doc(doc) {
-                triplets.push((d, f, w));
+    match weighting {
+        Weighting::Counts => {}
+        Weighting::Binary => values.fill(1.0),
+        Weighting::TfIdf => {
+            let n = docs.len() as f64;
+            let idf: Vec<f64> = df
+                .iter()
+                .map(|&d| match d {
+                    0 => 0.0, // not in these documents: never read
+                    d => ((1.0 + n) / (1.0 + d as f64)).ln() + 1.0,
+                })
+                .collect();
+            for (w, &f) in values.iter_mut().zip(&indices) {
+                *w *= idf[f as usize];
             }
         }
-        CsrMatrix::from_triplets(docs.len(), self.vocab_len, &triplets)
-            .expect("vectorizer produces in-bounds triplets")
     }
-
-    /// Builds the user–feature matrix (`num_users × vocab`) by summing the
-    /// weighted vectors of each user's documents — the paper's `Xu`
-    /// ("users can be characterized by the word features of their tweets").
-    /// User rows are L2-normalized when the vectorizer normalizes, so a
-    /// prolific user's row stays on the same scale as everyone else's.
-    pub fn user_feature_matrix(
-        &self,
-        docs: &[Vec<usize>],
-        doc_user: &[usize],
-        num_users: usize,
-    ) -> CsrMatrix {
-        assert_eq!(docs.len(), doc_user.len(), "one user per document required");
-        let mut per_user: Vec<std::collections::HashMap<usize, f64>> =
-            vec![std::collections::HashMap::new(); num_users];
-        for (doc, &u) in docs.iter().zip(doc_user.iter()) {
-            assert!(
-                u < num_users,
-                "user id {u} out of range ({num_users} users)"
-            );
-            for (f, w) in self.transform_doc(doc) {
-                *per_user[u].entry(f).or_insert(0.0) += w;
-            }
-        }
-        let mut triplets = Vec::new();
-        for (u, feats) in per_user.into_iter().enumerate() {
-            let mut row: Vec<(usize, f64)> = feats.into_iter().collect();
-            if self.l2_normalize {
-                normalize_l2(&mut row);
-            }
-            for (f, w) in row {
-                triplets.push((u, f, w));
-            }
-        }
-        CsrMatrix::from_triplets(num_users, self.vocab_len, &triplets)
-            .expect("vectorizer produces in-bounds triplets")
-    }
+    CsrMatrix::from_sorted_rows(docs.len(), vocab_len, indptr, indices, values)
+        .expect("document rows are sorted, in range and positive")
 }
 
-fn normalize_l2(entries: &mut [(usize, f64)]) {
-    let norm: f64 = entries.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
-    if norm > 0.0 {
-        for (_, w) in entries.iter_mut() {
-            *w /= norm;
-        }
+/// Builds the user–feature matrix (`num_users × xp.cols()`) as the sum of
+/// each user's rows of `xp` (from [`doc_feature_matrix`]) — the paper's
+/// `Xu` ("users can be characterized by the word features of their
+/// tweets"). `doc_user[d]` is the author of row `d`.
+///
+/// Each entry is summed from 0.0 in ascending document order, so the
+/// result does not depend on anything but the input.
+pub fn user_feature_matrix(xp: &CsrMatrix, doc_user: &[usize], num_users: usize) -> CsrMatrix {
+    assert_eq!(xp.rows(), doc_user.len(), "one user per document required");
+    // Stable counting sort of the documents by author.
+    let mut start = vec![0usize; num_users + 1];
+    for &u in doc_user {
+        assert!(
+            u < num_users,
+            "user id {u} out of range ({num_users} users)"
+        );
+        start[u + 1] += 1;
     }
+    for u in 0..num_users {
+        start[u + 1] += start[u];
+    }
+    let mut by_author = vec![0usize; doc_user.len()];
+    let mut cursor = start.clone();
+    for (d, &u) in doc_user.iter().enumerate() {
+        by_author[cursor[u]] = d;
+        cursor[u] += 1;
+    }
+
+    // One dense accumulator row; `touched` lists the columns the
+    // current user wrote (a column re-enters only if its sum passed
+    // through exactly zero, which `dedup` absorbs).
+    let mut acc = vec![0.0f64; xp.cols()];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut indptr = Vec::with_capacity(num_users + 1);
+    let mut indices: Vec<u32> = Vec::with_capacity(xp.nnz());
+    let mut values: Vec<f64> = Vec::with_capacity(xp.nnz());
+    indptr.push(0);
+    for docs in start.windows(2).map(|s| &by_author[s[0]..s[1]]) {
+        for &d in docs {
+            let (cols, vals) = xp.row_entries(d);
+            for (&c, &w) in cols.iter().zip(vals) {
+                let slot = &mut acc[c as usize];
+                if *slot == 0.0 {
+                    touched.push(c);
+                }
+                *slot += w;
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for &c in &touched {
+            let sum = std::mem::take(&mut acc[c as usize]);
+            if sum != 0.0 {
+                indices.push(c);
+                values.push(sum);
+            }
+        }
+        touched.clear();
+        indptr.push(values.len());
+    }
+    CsrMatrix::from_sorted_rows(num_users, xp.cols(), indptr, indices, values)
+        .expect("summed rows are sorted, in range and nonzero")
 }
 
 #[cfg(test)]
@@ -183,8 +153,7 @@ mod tests {
     #[test]
     fn counts_weighting_counts_occurrences() {
         let (vocab, docs) = setup();
-        let v = Vectorizer::fit(&vocab, &docs, Weighting::Counts);
-        let x = v.doc_feature_matrix(&docs);
+        let x = doc_feature_matrix(&docs, vocab.len(), Weighting::Counts);
         assert_eq!(x.get(0, vocab.id("gmo").unwrap()), 2.0);
         assert_eq!(x.get(0, vocab.id("labeling").unwrap()), 1.0);
         assert_eq!(x.get(2, vocab.id("safe").unwrap()), 1.0);
@@ -193,16 +162,14 @@ mod tests {
     #[test]
     fn binary_weighting_caps_at_one() {
         let (vocab, docs) = setup();
-        let v = Vectorizer::fit(&vocab, &docs, Weighting::Binary);
-        let x = v.doc_feature_matrix(&docs);
+        let x = doc_feature_matrix(&docs, vocab.len(), Weighting::Binary);
         assert_eq!(x.get(0, vocab.id("gmo").unwrap()), 1.0);
     }
 
     #[test]
     fn tfidf_downweights_common_terms() {
         let (vocab, docs) = setup();
-        let v = Vectorizer::fit(&vocab, &docs, Weighting::TfIdf);
-        let x = v.doc_feature_matrix(&docs);
+        let x = doc_feature_matrix(&docs, vocab.len(), Weighting::TfIdf);
         // "gmo" appears in 2 of 3 docs, "evil" in 1: idf(evil) > idf(gmo).
         let gmo_w = x.get(1, vocab.id("gmo").unwrap());
         let evil_w = x.get(1, vocab.id("evil").unwrap());
@@ -210,44 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn tfidf_rows_are_l2_normalized() {
-        let (vocab, docs) = setup();
-        let v = Vectorizer::fit_with_norm(&vocab, &docs, Weighting::TfIdf, true);
-        let x = v.doc_feature_matrix(&docs);
-        for i in 0..x.rows() {
-            let norm: f64 = x.iter_row(i).map(|(_, w)| w * w).sum::<f64>().sqrt();
-            assert!((norm - 1.0).abs() < 1e-9, "row {i} norm {norm}");
-        }
-    }
-
-    #[test]
-    fn counts_stay_raw_unless_asked() {
-        let (vocab, docs) = setup();
-        let v = Vectorizer::fit(&vocab, &docs, Weighting::Counts);
-        let x = v.doc_feature_matrix(&docs);
-        assert_eq!(x.get(0, vocab.id("gmo").unwrap()), 2.0);
-        let vn = Vectorizer::fit_with_norm(&vocab, &docs, Weighting::Counts, true);
-        let xn = vn.doc_feature_matrix(&docs);
-        assert!(xn.get(0, vocab.id("gmo").unwrap()) < 1.0);
-    }
-
-    #[test]
-    fn user_rows_l2_normalized_for_tfidf() {
-        let (vocab, docs) = setup();
-        let v = Vectorizer::fit_with_norm(&vocab, &docs, Weighting::TfIdf, true);
-        let xu = v.user_feature_matrix(&docs, &[0, 0, 1], 2);
-        for i in 0..2 {
-            let norm: f64 = xu.iter_row(i).map(|(_, w)| w * w).sum::<f64>().sqrt();
-            assert!((norm - 1.0).abs() < 1e-9, "user row {i} norm {norm}");
-        }
-    }
-
-    #[test]
     fn user_matrix_aggregates_docs() {
         let (vocab, docs) = setup();
-        let v = Vectorizer::fit(&vocab, &docs, Weighting::Counts);
         // Docs 0 and 1 belong to user 0, doc 2 to user 1.
-        let xu = v.user_feature_matrix(&docs, &[0, 0, 1], 2);
+        let xp = doc_feature_matrix(&docs, vocab.len(), Weighting::Counts);
+        let xu = user_feature_matrix(&xp, &[0, 0, 1], 2);
         assert_eq!(xu.rows(), 2);
         assert_eq!(xu.get(0, vocab.id("gmo").unwrap()), 3.0);
         assert_eq!(xu.get(1, vocab.id("safe").unwrap()), 1.0);
@@ -255,11 +189,24 @@ mod tests {
     }
 
     #[test]
+    fn user_matrix_sums_signed_rows_and_drops_cancelled_entries() {
+        // Not a vectorizer output, but any xp must sum correctly, even
+        // when a running sum passes through zero.
+        let xp =
+            CsrMatrix::from_triplets(3, 2, &[(0, 0, 1.0), (1, 0, -1.0), (1, 1, 2.0), (2, 0, 4.0)])
+                .unwrap();
+        let xu = user_feature_matrix(&xp, &[0, 0, 0], 1);
+        let row: Vec<_> = xu.iter_row(0).collect();
+        assert_eq!(row, vec![(0, 4.0), (1, 2.0)]);
+        let xu = user_feature_matrix(&xp, &[0, 0, 1], 2);
+        assert_eq!(xu.iter_row(0).collect::<Vec<_>>(), vec![(1, 2.0)]);
+    }
+
+    #[test]
     fn empty_docs_produce_empty_rows() {
         let (vocab, mut docs) = setup();
         docs.push(vec![]);
-        let v = Vectorizer::fit(&vocab, &docs, Weighting::TfIdf);
-        let x = v.doc_feature_matrix(&docs);
+        let x = doc_feature_matrix(&docs, vocab.len(), Weighting::TfIdf);
         assert_eq!(x.rows(), 4);
         assert_eq!(x.iter_row(3).count(), 0);
     }

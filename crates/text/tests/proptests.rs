@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use tgs_text::{
-    tokenize_features, Lexicon, Sentiment, TokenizerConfig, Vectorizer, VocabConfig, Vocabulary,
-    Weighting,
+    doc_feature_matrix, tokenize_features, Lexicon, Sentiment, TokenizerConfig, VocabConfig,
+    Vocabulary, Weighting,
 };
 
 /// Strategy: short "tweets" of lowercase words, hashtags and junk.
@@ -73,8 +73,7 @@ proptest! {
         )
     ) {
         let vocab = Vocabulary::from_tokens((0..6).map(|i| format!("w{i}")));
-        let v = Vectorizer::fit(&vocab, &docs, Weighting::Counts);
-        let x = v.doc_feature_matrix(&docs);
+        let x = doc_feature_matrix(&docs, vocab.len(), Weighting::Counts);
         let total_tokens: usize = docs.iter().map(Vec::len).sum();
         prop_assert!((x.sum() - total_tokens as f64).abs() < 1e-9);
     }

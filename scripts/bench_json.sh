@@ -40,6 +40,13 @@
 # fixed-width kernel at the solver's k = 3 and the workloads' vocabulary
 # sizes; the artifact's `box` object stamps cores, SIMD tier and pool
 # threads.
+# `assemble_snapshot/{day,burst}` (BENCH_solvers.json) times
+# `assemble_snapshot_matrices` on the backfill workload's stream (Prop 37
+# at 4× users and tweets, split over 2 shards as the router splits it):
+# the median day and the election-day burst. The solvers bench stamps a
+# file-level `box` too; the committed file has none, because its rows
+# come from different runs: the two `assemble_snapshot` rows were added
+# without regenerating the others and each carry the `box` of their run.
 #
 # Usage:
 #   ./scripts/bench_json.sh           # full regeneration (commit these)
