@@ -19,6 +19,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> paper binaries (small scale; a panicking table or figure fails CI)"
+for bin in run_all ablations obs2_correlation; do
+    TGS_OUTPUT_DIR=target/experiments-smoke "./target/release/$bin" > /dev/null
+done
+
 echo "==> cargo test -q"
 cargo test --workspace -q
 

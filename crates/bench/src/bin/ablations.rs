@@ -1,11 +1,10 @@
 //! Ablation study: what each piece of the framework contributes.
 //!
-//! Not a paper table — this backs the design decisions recorded in
-//! DESIGN.md:
+//! Not a paper table — it measures the framework's design choices:
 //!   1. each coupling term of Eq. 1 (drop Xu / Xr / lexicon / graph);
 //!   2. lexicon-seeded vs random initialization;
-//!   3. normalized vs paper-literal (unnormalized) temporal windows;
-//!   4. majority-vote vs Hungarian-optimal cluster→class mapping.
+//!   3. majority-vote vs Hungarian-optimal cluster→class mapping;
+//!   4. online, the default configuration against γ = 0 and α = 0.
 //!
 //! `cargo run -p tgs-bench --release --bin ablations`
 
@@ -151,7 +150,7 @@ fn main() {
 
     emit(&table, "ablations_offline");
 
-    // 3. temporal-window ablation (online).
+    // 4. temporal-term ablation (online).
     let c = corpus(Topic::Prop30, scale);
     let builder = SnapshotBuilder::new(&c, 3, &pipeline());
     let mut online_table = Table::new(
@@ -169,16 +168,8 @@ fn main() {
     ));
     for (name, cfg) in [
         (
-            "normalized windows (default)",
+            "default configuration",
             OnlineConfig {
-                max_iters: 40,
-                ..Default::default()
-            },
-        ),
-        (
-            "unnormalized windows (paper-literal)",
-            OnlineConfig {
-                normalize_window: false,
                 max_iters: 40,
                 ..Default::default()
             },

@@ -98,7 +98,7 @@ pub fn param_sweep(scale: Scale) -> (Table, Table) {
         "paper: best accuracy at alpha=0, beta in [0.5, 0.8]; heavy beta=1 hurts. \
          Reproduction finding: our sweep is nearly flat — on raw tf-idf scales the \
          alpha/beta terms are orders of magnitude below the data terms, and the \
-         lexicon-seeded init already carries the prior (see EXPERIMENTS.md); scale = {}",
+         lexicon-seeded init already carries the prior; scale = {}",
         scale.name()
     ));
     let mut tweet_table = Table::new(

@@ -112,11 +112,6 @@ pub struct OnlineConfig {
     /// Window size `w` (the paper uses `w = 2` with daily timestamps:
     /// aggregate the previous `w − 1` snapshots).
     pub window: usize,
-    /// Normalize `Sfw`/`Suw` by `Σ τ^i` so the temporal target keeps the
-    /// scale of a single snapshot. Default **false** — the paper's
-    /// definition is unnormalized, and with `w = 2` normalization would
-    /// cancel τ entirely (ablated in the benches).
-    pub normalize_window: bool,
     /// Iteration cap per snapshot.
     pub max_iters: usize,
     /// Relative objective-change tolerance.
@@ -139,7 +134,6 @@ impl Default for OnlineConfig {
             gamma: 0.2,
             tau: 0.9,
             window: 2,
-            normalize_window: false,
             max_iters: 60,
             tol: 1e-5,
             seed: 42,

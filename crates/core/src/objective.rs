@@ -6,8 +6,11 @@ use tgs_linalg::{approx_error_bi, approx_error_tri, laplacian_quad, DenseMatrix}
 use crate::factors::TriFactors;
 use crate::input::TriInput;
 
-/// The objective decomposed into its components. `total()` is what the
-/// multiplicative updates are proven to not increase.
+/// The objective decomposed into its components. `total()` is the value
+/// the paper's MM argument says each update rule does not increase. A
+/// full sweep can still raise it at corpus scale: Fig. 8 at small scale
+/// prints 678,158.3 at iteration 25 and 696,399.0 at iteration 40 (see
+/// `crate::updates` and ROADMAP item 3).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ObjectiveParts {
     /// `‖Xp − Sp·Hp·Sfᵀ‖²` (Eq. 2) — Fig. 8(a).

@@ -11,7 +11,7 @@ use tgs_linalg::{random_factor_with, seeded_rng};
 
 use crate::config::OnlineConfig;
 use crate::error::TgsError;
-use crate::factors::{InitStrategy, TriFactors};
+use crate::factors::TriFactors;
 use crate::input::TriInput;
 use crate::objective::{online_objective, ObjectiveParts};
 use crate::window::{FactorWindow, SentimentHistory, UserPartition};
@@ -120,14 +120,8 @@ impl OnlineSolver {
     }
 
     fn new_unchecked(config: OnlineConfig) -> Self {
-        // The Sf window is always normalized: with the paper's w = 2 an
-        // unnormalized target τ·Sf(t−1) re-shrinks Sf every snapshot and
-        // destabilizes cluster-column alignment over long streams (see
-        // DESIGN.md; ablated in the benches). τ still governs the decay
-        // of per-user history below.
-        let sf_window = FactorWindow::new(config.window, config.tau, true);
-        let history =
-            SentimentHistory::new(config.k, config.window, config.tau, config.normalize_window);
+        let sf_window = FactorWindow::new(config.window, config.tau);
+        let history = SentimentHistory::new(config.k, config.window, config.tau);
         Self {
             config,
             sf_window,
@@ -203,14 +197,11 @@ impl OnlineSolver {
                 }
             }
         }
-        // Mirror `new`: the Sf window is always normalized (see the
-        // comment there); the per-user history follows the config.
-        let sf_window = FactorWindow::restore(config.window, config.tau, true, state.sf_window);
+        let sf_window = FactorWindow::restore(config.window, config.tau, state.sf_window);
         let history = SentimentHistory::restore(
             config.k,
             config.window,
             config.tau,
-            config.normalize_window,
             state.history_step,
             state.history_rows,
         )?;
@@ -516,11 +507,6 @@ impl OnlineSolver {
     /// has been called.
     pub fn is_cold(&self) -> bool {
         self.steps == 0
-    }
-
-    /// Uses [`InitStrategy`] for the first snapshot; exposed for tests.
-    pub fn init_strategy(&self) -> InitStrategy {
-        self.config.init
     }
 }
 

@@ -1,8 +1,8 @@
 //! Temporal windows: the `Sfw(t)` / `Suw(t)` aggregations of §4.
 //!
 //! `Mw(t) = Σ_{i=1}^{w−1} τ^i · M(t−i)` — an exponentially decayed
-//! aggregation of the previous `w − 1` snapshots, optionally normalized
-//! by `Σ τ^i` to keep the target on a single-snapshot scale.
+//! aggregation of the previous `w − 1` snapshots. `Sfw` is divided by
+//! `Σ τ^i` to keep the target on a single-snapshot scale; `Suw` is not.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -34,24 +34,26 @@ pub type AgedHistoryRows = Vec<(usize, Vec<(u64, Vec<f64>)>)>;
 const STEP_FLOOR: i64 = -(1 << 62);
 
 /// Ring buffer of the last `w − 1` feature-cluster matrices `Sf(t−i)`.
+///
+/// The aggregate is normalized by `Σ τ^i`, unlike the paper's definition:
+/// with its `w = 2` an unnormalized target `τ·Sf(t−1)` would pull `Sf`
+/// down by `τ` every snapshot. The unnormalized variant is not measured.
 #[derive(Debug, Clone)]
 pub struct FactorWindow {
     window: usize,
     tau: f64,
-    normalize: bool,
     /// Front = most recent (`i = 1`).
     buf: VecDeque<DenseMatrix>,
 }
 
 impl FactorWindow {
     /// Creates an empty window holding up to `window − 1` snapshots.
-    pub fn new(window: usize, tau: f64, normalize: bool) -> Self {
+    pub fn new(window: usize, tau: f64) -> Self {
         assert!(window >= 1, "window must be >= 1");
         assert!(tau > 0.0 && tau <= 1.0, "tau must be in (0, 1]");
         Self {
             window,
             tau,
-            normalize,
             buf: VecDeque::new(),
         }
     }
@@ -83,8 +85,8 @@ impl FactorWindow {
     /// Rebuilds a window from checkpointed snapshots (most recent first,
     /// as produced by [`FactorWindow::snapshots`]). Snapshots beyond the
     /// window's capacity are dropped.
-    pub fn restore(window: usize, tau: f64, normalize: bool, snapshots: Vec<DenseMatrix>) -> Self {
-        let mut w = Self::new(window, tau, normalize);
+    pub fn restore(window: usize, tau: f64, snapshots: Vec<DenseMatrix>) -> Self {
+        let mut w = Self::new(window, tau);
         w.buf = snapshots
             .into_iter()
             .take(window.saturating_sub(1))
@@ -92,8 +94,8 @@ impl FactorWindow {
         w
     }
 
-    /// `Sfw(t) = Σ_{i=1}^{w−1} τ^i·Sf(t−i)`, or `None` before any history
-    /// exists (first snapshot).
+    /// `Sfw(t) = Σ_{i=1}^{w−1} τ^i·Sf(t−i) / Σ_{i=1}^{w−1} τ^i`, or `None`
+    /// before any history exists (first snapshot).
     pub fn aggregate(&self) -> Option<DenseMatrix> {
         let first = self.buf.front()?;
         let mut acc = DenseMatrix::zeros(first.rows(), first.cols());
@@ -104,9 +106,7 @@ impl FactorWindow {
             weight_sum += w;
             w *= self.tau;
         }
-        if self.normalize && weight_sum > 0.0 {
-            acc.scale_in_place(1.0 / weight_sum);
-        }
+        acc.scale_in_place(1.0 / weight_sum);
         Some(acc)
     }
 }
@@ -118,7 +118,6 @@ pub struct SentimentHistory {
     k: usize,
     window: usize,
     tau: f64,
-    normalize: bool,
     /// Global step counter (one per processed snapshot).
     t: i64,
     /// Per user: recent `(step, row)` observations, front = newest.
@@ -145,13 +144,12 @@ pub struct UserPartition {
 
 impl SentimentHistory {
     /// Creates an empty history for `k` classes with window `w`.
-    pub fn new(k: usize, window: usize, tau: f64, normalize: bool) -> Self {
+    pub fn new(k: usize, window: usize, tau: f64) -> Self {
         assert!(window >= 1, "window must be >= 1");
         Self {
             k,
             window,
             tau,
-            normalize,
             t: 0,
             rows: HashMap::new(),
         }
@@ -189,11 +187,12 @@ impl SentimentHistory {
     }
 
     /// `Suw(t)` row for one user: decayed aggregation of their in-window
-    /// rows. `None` for unknown users.
+    /// rows, not normalized (the paper's definition), so a user absent
+    /// for `i` snapshots keeps `τ^i` of their last row. `None` for
+    /// unknown users.
     pub fn aggregate_row(&self, user: usize) -> Option<Vec<f64>> {
         let hist = self.rows.get(&user)?;
         let mut acc = vec![0.0; self.k];
-        let mut weight_sum = 0.0;
         for &(step, ref row) in hist {
             // Aggregation targets the *next* snapshot (t + 1), so an entry
             // recorded at `step` is `i = (t + 1) − step` snapshots ago
@@ -204,12 +203,6 @@ impl SentimentHistory {
             let w = self.tau.powi(i);
             for (a, &v) in acc.iter_mut().zip(row.iter()) {
                 *a += w * v;
-            }
-            weight_sum += w;
-        }
-        if self.normalize && weight_sum > 0.0 {
-            for a in &mut acc {
-                *a /= weight_sum;
             }
         }
         Some(acc)
@@ -271,7 +264,6 @@ impl SentimentHistory {
         k: usize,
         window: usize,
         tau: f64,
-        normalize: bool,
         t: i64,
         rows: HistoryRows,
     ) -> Result<Self, crate::error::TgsError> {
@@ -284,7 +276,7 @@ impl SentimentHistory {
                 detail: format!("history step counter {t} is outside the representable band"),
             });
         }
-        let mut h = Self::new(k, window, tau, normalize);
+        let mut h = Self::new(k, window, tau);
         h.t = t;
         for (user, entries) in rows {
             for (step, row) in &entries {
@@ -477,27 +469,27 @@ mod tests {
 
     #[test]
     fn factor_window_empty_then_filled() {
-        let mut w = FactorWindow::new(3, 0.5, false);
+        let mut w = FactorWindow::new(3, 0.5);
         assert!(w.aggregate().is_none());
         w.push(DenseMatrix::filled(2, 2, 1.0));
         let agg = w.aggregate().unwrap();
-        // single snapshot: τ¹ · 1.0 = 0.5
-        assert!((agg.get(0, 0) - 0.5).abs() < 1e-12);
+        // single snapshot: τ¹ · 1.0 / τ¹ = 1.0
+        assert!((agg.get(0, 0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn factor_window_decays_older_snapshots() {
-        let mut w = FactorWindow::new(3, 0.5, false);
+        let mut w = FactorWindow::new(3, 0.5);
         w.push(DenseMatrix::filled(1, 1, 8.0)); // will be i=2
         w.push(DenseMatrix::filled(1, 1, 4.0)); // i=1
-                                                // τ·4 + τ²·8 = 2 + 2 = 4
+                                                // (τ·4 + τ²·8) / (τ + τ²) = 4 / 0.75
         let agg = w.aggregate().unwrap();
-        assert!((agg.get(0, 0) - 4.0).abs() < 1e-12);
+        assert!((agg.get(0, 0) - 4.0 / 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn factor_window_normalized_is_convex_combination() {
-        let mut w = FactorWindow::new(3, 0.9, true);
+        let mut w = FactorWindow::new(3, 0.9);
         w.push(DenseMatrix::filled(1, 1, 2.0));
         w.push(DenseMatrix::filled(1, 1, 4.0));
         let agg = w.aggregate().unwrap().get(0, 0);
@@ -506,7 +498,7 @@ mod tests {
 
     #[test]
     fn factor_window_evicts_beyond_w_minus_1() {
-        let mut w = FactorWindow::new(2, 1.0, false);
+        let mut w = FactorWindow::new(2, 1.0);
         w.push(DenseMatrix::filled(1, 1, 1.0));
         w.push(DenseMatrix::filled(1, 1, 2.0));
         assert_eq!(w.len(), 1);
@@ -515,7 +507,7 @@ mod tests {
 
     #[test]
     fn window_one_keeps_no_history() {
-        let mut w = FactorWindow::new(1, 0.9, true);
+        let mut w = FactorWindow::new(1, 0.9);
         w.push(DenseMatrix::filled(1, 1, 1.0));
         assert!(w.is_empty());
         assert!(w.aggregate().is_none());
@@ -523,7 +515,7 @@ mod tests {
 
     #[test]
     fn history_partition_new_evolving_disappeared() {
-        let mut h = SentimentHistory::new(2, 3, 0.9, true);
+        let mut h = SentimentHistory::new(2, 3, 0.9);
         let su = DenseMatrix::from_vec(2, 2, vec![0.9, 0.1, 0.2, 0.8]).unwrap();
         h.record(&[10, 20], &su);
         let part = h.partition(&[20, 30]);
@@ -540,7 +532,7 @@ mod tests {
 
     #[test]
     fn history_aggregate_row_decays() {
-        let mut h = SentimentHistory::new(2, 4, 0.5, false);
+        let mut h = SentimentHistory::new(2, 4, 0.5);
         h.record(&[1], &DenseMatrix::from_vec(1, 2, vec![1.0, 0.0]).unwrap());
         h.record(&[1], &DenseMatrix::from_vec(1, 2, vec![0.0, 1.0]).unwrap());
         // t=2: row(t-1)=[0,1] weight 0.5; row(t-2)=[1,0] weight 0.25
@@ -551,7 +543,7 @@ mod tests {
 
     #[test]
     fn history_keeps_last_observation_of_absent_users() {
-        let mut h = SentimentHistory::new(2, 2, 0.5, false);
+        let mut h = SentimentHistory::new(2, 2, 0.5);
         h.record(&[7], &DenseMatrix::from_vec(1, 2, vec![1.0, 0.0]).unwrap());
         assert!(h.knows(7));
         // user 7 absent, but the last observation is carried forward
@@ -565,7 +557,7 @@ mod tests {
 
     #[test]
     fn history_prunes_older_duplicates_within_user() {
-        let mut h = SentimentHistory::new(2, 2, 0.5, false);
+        let mut h = SentimentHistory::new(2, 2, 0.5);
         for _ in 0..4 {
             h.record(&[3], &DenseMatrix::from_vec(1, 2, vec![1.0, 0.0]).unwrap());
         }
@@ -579,7 +571,7 @@ mod tests {
 
     #[test]
     fn take_and_import_round_trips_exactly() {
-        let mut h = SentimentHistory::new(2, 4, 0.5, false);
+        let mut h = SentimentHistory::new(2, 4, 0.5);
         h.record(
             &[1, 9],
             &DenseMatrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap(),
@@ -602,22 +594,22 @@ mod tests {
     fn import_preserves_age_across_different_step_counters() {
         // Record user 3 on a solver that has seen 2 steps, migrate to a
         // cold solver: the observation must stay "1 step old" there.
-        let mut src = SentimentHistory::new(2, 4, 0.5, false);
+        let mut src = SentimentHistory::new(2, 4, 0.5);
         src.record(&[], &DenseMatrix::zeros(0, 2));
         src.record(&[3], &DenseMatrix::from_vec(1, 2, vec![1.0, 0.0]).unwrap());
         let expect = src.aggregate_row(3).unwrap();
-        let mut dst = SentimentHistory::new(2, 4, 0.5, false);
+        let mut dst = SentimentHistory::new(2, 4, 0.5);
         dst.import_aged(src.take_users(0, usize::MAX)).unwrap();
         assert_eq!(dst.aggregate_row(3).unwrap(), expect);
         // A second import of the same user is a typed ownership clash.
-        let mut src2 = SentimentHistory::new(2, 4, 0.5, false);
+        let mut src2 = SentimentHistory::new(2, 4, 0.5);
         src2.record(&[3], &DenseMatrix::from_vec(1, 2, vec![0.5, 0.5]).unwrap());
         assert!(dst.import_aged(src2.take_users(0, usize::MAX)).is_err());
     }
 
     #[test]
     fn record_masked_skips_ghost_rows_but_advances_time() {
-        let mut h = SentimentHistory::new(2, 3, 0.5, false);
+        let mut h = SentimentHistory::new(2, 3, 0.5);
         let su = DenseMatrix::from_vec(2, 2, vec![0.9, 0.1, 0.2, 0.8]).unwrap();
         h.record_masked(&[10, 20], &su, &[1]);
         assert!(h.knows(10));
@@ -627,7 +619,7 @@ mod tests {
 
     #[test]
     fn aggregate_matrix_falls_back_to_uniform() {
-        let h = SentimentHistory::new(2, 3, 0.9, true);
+        let h = SentimentHistory::new(2, 3, 0.9);
         let m = h.aggregate_matrix(&[5], &[0]);
         assert_eq!(m.row(0), &[0.5, 0.5]);
     }

@@ -43,7 +43,7 @@ proptest! {
     ) {
         // normalized aggregation is a convex combination → bounded by the
         // min/max of the inputs
-        let mut w = FactorWindow::new(values.len() + 1, tau, true);
+        let mut w = FactorWindow::new(values.len() + 1, tau);
         for &v in &values {
             w.push(DenseMatrix::filled(1, 1, v));
         }
@@ -60,7 +60,7 @@ proptest! {
     ) {
         let first: Vec<usize> = first.into_iter().collect();
         let second: Vec<usize> = second.into_iter().collect();
-        let mut h = SentimentHistory::new(3, 2, 0.9, true);
+        let mut h = SentimentHistory::new(3, 2, 0.9);
         h.record(&first, &DenseMatrix::filled(first.len(), 3, 1.0 / 3.0));
         let part = h.partition(&second);
         // every current row appears in exactly one bucket
@@ -81,22 +81,5 @@ proptest! {
         let gone: Vec<usize> = (0..20).filter(|&u| h.knows(u) && !second.contains(&u)).collect();
         let expected: Vec<usize> = first.iter().copied().filter(|u| !second.contains(u)).collect();
         prop_assert_eq!(gone, expected);
-    }
-
-    #[test]
-    fn history_aggregate_rows_are_distributions_when_normalized(
-        users in proptest::collection::btree_set(0usize..10, 1..6),
-    ) {
-        let users: Vec<usize> = users.into_iter().collect();
-        let mut h = SentimentHistory::new(3, 3, 0.7, true);
-        // record L1-normalized rows (as the online solver does)
-        let mut rows = DenseMatrix::from_fn(users.len(), 3, |i, j| ((i + j) % 3) as f64 + 0.1);
-        rows.normalize_rows_l1();
-        h.record(&users, &rows);
-        for &u in &users {
-            let agg = h.aggregate_row(u).expect("recorded");
-            let sum: f64 = agg.iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-9, "aggregate must stay a distribution");
-        }
     }
 }

@@ -1,5 +1,5 @@
 //! The corpus generator: the stand-in for the paper's 2012 California
-//! ballot Twitter crawl (see DESIGN.md §4 for the substitution rationale).
+//! ballot Twitter crawl (the crate doc gives the substitution rationale).
 
 use rand::rngs::StdRng;
 use rand::RngExt;

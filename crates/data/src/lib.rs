@@ -1,7 +1,7 @@
 //! # tgs-data
 //!
 //! Synthetic California-ballot Twitter corpus generator — the substitution
-//! for the paper's (unobtainable) November 2012 crawl. See DESIGN.md §4.
+//! for the paper's (unobtainable) November 2012 crawl.
 //!
 //! The generator reproduces every statistical property the paper's
 //! evaluation depends on: Table 3-style class/label proportions, Zipfian

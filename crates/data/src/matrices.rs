@@ -1,7 +1,7 @@
 //! Assembling tri-clustering problem instances (offline and per-snapshot)
 //! from a corpus.
 
-use tgs_graph::{build_interactions, Interaction, InteractionWeights, UserGraph};
+use tgs_graph::{build_interactions, Interaction, UserGraph};
 use tgs_linalg::{CsrMatrix, DenseMatrix};
 use tgs_text::{doc_feature_matrix, user_feature_matrix, PipelineConfig, Vocabulary, Weighting};
 
@@ -81,12 +81,7 @@ fn interactions(corpus: &Corpus) -> (CsrMatrix, UserGraph) {
             author: corpus.tweets[r.tweet].author,
         });
     }
-    build_interactions(
-        corpus.num_users(),
-        corpus.num_tweets(),
-        &events,
-        InteractionWeights::default(),
-    )
+    build_interactions(corpus.num_users(), corpus.num_tweets(), &events)
 }
 
 /// The matrix bundle of one snapshot: everything [`assemble_snapshot_matrices`]
@@ -106,7 +101,7 @@ pub struct SnapshotMatrices {
 /// Assembles one snapshot's tripartite matrices from already-encoded
 /// documents over a frozen global vocabulary — the single pipeline shared
 /// by [`SnapshotBuilder::snapshot`] and the `tgs-engine` ingest worker,
-/// so snapshot semantics (vectorization, interaction weights) cannot
+/// so snapshot semantics (vectorization, `Xr` links) cannot
 /// drift between the batch and streaming paths.
 ///
 /// * `encoded[i]` — feature ids of document `i`;
@@ -136,12 +131,7 @@ pub fn assemble_snapshot_matrices(
             author: doc_authors[doc],
         });
     }
-    let (xr, graph) = build_interactions(
-        num_users,
-        encoded.len(),
-        &events,
-        InteractionWeights::default(),
-    );
+    let (xr, graph) = build_interactions(num_users, encoded.len(), &events);
     SnapshotMatrices { xp, xu, xr, graph }
 }
 

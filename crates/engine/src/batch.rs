@@ -264,12 +264,6 @@ impl<S: IngestSink> BatchingIngest<S> {
     pub fn batches_shed(&self) -> u64 {
         self.batches_shed
     }
-
-    /// Consumes the batcher, returning the sink and any pending batch
-    /// (which the sink has not seen).
-    pub fn into_parts(self) -> (S, Option<EngineSnapshot>) {
-        (self.sink, self.pending.map(|p| p.batch))
-    }
 }
 
 #[cfg(test)]

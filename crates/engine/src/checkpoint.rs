@@ -349,7 +349,8 @@ pub(crate) fn encode(
     w.f64(c.gamma);
     w.f64(c.tau);
     w.usize(c.window);
-    w.bool(c.normalize_window);
+    // User windows are unnormalized; `decode` rejects any other value.
+    w.u8(0);
     w.usize(c.max_iters);
     w.f64(c.tol);
     w.u64(c.seed);
@@ -419,14 +420,26 @@ pub(crate) fn decode(
 
     // --- Configuration ---
     let k = r.usize("k")?;
+    let alpha = r.f64("alpha")?;
+    let beta = r.f64("beta")?;
+    let gamma = r.f64("gamma")?;
+    let tau = r.f64("tau")?;
+    let window = r.usize("window")?;
+    // A nonzero byte asks for normalized user windows, which this build
+    // does not compute; restoring it would silently change `Suw`.
+    let user_window_flag = r.u8("user window flag")?;
+    if user_window_flag != 0 {
+        return Err(TgsError::corrupt(format!(
+            "user window flag {user_window_flag}: normalized user windows are not supported"
+        )));
+    }
     let config = OnlineConfig {
         k,
-        alpha: r.f64("alpha")?,
-        beta: r.f64("beta")?,
-        gamma: r.f64("gamma")?,
-        tau: r.f64("tau")?,
-        window: r.usize("window")?,
-        normalize_window: r.bool("normalize_window")?,
+        alpha,
+        beta,
+        gamma,
+        tau,
+        window,
         max_iters: r.usize("max_iters")?,
         tol: r.f64("tol")?,
         seed: r.u64("seed")?,
@@ -697,5 +710,23 @@ mod tests {
             assert!(decode(&ckpt).is_err(), "prefix of {cut} bytes decoded");
         }
         assert!(decode(&EngineCheckpoint::from_bytes(full)).is_ok());
+    }
+
+    #[test]
+    fn normalized_user_windows_are_rejected() {
+        let mut bytes = streamed_engine(2, 64 << 20)
+            .checkpoint()
+            .unwrap()
+            .as_bytes()
+            .to_vec();
+        // After the magic: k, alpha, beta, gamma, tau and window.
+        let flag = MAGIC.len() + 6 * 8;
+        assert_eq!(bytes[flag], 0);
+        bytes[flag] = 1;
+        let err = match crate::SentimentEngine::restore(&EngineCheckpoint::from_bytes(bytes)) {
+            Err(e) => e,
+            Ok(_) => panic!("a checkpoint asking for normalized user windows must not restore"),
+        };
+        assert!(matches!(err, TgsError::CorruptCheckpoint { .. }), "{err}");
     }
 }

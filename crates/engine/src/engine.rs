@@ -69,14 +69,6 @@ impl EngineState {
 enum Command {
     Ingest(EngineSnapshot),
     Sync(mpsc::Sender<()>),
-    /// Asks the worker thread to pin itself to the `set_index`-th of
-    /// `n_sets` disjoint core groups (best effort, `TGS_PIN`-gated) —
-    /// affinity must be set from the thread itself, so the router sends
-    /// it through the queue instead of reaching into the thread.
-    Pin {
-        set_index: usize,
-        n_sets: usize,
-    },
 }
 
 /// Ingest-path counters, shared between producers, the worker thread and
@@ -169,9 +161,9 @@ pub struct EngineStats {
     /// (`tgs_linalg::pool_threads()`: `TGS_THREADS` / detected cores,
     /// clamped) — process-wide, recorded for the same reason as `simd`.
     pub threads: u64,
-    /// Whether core pinning is requested (`TGS_PIN`): pool workers take
-    /// a core each and fleet shard workers request disjoint core sets.
-    /// Best-effort — on non-Linux platforms the request is a no-op.
+    /// Always `false` from this build, which pins no thread to a core.
+    /// Kept because the STATS wire record carries its byte; an older peer
+    /// with core pinning switched on may still report `true`.
     pub pinned: bool,
     /// Shard slots the supervisor rebuilt from their last good
     /// checkpoint section after a failure (cumulative). Always 0 on a
@@ -371,23 +363,10 @@ impl SentimentEngine {
             shard_unavailable: 0,
             simd: tgs_linalg::simd_tier_name(),
             threads: tgs_linalg::pool_threads() as u64,
-            pinned: tgs_linalg::pinning_enabled(),
+            pinned: false,
             respawns: 0,
             replayed_docs: 0,
             degraded_queries: 0,
-        }
-    }
-
-    /// Asks this engine's worker thread to pin itself to the
-    /// `set_index`-th of `n_sets` disjoint core groups (best effort,
-    /// gated on `TGS_PIN`; see
-    /// [`tgs_linalg::pin_current_to_core_set`]). Fire-and-forget: the
-    /// request rides the command queue and a closed engine ignores it.
-    /// Public for fleet transports (shard servers pin within their own
-    /// host's core budget); direct users rarely need it.
-    pub fn request_core_set(&self, set_index: usize, n_sets: usize) {
-        if let Some(tx) = self.tx.as_ref() {
-            let _ = tx.try_send(Command::Pin { set_index, n_sets });
         }
     }
 
@@ -763,9 +742,6 @@ fn worker_loop(
             }
             Command::Sync(ack) => {
                 let _ = ack.send(());
-            }
-            Command::Pin { set_index, n_sets } => {
-                let _ = tgs_linalg::pin_current_to_core_set(set_index, n_sets);
             }
         }
     }

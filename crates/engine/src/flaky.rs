@@ -43,11 +43,6 @@ impl FlakyShard {
         self.down.store(down, Ordering::Relaxed);
     }
 
-    /// Whether the shard is currently simulating an outage.
-    pub fn is_down(&self) -> bool {
-        self.down.load(Ordering::Relaxed)
-    }
-
     /// Calls rejected while down so far.
     pub fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
@@ -189,10 +184,6 @@ impl ShardTransport for FlakyShard {
     fn set_generation(&self, generation: u64) -> Result<(), TgsError> {
         self.check()?;
         self.inner.set_generation(generation)
-    }
-
-    fn request_core_set(&self, set_index: usize, n_sets: usize) {
-        self.inner.request_core_set(set_index, n_sets);
     }
 
     fn shutdown(&self) -> Result<(), TgsError> {

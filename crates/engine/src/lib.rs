@@ -326,7 +326,7 @@ mod tests {
             EngineStats {
                 simd: tgs_linalg::simd_tier_name(),
                 threads: tgs_linalg::pool_threads() as u64,
-                pinned: tgs_linalg::pinning_enabled(),
+                pinned: false,
                 ..EngineStats::default()
             }
         );

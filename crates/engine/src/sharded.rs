@@ -520,7 +520,6 @@ impl ShardedEngine {
         for t in &transports {
             t.set_generation(map.generation())?;
         }
-        assign_core_sets(&transports);
         let mut ingested = BTreeSet::new();
         for t in &transports {
             ingested.extend(t.timestamps()?);
@@ -551,11 +550,6 @@ impl ShardedEngine {
     /// ingest (the registry starts empty).
     pub fn set_recovery_counters(&mut self, counters: Arc<RecoveryCounters>) {
         self.recovery = counters;
-    }
-
-    /// The recovery telemetry this router reports through.
-    pub fn recovery_counters(&self) -> Arc<RecoveryCounters> {
-        Arc::clone(&self.recovery)
     }
 
     /// Number of shards.
@@ -895,9 +889,6 @@ impl ShardedEngine {
         let outcome = apply_plan(plan, &new_map, &mut cur_map, &mut workers);
         fleet.workers = workers;
         fleet.map = cur_map;
-        // The shard count may have changed: re-deal the disjoint core
-        // sets so solver threads stop overlapping (TGS_PIN-gated).
-        assign_core_sets(&fleet.workers);
         // Stamp the surviving workers with the new topology generation.
         // Any query handle still keyed to the old topology now gets
         // `StaleTopology` from every worker and re-keys lazily; a worker
@@ -1194,19 +1185,6 @@ impl ShardedEngine {
             }
         }
         outcome.map(|_| ())
-    }
-}
-
-/// Deals the fleet's workers disjoint, near-equal core sets (worker `i`
-/// of `n` gets the `i`-th of `n` groups). Best-effort and `TGS_PIN`-
-/// gated; a no-op request costs one queued command per worker.
-fn assign_core_sets(workers: &[Arc<dyn ShardTransport>]) {
-    if !tgs_linalg::pinning_enabled() {
-        return;
-    }
-    let n = workers.len();
-    for (i, worker) in workers.iter().enumerate() {
-        worker.request_core_set(i, n);
     }
 }
 

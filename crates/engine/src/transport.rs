@@ -156,11 +156,10 @@ pub trait ShardTransport: Send + Sync {
     /// any handle still holding it re-keys instead of double-counting.
     fn set_generation(&self, generation: u64) -> Result<(), TgsError>;
 
-    /// Asks the worker to pin itself to the `set_index`-th of `n_sets`
-    /// disjoint core groups (best effort, `TGS_PIN`-gated). Remote
-    /// workers pin within their own host's core budget, so a remote
-    /// transport treats this as a no-op.
-    fn request_core_set(&self, set_index: usize, n_sets: usize);
+    /// Does nothing: no worker is pinned to a core. The method stays
+    /// only because implementations outside this workspace still define
+    /// it; it goes when the trait collapses to one call (ROADMAP item 6).
+    fn request_core_set(&self, _set_index: usize, _n_sets: usize) {}
 
     /// Drains the worker and releases it (a remote transport drops the
     /// server-side slot). Idempotent best effort during fleet teardown.
@@ -328,10 +327,6 @@ impl ShardTransport for LocalShard {
     fn set_generation(&self, generation: u64) -> Result<(), TgsError> {
         self.generation.fetch_max(generation, Ordering::Relaxed);
         Ok(())
-    }
-
-    fn request_core_set(&self, set_index: usize, n_sets: usize) {
-        self.engine.request_core_set(set_index, n_sets);
     }
 
     fn shutdown(&self) -> Result<(), TgsError> {

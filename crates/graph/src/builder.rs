@@ -32,32 +32,16 @@ pub enum Interaction {
     },
 }
 
-/// Weights applied when assembling `Xr`.
-#[derive(Debug, Clone, Copy)]
-pub struct InteractionWeights {
-    /// Weight of a posting edge in `Xr`.
-    pub post: f64,
-    /// Weight of a re-tweet edge in `Xr`.
-    pub retweet: f64,
-}
-
-impl Default for InteractionWeights {
-    fn default() -> Self {
-        Self {
-            post: 1.0,
-            retweet: 1.0,
-        }
-    }
-}
-
 /// Builds `Xr` and `Gu` from an event log.
 ///
 /// Returns `(xr, user_graph)` where `xr` is `num_users × num_tweets`.
+/// Each post and each re-tweet adds 1.0 to its `Xr` entry: the paper's
+/// 0/1 user–tweet links, except that a user who re-tweets their own
+/// tweet (or one tweet twice) sums to 2.0 or more.
 pub fn build_interactions(
     num_users: usize,
     num_tweets: usize,
     events: &[Interaction],
-    weights: InteractionWeights,
 ) -> (CsrMatrix, UserGraph) {
     let mut xr_triplets = Vec::with_capacity(events.len());
     let mut gu_edges = Vec::new();
@@ -68,7 +52,7 @@ pub fn build_interactions(
                     user < num_users && tweet < num_tweets,
                     "post event out of bounds"
                 );
-                xr_triplets.push((user, tweet, weights.post));
+                xr_triplets.push((user, tweet, 1.0));
             }
             Interaction::Retweet {
                 user,
@@ -79,7 +63,7 @@ pub fn build_interactions(
                     user < num_users && tweet < num_tweets && author < num_users,
                     "retweet event out of bounds"
                 );
-                xr_triplets.push((user, tweet, weights.retweet));
+                xr_triplets.push((user, tweet, 1.0));
                 if user != author {
                     gu_edges.push((user, author, 1.0));
                 }
@@ -107,7 +91,7 @@ mod tests {
                 author: 1,
             },
         ];
-        let (xr, gu) = build_interactions(2, 2, &events, InteractionWeights::default());
+        let (xr, gu) = build_interactions(2, 2, &events);
         assert_eq!(xr.get(0, 0), 1.0);
         assert_eq!(xr.get(0, 1), 1.0);
         assert_eq!(xr.get(1, 1), 1.0);
@@ -128,7 +112,7 @@ mod tests {
                 author: 1,
             },
         ];
-        let (xr, gu) = build_interactions(2, 3, &events, InteractionWeights::default());
+        let (xr, gu) = build_interactions(2, 3, &events);
         assert_eq!(gu.weight(0, 1), 2.0);
         assert_eq!(xr.nnz(), 2);
     }
@@ -140,26 +124,7 @@ mod tests {
             tweet: 0,
             author: 0,
         }];
-        let (_, gu) = build_interactions(1, 1, &events, InteractionWeights::default());
+        let (_, gu) = build_interactions(1, 1, &events);
         assert_eq!(gu.num_edges(), 0);
-    }
-
-    #[test]
-    fn custom_weights_respected() {
-        let events = vec![
-            Interaction::Post { user: 0, tweet: 0 },
-            Interaction::Retweet {
-                user: 1,
-                tweet: 0,
-                author: 0,
-            },
-        ];
-        let w = InteractionWeights {
-            post: 2.0,
-            retweet: 0.5,
-        };
-        let (xr, _) = build_interactions(2, 1, &events, w);
-        assert_eq!(xr.get(0, 0), 2.0);
-        assert_eq!(xr.get(1, 0), 0.5);
     }
 }

@@ -6,13 +6,13 @@
 //! tri-clustering framework consumes.
 //!
 //! ```
-//! use tgs_graph::{build_interactions, Interaction, InteractionWeights};
+//! use tgs_graph::{build_interactions, Interaction};
 //!
 //! let events = vec![
 //!     Interaction::Post { user: 0, tweet: 0 },
 //!     Interaction::Retweet { user: 1, tweet: 0, author: 0 },
 //! ];
-//! let (xr, gu) = build_interactions(2, 1, &events, InteractionWeights::default());
+//! let (xr, gu) = build_interactions(2, 1, &events);
 //! assert_eq!(xr.get(1, 0), 1.0);
 //! assert_eq!(gu.weight(0, 1), 1.0);
 //! ```
@@ -21,6 +21,6 @@ pub mod builder;
 pub mod graph;
 pub mod laplacian;
 
-pub use builder::{build_interactions, Interaction, InteractionWeights};
+pub use builder::{build_interactions, Interaction};
 pub use graph::UserGraph;
 pub use laplacian::{laplacian, laplacian_quad_reference};

@@ -40,7 +40,7 @@ pub use parallel::{
     max_threads, parallel_work_threshold, set_parallel_work_threshold,
     DEFAULT_PARALLEL_WORK_THRESHOLD, HARD_THREAD_CAP, MAX_REDUCE_LEN, REDUCE_BLOCK_ROWS,
 };
-pub use pool::{pin_current_to_core_set, pinning_enabled, pool_threads, set_pool_threads_override};
+pub use pool::{pool_threads, set_pool_threads_override};
 pub use rng::{random_factor, random_factor_with, seeded_rng};
 pub use simd::{
     active_tier as simd_tier, active_tier_name as simd_tier_name, detected_tier as simd_detected,

@@ -3,10 +3,9 @@
 //! Before this module, every parallel kernel invocation spawned fresh OS
 //! threads through `std::thread::scope` — roughly 10µs of spawn + join
 //! cost per call, paid hundreds of times per solve in the thin-`k`
-//! regime, with no control over where the scheduler placed the workers.
-//! The pool replaces that with long-lived workers parked on a condvar
-//! (a futex wait on Linux) that wake, claim tasks from a shared queue,
-//! and park again.
+//! regime. The pool replaces that with long-lived workers parked on a
+//! condvar (a futex wait on Linux) that wake, claim tasks from a shared
+//! queue, and park again.
 //!
 //! Design rules, in the same guarantee discipline as the SIMD layer
 //! (`simd.rs`) and the blocked reductions (`parallel.rs`):
@@ -26,18 +25,14 @@
 //!   scratch comes from a reusable buffer stack ([`with_scratch`]).
 //!   Workers are spawned lazily, once.
 //!
-//! Two environment knobs, mirroring `TGS_SIMD`:
-//!
-//! * `TGS_THREADS` — worker-thread budget (clamped to `1..=`
-//!   [`HARD_THREAD_CAP`]); default `available_parallelism()`. `1`
-//!   bypasses the pool entirely (pure sequential dispatch).
-//! * `TGS_PIN` — `1`/`true`/`on` pins each worker to its own core via
-//!   `sched_setaffinity` (best effort; Linux only, graceful no-op
-//!   elsewhere). Off by default: on a shared box pinning can lose to the
-//!   scheduler, so it is opt-in for dedicated-core deployments.
+//! One environment knob, mirroring `TGS_SIMD`: `TGS_THREADS` sets the
+//! worker-thread budget (clamped to `1..=`[`HARD_THREAD_CAP`]); default
+//! `available_parallelism()`. `1` bypasses the pool entirely (pure
+//! sequential dispatch). Workers are not pinned to cores: the OS
+//! scheduler places them.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::parallel::HARD_THREAD_CAP;
@@ -92,93 +87,6 @@ fn detected_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-// ---------------------------------------------------------------------------
-// Core affinity (TGS_PIN)
-// ---------------------------------------------------------------------------
-
-/// Cached `TGS_PIN` state: 0 = unread, 1 = off, 2 = on.
-static PIN_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether `TGS_PIN` requests core pinning (`1`/`true`/`on`/`yes`,
-/// case-insensitive). Pinning itself is still best-effort and a no-op
-/// off Linux; this reports the *request*, which is what
-/// `EngineStats::pinned` surfaces.
-pub fn pinning_enabled() -> bool {
-    match PIN_STATE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let on = std::env::var("TGS_PIN")
-                .map(|s| {
-                    matches!(
-                        s.trim().to_ascii_lowercase().as_str(),
-                        "1" | "true" | "on" | "yes"
-                    )
-                })
-                .unwrap_or(false);
-            PIN_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-mod affinity {
-    /// 1024 CPUs, matching the kernel's default `cpu_set_t` width.
-    const CPU_SET_WORDS: usize = 16;
-
-    // std already links libc on Linux; declaring the symbol directly
-    // avoids a libc crate dependency (the workspace vendors none).
-    unsafe extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-
-    /// Best-effort: pins the calling thread to `cores`. Returns whether
-    /// the kernel accepted the mask.
-    pub fn pin_current_thread(cores: &[usize]) -> bool {
-        let mut mask = [0u64; CPU_SET_WORDS];
-        let mut any = false;
-        for &c in cores {
-            if c < CPU_SET_WORDS * 64 {
-                mask[c / 64] |= 1u64 << (c % 64);
-                any = true;
-            }
-        }
-        // pid 0 = the calling thread.
-        any && unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) } == 0
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod affinity {
-    /// Graceful no-op off Linux: affinity is advisory everywhere else.
-    pub fn pin_current_thread(_cores: &[usize]) -> bool {
-        false
-    }
-}
-
-/// Pins the calling thread to the `set_index`-th of `n_sets` disjoint,
-/// near-equal contiguous core groups (engine shard workers use this so
-/// fleet solves stop fighting the scheduler). No-op returning `false`
-/// unless [`pinning_enabled`] and the platform supports affinity. An
-/// empty group (more sets than cores) falls back to the single core
-/// `set_index % cores`.
-pub fn pin_current_to_core_set(set_index: usize, n_sets: usize) -> bool {
-    if !pinning_enabled() || n_sets == 0 {
-        return false;
-    }
-    let cores = detected_parallelism();
-    let set_index = set_index % n_sets;
-    let lo = set_index * cores / n_sets;
-    let hi = ((set_index + 1) * cores / n_sets).min(cores);
-    let group: Vec<usize> = if lo < hi {
-        (lo..hi).collect()
-    } else {
-        vec![set_index % cores]
-    };
-    affinity::pin_current_thread(&group)
 }
 
 // ---------------------------------------------------------------------------
@@ -246,11 +154,6 @@ fn lock_state() -> MutexGuard<'static, PoolState> {
     POOL.state.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Number of pool workers spawned so far (diagnostics / tests).
-pub fn spawned_workers() -> usize {
-    lock_state().workers
-}
-
 /// Lazily grows the pool to `target` workers. Workers are never torn
 /// down; raising the budget mid-process (benches sweeping
 /// [`set_pool_threads_override`]) just spawns the difference.
@@ -262,18 +165,12 @@ fn ensure_workers(target: usize) {
         st.workers += 1;
         std::thread::Builder::new()
             .name(format!("tgs-pool-{index}"))
-            .spawn(move || worker_loop(index))
+            .spawn(worker_loop)
             .expect("spawn tgs pool worker");
     }
 }
 
-fn worker_loop(index: usize) {
-    if pinning_enabled() {
-        // Core 0 is left to the main thread; worker i takes core i+1
-        // (mod the machine) so each long-lived worker has a stable home.
-        let cores = detected_parallelism();
-        let _ = affinity::pin_current_thread(&[(index + 1) % cores.max(1)]);
-    }
+fn worker_loop() {
     let mut st = lock_state();
     loop {
         // Scan front-to-back for a job with unclaimed tasks; exhausted
@@ -480,16 +377,5 @@ mod tests {
         assert_eq!(pool_threads(), 7);
         let back = set_pool_threads_override(prev);
         assert_eq!(back, Some(7));
-    }
-
-    #[test]
-    fn pinning_helpers_are_graceful() {
-        // Whatever the platform/env, these must not crash and must obey
-        // the TGS_PIN gate.
-        let pinned = pin_current_to_core_set(0, 2);
-        if !pinning_enabled() {
-            assert!(!pinned);
-        }
-        assert!(!pin_current_to_core_set(0, 0));
     }
 }

@@ -678,12 +678,6 @@ impl CscView {
         self.transposed.nnz()
     }
 
-    /// The transposed matrix as a plain CSR (rows = original columns).
-    #[inline]
-    pub fn transposed_csr(&self) -> &CsrMatrix {
-        &self.transposed
-    }
-
     /// `Aᵀ · d` for the original matrix `A`, as a forward CSR pass.
     pub fn transpose_mul_dense(&self, d: &DenseMatrix) -> DenseMatrix {
         self.transposed.mul_dense(d)

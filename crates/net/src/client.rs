@@ -474,11 +474,6 @@ impl ShardTransport for TcpShard {
         self.call(Op::SetGeneration { floor: generation }, |_| Ok(()))
     }
 
-    fn request_core_set(&self, _set_index: usize, _n_sets: usize) {
-        // Remote workers pin within their own host's core budget; a
-        // router-side set assignment is meaningless across machines.
-    }
-
     fn shutdown(&self) -> Result<(), TgsError> {
         let out = self.call(Op::ShutdownSlot {}, |_| Ok(()));
         self.disconnect();

@@ -313,8 +313,6 @@ impl ShardTransport for RouterEndpoint {
         Ok(())
     }
 
-    fn request_core_set(&self, _set_index: usize, _n_sets: usize) {}
-
     fn shutdown(&self) -> Result<(), TgsError> {
         // Slot teardown must not kill the fleet the CLI still owns; the
         // serve loop shuts the real engine down after `run()` returns.

@@ -526,10 +526,6 @@ impl ShardTransport for SupervisedShard {
         self.inner.set_generation(generation)
     }
 
-    fn request_core_set(&self, set_index: usize, n_sets: usize) {
-        self.inner.request_core_set(set_index, n_sets);
-    }
-
     fn shutdown(&self) -> Result<(), TgsError> {
         self.inner.shutdown()
     }

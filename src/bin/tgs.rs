@@ -1015,7 +1015,7 @@ fn stream_and_report(
         eprintln!(
             "stats: queued {} | ingested {} | dropped_capacity {} | last_step {:.3} ms | \
              ghost edges {} | cross-shard retweets dropped {} | shard_unavailable {} | \
-             simd {} | threads {} | pinned {}",
+             simd {} | threads {}",
             s.queued,
             s.ingested,
             s.dropped_capacity,
@@ -1025,7 +1025,6 @@ fn stream_and_report(
             s.shard_unavailable,
             s.simd,
             s.threads,
-            s.pinned,
         );
         print_recovery_stats(&s);
         if let Some(sup) = supervisor {
