@@ -30,8 +30,8 @@ cargo test --workspace -q
 echo "==> cargo test --release (kernel, solver and matrix-assembly bit-identity suites, optimized as shipped)"
 cargo test --release -q -p tgs_linalg -p tgs_core -p tgs_text -p tgs_data
 
-echo "==> pinned checkpoint digests at the scalar tier (TGS_SIMD=off)"
-TGS_SIMD=off cargo test --release -q --test codec_golden
+echo "==> pinned checkpoint digests on the optimized build"
+cargo test --release -q --test codec_golden
 
 echo "==> benchmark package (builds against the workspace's public API; ~9 s smoke)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml

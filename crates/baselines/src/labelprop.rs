@@ -215,7 +215,13 @@ pub fn knn_feature_graph(x: &CsrMatrix, neighbors: usize, max_df_fraction: f64) 
             })
             .filter(|&(_, s)| s > 0.0)
             .collect();
-        pairs.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).expect("finite sims"));
+        // Ties keep the lowest ids: `scores` iterates in hash order,
+        // which differs between map instances.
+        pairs.sort_unstable_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .expect("finite sims")
+                .then(a.0.cmp(&b.0))
+        });
         pairs.truncate(neighbors);
         for (other, s) in pairs {
             triplets.push((i, other as usize, s));
@@ -321,5 +327,25 @@ mod tests {
         // only the feature-1 pair connects
         assert!(g.get(0, 1) > 0.0);
         assert_eq!(g.get(2, 3), 0.0);
+    }
+
+    #[test]
+    fn knn_graph_breaks_similarity_ties_by_lowest_id() {
+        // Twelve identical rows: every pair has cosine 1, so each row
+        // keeps the two lowest other ids, and rows 3.. are picked by no
+        // row but themselves.
+        let triplets: Vec<(usize, usize, f64)> = (0..12).map(|i| (i, 0, 1.0)).collect();
+        let x = CsrMatrix::from_triplets(12, 1, &triplets).unwrap();
+        let bits = |g: &CsrMatrix| -> Vec<(usize, usize, u64)> {
+            g.iter().map(|(i, j, v)| (i, j, v.to_bits())).collect()
+        };
+        let g = knn_feature_graph(&x, 2, 1.0);
+        for i in 3..12 {
+            let kept: Vec<usize> = g.iter_row(i).map(|(j, _)| j).collect();
+            assert_eq!(kept, vec![0, 1], "row {i}");
+        }
+        for _ in 0..20 {
+            assert_eq!(bits(&knn_feature_graph(&x, 2, 1.0)), bits(&g));
+        }
     }
 }

@@ -6,8 +6,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tgs_linalg::{
-    approx_error_tri, mult_update, mult_update_from_parts, random_factor, set_simd_tier_override,
-    split_pos_neg, CscView, CsrMatrix, DenseMatrix, SimdTier,
+    approx_error_tri, mult_update, mult_update_from_parts, random_factor, split_pos_neg, CscView,
+    CsrMatrix, DenseMatrix,
 };
 
 /// A random sparse matrix with ~`nnz_per_row` entries per row (shared
@@ -151,97 +151,6 @@ fn bench_fused_update(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-/// The SIMD-dispatch A/B series: every hot kernel measured with the
-/// tier forced to `scalar` and with the detected tier (`dispatched` —
-/// check the `simd` field in `tgs stream --stats`, or
-/// `tgs_linalg::simd_tier_name()`, for what that resolves to on the
-/// bench host). Results are bit-identical across tiers by construction
-/// (asserted by `tests/simd_parity.rs`); this series records the speed
-/// delta per kernel so perf reports can attribute wins to dispatch vs
-/// fusion.
-fn bench_simd_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simd_kernels");
-    let (n, k) = (40_000usize, 10usize);
-    let s0 = random_factor(n, k, 3);
-    let num_base = random_factor(n, k, 1);
-    let extra = random_factor(n, k, 2);
-    let delta = random_factor(k, k, 4).sub(&random_factor(k, k, 5));
-    let (dp, dm) = split_pos_neg(&delta);
-    let den_k = random_factor(k, k, 6).add(&dp);
-    let deg: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.3).collect();
-    let x = random_csr(n, 3_000, 10, 7);
-    let d3k = random_factor(3_000, k, 8);
-    let pair_x = random_factor(n, k, 9);
-    let pair_y = random_factor(n, k, 10);
-
-    for (mode, tier) in [
-        ("scalar", Some(SimdTier::Scalar)),
-        ("dispatched", None::<SimdTier>),
-    ] {
-        set_simd_tier_override(tier);
-        let mut s = s0.clone();
-        let mut gram = DenseMatrix::default();
-        group.bench_with_input(
-            BenchmarkId::new(mode, "fused_update_gram_40000x10"),
-            &n,
-            |b, _| {
-                b.iter(|| {
-                    mult_update_from_parts(
-                        &mut s,
-                        &num_base,
-                        None,
-                        &dm,
-                        &den_k,
-                        &[(0.4, &extra)],
-                        Some((0.4, &deg)),
-                        0.0,
-                        Some(&mut gram),
-                    );
-                    black_box(s.get(0, 0))
-                })
-            },
-        );
-        let mut g = DenseMatrix::default();
-        group.bench_with_input(BenchmarkId::new(mode, "gram_40000x10"), &n, |b, _| {
-            b.iter(|| {
-                s0.gram_into(&mut g);
-                black_box(g.get(0, 0))
-            })
-        });
-        let mut out = DenseMatrix::default();
-        group.bench_with_input(BenchmarkId::new(mode, "spmm_40000x10"), &n, |b, _| {
-            b.iter(|| {
-                x.mul_dense_into(&d3k, &mut out);
-                black_box(out.get(0, 0))
-            })
-        });
-        let (mut ox, mut oy) = (DenseMatrix::default(), DenseMatrix::default());
-        group.bench_with_input(
-            BenchmarkId::new(mode, "transpose_matmul_pair_40000x10"),
-            &n,
-            |b, _| {
-                b.iter(|| {
-                    s0.transpose_matmul_pair_into(&pair_x, &pair_y, &mut ox, &mut oy);
-                    black_box(ox.get(0, 0))
-                })
-            },
-        );
-        let mut mt = DenseMatrix::default();
-        group.bench_with_input(
-            BenchmarkId::new(mode, "matmul_transpose_40000x10"),
-            &n,
-            |b, _| {
-                b.iter(|| {
-                    s0.matmul_transpose_into(&dm, &mut mt);
-                    black_box(mt.get(0, 0))
-                })
-            },
-        );
-    }
-    set_simd_tier_override(None);
     group.finish();
 }
 
@@ -447,7 +356,6 @@ criterion_group!(
     bench_gram,
     bench_mult_update,
     bench_fused_update,
-    bench_simd_kernels,
     bench_objective,
     bench_dense_small,
     bench_pool_overhead,

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use tgs_core::TriInput;
 use tgs_data::{build_offline, generate, presets, Corpus, GeneratorConfig, ProblemInstance};
+use tgs_eval::clustering_accuracy;
 use tgs_text::PipelineConfig;
 
 /// Experiment scale: `Small` runs in seconds (scaled-down presets),
@@ -181,6 +182,17 @@ pub fn labeled_users(labels: &[Option<usize>]) -> Vec<usize> {
         .collect()
 }
 
+/// Row label of [`floor`] in the accuracy tables.
+pub const FLOOR_ROW: &str = "floor (one cluster)";
+
+/// Accuracy of the trivial predictor that puts every item in one
+/// cluster: the `clustering_accuracy` of a constant labelling, which is
+/// the share of the largest class in `truth` (0 when empty). Its NMI
+/// is 0, so a method that scores the floor has learnt nothing.
+pub fn floor(truth: &[usize]) -> f64 {
+    clustering_accuracy(&vec![0; truth.len()], truth)
+}
+
 /// Calendar label for a day offset from Aug 1 (matching the figures'
 /// x-axes: Aug 1 / Sep 1 / Oct 1 / Election / Dec 1).
 pub fn day_label(day: u32) -> String {
@@ -229,6 +241,14 @@ mod tests {
         let truth = vec![0, 2, 1, 2, 0];
         assert_eq!(polar_tweets(&truth), vec![0, 2, 4]);
         assert_eq!(select(&[0, 2, 4], &truth), vec![0, 1, 0]);
+    }
+
+    #[test]
+    fn floor_is_the_largest_class_share() {
+        assert_eq!(floor(&[0, 1, 1, 2]), 0.5);
+        assert_eq!(floor(&[2, 2, 2]), 1.0);
+        assert_eq!(floor(&[0, 1, 2, 2, 2]), 0.6);
+        assert_eq!(floor(&[]), 0.0);
     }
 
     #[test]

@@ -13,7 +13,8 @@ use tgs_data::SnapshotBuilder;
 use tgs_eval::{clustering_accuracy, nmi};
 
 use crate::common::{
-    as_input, corpus, instance, labeled_users, pipeline, polar_tweets, select, Scale, Topic,
+    as_input, corpus, floor, instance, labeled_users, pipeline, polar_tweets, select, Scale, Topic,
+    FLOOR_ROW,
 };
 use crate::report::{pct, Table};
 use crate::stream::run_online_stream;
@@ -77,6 +78,8 @@ fn topic_scores(topic: Topic, scale: Scale) -> TopicScores {
     let u_truth = select(&u_eval, &inst.user_truth);
     let eval_tweets = |pred: &[usize]| score(&select(&polar, pred), &t_truth);
     let eval_users = |pred: &[usize]| score(&select(&u_eval, pred), &u_truth);
+    out.tweet.insert(FLOOR_ROW, (floor(&t_truth), 0.0));
+    out.user.insert(FLOOR_ROW, (floor(&u_truth), 0.0));
 
     // ---- supervised: SVM ----
     let svm_pred = cv_predict(&inst.tweet_labels, 3, |labels| {
@@ -246,6 +249,7 @@ const TWEET_METHODS: &[&str] = &[
     "(+) ONMTF",
     "(+) Lexicon vote",
     "(+) Majority",
+    FLOOR_ROW,
 ];
 
 const USER_METHODS: &[&str] = &[
@@ -258,6 +262,7 @@ const USER_METHODS: &[&str] = &[
     "Tri-clustering",
     "Online tri-clustering",
     "(+) k-means",
+    FLOOR_ROW,
 ];
 
 /// Runs every method on both propositions, producing Table 4

@@ -142,7 +142,8 @@ pub fn param_sweep(scale: Scale) -> (Table, Table) {
 
 /// Fig. 8: the average Frobenius losses of the tweet-feature term
 /// (Eq. 2), the user-feature term (Eq. 3) and the total objective
-/// (Eq. 1) over 100 iterations on Prop 30.
+/// (Eq. 1) over 100 iterations on Prop 30, then each term of Eq. 1 as a
+/// percentage of the total.
 pub fn fig8_convergence(scale: Scale) -> Table {
     let inst = instance(Topic::Prop30, scale);
     let input = as_input(&inst);
@@ -161,6 +162,11 @@ pub fn fig8_convergence(scale: Scale) -> Table {
             "||Xp-SpHpSf'||_F (Eq.2)",
             "||Xu-SuHuSf'||_F (Eq.3)",
             "total error (Eq.1)",
+            "Xp %",
+            "Xu %",
+            "Xr %",
+            "lexicon %",
+            "graph %",
         ],
     )
     .with_note(format!(
@@ -171,12 +177,24 @@ pub fn fig8_convergence(scale: Scale) -> Table {
         if i % 5 != 0 && i != result.history.len() - 1 {
             continue; // sample every 5th iteration like the plot ticks
         }
-        t.push_row(vec![
+        let total = parts.total();
+        let mut row = vec![
             i.to_string(),
             format!("{:.1}", parts.tweet_feature.sqrt()),
             format!("{:.1}", parts.user_feature.sqrt()),
-            format!("{:.1}", parts.total()),
-        ]);
+            format!("{total:.1}"),
+        ];
+        // Offline, the temporal term is zero, so these five sum to 100.
+        for term in [
+            parts.tweet_feature,
+            parts.user_feature,
+            parts.user_tweet,
+            parts.lexicon,
+            parts.graph,
+        ] {
+            row.push(format!("{:.4}", 100.0 * term / total));
+        }
+        t.push_row(row);
     }
     t
 }
@@ -205,5 +223,16 @@ mod tests {
         );
         let (first, last) = (totals[0], *totals.last().unwrap());
         assert!(last < first, "objective must trend down: {first} -> {last}");
+    }
+
+    #[test]
+    fn fig8_term_shares_sum_to_100() {
+        let t = fig8_convergence(Scale::Small);
+        for row in &t.rows {
+            let shares: Vec<f64> = row[4..].iter().map(|v| v.parse().unwrap()).collect();
+            assert_eq!(shares.len(), 5);
+            let sum: f64 = shares.iter().sum();
+            assert!((sum - 100.0).abs() <= 0.01, "row {row:?} sums to {sum}");
+        }
     }
 }

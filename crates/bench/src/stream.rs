@@ -10,7 +10,7 @@ use tgs_core::{OfflineConfig, OnlineConfig, OnlineSolver, SnapshotData, TriInput
 use tgs_data::{day_windows, Corpus, SnapshotBuilder, SnapshotInstance};
 use tgs_eval::clustering_accuracy;
 
-use crate::common::{labeled_users, polar_tweets, select};
+use crate::common::{floor, labeled_users, polar_tweets, select};
 
 /// Per-timestamp record.
 #[derive(Debug, Clone)]
@@ -27,6 +27,8 @@ pub struct StepRecord {
     pub elapsed: Duration,
     /// Tweet-level clustering accuracy on the snapshot's polar tweets.
     pub tweet_acc: f64,
+    /// [`floor`] of the snapshot's polar tweets.
+    pub tweet_floor: f64,
     /// User-level clustering accuracy on the snapshot's users.
     pub user_acc: f64,
 }
@@ -51,6 +53,9 @@ pub struct StreamEval {
     pub user_majority_acc: f64,
     /// Snapshot-size–weighted average tweet accuracy.
     pub tweet_acc: f64,
+    /// `tweet_acc` of one cluster per snapshot, weighted the same way:
+    /// the floor `tweet_acc` compares against.
+    pub tweet_floor: f64,
     /// Global user accuracy: every user's most recent hard label vs the
     /// overall (majority-stance) ground truth.
     pub user_acc: f64,
@@ -68,19 +73,21 @@ fn snapshot_input<'a>(snap: &'a SnapshotInstance, builder: &'a SnapshotBuilder) 
     }
 }
 
+/// `(tweet_acc, tweet_floor, user_acc)` of one snapshot.
 fn eval_snapshot(
     snap: &SnapshotInstance,
     corpus: &Corpus,
     tweet_labels: &[usize],
     user_labels: &[usize],
-) -> (f64, f64) {
+) -> (f64, f64, f64) {
     let polar = polar_tweets(&snap.tweet_truth);
-    let tweet_acc = if polar.is_empty() {
-        1.0
+    let polar_truth = select(&polar, &snap.tweet_truth);
+    let (tweet_acc, tweet_floor) = if polar.is_empty() {
+        (1.0, 1.0)
     } else {
-        clustering_accuracy(
-            &select(&polar, tweet_labels),
-            &select(&polar, &snap.tweet_truth),
+        (
+            clustering_accuracy(&select(&polar, tweet_labels), &polar_truth),
+            floor(&polar_truth),
         )
     };
     // User-level accuracy on the snapshot's *labeled* users (the paper
@@ -96,7 +103,7 @@ fn eval_snapshot(
             &select(&labeled, &snap.user_truth),
         )
     };
-    (tweet_acc, user_acc)
+    (tweet_acc, tweet_floor, user_acc)
 }
 
 fn finish(
@@ -107,15 +114,15 @@ fn finish(
     corpus: &Corpus,
 ) -> StreamEval {
     let total_weight: usize = steps.iter().map(|s| s.n_t).sum();
-    let tweet_acc = if total_weight == 0 {
-        0.0
-    } else {
-        steps
-            .iter()
-            .map(|s| s.tweet_acc * s.n_t as f64)
-            .sum::<f64>()
-            / total_weight as f64
+    let weighted = |acc: fn(&StepRecord) -> f64| {
+        if total_weight == 0 {
+            0.0
+        } else {
+            steps.iter().map(|s| acc(s) * s.n_t as f64).sum::<f64>() / total_weight as f64
+        }
     };
+    let tweet_acc = weighted(|s| s.tweet_acc);
+    let tweet_floor = weighted(|s| s.tweet_floor);
     let user_truth = corpus.user_truth();
     let user_pred: Vec<usize> = user_last.iter().map(|l| l.unwrap_or(0)).collect();
     let eval_set = labeled_users(&corpus.user_labels());
@@ -139,6 +146,7 @@ fn finish(
         user_majority_pred,
         user_majority_acc,
         tweet_acc,
+        tweet_floor,
         user_acc,
         total_time,
     }
@@ -171,7 +179,8 @@ pub fn run_online_stream(
         let elapsed = start.elapsed();
         let tweet_labels = result.tweet_labels();
         let user_labels = result.user_labels();
-        let (tweet_acc, user_acc) = eval_snapshot(&snap, corpus, &tweet_labels, &user_labels);
+        let (tweet_acc, tweet_floor, user_acc) =
+            eval_snapshot(&snap, corpus, &tweet_labels, &user_labels);
         for (row, &id) in snap.tweet_ids.iter().enumerate() {
             tweet_pred[id] = tweet_labels[row];
         }
@@ -186,6 +195,7 @@ pub fn run_online_stream(
             m_t: snap.user_ids.len(),
             elapsed,
             tweet_acc,
+            tweet_floor,
             user_acc,
         });
     }
@@ -214,7 +224,8 @@ pub fn run_minibatch_stream(
         let timed = driver.step(&input);
         let tweet_labels = timed.result.tweet_labels();
         let user_labels = timed.result.user_labels();
-        let (tweet_acc, user_acc) = eval_snapshot(&snap, corpus, &tweet_labels, &user_labels);
+        let (tweet_acc, tweet_floor, user_acc) =
+            eval_snapshot(&snap, corpus, &tweet_labels, &user_labels);
         for (row, &id) in snap.tweet_ids.iter().enumerate() {
             tweet_pred[id] = tweet_labels[row];
         }
@@ -229,6 +240,7 @@ pub fn run_minibatch_stream(
             m_t: snap.user_ids.len(),
             elapsed: timed.elapsed,
             tweet_acc,
+            tweet_floor,
             user_acc,
         });
     }
@@ -282,7 +294,8 @@ pub fn run_fullbatch_stream(
             .iter()
             .map(|id| all_user_labels[user_pos[id]])
             .collect();
-        let (tweet_acc, user_acc) = eval_snapshot(&snap, corpus, &tweet_labels, &user_labels);
+        let (tweet_acc, tweet_floor, user_acc) =
+            eval_snapshot(&snap, corpus, &tweet_labels, &user_labels);
         for (row, &id) in snap.tweet_ids.iter().enumerate() {
             tweet_pred[id] = tweet_labels[row];
         }
@@ -297,6 +310,7 @@ pub fn run_fullbatch_stream(
             m_t: snap.user_ids.len(),
             elapsed: timed.elapsed,
             tweet_acc,
+            tweet_floor,
             user_acc,
         });
     }

@@ -1,7 +1,7 @@
 //! Elastic user-range sharding of tripartite problems.
 //!
 //! The paper's co-clustering couples users to tweets and tweets to words,
-//! but the user/tweet dimensions dominate (`n ≈ 40k` tweets vs `k = 10`
+//! but the user/tweet dimensions dominate (`n ≈ 40k` tweets vs `k = 3`
 //! clusters). A [`PartitionMap`] splits the heavy axes into `S` disjoint
 //! contiguous user-id ranges — every user, and all the tweets they
 //! author, land in exactly one shard — while the *word* axis stays global

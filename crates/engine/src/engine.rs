@@ -152,10 +152,11 @@ pub struct EngineStats {
     /// network error (cumulative; see [`tgs_core::TgsErrorKind::Net`]).
     /// Always 0 on a single engine or an all-local fleet.
     pub shard_unavailable: u64,
-    /// The SIMD tier the solver kernels execute under in this process
-    /// (`tgs_linalg::simd_tier_name()`: detected ISA clamped by the
-    /// `TGS_SIMD` override) — recorded so bench runs and bug reports
-    /// state which code path produced their numbers.
+    /// The kernel build the solver runs (`tgs_linalg::simd_tier_name()`),
+    /// recorded so bench runs and bug reports state which code produced
+    /// their numbers. This build always reports `"scalar"`: each kernel
+    /// has one portable body. Older builds also reported `avx2`,
+    /// `avx2+fma` or `neon`.
     pub simd: &'static str,
     /// The worker-pool thread budget the solver kernels run under
     /// (`tgs_linalg::pool_threads()`: `TGS_THREADS` / detected cores,
@@ -225,8 +226,8 @@ pub struct SentimentEngine {
     metrics: Arc<EngineMetrics>,
     /// Process-local micro-batching knobs (see [`BatchPolicy`]): set by
     /// the builder, read by [`SentimentEngine::batching`]. Deliberately
-    /// not checkpointed — a tuning knob of this process, like the SIMD
-    /// tier, not part of the stream's history.
+    /// not checkpointed — a tuning knob of this process, like the pool's
+    /// thread budget, not part of the stream's history.
     batch_policy: BatchPolicy,
     tx: Option<SyncSender<Command>>,
     worker: Option<JoinHandle<()>>,

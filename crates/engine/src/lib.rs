@@ -363,10 +363,10 @@ mod tests {
         assert_eq!(
             stats.simd,
             tgs_linalg::simd_tier_name(),
-            "stats must record the active SIMD tier"
+            "stats must record the kernel build"
         );
         // Aggregation: counters and histogram buckets sum, latency takes
-        // the max, the SIMD tier carries through.
+        // the max, the kernel build name carries through.
         let mut other_hist = LatencyHistogram::new();
         other_hist.record(1 << 20);
         other_hist.add_shed(3);

@@ -6,7 +6,6 @@
 //! and sufficient. All hot kernels operate on row slices to let the compiler
 //! elide bounds checks.
 
-use crate::simd::simd_kernel;
 use crate::LinalgError;
 
 /// A dense row-major `rows × cols` matrix of `f64`. `Default` is the
@@ -182,8 +181,7 @@ impl DenseMatrix {
     }
 
     /// In-place variant of [`DenseMatrix::matmul`]: writes `self · other`
-    /// into `out` (reshaped as needed), row-parallel on large inputs and
-    /// SIMD-dispatched (see [`crate::simd`]; bit-identical across tiers).
+    /// into `out` (reshaped as needed), row-parallel on large inputs.
     pub fn matmul_into(&self, other: &DenseMatrix, out: &mut DenseMatrix) {
         assert_eq!(
             self.cols, other.rows,
@@ -206,7 +204,7 @@ impl DenseMatrix {
 
     /// In-place variant of [`DenseMatrix::gram`]: writes `selfᵀ·self` into
     /// `out` (reshaped as needed), with a chunked parallel reduction on
-    /// large inputs. SIMD-dispatched; bit-identical across tiers.
+    /// large inputs.
     pub fn gram_into(&self, out: &mut DenseMatrix) {
         out.resize_zeroed(self.cols, self.cols);
         gram_into_kernel(self, out);
@@ -221,8 +219,7 @@ impl DenseMatrix {
 
     /// In-place variant of [`DenseMatrix::transpose_matmul`]: writes
     /// `selfᵀ · other` into `out` (reshaped as needed), with a chunked
-    /// parallel reduction on large inputs. SIMD-dispatched; bit-identical
-    /// across tiers.
+    /// parallel reduction on large inputs.
     pub fn transpose_matmul_into(&self, other: &DenseMatrix, out: &mut DenseMatrix) {
         assert_eq!(
             self.rows, other.rows,
@@ -270,7 +267,7 @@ impl DenseMatrix {
 
     /// In-place variant of [`DenseMatrix::matmul_transpose`]: writes
     /// `self · otherᵀ` into `out` (reshaped as needed), row-parallel on
-    /// large inputs. SIMD-dispatched; bit-identical across tiers.
+    /// large inputs.
     pub fn matmul_transpose_into(&self, other: &DenseMatrix, out: &mut DenseMatrix) {
         assert_eq!(
             self.cols, other.cols,
@@ -299,13 +296,17 @@ impl DenseMatrix {
     /// In-place element-wise addition: `self += other`.
     pub fn add_assign(&mut self, other: &DenseMatrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
-        add_assign_kernel(crate::simd::active_tier(), &mut self.data, &other.data);
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a += b;
+        }
     }
 
     /// In-place element-wise subtraction: `self -= other`.
     pub fn sub_assign(&mut self, other: &DenseMatrix) {
         assert_eq!(self.shape(), other.shape(), "sub_assign shape mismatch");
-        sub_assign_kernel(crate::simd::active_tier(), &mut self.data, &other.data);
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a -= b;
+        }
     }
 
     /// In-place `self -= scale * other`, with the product grouped as
@@ -318,12 +319,9 @@ impl DenseMatrix {
             other.shape(),
             "sub_scaled_assign shape mismatch"
         );
-        sub_scaled_assign_kernel(
-            crate::simd::active_tier(),
-            &mut self.data,
-            scale,
-            &other.data,
-        );
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a -= scale * b;
+        }
     }
 
     /// In-place scalar multiplication (alias of
@@ -336,12 +334,9 @@ impl DenseMatrix {
     /// In-place element-wise addition of `scale * other`.
     pub fn axpy(&mut self, scale: f64, other: &DenseMatrix) {
         assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        axpy_kernel(
-            crate::simd::active_tier(),
-            &mut self.data,
-            scale,
-            &other.data,
-        );
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a += scale * b;
+        }
     }
 
     /// Returns `self * scalar`.
@@ -351,7 +346,9 @@ impl DenseMatrix {
 
     /// In-place scalar multiplication.
     pub fn scale_in_place(&mut self, scalar: f64) {
-        scale_kernel(crate::simd::active_tier(), &mut self.data, scalar);
+        for v in &mut self.data {
+            *v *= scalar;
+        }
     }
 
     /// Applies `f` to every entry, returning a new matrix.
@@ -577,39 +574,30 @@ impl DenseMatrix {
     }
 }
 
-// --- SIMD-dispatched hot loops (see `crate::simd`) ---
+// --- Hot loops ---
 //
-// Each kernel below is the scalar body of the corresponding public
-// method, re-instantiated under runtime-selected `target_feature`
-// wrappers. Every tier runs the same operations in the same order, so
-// results are bit-identical (property-tested in `tests/simd_parity.rs`;
-// the order itself is pinned by `tests/reference_order.rs`); shape
-// checks and output sizing stay in the public methods. The tier is
-// resolved once on the calling thread and passed into the row-parallel
-// chunk closures, so worker threads run the caller's tier (including
-// test overrides).
+// Each kernel below is the body of the corresponding public method;
+// shape checks and output sizing stay in the public methods. The
+// summation order is pinned by `tests/reference_order.rs`.
 
 /// Hot loop of [`DenseMatrix::matmul_into`]: row-parallel over output
-/// chunks, each chunk dispatched to the active tier.
+/// chunks.
 fn matmul_into_kernel(a: &DenseMatrix, other: &DenseMatrix, out: &mut DenseMatrix) {
-    let tier = crate::simd::active_tier();
     let width = other.cols;
     let work = a.rows * a.cols * width;
     crate::parallel::for_each_row_chunk(a.rows, work, &mut out.data, width, |r0, chunk| {
-        matmul_chunk(tier, a, other, r0, chunk);
+        matmul_chunk(a, other, r0, chunk);
     });
 }
 
-simd_kernel! {
-    /// One output-row chunk of `matmul_into` (i-k-j order, zero-skip).
-    fn matmul_chunk(a: &DenseMatrix, other: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
-        match (other.rows, other.cols) {
-            (3, 3) => matmul_chunk_w::<3>(a, other, r0, chunk),
-            (10, 10) => matmul_chunk_w::<10>(a, other, r0, chunk),
-            (_, width) => {
-                for (local, out_row) in chunk.chunks_exact_mut(width.max(1)).enumerate() {
-                    matmul_row(out_row, a.row(r0 + local), &other.data);
-                }
+/// One output-row chunk of `matmul_into` (i-k-j order, zero-skip).
+fn matmul_chunk(a: &DenseMatrix, other: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
+    match (other.rows, other.cols) {
+        (3, 3) => matmul_chunk_w::<3>(a, other, r0, chunk),
+        (10, 10) => matmul_chunk_w::<10>(a, other, r0, chunk),
+        (_, width) => {
+            for (local, out_row) in chunk.chunks_exact_mut(width.max(1)).enumerate() {
+                matmul_row(out_row, a.row(r0 + local), &other.data);
             }
         }
     }
@@ -659,13 +647,12 @@ pub(crate) fn local_square<const W: usize>(m: &[f64]) -> [[f64; W]; W] {
 }
 
 /// Hot loop of [`DenseMatrix::gram_into`]: blocked parallel reduction,
-/// each row range dispatched to the active tier, then the mirror.
+/// then the mirror.
 fn gram_into_kernel(a: &DenseMatrix, out: &mut DenseMatrix) {
-    let tier = crate::simd::active_tier();
     let k = a.cols;
     let work = a.rows * k * k;
     crate::parallel::reduce_rows(a.rows, work, &mut out.data, |r0, r1, acc| {
-        gram_rows(tier, a, r0, r1, acc);
+        gram_rows(a, r0, r1, acc);
     });
     // mirror the upper triangle
     for p in 0..k {
@@ -675,12 +662,10 @@ fn gram_into_kernel(a: &DenseMatrix, out: &mut DenseMatrix) {
     }
 }
 
-simd_kernel! {
-    /// Rows `[r0, r1)` of the Gram reduction: symmetric rank-1
-    /// accumulation over the upper triangle (see [`gram_span`]).
-    fn gram_rows(a: &DenseMatrix, r0: usize, r1: usize, acc: &mut [f64]) {
-        gram_span(a.span(r0, r1, a.cols), a.cols, acc);
-    }
+/// Rows `[r0, r1)` of the Gram reduction: symmetric rank-1
+/// accumulation over the upper triangle (see [`gram_span`]).
+fn gram_rows(a: &DenseMatrix, r0: usize, r1: usize, acc: &mut [f64]) {
+    gram_span(a.span(r0, r1, a.cols), a.cols, acc);
 }
 
 /// Gram accumulation of the `k`-wide rows packed in `rows` into the
@@ -744,7 +729,6 @@ fn scatter_gram_kernel(
     block: &DenseMatrix,
     out: &mut DenseMatrix,
 ) {
-    let tier = crate::simd::active_tier();
     let k = a.cols;
     let total_rows = a.rows;
     let work = total_rows * k * k;
@@ -754,7 +738,7 @@ fn scatter_gram_kernel(
         // are strictly ascending, so this is a binary-searched subslice.
         let lo = rows.partition_point(|&r| r < r0);
         let hi = rows.partition_point(|&r| r < r1);
-        scatter_gram_rows(tier, base, k, block, &rows[lo..hi], lo, r0, r1, acc);
+        scatter_gram_rows(base, k, block, &rows[lo..hi], lo, r0, r1, acc);
     });
     // mirror the upper triangle
     for p in 0..k {
@@ -764,62 +748,57 @@ fn scatter_gram_kernel(
     }
 }
 
-simd_kernel! {
-    /// Rows `[r0, r1)` of the fused pass: scatter the listed rows
-    /// (global indices, all inside the range) from `block` rows starting
-    /// at `block_off`, then run the Gram accumulation over the whole
-    /// range — the same operations in the same order as a scatter
-    /// followed by [`gram_rows`].
-    fn scatter_gram_rows(
-        base: usize,
-        k: usize,
-        block: &DenseMatrix,
-        rows: &[usize],
-        block_off: usize,
-        r0: usize,
-        r1: usize,
-        acc: &mut [f64],
-    ) {
-        for (i, &dst) in rows.iter().enumerate() {
-            let src = &block.row(block_off + i)[..k];
-            // SAFETY: `dst ∈ [r0, r1)`, the row range owned by this call.
-            let dst_row =
-                unsafe { std::slice::from_raw_parts_mut((base as *mut f64).add(dst * k), k) };
-            dst_row.copy_from_slice(src);
-        }
-        // SAFETY: rows `[r0, r1)` are this call's owned range (disjoint
-        // across reduction blocks), and its scatter writes are done.
-        let span =
-            unsafe { std::slice::from_raw_parts((base as *const f64).add(r0 * k), (r1 - r0) * k) };
-        gram_span(span, k, acc);
+/// Rows `[r0, r1)` of the fused pass: scatter the listed rows
+/// (global indices, all inside the range) from `block` rows starting
+/// at `block_off`, then run the Gram accumulation over the whole
+/// range — the same operations in the same order as a scatter
+/// followed by [`gram_rows`].
+#[allow(clippy::too_many_arguments)]
+fn scatter_gram_rows(
+    base: usize,
+    k: usize,
+    block: &DenseMatrix,
+    rows: &[usize],
+    block_off: usize,
+    r0: usize,
+    r1: usize,
+    acc: &mut [f64],
+) {
+    for (i, &dst) in rows.iter().enumerate() {
+        let src = &block.row(block_off + i)[..k];
+        // SAFETY: `dst ∈ [r0, r1)`, the row range owned by this call.
+        let dst_row = unsafe { std::slice::from_raw_parts_mut((base as *mut f64).add(dst * k), k) };
+        dst_row.copy_from_slice(src);
     }
+    // SAFETY: rows `[r0, r1)` are this call's owned range (disjoint
+    // across reduction blocks), and its scatter writes are done.
+    let span =
+        unsafe { std::slice::from_raw_parts((base as *const f64).add(r0 * k), (r1 - r0) * k) };
+    gram_span(span, k, acc);
 }
 
 /// Hot loop of [`DenseMatrix::transpose_matmul_into`].
 fn transpose_matmul_into_kernel(a: &DenseMatrix, other: &DenseMatrix, out: &mut DenseMatrix) {
-    let tier = crate::simd::active_tier();
     let width = other.cols;
     let work = a.rows * a.cols * width;
     crate::parallel::reduce_rows(a.rows, work, &mut out.data, |r0, r1, acc| {
-        transpose_matmul_rows(tier, a, other, r0, r1, acc);
+        transpose_matmul_rows(a, other, r0, r1, acc);
     });
 }
 
-simd_kernel! {
-    /// Rows `[r0, r1)` of the `selfᵀ·other` reduction: rows ascending,
-    /// each through [`add_outer`].
-    fn transpose_matmul_rows(
-        a: &DenseMatrix,
-        other: &DenseMatrix,
-        r0: usize,
-        r1: usize,
-        acc: &mut [f64],
-    ) {
-        match (a.cols, other.cols) {
-            (3, 3) => transpose_matmul_square_w::<3>(a, other, r0, r1, acc),
-            (10, 10) => transpose_matmul_square_w::<10>(a, other, r0, r1, acc),
-            (ka, kb) => transpose_matmul_span(acc, a.span(r0, r1, ka), ka, other.span(r0, r1, kb), kb),
-        }
+/// Rows `[r0, r1)` of the `selfᵀ·other` reduction: rows ascending,
+/// each through [`add_outer`].
+fn transpose_matmul_rows(
+    a: &DenseMatrix,
+    other: &DenseMatrix,
+    r0: usize,
+    r1: usize,
+    acc: &mut [f64],
+) {
+    match (a.cols, other.cols) {
+        (3, 3) => transpose_matmul_square_w::<3>(a, other, r0, r1, acc),
+        (10, 10) => transpose_matmul_square_w::<10>(a, other, r0, r1, acc),
+        (ka, kb) => transpose_matmul_span(acc, a.span(r0, r1, ka), ka, other.span(r0, r1, kb), kb),
     }
 }
 
@@ -876,7 +855,6 @@ fn transpose_matmul_pair_kernel(
     out_x: &mut DenseMatrix,
     out_y: &mut DenseMatrix,
 ) {
-    let tier = crate::simd::active_tier();
     let width = x.cols();
     let work = 2 * s.rows * s.cols * width;
     let len = s.cols * width;
@@ -884,7 +862,7 @@ fn transpose_matmul_pair_kernel(
         let mut acc = [0.0f64; crate::parallel::MAX_REDUCE_LEN];
         crate::parallel::reduce_rows(s.rows, work, &mut acc[..2 * len], |r0, r1, acc| {
             let (ax, ay) = acc.split_at_mut(len);
-            transpose_matmul_pair_rows(tier, s, x, y, r0, r1, ax, ay);
+            transpose_matmul_pair_rows(s, x, y, r0, r1, ax, ay);
         });
         out_x.as_mut_slice().copy_from_slice(&acc[..len]);
         out_y.as_mut_slice().copy_from_slice(&acc[len..2 * len]);
@@ -900,26 +878,24 @@ fn transpose_matmul_pair_kernel(
     }
 }
 
-simd_kernel! {
-    /// Rows `[r0, r1)` of the fused pair reduction (see [`pair_span`]):
-    /// each accumulator sums in exactly [`transpose_matmul_rows`]'s
-    /// order.
-    fn transpose_matmul_pair_rows(
-        s: &DenseMatrix,
-        x: &DenseMatrix,
-        y: &DenseMatrix,
-        r0: usize,
-        r1: usize,
-        acc_x: &mut [f64],
-        acc_y: &mut [f64],
-    ) {
-        match (s.cols, x.cols) {
-            (3, 3) => pair_square_w::<3>(s, x, y, r0, r1, acc_x, acc_y),
-            (10, 10) => pair_square_w::<10>(s, x, y, r0, r1, acc_x, acc_y),
-            (ks, kx) => {
-                let (x, y) = (x.span(r0, r1, kx), y.span(r0, r1, kx));
-                pair_span(acc_x, acc_y, s.span(r0, r1, ks), ks, x, y, kx);
-            }
+/// Rows `[r0, r1)` of the fused pair reduction (see [`pair_span`]):
+/// each accumulator sums in exactly [`transpose_matmul_rows`]'s
+/// order.
+fn transpose_matmul_pair_rows(
+    s: &DenseMatrix,
+    x: &DenseMatrix,
+    y: &DenseMatrix,
+    r0: usize,
+    r1: usize,
+    acc_x: &mut [f64],
+    acc_y: &mut [f64],
+) {
+    match (s.cols, x.cols) {
+        (3, 3) => pair_square_w::<3>(s, x, y, r0, r1, acc_x, acc_y),
+        (10, 10) => pair_square_w::<10>(s, x, y, r0, r1, acc_x, acc_y),
+        (ks, kx) => {
+            let (x, y) = (x.span(r0, r1, kx), y.span(r0, r1, kx));
+            pair_span(acc_x, acc_y, s.span(r0, r1, ks), ks, x, y, kx);
         }
     }
 }
@@ -985,23 +961,20 @@ fn pair_span(
 
 /// Hot loop of [`DenseMatrix::matmul_transpose_into`].
 fn matmul_transpose_into_kernel(a: &DenseMatrix, other: &DenseMatrix, out: &mut DenseMatrix) {
-    let tier = crate::simd::active_tier();
     let width = other.rows;
     let work = a.rows * a.cols * width;
     crate::parallel::for_each_row_chunk(a.rows, work, &mut out.data, width, |r0, chunk| {
-        matmul_transpose_chunk(tier, a, other, r0, chunk);
+        matmul_transpose_chunk(a, other, r0, chunk);
     });
 }
 
-simd_kernel! {
-    /// One output-row chunk of `matmul_transpose_into` (row-dot layout),
-    /// monomorphized on the thin inner widths.
-    fn matmul_transpose_chunk(a: &DenseMatrix, other: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
-        match a.cols {
-            3 => matmul_transpose_chunk_w::<3>(a, other, r0, chunk),
-            10 => matmul_transpose_chunk_w::<10>(a, other, r0, chunk),
-            _ => matmul_transpose_chunk_w::<0>(a, other, r0, chunk),
-        }
+/// One output-row chunk of `matmul_transpose_into` (row-dot layout),
+/// monomorphized on the thin inner widths.
+fn matmul_transpose_chunk(a: &DenseMatrix, other: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
+    match a.cols {
+        3 => matmul_transpose_chunk_w::<3>(a, other, r0, chunk),
+        10 => matmul_transpose_chunk_w::<10>(a, other, r0, chunk),
+        _ => matmul_transpose_chunk_w::<0>(a, other, r0, chunk),
     }
 }
 
@@ -1043,51 +1016,6 @@ fn matmul_transpose_chunk_w<const W: usize>(
         }
         for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
             *o = dot(a_row, &other.row(jj)[..k]);
-        }
-    }
-}
-
-simd_kernel! {
-    /// Element-wise `a += b`.
-    fn add_assign_kernel(a: &mut [f64], b: &[f64]) {
-        for (av, &bv) in a.iter_mut().zip(b.iter()) {
-            *av += bv;
-        }
-    }
-}
-
-simd_kernel! {
-    /// Element-wise `a -= b`.
-    fn sub_assign_kernel(a: &mut [f64], b: &[f64]) {
-        for (av, &bv) in a.iter_mut().zip(b.iter()) {
-            *av -= bv;
-        }
-    }
-}
-
-simd_kernel! {
-    /// Element-wise `a -= scale * b` (product grouped as `scale * b`).
-    fn sub_scaled_assign_kernel(a: &mut [f64], scale: f64, b: &[f64]) {
-        for (av, &bv) in a.iter_mut().zip(b.iter()) {
-            *av -= scale * bv;
-        }
-    }
-}
-
-simd_kernel! {
-    /// Element-wise `a += scale * b`.
-    fn axpy_kernel(a: &mut [f64], scale: f64, b: &[f64]) {
-        for (av, &bv) in a.iter_mut().zip(b.iter()) {
-            *av += scale * bv;
-        }
-    }
-}
-
-simd_kernel! {
-    /// Element-wise `a *= scalar`.
-    fn scale_kernel(a: &mut [f64], scalar: f64) {
-        for v in a.iter_mut() {
-            *v *= scalar;
         }
     }
 }

@@ -28,7 +28,6 @@ pub mod ops;
 pub mod parallel;
 pub mod pool;
 pub mod rng;
-pub mod simd;
 pub mod sparse;
 
 pub use dense::{dot, DenseMatrix};
@@ -42,11 +41,15 @@ pub use parallel::{
 };
 pub use pool::{pool_threads, set_pool_threads_override};
 pub use rng::{random_factor, random_factor_with, seeded_rng};
-pub use simd::{
-    active_tier as simd_tier, active_tier_name as simd_tier_name, detected_tier as simd_detected,
-    set_simd_tier_override, SimdTier,
-};
 pub use sparse::{CscView, CsrMatrix};
+
+/// Names the kernel build recorded in `EngineStats.simd` and the bench
+/// box stamps: always `"scalar"`, the one portable body each kernel has,
+/// compiled for the target's baseline instruction set (SSE2 codegen on
+/// x86-64, NEON on aarch64).
+pub fn simd_tier_name() -> &'static str {
+    "scalar"
+}
 
 /// Errors produced when constructing matrices from user data.
 #[derive(Debug, Clone, PartialEq)]

@@ -3,7 +3,6 @@
 //! and factored-form objective evaluation.
 
 use crate::dense::{gram_row, local_square, DenseMatrix};
-use crate::simd::simd_kernel;
 use crate::sparse::CsrMatrix;
 
 /// Denominator guard for multiplicative updates. Entries of the factor
@@ -27,27 +26,15 @@ pub fn split_pos_neg(delta: &DenseMatrix) -> (DenseMatrix, DenseMatrix) {
 }
 
 /// In-place variant of [`split_pos_neg`]: writes `Δ⁺` into `pos` and `Δ⁻`
-/// into `neg`, reusing their allocations. SIMD-dispatched (see
-/// [`crate::simd`]); bit-identical across tiers.
+/// into `neg`, reusing their allocations.
 pub fn split_pos_neg_into(delta: &DenseMatrix, pos: &mut DenseMatrix, neg: &mut DenseMatrix) {
     let (rows, cols) = delta.shape();
     pos.resize_zeroed(rows, cols);
     neg.resize_zeroed(rows, cols);
-    split_pos_neg_kernel(
-        crate::simd::active_tier(),
-        delta.as_slice(),
-        pos.as_mut_slice(),
-        neg.as_mut_slice(),
-    );
-}
-
-simd_kernel! {
-    /// Element-wise positive/negative split.
-    fn split_pos_neg_kernel(delta: &[f64], pv: &mut [f64], nv: &mut [f64]) {
-        for (i, &v) in delta.iter().enumerate() {
-            pv[i] = if v > 0.0 { v } else { 0.0 };
-            nv[i] = if v < 0.0 { -v } else { 0.0 };
-        }
+    let (pv, nv) = (pos.as_mut_slice(), neg.as_mut_slice());
+    for (i, &v) in delta.as_slice().iter().enumerate() {
+        pv[i] = if v > 0.0 { v } else { 0.0 };
+        nv[i] = if v < 0.0 { -v } else { 0.0 };
     }
 }
 
@@ -67,31 +54,21 @@ pub fn mult_update(s: &mut DenseMatrix, num: &DenseMatrix, den: &DenseMatrix) {
         den.shape(),
         "mult_update denominator shape mismatch"
     );
-    mult_update_kernel(
-        crate::simd::active_tier(),
-        s.as_mut_slice(),
-        num.as_slice(),
-        den.as_slice(),
-    );
-}
-
-simd_kernel! {
-    /// Element-wise `s ← s ∘ sqrt(num / (den + EPS))` with the floor.
-    fn mult_update_kernel(sv: &mut [f64], nv: &[f64], dv: &[f64]) {
-        for i in 0..sv.len() {
-            let ratio = nv[i].max(0.0) / (dv[i].max(0.0) + EPS);
-            let updated = sv[i] * ratio.sqrt();
-            sv[i] = if updated.is_finite() {
-                updated.max(FACTOR_FLOOR)
-            } else {
-                FACTOR_FLOOR
-            };
-        }
+    let (sv, nv, dv) = (s.as_mut_slice(), num.as_slice(), den.as_slice());
+    for i in 0..sv.len() {
+        let ratio = nv[i].max(0.0) / (dv[i].max(0.0) + EPS);
+        let updated = sv[i] * ratio.sqrt();
+        sv[i] = if updated.is_finite() {
+            updated.max(FACTOR_FLOOR)
+        } else {
+            FACTOR_FLOOR
+        };
     }
 }
 
 /// Widest factor rank handled by [`mult_update_from_parts`]'s stack
-/// buffers (the paper uses `k = 3`; scaling experiments go to ~10).
+/// buffers (the paper and every workload use `k = 3`; the
+/// `offline_iteration_k10` drift-control bench runs `k = 10`).
 pub const MAX_FUSED_K: usize = 64;
 
 /// The fused multiplicative update: performs
@@ -214,13 +191,12 @@ fn fused_update_rows(
     gram: Option<&mut DenseMatrix>,
 ) {
     let (rows, k) = s.shape();
-    let tier = crate::simd::active_tier();
     // ~3 k-wide dots per output entry.
     let work = rows * k * k * 3;
     match gram {
         None => {
             crate::parallel::for_each_row_chunk(rows, work, s.as_mut_slice(), k, |r0, chunk| {
-                fused_update_chunk(tier, args, k, r0, chunk, None);
+                fused_update_chunk(args, k, r0, chunk, None);
             });
         }
         Some(g) => {
@@ -232,7 +208,7 @@ fn fused_update_rows(
                 k,
                 g.as_mut_slice(),
                 |r0, chunk, partial| {
-                    fused_update_chunk(tier, args, k, r0, chunk, Some(partial));
+                    fused_update_chunk(args, k, r0, chunk, Some(partial));
                 },
             );
             // mirror the upper triangle (same tail as `gram_into`)
@@ -250,8 +226,7 @@ fn fused_update_rows(
 /// row-major `k × k` operands, passed apart from `args` so the
 /// fixed-rank body can hand in local copies. Every row it reads is cut
 /// to `s_row.len()`, so at a fixed rank each inner loop has a
-/// compile-time trip count. `#[inline(always)]` so it compiles into
-/// each dispatched wrapper with that wrapper's target features.
+/// compile-time trip count.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn fused_update_one_row(
@@ -331,35 +306,33 @@ fn fused_update_one_row(
     }
 }
 
-simd_kernel! {
-    /// One row chunk of the fused update. With `partial` present, each
-    /// updated row's outer product also accumulates into it through
-    /// `gram_into`'s row loop. The paper's ranks are so thin that per-row
-    /// overhead dominates the arithmetic, so at `k ∈ {3, 10}`
-    /// [`fused_update_chunk_w`] runs the same rows with compile-time
-    /// widths and register-resident operands.
-    fn fused_update_chunk(
-        args: &FusedUpdateArgs<'_>,
-        k: usize,
-        r0: usize,
-        chunk: &mut [f64],
-        partial: Option<&mut [f64]>,
-    ) {
-        match k {
-            3 => fused_update_chunk_w::<3>(args, r0, chunk, partial),
-            10 => fused_update_chunk_w::<10>(args, r0, chunk, partial),
-            _ => {
-                let mut stack = [0.0f64; 3 * MAX_FUSED_K];
-                let mut heap; // cold fallback for very wide factors
-                let scratch: &mut [f64] = if k <= MAX_FUSED_K {
-                    &mut stack[..3 * k]
-                } else {
-                    heap = vec![0.0f64; 3 * k];
-                    &mut heap
-                };
-                let (dm, den_k) = (args.dm.as_slice(), args.den_k.as_slice());
-                fused_update_span(args, dm, den_k, k, r0, chunk, partial, scratch);
-            }
+/// One row chunk of the fused update. With `partial` present, each
+/// updated row's outer product also accumulates into it through
+/// `gram_into`'s row loop. The paper's ranks are so thin that per-row
+/// overhead dominates the arithmetic, so at `k ∈ {3, 10}`
+/// [`fused_update_chunk_w`] runs the same rows with compile-time
+/// widths and register-resident operands.
+fn fused_update_chunk(
+    args: &FusedUpdateArgs<'_>,
+    k: usize,
+    r0: usize,
+    chunk: &mut [f64],
+    partial: Option<&mut [f64]>,
+) {
+    match k {
+        3 => fused_update_chunk_w::<3>(args, r0, chunk, partial),
+        10 => fused_update_chunk_w::<10>(args, r0, chunk, partial),
+        _ => {
+            let mut stack = [0.0f64; 3 * MAX_FUSED_K];
+            let mut heap; // cold fallback for very wide factors
+            let scratch: &mut [f64] = if k <= MAX_FUSED_K {
+                &mut stack[..3 * k]
+            } else {
+                heap = vec![0.0f64; 3 * k];
+                &mut heap
+            };
+            let (dm, den_k) = (args.dm.as_slice(), args.den_k.as_slice());
+            fused_update_span(args, dm, den_k, k, r0, chunk, partial, scratch);
         }
     }
 }

@@ -7,8 +7,8 @@
 //! condvar (a futex wait on Linux) that wake, claim tasks from a shared
 //! queue, and park again.
 //!
-//! Design rules, in the same guarantee discipline as the SIMD layer
-//! (`simd.rs`) and the blocked reductions (`parallel.rs`):
+//! Design rules, in the same guarantee discipline as the blocked
+//! reductions (`parallel.rs`):
 //!
 //! * **Determinism is the caller's property.** The pool only distributes
 //!   task *indices*; which thread runs which task is unspecified. The
@@ -25,8 +25,8 @@
 //!   scratch comes from a reusable buffer stack ([`with_scratch`]).
 //!   Workers are spawned lazily, once.
 //!
-//! One environment knob, mirroring `TGS_SIMD`: `TGS_THREADS` sets the
-//! worker-thread budget (clamped to `1..=`[`HARD_THREAD_CAP`]); default
+//! One environment knob: `TGS_THREADS` sets the worker-thread budget
+//! (clamped to `1..=`[`HARD_THREAD_CAP`]); default
 //! `available_parallelism()`. `1` bypasses the pool entirely (pure
 //! sequential dispatch). Workers are not pinned to cores: the OS
 //! scheduler places them.

@@ -8,7 +8,6 @@
 //! index memory versus `usize`.
 
 use crate::dense::DenseMatrix;
-use crate::simd::simd_kernel;
 use crate::LinalgError;
 
 /// A CSR sparse matrix of `f64` values.
@@ -232,8 +231,7 @@ impl CsrMatrix {
     }
 
     /// In-place variant of [`CsrMatrix::mul_dense`]: writes `self · d`
-    /// into `out` (reshaped as needed), row-parallel on large inputs and
-    /// SIMD-dispatched (see [`crate::simd`]; bit-identical across tiers).
+    /// into `out` (reshaped as needed), row-parallel on large inputs.
     pub fn mul_dense_into(&self, d: &DenseMatrix, out: &mut DenseMatrix) {
         assert_eq!(
             self.cols,
@@ -246,14 +244,13 @@ impl CsrMatrix {
         );
         let k = d.cols();
         out.resize_zeroed(self.rows, k);
-        let tier = crate::simd::active_tier();
         crate::parallel::for_each_row_chunk(
             self.rows,
             self.nnz() * k,
             out.as_mut_slice(),
             k,
             |r0, chunk| {
-                spmm_chunk(tier, self, d, r0, chunk);
+                spmm_chunk(self, d, r0, chunk);
             },
         );
     }
@@ -284,14 +281,13 @@ impl CsrMatrix {
         );
         let k = d.cols();
         out.resize_zeroed(self.cols, k);
-        let tier = crate::simd::active_tier();
         crate::parallel::for_each_row_chunk(
             self.cols,
             self.nnz() * k,
             out.as_mut_slice(),
             k,
             |c0, chunk| {
-                spmm_transpose_chunk(tier, self, d, c0, chunk);
+                spmm_transpose_chunk(self, d, c0, chunk);
             },
         );
     }
@@ -551,18 +547,16 @@ impl CsrMatrix {
     }
 }
 
-simd_kernel! {
-    /// One output-row chunk of the CSR×dense product: each output row
-    /// through [`spmm_row`] (identical floating-point sequence at every
-    /// width).
-    fn spmm_chunk(x: &CsrMatrix, d: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
-        match d.cols() {
-            3 => spmm_chunk_w::<3>(x, d, r0, chunk),
-            10 => spmm_chunk_w::<10>(x, d, r0, chunk),
-            k => {
-                for (local, out_row) in chunk.chunks_exact_mut(k.max(1)).enumerate() {
-                    spmm_row(out_row, x, r0 + local, |c| d.row(c));
-                }
+/// One output-row chunk of the CSR×dense product: each output row
+/// through [`spmm_row`] (identical floating-point sequence at every
+/// width).
+fn spmm_chunk(x: &CsrMatrix, d: &DenseMatrix, r0: usize, chunk: &mut [f64]) {
+    match d.cols() {
+        3 => spmm_chunk_w::<3>(x, d, r0, chunk),
+        10 => spmm_chunk_w::<10>(x, d, r0, chunk),
+        k => {
+            for (local, out_row) in chunk.chunks_exact_mut(k.max(1)).enumerate() {
+                spmm_row(out_row, x, r0 + local, |c| d.row(c));
             }
         }
     }
@@ -595,32 +589,30 @@ fn spmm_row<'d>(out_row: &mut [f64], x: &CsrMatrix, r: usize, d_row: impl Fn(usi
     }
 }
 
-simd_kernel! {
-    /// One output-row chunk of the transposed CSR×dense product. Each
-    /// chunk owns output rows (= input columns) `[c0, c1)`: every thread
-    /// walks all input rows but, since columns are sorted within a row,
-    /// binary-searches straight to its range. Column contributions stay
-    /// in increasing input-row order, so the result is bit-identical to
-    /// the sequential scatter.
-    fn spmm_transpose_chunk(x: &CsrMatrix, d: &DenseMatrix, c0: usize, chunk: &mut [f64]) {
-        let k = d.cols();
-        let c1 = c0 + chunk.len() / k.max(1);
-        for r in 0..x.rows {
-            let d_row = d.row(r);
-            let row_range = x.indptr[r]..x.indptr[r + 1];
-            let row_cols = &x.indices[row_range.clone()];
-            let lo = row_cols.partition_point(|&c| (c as usize) < c0);
-            for (idx, &c) in row_cols.iter().enumerate().skip(lo) {
-                let c = c as usize;
-                if c >= c1 {
-                    break;
-                }
-                let v = x.values[row_range.start + idx];
-                let off = (c - c0) * k;
-                let out_row = &mut chunk[off..off + k];
-                for (o, &dv) in out_row.iter_mut().zip(d_row.iter()) {
-                    *o += v * dv;
-                }
+/// One output-row chunk of the transposed CSR×dense product. Each
+/// chunk owns output rows (= input columns) `[c0, c1)`: every thread
+/// walks all input rows but, since columns are sorted within a row,
+/// binary-searches straight to its range. Column contributions stay
+/// in increasing input-row order, so the result is bit-identical to
+/// the sequential scatter.
+fn spmm_transpose_chunk(x: &CsrMatrix, d: &DenseMatrix, c0: usize, chunk: &mut [f64]) {
+    let k = d.cols();
+    let c1 = c0 + chunk.len() / k.max(1);
+    for r in 0..x.rows {
+        let d_row = d.row(r);
+        let row_range = x.indptr[r]..x.indptr[r + 1];
+        let row_cols = &x.indices[row_range.clone()];
+        let lo = row_cols.partition_point(|&c| (c as usize) < c0);
+        for (idx, &c) in row_cols.iter().enumerate().skip(lo) {
+            let c = c as usize;
+            if c >= c1 {
+                break;
+            }
+            let v = x.values[row_range.start + idx];
+            let off = (c - c0) * k;
+            let out_row = &mut chunk[off..off + k];
+            for (o, &dv) in out_row.iter_mut().zip(d_row.iter()) {
+                *o += v * dv;
             }
         }
     }

@@ -8,15 +8,13 @@
 //! The widths cover the monomorphized ranks (3, 10) and k = 2 and 4,
 //! which take the runtime-width bodies. Inputs carry exact zeros, a left
 //! factor narrower or wider than the right one, and row counts past one
-//! reduction block, at pool budgets 1 and 2 and at the scalar and the
-//! detected SIMD tier.
+//! reduction block, at pool budgets 1 and 2.
 
 use std::sync::Mutex;
 
 use tgs_linalg::{
-    mult_update_from_parts, set_parallel_work_threshold, set_pool_threads_override,
-    set_simd_tier_override, CscView, CsrMatrix, DenseMatrix, SimdTier, EPS, FACTOR_FLOOR,
-    REDUCE_BLOCK_ROWS,
+    mult_update_from_parts, set_parallel_work_threshold, set_pool_threads_override, CscView,
+    CsrMatrix, DenseMatrix, EPS, FACTOR_FLOOR, REDUCE_BLOCK_ROWS,
 };
 
 /// Serializes the tests: the pool budget and work threshold are
@@ -27,18 +25,13 @@ const WIDTHS: [usize; 4] = [2, 3, 4, 10];
 const ROWS: [usize; 3] = [5, REDUCE_BLOCK_ROWS + 37, 2 * REDUCE_BLOCK_ROWS + 1];
 
 /// Runs `check` at pool budgets 1 and 2 (work threshold 1, so every
-/// kernel takes its parallel path where it has one) and at the scalar
-/// and the detected SIMD tier.
-fn at_every_budget_and_tier(mut check: impl FnMut(&str)) {
+/// kernel takes its parallel path where it has one).
+fn at_every_budget(mut check: impl FnMut(&str)) {
     let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let prev_w = set_parallel_work_threshold(1);
     for threads in [1, 2] {
         let prev_t = set_pool_threads_override(Some(threads));
-        for tier in [Some(SimdTier::Scalar), None] {
-            let prev_tier = set_simd_tier_override(tier);
-            check(&format!("threads={threads} tier={tier:?}"));
-            set_simd_tier_override(prev_tier);
-        }
+        check(&format!("threads={threads}"));
         set_pool_threads_override(prev_t);
     }
     set_parallel_work_threshold(prev_w);
@@ -178,7 +171,7 @@ fn ref_spmm(x: &CsrMatrix, d: &DenseMatrix) -> Vec<f64> {
 
 #[test]
 fn matmul_into_matches_reference() {
-    at_every_budget_and_tier(|ctx| {
+    at_every_budget(|ctx| {
         for k in WIDTHS {
             for rows in ROWS {
                 // inner dimension narrower than, equal to and wider than k
@@ -200,7 +193,7 @@ fn matmul_into_matches_reference() {
 
 #[test]
 fn matmul_transpose_into_matches_reference() {
-    at_every_budget_and_tier(|ctx| {
+    at_every_budget(|ctx| {
         for k in WIDTHS {
             for rows in ROWS {
                 // Non-negative inputs: the kernel starts its four-output
@@ -225,7 +218,7 @@ fn matmul_transpose_into_matches_reference() {
 
 #[test]
 fn transpose_products_match_reference() {
-    at_every_budget_and_tier(|ctx| {
+    at_every_budget(|ctx| {
         for k in WIDTHS {
             for rows in ROWS {
                 let x = fill(rows, k, 2, true);
@@ -261,7 +254,7 @@ fn transpose_products_match_reference() {
 
 #[test]
 fn gram_kernels_match_reference() {
-    at_every_budget_and_tier(|ctx| {
+    at_every_budget(|ctx| {
         for k in WIDTHS {
             for rows in ROWS {
                 let a = fill(rows, k, (rows * 7 + k) as u64, true);
@@ -294,7 +287,7 @@ fn gram_kernels_match_reference() {
 
 #[test]
 fn spmm_matches_reference() {
-    at_every_budget_and_tier(|ctx| {
+    at_every_budget(|ctx| {
         for k in WIDTHS {
             for rows in ROWS {
                 let cols = 300;
@@ -389,7 +382,7 @@ type FusedShape<'a> = (Option<&'a DenseMatrix>, Option<(f64, &'a [f64])>, f64);
 
 #[test]
 fn fused_update_matches_reference() {
-    at_every_budget_and_tier(|ctx| {
+    at_every_budget(|ctx| {
         for k in WIDTHS {
             for rows in ROWS {
                 let s0 = fill(rows, k, (rows + k) as u64, false);
@@ -456,7 +449,7 @@ fn fused_update_matches_reference() {
 /// skipping would turn the affected outputs into NaN.
 #[test]
 fn exact_zero_skips_hide_infinities() {
-    at_every_budget_and_tier(|ctx| {
+    at_every_budget(|ctx| {
         for k in WIDTHS {
             for rows in [5, REDUCE_BLOCK_ROWS + 37] {
                 // column 0 of the left factor is all zeros; row 0 (for

@@ -557,9 +557,10 @@ pub fn dec_cluster_summary(payload: &[u8]) -> Result<ClusterSummary, String> {
     })
 }
 
-/// The SIMD tier names an engine can report. `simd` is a `&'static
-/// str`, so the decoder maps the wire string back onto the known names
-/// (an unknown name decodes as `""` rather than leaking).
+/// The SIMD tier names an engine can report: this build always sends
+/// `"scalar"`, and older peers may send the other three. `simd` is a
+/// `&'static str`, so the decoder maps the wire string back onto the
+/// known names (an unknown name decodes as `""` rather than leaking).
 const SIMD_TIERS: [&str; 4] = ["scalar", "avx2", "avx2+fma", "neon"];
 
 /// Encodes one [`EngineStats`]. The step-latency histogram rides after

@@ -6,9 +6,7 @@
 # is a frozen snapshot of the pre-workspace implementation (see
 # crates/bench/src/seed_baseline.rs) and must keep its meaning forever.
 # Other series:
-# `simd_kernels/{scalar,dispatched}/*` (per-kernel SIMD-dispatch A/B;
-# results are bit-identical across tiers, the series records the speed
-# delta only) and `online_step_rebind/{cold,amortized}` (per-snapshot
+# `online_step_rebind/{cold,amortized}` (per-snapshot
 # `UpdateWorkspace::bind` cost, throwaway vs fingerprint-amortized).
 # `sharded_rebalance/move_roundtrip_users/{25,100,400}` (a live
 # boundary-move rebalance and its inverse on a warmed 4-shard fleet:
