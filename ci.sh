@@ -46,7 +46,7 @@ echo "==> net smoke (2 shard servers + router on loopback)"
 echo "==> chaos smoke (seeded fault injection + supervised recovery)"
 ./scripts/chaos_smoke.sh
 
-echo "==> delta smoke (delta checkpoints: stream cadence + kill/restore round trip)"
+echo "==> delta smoke (delta checkpoints: kill/restore round trip)"
 ./scripts/delta_smoke.sh
 
 echo "==> soak smoke (Zipf firehose through the batching front end)"

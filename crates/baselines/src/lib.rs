@@ -14,7 +14,7 @@
 //! | BACG (Xu et al.) | [`solve_bacg`] | unsupervised |
 //! | mini-batch / full-batch | [`MiniBatch`] / [`FullBatch`] | online strawmen |
 //!
-//! Plus k-means, majority-class and lexicon-vote reference baselines.
+//! Plus k-means and lexicon-vote reference baselines.
 
 pub mod bacg;
 pub mod batch;
@@ -35,5 +35,5 @@ pub use labelprop::{
 };
 pub use nb::NaiveBayes;
 pub use svm::{LinearSvm, SvmConfig};
-pub use trivial::{lexicon_vote_rows, majority_baseline, majority_class};
+pub use trivial::lexicon_vote_rows;
 pub use userreg::{userreg, UserRegConfig, UserRegResult};

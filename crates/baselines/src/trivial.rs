@@ -1,27 +1,6 @@
-//! Trivial reference baselines: majority class and lexicon voting.
+//! Trivial reference baseline: lexicon voting.
 
 use tgs_linalg::{CsrMatrix, DenseMatrix};
-
-/// The majority class among the visible labels (ties → lower class id).
-pub fn majority_class(labels: &[Option<usize>], k: usize) -> usize {
-    let mut counts = vec![0usize; k];
-    for l in labels.iter().flatten() {
-        if *l < k {
-            counts[*l] += 1;
-        }
-    }
-    counts
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-        .map(|(c, _)| c)
-        .unwrap_or(0)
-}
-
-/// Predicts the majority class for every item.
-pub fn majority_baseline(labels: &[Option<usize>], k: usize, n: usize) -> Vec<usize> {
-    vec![majority_class(labels, k); n]
-}
 
 /// Lexicon-prior voting: scores each row of `x` by `x · Sf0` and takes
 /// the argmax; rows with no lexicon evidence fall back to `fallback`.
@@ -61,18 +40,6 @@ pub fn lexicon_vote_rows(x: &CsrMatrix, sf0: &DenseMatrix, fallback: usize) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn majority_counts_only_known_labels() {
-        let labels = vec![Some(1), Some(1), Some(0), None, None];
-        assert_eq!(majority_class(&labels, 3), 1);
-        assert_eq!(majority_baseline(&labels, 3, 4), vec![1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn majority_empty_defaults_to_zero() {
-        assert_eq!(majority_class(&[None, None], 3), 0);
-    }
 
     #[test]
     fn lexicon_vote_scores_by_prior() {
