@@ -27,8 +27,8 @@ done
 echo "==> cargo test -q"
 cargo test --workspace -q
 
-echo "==> cargo test --release (kernel, solver and matrix-assembly bit-identity suites, optimized as shipped)"
-cargo test --release -q -p tgs_linalg -p tgs_core -p tgs_text -p tgs_data
+echo "==> cargo test --release (kernel, solver and matrix-assembly bit-identity suites, and the engine's fan-out, optimized as shipped)"
+cargo test --release -q -p tgs_linalg -p tgs_core -p tgs_text -p tgs_data -p tgs_engine
 
 echo "==> pinned checkpoint digests on the optimized build"
 cargo test --release -q --test codec_golden

@@ -70,7 +70,9 @@ fn parse_sentiment(tag: &str, line: usize) -> Result<Sentiment, CorpusIoError> {
     }
 }
 
-/// Writes a corpus to any writer in the TSV interchange format.
+/// Writes a corpus to any writer in the TSV interchange format, then
+/// flushes it. Equal corpora write equal bytes: the lexicon's `L` lines
+/// come sorted by word, not in hash-map order.
 pub fn write_corpus<W: Write>(corpus: &Corpus, mut out: W) -> std::io::Result<()> {
     writeln!(out, "# tripartite-sentiment corpus v1")?;
     writeln!(out, "# topic\t{}\tdays\t{}", corpus.topic, corpus.num_days)?;
@@ -113,10 +115,12 @@ pub fn write_corpus<W: Write>(corpus: &Corpus, mut out: W) -> std::io::Result<()
             u.id, stance, label, u.activity, u.join_day, u.leave_day
         )?;
     }
-    for (word, class) in corpus.lexicon.iter() {
+    let mut lexicon: Vec<(&str, Sentiment)> = corpus.lexicon.iter().collect();
+    lexicon.sort_unstable_by_key(|&(word, _)| word);
+    for (word, class) in lexicon {
         writeln!(out, "L\t{}\t{}", word, sentiment_tag(class))?;
     }
-    Ok(())
+    out.flush()
 }
 
 /// Reads a corpus from any buffered reader. Records may appear in any

@@ -172,8 +172,9 @@ impl EngineQuery {
     }
 
     /// Every committed snapshot timestamp, ascending — the keys of
-    /// [`EngineQuery::timeline`] without cloning the entries (the
-    /// multi-shard router unions these to count distinct steps).
+    /// [`EngineQuery::timeline`] without cloning the entries. A
+    /// multi-shard router reads them once, when it is built, to seed its
+    /// fleet-wide append-only check.
     pub fn timestamps(&self) -> Vec<u64> {
         let state = self.state.lock();
         state.timeline.keys().copied().collect()

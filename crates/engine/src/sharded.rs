@@ -438,7 +438,8 @@ pub struct ShardedEngine {
     /// append-only per shard, but a re-ingested timestamp whose documents
     /// route to *different* shards than the original would slip past the
     /// per-worker check and silently mix two snapshots in the merged
-    /// timeline — so the router enforces the invariant fleet-wide.
+    /// timeline — so the router enforces the invariant fleet-wide. Its
+    /// size is the fleet's step count ([`ShardedEngine::steps`]).
     ingested: Mutex<BTreeSet<u64>>,
     /// The fleet's frozen vocabulary (identical on every worker), cached
     /// at construction so `top_words` never re-fetches token lists.
@@ -699,22 +700,25 @@ impl ShardedEngine {
     }
 
     /// Blocks until every worker drained its queue, then reports the
-    /// first pending ingest failure (if any) or the number of distinct
-    /// timestamps in the merged timeline.
+    /// first pending ingest failure (if any) or
+    /// [`ShardedEngine::steps`].
     pub fn flush(&self) -> Result<u64, TgsError> {
-        let fleet = self.fleet();
-        if let Err(e) = flush_fleet(&fleet) {
+        if let Err(e) = flush_fleet(&self.fleet()) {
             self.note(&e);
             return Err(e);
         }
-        Ok(self.steps_of(&fleet))
+        Ok(self.steps())
     }
 
-    /// Distinct timestamps committed across all shards (best effort:
-    /// unreachable workers contribute nothing and count into
-    /// `shard_unavailable`).
+    /// Distinct timestamps the router has accepted: the length of
+    /// [`ShardedEngine::timestamps`], counted without a call to any
+    /// worker. A timestamp counts once the router accepts it, even if
+    /// its step later fails on a worker — that failure surfaces as a
+    /// [`ShardedEngine::flush`] error, and the timestamp can never be
+    /// ingested again. So an unreachable shard neither lowers the count
+    /// nor adds to `shard_unavailable`.
     pub fn steps(&self) -> u64 {
-        self.steps_of(&self.fleet())
+        self.ingested.lock().len() as u64
     }
 
     /// A read handle that fans queries across all shards. The handle
@@ -771,9 +775,11 @@ impl ShardedEngine {
         }
     }
 
-    /// Every timestamp this fleet has committed (or restored), sorted —
-    /// the fleet-wide analogue of a worker's
-    /// [`ShardTransport::timestamps`].
+    /// Every timestamp the router has accepted, sorted: those its
+    /// workers held when it was built, then each one
+    /// [`ShardedEngine::ingest`] claimed. The fleet-wide analogue of a
+    /// worker's [`ShardTransport::timestamps`], kept by the router
+    /// itself, so reading it calls no worker.
     pub fn timestamps(&self) -> Vec<u64> {
         self.ingested.lock().iter().copied().collect()
     }
@@ -1274,33 +1280,36 @@ fn apply_plan(
 
 /// Issues `f` against every worker concurrently — one in-flight call per
 /// peer — and returns the results in shard order, so downstream merges
-/// stay deterministic. Over TCP transports this pipelines the fleet:
-/// a fan-out costs the slowest peer's round-trip instead of the sum of
-/// all of them. With one worker the call runs inline (no thread spawn on
-/// the single-shard path).
-fn fan_out<T, F>(workers: &[Arc<dyn ShardTransport>], f: F) -> Vec<Result<T, TgsError>>
+/// stay deterministic. The calling thread runs the last worker's call
+/// itself and spawns a scoped thread for each of the other `n − 1` (the
+/// worker pool's "callers participate" rule): a one-shard fan-out
+/// spawns nothing, a two-shard one spawns one thread. Over TCP
+/// transports this pipelines the fleet: a fan-out costs the slowest
+/// peer's round trip instead of the sum of all of them. A panic in any
+/// call resurfaces on the caller only after every call has finished
+/// (the scope joins every thread before it unwinds).
+fn fan_out<W, R, F>(workers: &[W], f: F) -> Vec<R>
 where
-    T: Send,
-    F: Fn(usize, &dyn ShardTransport) -> Result<T, TgsError> + Sync,
+    W: Sync,
+    R: Send,
+    F: Fn(&W) -> R + Sync,
 {
-    if workers.len() <= 1 {
-        return workers
-            .iter()
-            .enumerate()
-            .map(|(i, w)| f(i, w.as_ref()))
-            .collect();
-    }
+    let Some((last, rest)) = workers.split_last() else {
+        return Vec::new();
+    };
     std::thread::scope(|s| {
         let f = &f;
-        let handles: Vec<_> = workers
-            .iter()
-            .enumerate()
-            .map(|(i, w)| s.spawn(move || f(i, w.as_ref())))
-            .collect();
-        handles
+        let handles: Vec<_> = rest.iter().map(|w| s.spawn(move || f(w))).collect();
+        let own = f(last);
+        let mut results: Vec<R> = handles
             .into_iter()
-            .map(|h| h.join().expect("fan-out worker panicked"))
-            .collect()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect();
+        results.push(own);
+        results
     })
 }
 
@@ -1310,7 +1319,7 @@ fn flush_fleet(fleet: &Fleet) -> Result<(), TgsError> {
     // queues half-processed), and they drain concurrently: a quiesce is
     // a barrier, so it costs the slowest worker, not the sum.
     let mut first_err = None;
-    for outcome in fan_out(&fleet.workers, |_, worker| worker.flush()) {
+    for outcome in fan_out(&fleet.workers, |worker| worker.flush()) {
         if let Err(e) = outcome {
             first_err.get_or_insert(e);
         }
@@ -1318,21 +1327,6 @@ fn flush_fleet(fleet: &Fleet) -> Result<(), TgsError> {
     match first_err {
         Some(e) => Err(e),
         None => Ok(()),
-    }
-}
-
-impl ShardedEngine {
-    /// Distinct committed timestamps across reachable workers; network
-    /// failures count into `shard_unavailable` and skip the worker.
-    fn steps_of(&self, fleet: &Fleet) -> u64 {
-        let mut seen = BTreeSet::new();
-        for worker in &fleet.workers {
-            match worker.timestamps() {
-                Ok(ts) => seen.extend(ts),
-                Err(e) => self.note(&e),
-            }
-        }
-        seen.len() as u64
     }
 }
 
@@ -1528,7 +1522,7 @@ impl ShardedQuery {
             let generation = topo.map.generation();
             let mut merged: BTreeMap<u64, TimelineEntry> = BTreeMap::new();
             // Concurrent fan-out, merged in shard order (deterministic).
-            for entries in fan_out(&topo.workers, |_, w| w.timeline(generation, lo, hi)) {
+            for entries in fan_out(&topo.workers, |w| w.timeline(generation, lo, hi)) {
                 merge_timeline_into(&mut merged, entries?);
             }
             Ok(merged.into_values().collect())
@@ -1557,7 +1551,7 @@ impl ShardedQuery {
         };
         self.with_topo(|topo| {
             let generation = topo.map.generation();
-            let results = fan_out(&topo.workers, |_, w| w.timeline(generation, lo, hi));
+            let results = fan_out(&topo.workers, |w| w.timeline(generation, lo, hi));
             let (answers, coverage) = self.degrade(topo, results)?;
             let mut merged: BTreeMap<u64, TimelineEntry> = BTreeMap::new();
             for entries in answers {
@@ -1624,7 +1618,7 @@ impl ShardedQuery {
         self.with_topo(|topo| {
             let generation = topo.map.generation();
             let mut newest: Option<u64> = None;
-            for t in fan_out(&topo.workers, |_, w| w.latest_timestamp(generation)) {
+            for t in fan_out(&topo.workers, |w| w.latest_timestamp(generation)) {
                 if let Some(t) = t? {
                     newest = Some(newest.map_or(t, |n| n.max(t)));
                 }
@@ -1633,7 +1627,7 @@ impl ShardedQuery {
                 return Ok(None);
             };
             let mut merged: Option<TimelineEntry> = None;
-            for entries in fan_out(&topo.workers, |_, w| w.timeline(generation, t, t)) {
+            for entries in fan_out(&topo.workers, |w| w.timeline(generation, t, t)) {
                 for entry in entries? {
                     match merged.as_mut() {
                         None => merged = Some(entry),
@@ -1652,7 +1646,7 @@ impl ShardedQuery {
     pub fn latest_partial(&self) -> Result<Partial<Option<TimelineEntry>>, TgsError> {
         self.with_topo(|topo| {
             let generation = topo.map.generation();
-            let stamps = fan_out(&topo.workers, |_, w| w.latest_timestamp(generation));
+            let stamps = fan_out(&topo.workers, |w| w.latest_timestamp(generation));
             let (stamps, stamp_cov) = self.degrade(topo, stamps)?;
             let Some(t) = stamps.into_iter().flatten().max() else {
                 return Ok(Partial {
@@ -1660,7 +1654,7 @@ impl ShardedQuery {
                     coverage: self.tag(stamp_cov),
                 });
             };
-            let entries = fan_out(&topo.workers, |_, w| w.timeline(generation, t, t));
+            let entries = fan_out(&topo.workers, |w| w.timeline(generation, t, t));
             let (answers, entry_cov) = self.degrade(topo, entries)?;
             let mut merged: Option<TimelineEntry> = None;
             for entries in answers {
@@ -1704,7 +1698,7 @@ impl ShardedQuery {
     pub fn known_users(&self) -> Result<usize, TgsError> {
         self.with_topo(|topo| {
             let generation = topo.map.generation();
-            fan_out(&topo.workers, |_, w| w.known_users(generation))
+            fan_out(&topo.workers, |w| w.known_users(generation))
                 .into_iter()
                 .try_fold(0, |total, n| Ok(total + n?))
         })
@@ -1715,7 +1709,7 @@ impl ShardedQuery {
     pub fn known_users_partial(&self) -> Result<Partial<usize>, TgsError> {
         self.with_topo(|topo| {
             let generation = topo.map.generation();
-            let counts = fan_out(&topo.workers, |_, w| w.known_users(generation));
+            let counts = fan_out(&topo.workers, |w| w.known_users(generation));
             let (counts, coverage) = self.degrade(topo, counts)?;
             Ok(Partial {
                 value: counts.into_iter().sum(),
@@ -1758,7 +1752,7 @@ impl ShardedQuery {
             let generation = topo.map.generation();
             // Per peer: summary then factor, still one in-flight frame
             // at a time on each connection, pipelined across peers.
-            let fetched = fan_out(&topo.workers, |_, worker| {
+            let fetched = fan_out(&topo.workers, |worker| {
                 match worker.cluster_summary(generation, t) {
                     Ok(summary) => {
                         let weight = summary.tweet_counts.iter().sum::<usize>() as f64;
@@ -1818,6 +1812,7 @@ fn merge_timeline_into(merged: &mut BTreeMap<u64, TimelineEntry>, entries: Vec<T
 mod tests {
     use super::*;
     use crate::{EngineBuilder, EngineSnapshot};
+    use std::sync::atomic::AtomicBool;
     use tgs_data::{day_windows, generate, GeneratorConfig};
 
     fn corpus() -> tgs_data::Corpus {
@@ -1844,6 +1839,77 @@ mod tests {
                 .unwrap();
         }
         engine.flush().unwrap();
+    }
+
+    #[test]
+    fn fan_out_runs_only_the_last_call_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for n in [1usize, 2, 4] {
+            let ids: Vec<usize> = (0..n).collect();
+            let calls: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            let results = fan_out(&ids, |&i| {
+                calls[i].fetch_add(1, Ordering::Relaxed);
+                (i, std::thread::current().id())
+            });
+            let order: Vec<usize> = results.iter().map(|&(i, _)| i).collect();
+            assert_eq!(order, ids, "{n} workers: results in shard order");
+            for (i, count) in calls.iter().enumerate() {
+                assert_eq!(count.load(Ordering::Relaxed), 1, "{n} workers: call {i}");
+            }
+            for &(i, thread) in &results {
+                assert_eq!(
+                    thread == caller,
+                    i == n - 1,
+                    "{n} workers: call {i}'s thread"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_panic_resurfaces_after_every_other_call_finished() {
+        /// Raises its flag when dropped: during unwinding, in a call
+        /// that panics.
+        struct RaiseOnDrop<'a>(&'a AtomicBool);
+        impl Drop for RaiseOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        for n in [1usize, 2, 4] {
+            let ids: Vec<usize> = (0..n).collect();
+            for bad in 0..n {
+                let unwinding = AtomicBool::new(false);
+                let finished = AtomicU64::new(0);
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    fan_out(&ids, |&i| {
+                        if i == bad {
+                            let _raise = RaiseOnDrop(&unwinding);
+                            panic!("call {i} failed");
+                        }
+                        // Finish only after the bad call began to
+                        // unwind, and late enough that a fan-out
+                        // resurfacing the panic early would be seen.
+                        while !unwinding.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    })
+                }));
+                let panic = outcome.expect_err("the panic resurfaces on the caller");
+                assert_eq!(
+                    panic.downcast_ref::<String>(),
+                    Some(&format!("call {bad} failed")),
+                    "{n} workers: the call's own panic"
+                );
+                assert_eq!(
+                    finished.load(Ordering::SeqCst),
+                    n as u64 - 1,
+                    "{n} workers, call {bad} panicked: every other call finished first"
+                );
+            }
+        }
     }
 
     #[test]

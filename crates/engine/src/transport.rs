@@ -93,7 +93,11 @@ pub trait ShardTransport: Send + Sync {
         Ok(true)
     }
 
-    /// Every committed snapshot timestamp, ascending.
+    /// Every committed snapshot timestamp, ascending. The router calls
+    /// it once per worker, when it is built, to re-claim the timestamps
+    /// a restored or reconnected fleet already holds; after that it
+    /// keeps the fleet's timestamps itself
+    /// ([`crate::ShardedEngine::timestamps`]).
     fn timestamps(&self) -> Result<Vec<u64>, TgsError>;
 
     /// Number of sentiment clusters.

@@ -1,5 +1,6 @@
 //! Vocabulary construction: the feature layer `F` of the tripartite graph.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// A small built-in English stopword list. Stopwords carry no sentiment
@@ -57,10 +58,18 @@ impl Vocabulary {
         D: IntoIterator<Item = I>,
         I: IntoIterator<Item = &'a str>,
     {
+        // Count through `get_mut` so only a token's first occurrence
+        // allocates its key (`entry` would need an owned `String` for
+        // every occurrence).
         let mut counts: HashMap<String, u64> = HashMap::new();
         for doc in docs {
             for tok in doc {
-                *counts.entry(tok.to_string()).or_insert(0) += 1;
+                match counts.get_mut(tok) {
+                    Some(c) => *c += 1,
+                    None => {
+                        counts.insert(tok.to_owned(), 1);
+                    }
+                }
             }
         }
         if config.remove_stopwords {
@@ -90,11 +99,11 @@ impl Vocabulary {
     pub fn from_tokens<S: Into<String>>(tokens: impl IntoIterator<Item = S>) -> Self {
         let mut vocab = Vocabulary::default();
         for tok in tokens {
-            let tok = tok.into();
-            if !vocab.index.contains_key(&tok) {
-                vocab.index.insert(tok.clone(), vocab.tokens.len());
-                vocab.tokens.push(tok);
+            if let Entry::Vacant(slot) = vocab.index.entry(tok.into()) {
+                let id = vocab.tokens.len();
+                vocab.tokens.push(slot.key().clone());
                 vocab.counts.push(0);
+                slot.insert(id);
             }
         }
         vocab

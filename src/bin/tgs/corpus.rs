@@ -83,6 +83,7 @@ pub(crate) fn cmd_analyze(flags: &Flags) -> Result<(), TgsError> {
     {
         writeln!(out, "user\t{id}\t{}\t{conf:.3}", sentiment_name(label)).map_err(write_err)?;
     }
+    out.flush().map_err(write_err)?;
     eprintln!("wrote sentiments to {out_path}");
     Ok(())
 }

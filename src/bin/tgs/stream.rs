@@ -145,6 +145,7 @@ fn stream_and_report(
         )
         .map_err(write_err)?;
     }
+    out.flush().map_err(write_err)?;
     let final_shards = engine.shards();
     let mut topology_note = String::new();
     if rebalances > 0 {

@@ -1,8 +1,11 @@
 //! The `tgs` command table, checked through the built binary: every
 //! command is listed, every `--help` names exactly its command's flags
 //! (`stream` and `serve` each the shared streaming flags plus their
-//! own), and `stream` rejects flags it does not declare.
+//! own), and `stream` rejects flags it does not declare. Also through
+//! the binary: `generate` is byte-reproducible, and a command whose
+//! `--out` write fails exits nonzero without claiming it wrote.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// The flags `stream` and `serve` share; both list every one.
@@ -89,6 +92,31 @@ fn tgs(args: &[&str]) -> Output {
         .expect("run tgs")
 }
 
+/// A fresh directory for one test's files, named after the test.
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tgs_cli_{test}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// Runs `tgs generate --preset tiny --seed 42` into `path`.
+fn generate_tiny(path: &Path) {
+    let out = tgs(&[
+        "generate",
+        "--preset",
+        "tiny",
+        "--seed",
+        "42",
+        "--out",
+        path.to_str().expect("utf-8 path"),
+    ]);
+    assert!(
+        out.status.success(),
+        "`tgs generate` failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 /// The flag names a `tgs <cmd> --help` lists, sorted.
 fn listed_flags(cmd: &str) -> Vec<String> {
     let out = tgs(&[cmd, "--help"]);
@@ -146,4 +174,47 @@ fn stream_rejects_in_run_checkpoint_flags() {
             "--{flag}: {stderr}"
         );
     }
+}
+
+#[test]
+fn generate_writes_identical_bytes_for_one_seed() {
+    let dir = scratch_dir("generate");
+    let (a, b) = (dir.join("a.tsv"), dir.join("b.tsv"));
+    generate_tiny(&a);
+    generate_tiny(&b);
+    let read = |path: &Path| std::fs::read(path).expect("read corpus");
+    assert!(
+        read(&a) == read(&b),
+        "two `tgs generate --seed 42` runs wrote different bytes"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failed_output_write_fails_the_command() {
+    // `/dev/full` accepts the open and fails every write with ENOSPC.
+    let full = Path::new("/dev/full");
+    if !full.exists() {
+        eprintln!("skipped: no /dev/full on this system");
+        return;
+    }
+    let dir = scratch_dir("dev_full");
+    let corpus = dir.join("corpus.tsv");
+    generate_tiny(&corpus);
+    let corpus = corpus.to_str().expect("utf-8 path");
+    for args in [
+        &["generate", "--preset", "tiny"][..],
+        &["analyze", "--corpus", corpus][..],
+        &["stream", "--corpus", corpus, "--iters", "8"][..],
+    ] {
+        let run = tgs(&[args, &["--out", "/dev/full"]].concat());
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "`tgs {}`: {stderr}", args[0]);
+        assert!(
+            !stderr.contains("wrote"),
+            "`tgs {}` reported a write that failed: {stderr}",
+            args[0]
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -198,6 +198,39 @@ fn every_query_method_is_typed_or_tagged_against_a_dead_shard() {
 }
 
 #[test]
+fn steps_count_the_routers_timestamps_while_a_shard_is_down() {
+    let c = corpus();
+    let (engine, flaky) = flaky_fleet(&c);
+    let (held_lo, held_hi) = stream(&engine, &c);
+    // One snapshot whose documents all route to shard 1: only that
+    // shard's worker records its timestamp.
+    let (shard1_lo, _) = engine.map().range(1);
+    let mut snapshot = EngineSnapshot::new(u64::from(held_lo));
+    for id in c.tweets_in_days(held_lo, held_hi) {
+        let tweet = &c.tweets[id];
+        if tweet.author >= shard1_lo {
+            snapshot.push_tokens(tweet.author, tweet.tokens.clone());
+        }
+    }
+    assert!(!snapshot.is_empty(), "the held window has shard-1 tweets");
+    engine.ingest(snapshot).expect("ingest");
+    let steps = engine.flush().expect("flush");
+    assert_eq!(steps, engine.timestamps().len() as u64);
+    let unavailable = engine.stats().shard_unavailable;
+
+    // The count is the router's own: a dead shard 1 neither lowers it
+    // nor counts as an unavailable call.
+    flaky[1].set_down(true);
+    assert_eq!(engine.steps(), steps);
+    assert_eq!(engine.steps(), engine.timestamps().len() as u64);
+    flaky[1].set_down(false);
+    assert_eq!(engine.stats().shard_unavailable, unavailable);
+    assert_eq!(flaky[1].rejected(), 0, "steps() called no worker");
+
+    engine.shutdown().expect("shutdown");
+}
+
+#[test]
 fn partial_queries_fail_typed_when_no_shard_answers() {
     let c = corpus();
     let (engine, flaky) = flaky_fleet(&c);
