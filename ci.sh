@@ -33,6 +33,9 @@ cargo test --release -q -p tgs_linalg -p tgs_core -p tgs_text -p tgs_data -p tgs
 echo "==> pinned checkpoint digests on the optimized build"
 cargo test --release -q --test codec_golden
 
+echo "==> queries racing rebalances, and degraded queries, on the optimized build"
+cargo test --release -q --test rebalance --test degraded_query
+
 echo "==> benchmark package (builds against the workspace's public API; ~9 s smoke)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --offline --manifest-path benchmark/Cargo.toml

@@ -125,7 +125,7 @@ fn main() {
     );
 
     // Extension from the paper's conclusion: guided (semi-supervised)
-    // regularization with 10% tweet labels + sparsity prox.
+    // regularization with 10% tweet and user labels.
     {
         let tweet_seeds = subsample_labels(&inst.tweet_labels, 0.10);
         let user_seeds = subsample_labels(&inst.user_labels, 0.10);
@@ -135,7 +135,6 @@ fn main() {
         };
         let cfg = GuidedConfig {
             delta: 0.8,
-            sparsity: 0.0,
             base: OfflineConfig::default(),
         };
         let result = solve_guided(&full_input, &guidance, &cfg);

@@ -38,9 +38,11 @@ pub struct StepRecord {
 pub struct StreamEval {
     /// One record per non-empty snapshot.
     pub steps: Vec<StepRecord>,
-    /// Global per-tweet hard labels, assembled across snapshots (cluster
-    /// columns stay class-aligned thanks to the lexicon-seeded warm
-    /// starts, so pooling ids across snapshots is meaningful).
+    /// Global per-tweet hard labels, assembled across snapshots. The
+    /// lexicon-seeded warm starts do not keep the cluster columns
+    /// class-aligned: on Prop 30 small the per-day majority mapping of
+    /// the polar tweets takes 5 values over 40 days, so pooled ids score
+    /// below the per-day average (ROADMAP item 1(b)).
     pub tweet_pred: Vec<usize>,
     /// Global per-user hard labels: each user's most recent snapshot
     /// label (0 for users never observed).

@@ -187,20 +187,6 @@ impl OnlineConfig {
             panic!("{e}");
         }
     }
-
-    /// The offline-equivalent settings used for the first snapshot.
-    pub fn first_snapshot_offline(&self) -> OfflineConfig {
-        OfflineConfig {
-            k: self.k,
-            alpha: self.alpha,
-            beta: self.beta,
-            max_iters: self.max_iters,
-            tol: self.tol,
-            seed: self.seed,
-            init: self.init,
-            track_objective: self.track_objective,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -231,19 +217,5 @@ mod tests {
             ..Default::default()
         }
         .validate();
-    }
-
-    #[test]
-    fn first_snapshot_inherits_parameters() {
-        let on = OnlineConfig {
-            alpha: 0.3,
-            beta: 0.5,
-            k: 2,
-            ..Default::default()
-        };
-        let off = on.first_snapshot_offline();
-        assert_eq!(off.alpha, 0.3);
-        assert_eq!(off.beta, 0.5);
-        assert_eq!(off.k, 2);
     }
 }

@@ -157,8 +157,8 @@ pub enum TgsError {
     },
     /// The caller routed through an outdated topology: the request was
     /// stamped with generation `have`, but the shard has already adopted
-    /// `current`. Refresh the partition map and retry — handles re-key
-    /// lazily on this error instead of misrouting.
+    /// `current`. Refresh the partition map and retry instead of
+    /// misrouting.
     StaleTopology {
         /// The generation the caller routed with.
         have: u64,

@@ -1,16 +1,11 @@
 //! Extensions from the paper's conclusion (§7): the authors propose a
 //! unified framework with *optional* regularizations beyond the published
-//! ones — **guided (semi-supervised) regularization** and **sparsity
-//! regularization**. This module implements both on top of the offline
-//! solver.
-//!
-//! * Guided: labeled tweets/users are pulled toward their one-hot class
-//!   rows with weight `δ`, using the same block-partitioned
-//!   multiplicative machinery as the online temporal pull (Eq. 26 with
-//!   the label prior in place of `Suw`).
-//! * Sparsity: after each sweep, an L1 proximal step soft-thresholds the
-//!   cluster indicator matrices, driving near-zero memberships to the
-//!   floor (crisper clusters).
+//! ones — **guided (semi-supervised) regularization** and sparsity
+//! regularization. This module implements the guided one on top of the
+//! offline solver: labeled tweets/users are pulled toward their one-hot
+//! class rows with weight `δ`, using the same block-partitioned
+//! multiplicative machinery as the online temporal pull (Eq. 26 with the
+//! label prior in place of `Suw`).
 
 use tgs_linalg::{DenseMatrix, FACTOR_FLOOR};
 
@@ -32,7 +27,7 @@ pub struct Guidance<'a> {
     pub user_labels: &'a [Option<usize>],
 }
 
-/// Configuration of the guided/sparse solver.
+/// Configuration of the guided solver.
 #[derive(Debug, Clone)]
 pub struct GuidedConfig {
     /// Base offline settings (k, α, β, iterations, seed, init).
@@ -40,9 +35,6 @@ pub struct GuidedConfig {
     /// Guidance weight `δ ≥ 0`: how strongly labeled rows are pulled
     /// toward their one-hot class (0 = plain unsupervised solve).
     pub delta: f64,
-    /// Sparsity weight `λ ≥ 0`: L1 soft-threshold applied to `Sp` and
-    /// `Su` after each sweep (0 disables).
-    pub sparsity: f64,
 }
 
 impl Default for GuidedConfig {
@@ -50,7 +42,6 @@ impl Default for GuidedConfig {
         Self {
             base: OfflineConfig::default(),
             delta: 0.5,
-            sparsity: 0.0,
         }
     }
 }
@@ -62,10 +53,6 @@ impl GuidedConfig {
         assert!(
             self.delta >= 0.0 && self.delta.is_finite(),
             "delta must be non-negative"
-        );
-        assert!(
-            self.sparsity >= 0.0 && self.sparsity.is_finite(),
-            "sparsity must be non-negative"
         );
     }
 }
@@ -89,19 +76,9 @@ fn guidance_targets(labels: &[Option<usize>], k: usize) -> (Vec<usize>, DenseMat
     (rows, targets)
 }
 
-/// L1 proximal step: soft-threshold every entry by `lambda`, flooring at
-/// the solver's positivity floor (the exact prox of `λ‖S‖₁` under the
-/// non-negativity constraint).
-fn soft_threshold(m: &mut DenseMatrix, lambda: f64) {
-    if lambda <= 0.0 {
-        return;
-    }
-    m.map_in_place(|v| (v - lambda).max(FACTOR_FLOOR));
-}
-
 /// Semi-supervised tri-clustering: the offline solve of Eq. (1) plus a
 /// guidance pull `δ·(‖Sp(g) − Yp‖² + ‖Su(g) − Yu‖²)` over the labeled
-/// rows, and an optional L1 sparsity prox.
+/// rows.
 pub fn solve_guided(
     input: &TriInput<'_>,
     guidance: &Guidance<'_>,
@@ -178,8 +155,6 @@ pub fn solve_guided(
         );
         update_hu(input, &mut factors);
         update_sf(input, &mut factors, config.base.alpha, input.sf0);
-        soft_threshold(&mut factors.sp, config.sparsity);
-        soft_threshold(&mut factors.su, config.sparsity);
         iterations = it + 1;
         let cur = offline_objective(input, &factors, config.base.alpha, config.base.beta);
         if config.base.track_objective {
@@ -297,7 +272,6 @@ mod tests {
             &GuidedConfig {
                 delta: 0.0,
                 base: base(2),
-                ..Default::default()
             },
         );
         let guided = solve_guided(
@@ -306,7 +280,6 @@ mod tests {
             &GuidedConfig {
                 delta: 1.0,
                 base: base(2),
-                ..Default::default()
             },
         );
         let acc_unguided = tgs_eval::clustering_accuracy(&unguided.tweet_labels(), &tweet_truth);
@@ -350,57 +323,10 @@ mod tests {
             &GuidedConfig {
                 delta: 1.0,
                 base: base(2),
-                ..Default::default()
             },
         );
         let acc = tgs_eval::classification_accuracy(&result.user_labels(), &user_truth);
         assert!(acc > 0.9, "fully labeled users should stay pinned: {acc}");
-    }
-
-    #[test]
-    fn sparsity_sharpens_memberships() {
-        let (xp, xu, xr, graph, sf0, _, _) = weak_instance(11);
-        let input = TriInput {
-            xp: &xp,
-            xu: &xu,
-            xr: &xr,
-            graph: &graph,
-            sf0: &sf0,
-        };
-        let no_labels = vec![None; xp.rows()];
-        let no_user_labels = vec![None; xu.rows()];
-        let guidance = Guidance {
-            tweet_labels: &no_labels,
-            user_labels: &no_user_labels,
-        };
-        let dense = solve_guided(
-            &input,
-            &guidance,
-            &GuidedConfig {
-                delta: 0.0,
-                sparsity: 0.0,
-                base: base(2),
-            },
-        );
-        let sparse = solve_guided(
-            &input,
-            &guidance,
-            &GuidedConfig {
-                delta: 0.0,
-                sparsity: 0.05,
-                base: base(2),
-            },
-        );
-        let near_floor = |m: &DenseMatrix| {
-            m.as_slice().iter().filter(|&&v| v < 1e-6).count() as f64 / m.as_slice().len() as f64
-        };
-        assert!(
-            near_floor(&sparse.factors.sp) > near_floor(&dense.factors.sp),
-            "sparsity prox should zero out more memberships: {} vs {}",
-            near_floor(&sparse.factors.sp),
-            near_floor(&dense.factors.sp)
-        );
-        assert!(sparse.factors.all_nonnegative());
     }
 
     #[test]

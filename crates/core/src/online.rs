@@ -502,12 +502,6 @@ impl OnlineSolver {
     pub fn step(&mut self, data: &SnapshotData<'_>) -> OnlineStepResult {
         self.try_step(data).unwrap_or_else(|e| panic!("{e}"))
     }
-
-    /// First-snapshot behaviour check: true until [`OnlineSolver::step`]
-    /// has been called.
-    pub fn is_cold(&self) -> bool {
-        self.steps == 0
-    }
 }
 
 #[cfg(test)]
@@ -590,14 +584,12 @@ mod tests {
             sf0: &sf0,
         };
         let mut solver = OnlineSolver::new(config());
-        assert!(solver.is_cold());
         let result = solver.step(&SnapshotData {
             input,
             user_ids: &users,
         });
         assert_eq!(result.partition.new_rows.len(), 4);
         assert!(result.partition.evolving_rows.is_empty());
-        assert!(!solver.is_cold());
     }
 
     #[test]

@@ -46,7 +46,6 @@ pub mod builder;
 pub mod checkpoint;
 mod delta;
 mod engine;
-pub mod flaky;
 pub mod hist;
 pub mod query;
 pub mod sharded;
@@ -58,7 +57,6 @@ pub use builder::{EngineBuilder, DEFAULT_QUEUE_DEPTH, DEFAULT_STORE_BUDGET_BYTES
 pub use checkpoint::EngineCheckpoint;
 pub use delta::CheckpointDelta;
 pub use engine::{EngineStats, SentimentEngine};
-pub use flaky::FlakyShard;
 pub use hist::{LatencyHistogram, HIST_BUCKETS};
 pub use query::{ClusterSummary, EngineQuery, TimelineEntry, UserSentiment};
 pub use sharded::{

@@ -29,7 +29,11 @@
 //! history through the per-user export/import seam (age-relative
 //! solver rows — placement-independent), swap the map, resume.
 //! [`ShardedEngine::maybe_rebalance`] automates this from per-shard
-//! tweet-count skew (`tgs stream --max-skew`).
+//! tweet-count skew (`tgs stream --max-skew`). A rebalance holds the
+//! fleet's lock for writing; ingests and queries hold it for reading
+//! across their shard calls, so they see the topology from before or
+//! after a rebalance, never a half-migrated one. Workers still reject
+//! stale topology generations from any other client.
 //!
 //! With `shards = 1` the router is the identity: the single worker
 //! receives byte-identical snapshots, records a byte-identical timeline,
@@ -442,8 +446,9 @@ pub struct ShardedEngine {
     /// size is the fleet's step count ([`ShardedEngine::steps`]).
     ingested: Mutex<BTreeSet<u64>>,
     /// The fleet's frozen vocabulary (identical on every worker), cached
-    /// at construction so `top_words` never re-fetches token lists.
-    vocab: Vocabulary,
+    /// at construction so `top_words` never re-fetches token lists, and
+    /// shared with every query handle.
+    vocab: Arc<Vocabulary>,
     /// Number of sentiment clusters (identical on every worker).
     k: usize,
     /// Recovery telemetry + per-worker commit registry; private by
@@ -538,7 +543,7 @@ impl ShardedEngine {
             batch_policy: BatchPolicy::default(),
             doc_counts: Mutex::new(BTreeMap::new()),
             ingested: Mutex::new(ingested),
-            vocab,
+            vocab: Arc::new(vocab),
             k,
             recovery: Arc::new(RecoveryCounters::default()),
         })
@@ -722,21 +727,14 @@ impl ShardedEngine {
     }
 
     /// A read handle that fans queries across all shards. The handle
-    /// snapshots the current topology but keeps a reference to the
-    /// fleet: when a rebalance bumps the topology generation, workers
-    /// answer the handle's next routed call with
-    /// [`TgsError::StaleTopology`] and the handle re-keys itself from
-    /// the fleet before retrying — it can neither misroute nor miss
-    /// migrated users.
+    /// shares the live fleet: each call reads it under the fleet's read
+    /// lock for its whole fan-out, so it routes with the current map and
+    /// sees the topology from before or after a concurrent rebalance,
+    /// never a half-migrated one.
     pub fn query(&self) -> ShardedQuery {
-        let fleet = self.fleet();
         ShardedQuery {
             fleet: Arc::clone(&self.inner),
-            topo: Mutex::new(Topo {
-                map: fleet.map.clone(),
-                workers: fleet.workers.clone(),
-            }),
-            vocab: self.vocab.clone(),
+            vocab: Arc::clone(&self.vocab),
             k: self.k,
             recovery: Arc::clone(&self.recovery),
         }
@@ -859,6 +857,11 @@ impl ShardedEngine {
     /// Migration is lossless: applying a plan and its inverse with no
     /// ingest in between restores byte-identical behaviour (tested in
     /// `tests/rebalance.rs`).
+    ///
+    /// The rebalance takes the fleet's lock for writing, so it waits
+    /// for in-flight ingests and queries: both hold the read lock
+    /// across their shard calls, an ingest's supervised recovery
+    /// included.
     pub fn rebalance(&self, plan: &RepartitionPlan) -> Result<PartitionMap, TgsError> {
         let mut fleet = self.fleet_mut();
         self.rebalance_locked(&mut fleet, plan)
@@ -896,10 +899,11 @@ impl ShardedEngine {
         fleet.workers = workers;
         fleet.map = cur_map;
         // Stamp the surviving workers with the new topology generation.
-        // Any query handle still keyed to the old topology now gets
-        // `StaleTopology` from every worker and re-keys lazily; a worker
-        // unreachable here learns the generation from the next stamped
-        // call it serves (the floor is monotone), so this is best effort.
+        // This router's own calls wait on the lock and route with the
+        // new map; any other client still keyed to the old topology now
+        // gets `StaleTopology` from every worker. A worker unreachable
+        // here learns the generation from the next stamped call it
+        // serves (the floor is monotone), so this is best effort.
         for worker in &fleet.workers {
             if let Err(e) = worker.set_generation(fleet.map.generation()) {
                 self.note(&e);
@@ -1268,9 +1272,9 @@ fn apply_plan(
     }
     // Retired merge workers release only once every delta landed, so an
     // error above never leaves the map and worker vec out of step. Their
-    // generation floor is poisoned first: a query handle still holding
-    // the retired transport gets `StaleTopology` (and re-keys) instead
-    // of silently double-counting state the absorber now owns.
+    // generation floor is poisoned first: a client other than this
+    // router still holding the retired transport gets `StaleTopology`
+    // instead of silently double-counting state the absorber now owns.
     for retired in retired_workers {
         let _ = retired.set_generation(u64::MAX);
         retired.shutdown()?;
@@ -1413,35 +1417,19 @@ fn split(
     ))
 }
 
-/// One topology snapshot a query handle routes with: the map whose
-/// generation stamps every call, and the transports it fans out to.
-struct Topo {
-    map: PartitionMap,
-    workers: Vec<Arc<dyn ShardTransport>>,
-}
-
-/// How many times a fanned-out query re-keys itself from the fleet after
-/// a `StaleTopology` rejection before giving up. More than one retry is
-/// only consumed when rebalances land *between* the re-key and the
-/// retried fan-out — vanishingly rare, but bounded so a rebalance storm
-/// cannot spin a reader forever.
-const REKEY_ATTEMPTS: usize = 3;
-
 /// Read handle over a [`ShardedEngine`]'s merged history.
 ///
-/// The handle snapshots the topology at creation and keeps a reference
-/// to the fleet. Routed calls stamp the snapshot's generation; when a
-/// rebalance has bumped it, a worker answers [`TgsError::StaleTopology`]
-/// and the handle re-keys itself from the fleet before retrying
-/// (lazily — an idle handle costs nothing). Fan-outs are safe against
-/// mid-flight rebalances because every surviving worker rejects the old
-/// generation: partially merged results from a stale topology are
-/// discarded, never returned.
+/// The handle shares the live fleet with its engine. Every call holds
+/// the fleet's read lock for its whole fan-out, as ingest does, and
+/// stamps the current map's generation: a rebalance (which takes the
+/// lock for writing) waits for in-flight queries, so a query sees the
+/// topology from before or after it, never a half-migrated one.
+/// Cloning a handle copies three `Arc`s.
+#[derive(Clone)]
 pub struct ShardedQuery {
     fleet: Arc<RwLock<Fleet>>,
-    topo: Mutex<Topo>,
     /// The fleet's frozen vocabulary (for `top_words` ranking).
-    vocab: Vocabulary,
+    vocab: Arc<Vocabulary>,
     /// Number of sentiment clusters.
     k: usize,
     /// Shared recovery telemetry: the `*_partial` methods bump
@@ -1450,141 +1438,53 @@ pub struct ShardedQuery {
     recovery: Arc<RecoveryCounters>,
 }
 
-impl Clone for ShardedQuery {
-    fn clone(&self) -> Self {
-        let topo = self.topo.lock();
-        Self {
-            fleet: Arc::clone(&self.fleet),
-            topo: Mutex::new(Topo {
-                map: topo.map.clone(),
-                workers: topo.workers.clone(),
-            }),
-            vocab: self.vocab.clone(),
-            k: self.k,
-            recovery: Arc::clone(&self.recovery),
-        }
-    }
-}
-
 impl ShardedQuery {
+    /// Read access to the live fleet. No query body takes it twice: a
+    /// recursive `RwLock` read can deadlock behind a queued rebalance.
+    fn fleet(&self) -> std::sync::RwLockReadGuard<'_, Fleet> {
+        self.fleet.read().expect("fleet lock poisoned")
+    }
+
     /// Number of sentiment clusters.
     pub fn k(&self) -> usize {
         self.k
     }
 
-    /// Number of shards (as of this handle's topology snapshot).
+    /// Number of shards in the fleet now.
     pub fn shards(&self) -> usize {
-        self.topo.lock().workers.len()
+        self.fleet().workers.len()
     }
 
-    /// The partition map this handle currently routes per-user queries
-    /// with (a snapshot; the handle re-keys lazily after rebalances).
+    /// The partition map the fleet routes per-user queries with now (a
+    /// snapshot: a concurrent rebalance may swap it afterwards).
     pub fn map(&self) -> PartitionMap {
-        self.topo.lock().map.clone()
+        self.fleet().map.clone()
     }
 
-    /// Refreshes this handle's topology snapshot from the fleet.
-    fn rekey(&self) {
-        let fleet = self.fleet.read().expect("fleet lock poisoned");
-        *self.topo.lock() = Topo {
-            map: fleet.map.clone(),
-            workers: fleet.workers.clone(),
-        };
-    }
-
-    /// Runs `f` against the current topology snapshot, re-keying from
-    /// the fleet and retrying (bounded) when a worker rejects the
-    /// snapshot's generation as stale.
-    fn with_topo<T>(&self, f: impl Fn(&Topo) -> Result<T, TgsError>) -> Result<T, TgsError> {
-        for _ in 1..REKEY_ATTEMPTS {
-            let outcome = {
-                let topo = self.topo.lock();
-                f(&topo)
-            };
-            match outcome {
-                Err(TgsError::StaleTopology { .. }) => self.rekey(),
-                other => return other,
-            }
-        }
-        let topo = self.topo.lock();
-        f(&topo)
-    }
-
-    /// Merged timeline entries whose timestamp falls in `range`,
-    /// ascending. Per timestamp, shard aggregates sum (tweets, users,
-    /// per-cluster counts, objective), `iterations` is the slowest
-    /// shard's, and `converged` requires every shard to have converged.
-    pub fn timeline<R: RangeBounds<u64>>(&self, range: R) -> Result<Vec<TimelineEntry>, TgsError> {
-        let Some((lo, hi)) = normalize_range(&range) else {
-            return Ok(Vec::new());
-        };
-        self.with_topo(|topo| {
-            let generation = topo.map.generation();
-            let mut merged: BTreeMap<u64, TimelineEntry> = BTreeMap::new();
-            // Concurrent fan-out, merged in shard order (deterministic).
-            for entries in fan_out(&topo.workers, |w| w.timeline(generation, lo, hi)) {
-                merge_timeline_into(&mut merged, entries?);
-            }
-            Ok(merged.into_values().collect())
-        })
-    }
-
-    /// Degraded-capable [`ShardedQuery::timeline`]: shards that fail
-    /// with a network error are skipped instead of failing the query,
-    /// and the merged entries come back tagged with the [`Coverage`]
-    /// that produced them. Fails only when *no* shard answered or a
-    /// non-network error surfaced.
-    pub fn timeline_partial<R: RangeBounds<u64>>(
+    /// The one fan-in behind every fan-out query: calls `f` on each of
+    /// `fleet`'s workers concurrently, stamped with the map's
+    /// generation, and keeps the answers in shard order. A strict query
+    /// fails with the first error in shard order. A `partial` one counts
+    /// a shard failing with a network error out of the [`Coverage`]
+    /// (feeding `stale_since` from the commit registry); any other error
+    /// still fails it, and so does a fleet where *no* shard answered (an
+    /// empty answer would be indistinguishable from an empty history).
+    fn gather<T: Send>(
         &self,
-        range: R,
-    ) -> Result<Partial<Vec<TimelineEntry>>, TgsError> {
-        let Some((lo, hi)) = normalize_range(&range) else {
-            let shards = self.shards();
-            return Ok(Partial {
-                value: Vec::new(),
-                coverage: Coverage {
-                    healthy: shards,
-                    total: shards,
-                    stale_since: None,
-                },
-            });
-        };
-        self.with_topo(|topo| {
-            let generation = topo.map.generation();
-            let results = fan_out(&topo.workers, |w| w.timeline(generation, lo, hi));
-            let (answers, coverage) = self.degrade(topo, results)?;
-            let mut merged: BTreeMap<u64, TimelineEntry> = BTreeMap::new();
-            for entries in answers {
-                merge_timeline_into(&mut merged, entries);
-            }
-            Ok(Partial {
-                value: merged.into_values().collect(),
-                coverage: self.tag(coverage),
-            })
-        })
-    }
-
-    /// Folds a fan-out's per-shard outcomes for the degraded-capable
-    /// methods: a shard failing with a network error is counted out of
-    /// coverage (feeding `stale_since` from the commit registry), any
-    /// other error — including `StaleTopology`, which must reach
-    /// `with_topo`'s re-key — still fails the query, and so does a
-    /// fleet where *no* shard answered (a fully-empty answer would be
-    /// indistinguishable from an empty history).
-    fn degrade<T>(
-        &self,
-        topo: &Topo,
-        results: Vec<Result<T, TgsError>>,
+        fleet: &Fleet,
+        partial: bool,
+        f: impl Fn(&dyn ShardTransport, u64) -> Result<T, TgsError> + Sync,
     ) -> Result<(Vec<T>, Coverage), TgsError> {
-        let total = results.len();
-        let mut answers = Vec::with_capacity(total);
+        let generation = fleet.map.generation();
+        let results = fan_out(&fleet.workers, |w| f(w.as_ref(), generation));
+        let mut answers = Vec::with_capacity(results.len());
         let mut stale_since: Option<u64> = None;
-        let mut last_net: Option<TgsError> = None;
-        for (shard, outcome) in results.into_iter().enumerate() {
+        let mut last_net = None;
+        for (worker, outcome) in fleet.workers.iter().zip(results) {
             match outcome {
                 Ok(v) => answers.push(v),
-                Err(e) if e.kind() == TgsErrorKind::Net => {
-                    if let Some(t) = self.recovery.last_commit(&topo.workers[shard]) {
+                Err(e) if partial && e.kind() == TgsErrorKind::Net => {
+                    if let Some(t) = self.recovery.last_commit(worker) {
                         stale_since = Some(stale_since.map_or(t, |s| s.min(t)));
                     }
                     last_net = Some(e);
@@ -1597,46 +1497,71 @@ impl ShardedQuery {
         }
         let coverage = Coverage {
             healthy: answers.len(),
-            total,
+            total: fleet.workers.len(),
             stale_since,
         };
         Ok((answers, coverage))
     }
 
-    /// Counts a degraded answer exactly once per public query.
-    fn tag(&self, coverage: Coverage) -> Coverage {
+    /// Tags a merged answer with its coverage, counting a degraded
+    /// answer exactly once per public query (a strict answer is always
+    /// full).
+    fn tag<T>(&self, value: T, coverage: Coverage) -> Partial<T> {
         if !coverage.is_full() {
             self.recovery
                 .degraded_queries
                 .fetch_add(1, Ordering::Relaxed);
         }
-        coverage
+        Partial { value, coverage }
+    }
+
+    /// Merged timeline entries whose timestamp falls in `range`,
+    /// ascending. Per timestamp, shard aggregates sum (tweets, users,
+    /// per-cluster counts, objective), `iterations` is the slowest
+    /// shard's, and `converged` requires every shard to have converged.
+    pub fn timeline<R: RangeBounds<u64>>(&self, range: R) -> Result<Vec<TimelineEntry>, TgsError> {
+        self.timeline_in(&range, false).map(|p| p.value)
+    }
+
+    /// Degraded-capable [`ShardedQuery::timeline`]: shards that fail
+    /// with a network error are skipped instead of failing the query,
+    /// and the merged entries come back tagged with the [`Coverage`]
+    /// that produced them. Fails only when *no* shard answered or a
+    /// non-network error surfaced.
+    pub fn timeline_partial<R: RangeBounds<u64>>(
+        &self,
+        range: R,
+    ) -> Result<Partial<Vec<TimelineEntry>>, TgsError> {
+        self.timeline_in(&range, true)
+    }
+
+    /// The body of [`ShardedQuery::timeline`] and its `partial` twin.
+    fn timeline_in(
+        &self,
+        range: &impl RangeBounds<u64>,
+        partial: bool,
+    ) -> Result<Partial<Vec<TimelineEntry>>, TgsError> {
+        let fleet = self.fleet();
+        let Some((lo, hi)) = normalize_range(range) else {
+            let shards = fleet.workers.len();
+            let coverage = Coverage {
+                healthy: shards,
+                total: shards,
+                stale_since: None,
+            };
+            return Ok(self.tag(Vec::new(), coverage));
+        };
+        let (answers, coverage) = self.gather(&fleet, partial, |w, g| w.timeline(g, lo, hi))?;
+        let mut merged: BTreeMap<u64, TimelineEntry> = BTreeMap::new();
+        for entries in answers {
+            merge_timeline_into(&mut merged, entries);
+        }
+        Ok(self.tag(merged.into_values().collect(), coverage))
     }
 
     /// The most recent merged timeline entry, if any.
     pub fn latest(&self) -> Result<Option<TimelineEntry>, TgsError> {
-        self.with_topo(|topo| {
-            let generation = topo.map.generation();
-            let mut newest: Option<u64> = None;
-            for t in fan_out(&topo.workers, |w| w.latest_timestamp(generation)) {
-                if let Some(t) = t? {
-                    newest = Some(newest.map_or(t, |n| n.max(t)));
-                }
-            }
-            let Some(t) = newest else {
-                return Ok(None);
-            };
-            let mut merged: Option<TimelineEntry> = None;
-            for entries in fan_out(&topo.workers, |w| w.timeline(generation, t, t)) {
-                for entry in entries? {
-                    match merged.as_mut() {
-                        None => merged = Some(entry),
-                        Some(m) => m.merge_from(&entry),
-                    }
-                }
-            }
-            Ok(merged)
-        })
+        self.latest_in(false).map(|p| p.value)
     }
 
     /// Degraded-capable [`ShardedQuery::latest`]: the newest entry over
@@ -1644,78 +1569,63 @@ impl ShardedQuery {
     /// fan-outs' [`Coverage`] (finding the newest timestamp, then
     /// merging that snapshot's per-shard entries).
     pub fn latest_partial(&self) -> Result<Partial<Option<TimelineEntry>>, TgsError> {
-        self.with_topo(|topo| {
-            let generation = topo.map.generation();
-            let stamps = fan_out(&topo.workers, |w| w.latest_timestamp(generation));
-            let (stamps, stamp_cov) = self.degrade(topo, stamps)?;
-            let Some(t) = stamps.into_iter().flatten().max() else {
-                return Ok(Partial {
-                    value: None,
-                    coverage: self.tag(stamp_cov),
-                });
-            };
-            let entries = fan_out(&topo.workers, |w| w.timeline(generation, t, t));
-            let (answers, entry_cov) = self.degrade(topo, entries)?;
-            let mut merged: Option<TimelineEntry> = None;
-            for entries in answers {
-                for entry in entries {
-                    match merged.as_mut() {
-                        None => merged = Some(entry),
-                        Some(m) => m.merge_from(&entry),
-                    }
-                }
+        self.latest_in(true)
+    }
+
+    /// The body of [`ShardedQuery::latest`] and its `partial` twin.
+    fn latest_in(&self, partial: bool) -> Result<Partial<Option<TimelineEntry>>, TgsError> {
+        let fleet = self.fleet();
+        let (stamps, stamp_cov) = self.gather(&fleet, partial, |w, g| w.latest_timestamp(g))?;
+        let Some(t) = stamps.into_iter().flatten().max() else {
+            return Ok(self.tag(None, stamp_cov));
+        };
+        let (answers, entry_cov) = self.gather(&fleet, partial, |w, g| w.timeline(g, t, t))?;
+        let mut merged: Option<TimelineEntry> = None;
+        for entry in answers.into_iter().flatten() {
+            match merged.as_mut() {
+                None => merged = Some(entry),
+                Some(m) => m.merge_from(&entry),
             }
-            let coverage = if entry_cov.healthy < stamp_cov.healthy {
-                entry_cov
-            } else {
-                stamp_cov
-            };
-            Ok(Partial {
-                value: merged,
-                coverage: self.tag(coverage),
-            })
-        })
+        }
+        let coverage = if entry_cov.healthy < stamp_cov.healthy {
+            entry_cov
+        } else {
+            stamp_cov
+        };
+        Ok(self.tag(merged, coverage))
     }
 
     /// The user's sentiment as of `at`, answered by the shard that owns
     /// the user (shard-transparent: callers never see the routing).
     pub fn user_sentiment(&self, user: usize, at: u64) -> Result<UserSentiment, TgsError> {
-        self.with_topo(|topo| {
-            topo.workers[topo.map.shard_of(user)].user_sentiment(topo.map.generation(), user, at)
-        })
+        let fleet = self.fleet();
+        fleet.workers[fleet.map.shard_of(user)].user_sentiment(fleet.map.generation(), user, at)
     }
 
     /// Every recorded observation for the user, ascending by timestamp.
     pub fn user_timeline(&self, user: usize) -> Result<Vec<(u64, Vec<f64>)>, TgsError> {
-        self.with_topo(|topo| {
-            topo.workers[topo.map.shard_of(user)].user_timeline(topo.map.generation(), user)
-        })
+        let fleet = self.fleet();
+        fleet.workers[fleet.map.shard_of(user)].user_timeline(fleet.map.generation(), user)
     }
 
     /// Users with recorded history across all shards (shards are
     /// user-disjoint — ghost rows are never recorded — so the sum never
     /// double-counts).
     pub fn known_users(&self) -> Result<usize, TgsError> {
-        self.with_topo(|topo| {
-            let generation = topo.map.generation();
-            fan_out(&topo.workers, |w| w.known_users(generation))
-                .into_iter()
-                .try_fold(0, |total, n| Ok(total + n?))
-        })
+        self.known_users_in(false).map(|p| p.value)
     }
 
     /// Degraded-capable [`ShardedQuery::known_users`]: the sum over the
     /// shards that answered, tagged with [`Coverage`].
     pub fn known_users_partial(&self) -> Result<Partial<usize>, TgsError> {
-        self.with_topo(|topo| {
-            let generation = topo.map.generation();
-            let counts = fan_out(&topo.workers, |w| w.known_users(generation));
-            let (counts, coverage) = self.degrade(topo, counts)?;
-            Ok(Partial {
-                value: counts.into_iter().sum(),
-                coverage: self.tag(coverage),
-            })
-        })
+        self.known_users_in(true)
+    }
+
+    /// The body of [`ShardedQuery::known_users`] and its `partial` twin.
+    fn known_users_in(&self, partial: bool) -> Result<Partial<usize>, TgsError> {
+        let fleet = self.fleet();
+        let (counts, coverage) = self.gather(&fleet, partial, |w, g| w.known_users(g))?;
+        Ok(self.tag(counts.into_iter().sum(), coverage))
     }
 
     /// Per-cluster composition of the merged snapshot at exactly `t`.
@@ -1748,32 +1658,23 @@ impl ShardedQuery {
     /// that snapshot's tweet counts, merged in fixed shard order).
     /// Public so wire endpoints can serve `sf_at` for a whole fleet.
     pub fn merged_sf(&self, t: u64) -> Result<DenseMatrix, TgsError> {
-        self.with_topo(|topo| {
-            let generation = topo.map.generation();
-            // Per peer: summary then factor, still one in-flight frame
-            // at a time on each connection, pipelined across peers.
-            let fetched = fan_out(&topo.workers, |worker| {
-                match worker.cluster_summary(generation, t) {
-                    Ok(summary) => {
-                        let weight = summary.tweet_counts.iter().sum::<usize>() as f64;
-                        Ok(Some((weight, worker.sf_at(generation, t)?)))
-                    }
-                    Err(TgsError::SnapshotUnavailable { .. }) => Ok(None),
-                    Err(e) => Err(e),
-                }
-            });
-            let mut parts: Vec<(f64, DenseMatrix)> = Vec::new();
-            for part in fetched {
-                if let Some(part) = part? {
-                    parts.push(part);
-                }
+        // Per peer: summary then factor, still one in-flight frame at a
+        // time on each connection, pipelined across peers.
+        let (fetched, _) = self.gather(&self.fleet(), false, |worker, generation| match worker
+            .cluster_summary(generation, t)
+        {
+            Ok(summary) => {
+                let weight = summary.tweet_counts.iter().sum::<usize>() as f64;
+                Ok(Some((weight, worker.sf_at(generation, t)?)))
             }
-            // The stack's one merge policy (single part = bit-exact
-            // clone), so a one-shard fleet ranks exactly like the
-            // unsharded engine.
-            let borrowed: Vec<(f64, &DenseMatrix)> = parts.iter().map(|(w, sf)| (*w, sf)).collect();
-            merge_sf(&borrowed).ok_or(TgsError::SnapshotUnavailable { timestamp: t })
-        })
+            Err(TgsError::SnapshotUnavailable { .. }) => Ok(None),
+            Err(e) => Err(e),
+        })?;
+        // The stack's one merge policy (single part = bit-exact clone),
+        // so a one-shard fleet ranks exactly like the unsharded engine.
+        let parts: Vec<(f64, &DenseMatrix)> =
+            fetched.iter().flatten().map(|(w, sf)| (*w, sf)).collect();
+        merge_sf(&parts).ok_or(TgsError::SnapshotUnavailable { timestamp: t })
     }
 }
 

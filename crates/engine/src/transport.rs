@@ -14,12 +14,16 @@
 //! generation of the [`PartitionMap`](tgs_data::PartitionMap) the caller
 //! routed with. Every transport tracks the newest generation it has
 //! seen (monotone: newer generations are adopted on sight) and rejects
-//! older ones with [`TgsError::StaleTopology`] — a handle still routing
-//! with a pre-rebalance map would otherwise silently miss migrated
-//! users or double-count a merged worker's history. Control-plane calls
-//! (flush, stats, the rebalance/migration surface itself) are exempt:
-//! they are either process-local monitoring or driven by the router
-//! while it holds the fleet's topology lock.
+//! older ones with [`TgsError::StaleTopology`]. The router itself never
+//! sends a stale one: its ingests and queries read the fleet under the
+//! read half of the topology lock a rebalance holds for writing. The
+//! check guards every other client (a wire client addressing a slot, a
+//! wrapper holding a transport), which would otherwise silently miss
+//! migrated users or double-count a merged worker's history when it
+//! routes with a pre-rebalance map. Control-plane calls (flush, stats,
+//! the rebalance/migration surface itself) are exempt: they are either
+//! process-local monitoring or driven by the router while it holds the
+//! fleet's topology lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -156,8 +160,9 @@ pub trait ShardTransport: Send + Sync {
 
     /// Advances the transport's generation floor (monotone: older
     /// values are ignored). The router calls this on every worker after
-    /// a rebalance commits, and with `u64::MAX` on a retired worker so
-    /// any handle still holding it re-keys instead of double-counting.
+    /// a rebalance commits, and with `u64::MAX` on a retired worker, so
+    /// any other client still routing with the old map gets
+    /// [`TgsError::StaleTopology`] instead of double-counting.
     fn set_generation(&self, generation: u64) -> Result<(), TgsError>;
 
     /// Does nothing: no worker is pinned to a core. The method stays

@@ -64,20 +64,6 @@ impl ConfusionMatrix {
         }
         out
     }
-
-    /// For each cluster, the ground-truth class with the most members
-    /// (majority vote). Empty clusters map to class 0.
-    pub fn majority_mapping(&self) -> Vec<usize> {
-        self.counts
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .max_by_key(|&(_, &c)| c)
-                    .map_or(0, |(g, _)| g)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -99,12 +85,6 @@ mod tests {
         let cm = ConfusionMatrix::from_labels(&[0, 0, 1], &[0, 1, 1]);
         assert_eq!(cm.cluster_sizes(), vec![2, 1]);
         assert_eq!(cm.class_sizes(), vec![1, 2]);
-    }
-
-    #[test]
-    fn majority_mapping_votes() {
-        let cm = ConfusionMatrix::from_labels(&[0, 0, 0, 1, 1], &[1, 1, 0, 0, 0]);
-        assert_eq!(cm.majority_mapping(), vec![1, 0]);
     }
 
     #[test]

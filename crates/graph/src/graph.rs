@@ -43,15 +43,6 @@ impl UserGraph {
         Self { adjacency, degrees }
     }
 
-    /// Wraps an existing symmetric adjacency matrix.
-    ///
-    /// Panics when the matrix is not square or not symmetric.
-    pub fn from_adjacency(adjacency: CsrMatrix) -> Self {
-        assert!(adjacency.is_symmetric(1e-9), "adjacency must be symmetric");
-        let degrees = adjacency.row_sums();
-        Self { adjacency, degrees }
-    }
-
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.adjacency.rows()
@@ -86,25 +77,6 @@ impl UserGraph {
     pub fn weight(&self, u: usize, v: usize) -> f64 {
         self.adjacency.get(u, v)
     }
-
-    /// Restricts the graph to the given nodes (relabelled `0..nodes.len()`
-    /// in order). Edges to excluded nodes are dropped.
-    pub fn subgraph(&self, nodes: &[usize]) -> UserGraph {
-        let mut remap = vec![usize::MAX; self.num_nodes()];
-        for (new, &old) in nodes.iter().enumerate() {
-            remap[old] = new;
-        }
-        let mut edges = Vec::new();
-        for (new_u, &old_u) in nodes.iter().enumerate() {
-            for (old_v, w) in self.neighbors(old_u) {
-                let new_v = remap[old_v];
-                if new_v != usize::MAX && new_u < new_v {
-                    edges.push((new_u, new_v, w));
-                }
-            }
-        }
-        UserGraph::from_edges(nodes.len(), &edges)
-    }
 }
 
 #[cfg(test)]
@@ -137,25 +109,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "adjacency must be symmetric")]
-    fn from_adjacency_rejects_asymmetric() {
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0)]).unwrap();
-        UserGraph::from_adjacency(a);
-    }
-
-    #[test]
     fn neighbors_iteration() {
         let g = UserGraph::from_edges(4, &[(0, 1, 1.0), (0, 2, 2.0)]);
         let n: Vec<_> = g.neighbors(0).collect();
         assert_eq!(n, vec![(1, 1.0), (2, 2.0)]);
-    }
-
-    #[test]
-    fn subgraph_relabels_and_filters() {
-        let g = UserGraph::from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]);
-        let s = g.subgraph(&[1, 2]);
-        assert_eq!(s.num_nodes(), 2);
-        assert_eq!(s.num_edges(), 1);
-        assert_eq!(s.weight(0, 1), 2.0);
     }
 }

@@ -278,11 +278,6 @@ impl DenseMatrix {
         matmul_transpose_into_kernel(self, other, out);
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &DenseMatrix) -> DenseMatrix {
-        self.zip_with(other, |a, b| a * b)
-    }
-
     /// Element-wise sum.
     pub fn add(&self, other: &DenseMatrix) -> DenseMatrix {
         self.zip_with(other, |a, b| a + b)
@@ -357,13 +352,6 @@ impl DenseMatrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// Applies `f` to every entry in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 
@@ -1101,7 +1089,6 @@ mod tests {
     fn hadamard_add_sub() {
         let a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         let b = m(2, 2, &[5.0, 6.0, 7.0, 8.0]);
-        assert_eq!(a.hadamard(&b), m(2, 2, &[5.0, 12.0, 21.0, 32.0]));
         assert_eq!(a.add(&b), m(2, 2, &[6.0, 8.0, 10.0, 12.0]));
         assert_eq!(b.sub(&a), m(2, 2, &[4.0, 4.0, 4.0, 4.0]));
     }

@@ -387,15 +387,6 @@ impl CsrMatrix {
             .collect()
     }
 
-    /// Per-column sums.
-    pub fn col_sums(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        for (_, c, v) in self.iter() {
-            out[c] += v;
-        }
-        out
-    }
-
     /// Squared Frobenius norm.
     pub fn frobenius_sq(&self) -> f64 {
         self.values.iter().map(|&v| v * v).sum()
@@ -520,15 +511,6 @@ impl CsrMatrix {
             out.set(r, c, v);
         }
         out
-    }
-
-    /// Density in `[0, 1]`.
-    pub fn density(&self) -> f64 {
-        if self.rows == 0 || self.cols == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / (self.rows as f64 * self.cols as f64)
-        }
     }
 
     /// True when the matrix is structurally symmetric with equal values.
@@ -827,7 +809,6 @@ mod tests {
     fn sums_and_norms() {
         let m = sample();
         assert_eq!(m.row_sums(), vec![3.0, 0.0, 7.0]);
-        assert_eq!(m.col_sums(), vec![4.0, 4.0, 2.0]);
         assert_eq!(m.frobenius_sq(), 1.0 + 4.0 + 9.0 + 16.0);
         assert_eq!(m.sum(), 10.0);
     }
@@ -861,11 +842,5 @@ mod tests {
         assert!(sym.is_symmetric(0.0));
         let asym = CsrMatrix::from_triplets(2, 2, &[(0, 1, 2.0)]).unwrap();
         assert!(!asym.is_symmetric(0.0));
-    }
-
-    #[test]
-    fn density_and_empty() {
-        assert_eq!(CsrMatrix::zeros(4, 5).density(), 0.0);
-        assert!((sample().density() - 4.0 / 9.0).abs() < 1e-12);
     }
 }

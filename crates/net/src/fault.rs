@@ -140,11 +140,6 @@ impl FaultPolicy {
         }
     }
 
-    /// Whether any rule could ever fire.
-    pub fn is_armed(&self) -> bool {
-        self.rules.iter().any(|r| r.prob > 0.0)
-    }
-
     /// Decides the fate of one call. `draw` yields the next value of
     /// the caller's deterministic stream; it is consulted exactly once
     /// per matching nonzero rule, so the stream advances identically on
@@ -192,8 +187,6 @@ mod tests {
         assert_eq!(p.rules[0].opcode, Some(INGEST));
         assert_eq!(p.rules[0].kind, FaultKind::Truncate);
         assert_eq!(p.rules[1].opcode, None);
-        assert!(p.is_armed());
-        assert!(!FaultPolicy::parse("seed=3").expect("seed only").is_armed());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   codecs for every engine value that crosses the wire (snapshots,
 //!   timelines, stats, factors, checkpoint sections) plus a
 //!   [`TgsError`](tgs_core::TgsError) codec that keeps
-//!   dispatch-relevant variants — above all `StaleTopology`, which the
-//!   router's lazy re-keying matches on — intact across the trip.
+//!   dispatch-relevant variants — above all `StaleTopology`, the
+//!   rejection a stale-routing client must be able to match on —
+//!   intact across the trip.
 //! - [`TcpShard`] — the client: one lazily-dialed connection per shard
 //!   slot, per-call timeouts, bounded reconnect with doubling backoff,
 //!   and retry only where replay is safe. A dead peer surfaces as
@@ -28,9 +29,11 @@
 //!   cloned from.
 //!
 //! Every frame carries the topology generation of the partition map the
-//! caller routed with; shards reject stale generations so a handle
-//! that slept through a rebalance re-keys instead of misrouting. The
-//! byte-level contract lives in `crates/net/PROTOCOL.md`.
+//! caller routed with. The router reads its fleet under a lock that a
+//! rebalance holds for writing, so it never routes with a stale map;
+//! shards still reject stale generations from any client, so one that
+//! slept through a rebalance gets a typed error instead of misrouting.
+//! The byte-level contract lives in `crates/net/PROTOCOL.md`.
 //!
 //! On top of the transport sit the robustness layers:
 //!

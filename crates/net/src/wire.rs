@@ -705,9 +705,10 @@ const ERR_NET: u8 = 8;
 const ERR_STALE_TOPOLOGY: u8 = 9;
 
 /// Encodes a [`TgsError`] for a `STATUS_ERR` response. The variants
-/// clients dispatch on — [`TgsError::StaleTopology`] above all, since
-/// the router's lazy re-keying matches on it — round-trip exactly;
-/// everything else degrades to its display string.
+/// clients dispatch on — [`TgsError::StaleTopology`] above all, the
+/// rejection a client routing with a stale map must be able to match
+/// on — round-trip exactly; everything else degrades to its display
+/// string.
 pub fn enc_error(e: &TgsError) -> Vec<u8> {
     encode(|w| match e {
         TgsError::InvalidConfig { message, .. } => {

@@ -6,13 +6,14 @@
 //! the `Sf0` feature–sentiment prior.
 //!
 //! ```
-//! use tgs_text::{build_text_matrices, Lexicon, PipelineConfig};
+//! use tgs_text::{build_from_tokens, tokenize_features, Lexicon, PipelineConfig};
 //!
-//! let texts = vec!["I love #gmo labeling :)".to_string(), "no on 37, gmo crops are safe".to_string()];
+//! let texts = ["I love #gmo labeling :)", "no on 37, gmo crops are safe"];
 //! let mut cfg = PipelineConfig::paper_defaults();
 //! cfg.vocab.min_count = 1;
+//! let docs: Vec<Vec<String>> = texts.iter().map(|t| tokenize_features(t, &cfg.tokenizer)).collect();
 //! let lexicon = Lexicon::from_word_lists(&["love"], &["no"]);
-//! let m = build_text_matrices(&texts, &[0, 1], 2, &lexicon, 3, &cfg);
+//! let m = build_from_tokens(&docs, &[0, 1], 2, &lexicon, 3, &cfg);
 //! assert_eq!(m.xp.rows(), 2);
 //! ```
 
@@ -24,7 +25,7 @@ pub mod token;
 pub mod vocab;
 
 pub use lexicon::{lexicon_vote, Lexicon};
-pub use pipeline::{build_from_tokens, build_text_matrices, PipelineConfig, TextMatrices};
+pub use pipeline::{build_from_tokens, PipelineConfig, TextMatrices};
 pub use sentiment::Sentiment;
 pub use tfidf::{doc_feature_matrix, user_feature_matrix, Weighting};
 pub use token::{tokenize, tokenize_features, tokenize_features_into, Token, TokenizerConfig};

@@ -1,14 +1,15 @@
-//! End-to-end text pipeline: raw tweets → vocabulary → `Xp`, `Xu`, `Sf0`.
+//! End-to-end text pipeline: tokenized tweets → vocabulary → `Xp`,
+//! `Xu`, `Sf0`.
 //!
-//! This is the front door most callers want: feed it raw text with user
-//! ids, get back everything the tri-clustering framework needs on the
-//! text side.
+//! This is the front door most callers want: feed it tokenized
+//! documents with user ids, get back everything the tri-clustering
+//! framework needs on the text side.
 
 use tgs_linalg::{CsrMatrix, DenseMatrix};
 
 use crate::lexicon::Lexicon;
 use crate::tfidf::{doc_feature_matrix, user_feature_matrix, Weighting};
-use crate::token::{tokenize_features, TokenizerConfig};
+use crate::token::TokenizerConfig;
 use crate::vocab::{VocabConfig, Vocabulary};
 
 /// Pipeline configuration.
@@ -52,47 +53,14 @@ pub struct TextMatrices {
     pub encoded: Vec<Vec<usize>>,
 }
 
-/// Runs the full pipeline.
+/// Runs the full pipeline over pre-tokenized documents.
 ///
-/// * `texts[i]` is the raw text of tweet `i`;
+/// * `docs[i]` holds the features of tweet `i`: raw text goes through
+///   [`crate::tokenize_features`], while the synthetic generator
+///   produces tokens directly;
 /// * `doc_user[i]` is the (dense, `0..num_users`) id of its author;
 /// * `lexicon` seeds the `Sf0` prior;
 /// * `k` is the number of sentiment classes.
-pub fn build_text_matrices(
-    texts: &[String],
-    doc_user: &[usize],
-    num_users: usize,
-    lexicon: &Lexicon,
-    k: usize,
-    config: &PipelineConfig,
-) -> TextMatrices {
-    assert_eq!(texts.len(), doc_user.len(), "one author per tweet required");
-    let tokenized: Vec<Vec<String>> = texts
-        .iter()
-        .map(|t| tokenize_features(t, &config.tokenizer))
-        .collect();
-    let vocab = Vocabulary::build(
-        tokenized.iter().map(|d| d.iter().map(String::as_str)),
-        &config.vocab,
-    );
-    let encoded: Vec<Vec<usize>> = tokenized
-        .iter()
-        .map(|d| vocab.encode(d.iter().map(String::as_str)))
-        .collect();
-    let xp = doc_feature_matrix(&encoded, vocab.len(), config.weighting);
-    let xu = user_feature_matrix(&xp, doc_user, num_users);
-    let sf0 = lexicon.prior_matrix(&vocab, k, config.lexicon_confidence);
-    TextMatrices {
-        vocab,
-        xp,
-        xu,
-        sf0,
-        encoded,
-    }
-}
-
-/// Builds matrices from pre-tokenized documents (the synthetic generator
-/// produces tokens directly, skipping raw text).
 pub fn build_from_tokens(
     docs: &[Vec<String>],
     doc_user: &[usize],
@@ -130,20 +98,29 @@ pub fn build_from_tokens(
 mod tests {
     use super::*;
     use crate::sentiment::Sentiment;
+    use crate::token::tokenize_features;
+
+    /// Tokenizes raw tweets the way the pipeline's config says to.
+    fn tokenized(texts: &[&str], cfg: &PipelineConfig) -> Vec<Vec<String>> {
+        texts
+            .iter()
+            .map(|t| tokenize_features(t, &cfg.tokenizer))
+            .collect()
+    }
 
     #[test]
     fn pipeline_end_to_end_shapes() {
-        let texts = vec![
-            "Support the #GMO Labeling Ballot Initiative #prop37".to_string(),
-            "Monsanto is pure evil".to_string(),
-            "GM crops poses no greater risk than conventional food".to_string(),
-            "Love this Yes on #Prop37 add :)".to_string(),
+        let texts = [
+            "Support the #GMO Labeling Ballot Initiative #prop37",
+            "Monsanto is pure evil",
+            "GM crops poses no greater risk than conventional food",
+            "Love this Yes on #Prop37 add :)",
         ];
         let users = vec![0, 1, 1, 0];
         let lexicon = Lexicon::from_word_lists(&["love", "support"], &["evil", "risk"]);
         let mut cfg = PipelineConfig::paper_defaults();
         cfg.vocab.min_count = 1;
-        let out = build_text_matrices(&texts, &users, 2, &lexicon, 3, &cfg);
+        let out = build_from_tokens(&tokenized(&texts, &cfg), &users, 2, &lexicon, 3, &cfg);
         assert_eq!(out.xp.rows(), 4);
         assert_eq!(out.xu.rows(), 2);
         assert_eq!(out.xp.cols(), out.vocab.len());
@@ -156,12 +133,13 @@ mod tests {
 
     #[test]
     fn user_rows_aggregate_multiple_tweets() {
-        let texts = vec!["gmo gmo labeling".to_string(), "gmo safe".to_string()];
+        let texts = ["gmo gmo labeling", "gmo safe"];
         let users = vec![0, 0];
         let mut cfg = PipelineConfig::paper_defaults();
         cfg.vocab.min_count = 1;
         cfg.weighting = Weighting::Counts;
-        let out = build_text_matrices(&texts, &users, 1, &Lexicon::new(), 3, &cfg);
+        let docs = tokenized(&texts, &cfg);
+        let out = build_from_tokens(&docs, &users, 1, &Lexicon::new(), 3, &cfg);
         let gmo = out.vocab.id("gmo").unwrap();
         assert_eq!(out.xu.get(0, gmo), 3.0);
     }

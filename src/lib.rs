@@ -96,8 +96,8 @@ pub mod prelude {
     };
     pub use tgs_engine::{
         BatchPolicy, BatchingIngest, CheckpointDelta, ClusterSummary, Coverage, EngineBuilder,
-        EngineCheckpoint, EngineDoc, EngineQuery, EngineSnapshot, EngineStats, FlakyShard,
-        FleetTips, LatencyHistogram, Partial, RecoveryCounters, SentimentEngine, ShardedCheckpoint,
+        EngineCheckpoint, EngineDoc, EngineQuery, EngineSnapshot, EngineStats, FleetTips,
+        LatencyHistogram, Partial, RecoveryCounters, SentimentEngine, ShardedCheckpoint,
         ShardedDelta, ShardedEngine, ShardedQuery, TimelineEntry, UserSentiment,
     };
     pub use tgs_eval::{clustering_accuracy, nmi, ConfusionMatrix};

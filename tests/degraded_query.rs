@@ -2,52 +2,96 @@
 //! [`ShardedQuery`] method must either fail with a typed
 //! [`TgsError::Net`] (strict methods) or answer with results tagged
 //! [`Coverage`] (the `*_partial` methods) — never panic, never hang,
-//! never silently pass off a partial answer as a full one. The dead
-//! peer is a [`FlakyShard`]-wrapped local worker, so the outage is
-//! deterministic and instant to flip.
+//! never silently pass off a partial answer as a full one. The fleet
+//! runs on two loopback [`ShardServer`]s. A shard goes down when its
+//! slot is shut down over the wire, so every router call to it gets the
+//! server's `Net`-kinded "no such slot" error, and heals when the slot
+//! is re-`INIT`ed from the checkpoint section saved just before.
 
-use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
-use tripartite_sentiment::engine::{
-    EngineCheckpoint, FlakyShard, LocalShard, SentimentEngine, ShardTransport,
-};
+use tripartite_sentiment::engine::ShardTransport;
+use tripartite_sentiment::net::{deploy_fleet, NetConfig, ShardServer, TcpShard};
 use tripartite_sentiment::prelude::*;
 
 fn corpus() -> Corpus {
     generate(&presets::tiny(42))
 }
 
-/// A 2-shard in-process fleet whose workers sit behind [`FlakyShard`]
-/// switches, built from the same deterministic template a TCP deploy
-/// ships (checkpoint sections → restore), so its answers match a plain
-/// `fit_sharded` fleet exactly.
-fn flaky_fleet(c: &Corpus) -> (ShardedEngine, Vec<Arc<FlakyShard>>) {
-    let template = EngineBuilder::new()
-        .k(3)
-        .max_iters(8)
-        .fit_sharded(c, 2)
-        .expect("fit template");
-    let map = template.map();
-    let sections = template
-        .checkpoint()
-        .expect("template checkpoint")
-        .sections()
-        .expect("sections");
-    template.shutdown().expect("template shutdown");
-    let flaky: Vec<Arc<FlakyShard>> = sections
-        .iter()
-        .map(|section| {
-            let engine = SentimentEngine::restore(&EngineCheckpoint::from_bytes(section.clone()))
-                .expect("restore section");
-            FlakyShard::new(Arc::new(LocalShard::new(engine)))
-        })
-        .collect();
-    let transports: Vec<Arc<dyn ShardTransport>> = flaky
-        .iter()
-        .map(|f| Arc::clone(f) as Arc<dyn ShardTransport>)
-        .collect();
-    let engine = ShardedEngine::from_transports(map, transports, false).expect("fleet");
-    (engine, flaky)
+fn test_cfg() -> NetConfig {
+    NetConfig {
+        connect_timeout: Duration::from_millis(500),
+        io_timeout: Duration::from_secs(60),
+        reconnect_attempts: 3,
+        backoff_base: Duration::from_millis(25),
+        retry_deadline: Duration::from_secs(60),
+        jitter_seed: 7,
+        // The only outages are the ones a test makes: no ambient
+        // TGS_FAULTS.
+        faults: None,
+    }
+}
+
+/// Slot 0 of the server at `addr`, addressed directly rather than
+/// through the router.
+fn slot(addr: &str) -> TcpShard {
+    TcpShard::new(addr, 0, test_cfg())
+}
+
+/// A 2-shard fleet deployed onto two in-thread loopback shard servers
+/// from the same deterministic template a plain `fit_sharded` fleet
+/// starts from, so its answers match an in-process fleet exactly.
+struct Loopback {
+    engine: ShardedEngine,
+    addrs: Vec<String>,
+    servers: Vec<JoinHandle<Result<(), TgsError>>>,
+}
+
+impl Loopback {
+    fn deploy(c: &Corpus) -> Self {
+        let mut addrs = Vec::new();
+        let mut servers = Vec::new();
+        for _ in 0..2 {
+            let server = ShardServer::bind("127.0.0.1:0", None).expect("bind");
+            addrs.push(server.local_addr().expect("addr").to_string());
+            servers.push(std::thread::spawn(move || server.run()));
+        }
+        let template = EngineBuilder::new()
+            .k(3)
+            .max_iters(8)
+            .fit_sharded(c, 2)
+            .expect("fit template");
+        let engine = deploy_fleet(template, &addrs, &test_cfg()).expect("deploy");
+        Self {
+            engine,
+            addrs,
+            servers,
+        }
+    }
+
+    /// Takes `shard` down: saves its checkpoint section, then shuts its
+    /// slot down. Returns the section [`Loopback::heal`] restores.
+    fn take_down(&self, shard: usize) -> Vec<u8> {
+        let slot = slot(&self.addrs[shard]);
+        let section = slot.checkpoint_section().expect("save the section");
+        slot.shutdown().expect("shut the slot down");
+        section
+    }
+
+    /// Brings `shard` back by `INIT` from its saved section.
+    fn heal(&self, shard: usize, section: &[u8]) {
+        slot(&self.addrs[shard]).init(section).expect("re-init");
+    }
+
+    /// Shuts the fleet down, then terminates and joins both servers.
+    fn shutdown(self) {
+        self.engine.shutdown().expect("shutdown");
+        for (addr, server) in self.addrs.iter().zip(self.servers) {
+            slot(addr).terminate().expect("terminate");
+            server.join().expect("server thread").expect("server run");
+        }
+    }
 }
 
 /// Streams all but the final window through the fleet and returns the
@@ -69,8 +113,9 @@ fn stream(engine: &ShardedEngine, c: &Corpus) -> (u32, u32) {
 #[test]
 fn every_query_method_is_typed_or_tagged_against_a_dead_shard() {
     let c = corpus();
-    let (engine, flaky) = flaky_fleet(&c);
-    let (held_lo, held_hi) = stream(&engine, &c);
+    let fleet = Loopback::deploy(&c);
+    let engine = &fleet.engine;
+    let (held_lo, held_hi) = stream(engine, &c);
     let query = engine.query();
 
     // Healthy baseline for the recovery comparison at the end.
@@ -86,7 +131,7 @@ fn every_query_method_is_typed_or_tagged_against_a_dead_shard() {
         .user_sentiment(user1, t)
         .expect("healthy shard-1 user lookup");
 
-    flaky[1].set_down(true);
+    let saved1 = fleet.take_down(1);
 
     // Strict methods: typed Net errors, never a panic.
     for (what, err) in [
@@ -164,8 +209,7 @@ fn every_query_method_is_typed_or_tagged_against_a_dead_shard() {
         "partial count must exclude the dead shard's users"
     );
 
-    // The degraded answers are counted, the outage is counted, and the
-    // outage was actually exercised through the fault seam.
+    // The degraded answers are counted, and so is the outage.
     let stats = engine.stats();
     assert!(
         stats.degraded_queries >= 3,
@@ -173,20 +217,19 @@ fn every_query_method_is_typed_or_tagged_against_a_dead_shard() {
         stats.degraded_queries
     );
     assert!(stats.shard_unavailable > 0);
-    assert!(flaky[1].rejected() > 0);
 
     // Ingest against a dead fleet: typed error, never a hang. Both
     // shards go down so neither worker can partially commit the window
     // before the outage surfaces (which would skew the healed timeline).
-    flaky[0].set_down(true);
+    let saved0 = fleet.take_down(0);
     let err = engine
         .ingest(EngineSnapshot::from_corpus_window(&c, held_lo, held_hi))
         .expect_err("ingest needs every shard");
     assert_eq!(err.kind(), TgsErrorKind::Net);
-    flaky[0].set_down(false);
+    fleet.heal(0, &saved0);
 
     // Heal: full coverage returns, answers match the healthy baseline.
-    flaky[1].set_down(false);
+    fleet.heal(1, &saved1);
     assert_eq!(query.timeline(..).expect("healed timeline"), full_timeline);
     let healed = query.timeline_partial(..).expect("healed partial");
     assert!(healed.coverage.is_full());
@@ -194,14 +237,15 @@ fn every_query_method_is_typed_or_tagged_against_a_dead_shard() {
     assert_eq!(healed.value, full_timeline);
     assert_eq!(query.known_users().expect("healed users"), full_users);
 
-    engine.shutdown().expect("shutdown");
+    fleet.shutdown();
 }
 
 #[test]
 fn steps_count_the_routers_timestamps_while_a_shard_is_down() {
     let c = corpus();
-    let (engine, flaky) = flaky_fleet(&c);
-    let (held_lo, held_hi) = stream(&engine, &c);
+    let fleet = Loopback::deploy(&c);
+    let engine = &fleet.engine;
+    let (held_lo, held_hi) = stream(engine, &c);
     // One snapshot whose documents all route to shard 1: only that
     // shard's worker records its timestamp.
     let (shard1_lo, _) = engine.map().range(1);
@@ -220,25 +264,22 @@ fn steps_count_the_routers_timestamps_while_a_shard_is_down() {
 
     // The count is the router's own: a dead shard 1 neither lowers it
     // nor counts as an unavailable call.
-    flaky[1].set_down(true);
+    let saved = fleet.take_down(1);
     assert_eq!(engine.steps(), steps);
     assert_eq!(engine.steps(), engine.timestamps().len() as u64);
-    flaky[1].set_down(false);
+    fleet.heal(1, &saved);
     assert_eq!(engine.stats().shard_unavailable, unavailable);
-    assert_eq!(flaky[1].rejected(), 0, "steps() called no worker");
 
-    engine.shutdown().expect("shutdown");
+    fleet.shutdown();
 }
 
 #[test]
 fn partial_queries_fail_typed_when_no_shard_answers() {
     let c = corpus();
-    let (engine, flaky) = flaky_fleet(&c);
-    stream(&engine, &c);
-    let query = engine.query();
-    for f in &flaky {
-        f.set_down(true);
-    }
+    let fleet = Loopback::deploy(&c);
+    stream(&fleet.engine, &c);
+    let query = fleet.engine.query();
+    let saved: Vec<Vec<u8>> = (0..2).map(|shard| fleet.take_down(shard)).collect();
 
     // Zero coverage is an error, not an empty Ok: an empty answer would
     // be indistinguishable from an empty history.
@@ -265,8 +306,8 @@ fn partial_queries_fail_typed_when_no_shard_answers() {
         assert_eq!(err.kind(), TgsErrorKind::Net, "{what}: {err}");
     }
 
-    for f in &flaky {
-        f.set_down(false);
+    for (shard, section) in saved.iter().enumerate() {
+        fleet.heal(shard, section);
     }
-    engine.shutdown().expect("shutdown");
+    fleet.shutdown();
 }

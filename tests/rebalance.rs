@@ -10,6 +10,9 @@
 //! equivalent to a static-topology fleet restored from its checkpoint:
 //! both continue the stream bit-identically.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
+
 use tripartite_sentiment::data::{PartitionMap, RepartitionOp, RepartitionPlan};
 use tripartite_sentiment::prelude::*;
 
@@ -417,4 +420,69 @@ fn merge_is_a_no_op_without_a_cold_shard() {
     balanced.flush().unwrap();
     assert!(balanced.maybe_merge(0.5).unwrap().is_none());
     assert_eq!(balanced.shards(), 3);
+}
+
+#[test]
+fn queries_racing_rebalance_round_trips_see_one_topology() {
+    // A handle taken before any rebalance keeps querying while the main
+    // thread splits and merges the fleet back and forth (the round trip
+    // above, which is lossless). Each query must read the topology from
+    // before or after a rebalance, never a half-migrated one: a user
+    // counted on both sides of a migration, or a retired worker's
+    // history counted twice.
+    let c = corpus();
+    let engine = fleet(&c, 3, false);
+    stream(&engine, &c, &windows(&c));
+    let query = engine.query();
+    let users = query.known_users().unwrap();
+    let timeline = query.timeline(..).unwrap();
+    let map = engine.map();
+    let b1 = map.starts()[1];
+    let forward = RepartitionPlan {
+        ops: vec![
+            RepartitionOp::MoveBoundary {
+                boundary: 1,
+                to: b1 + 3,
+            },
+            RepartitionOp::Split {
+                shard: 2,
+                at: map.starts()[2] + 2,
+            },
+        ],
+    };
+    let inverse = RepartitionPlan {
+        ops: vec![
+            RepartitionOp::Merge { left: 2 },
+            RepartitionOp::MoveBoundary {
+                boundary: 1,
+                to: b1,
+            },
+        ],
+    };
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(2);
+    let (round_trips, queries) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            start.wait();
+            let mut queries = 0u64;
+            while !done.load(Ordering::Relaxed) {
+                assert_eq!(query.known_users().unwrap(), users);
+                assert_eq!(query.timeline(..).unwrap(), timeline);
+                queries += 1;
+            }
+            queries
+        });
+        // Rebalance only once the reader is running, and stop it
+        // whatever happens here, so a failed rebalance fails the test
+        // instead of hanging it.
+        start.wait();
+        let round_trips = (0..200).try_fold(0, |n, _| {
+            engine.rebalance(&forward)?;
+            engine.rebalance(&inverse).map(|_| n + 1)
+        });
+        done.store(true, Ordering::Relaxed);
+        (round_trips, reader.join().expect("every answer matched"))
+    });
+    assert_eq!(round_trips.unwrap(), 200);
+    assert!(queries > 0, "the reader ran at least one query");
 }
