@@ -13,6 +13,11 @@ cargo fmt --all --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> no dead_code/unused allowances (delete dead code instead)"
+if grep -rnE '(allow|expect)\([^)]*\b(dead_code|unused)\b' crates/*/src src; then
+    exit 1
+fi
+
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -44,13 +44,7 @@ impl Default for BacgConfig {
 #[derive(Debug, Clone)]
 pub struct BacgResult {
     /// User–cluster matrix (`m × k`).
-    pub su: DenseMatrix,
-    /// Cluster–feature matrix (`k × l`).
-    pub w: DenseMatrix,
-    /// Iterations run.
-    pub iterations: usize,
-    /// Final objective.
-    pub objective: f64,
+    pub(crate) su: DenseMatrix,
 }
 
 impl BacgResult {
@@ -77,8 +71,7 @@ pub fn solve_bacg(xu: &CsrMatrix, graph: &UserGraph, config: &BacgConfig) -> Bac
     };
 
     let mut prev = objective(&su, &w);
-    let mut iterations = 0;
-    for it in 0..config.max_iters {
+    for _ in 0..config.max_iters {
         // Su ← Su ∘ sqrt((Xu·Wᵀ + β·Gu·Su) / (Su·W·Wᵀ + β·Du·Su))
         {
             let num_base = xu.mul_dense(&w.transpose());
@@ -101,20 +94,13 @@ pub fn solve_bacg(xu: &CsrMatrix, graph: &UserGraph, config: &BacgConfig) -> Bac
             let den = su.gram().matmul(&w);
             mult_update(&mut w, &num, &den);
         }
-        iterations = it + 1;
         let cur = objective(&su, &w);
         if (prev - cur).abs() / prev.abs().max(1.0) < config.tol {
-            prev = cur;
             break;
         }
         prev = cur;
     }
-    BacgResult {
-        su,
-        w,
-        iterations,
-        objective: prev,
-    }
+    BacgResult { su }
 }
 
 #[cfg(test)]
@@ -222,6 +208,5 @@ mod tests {
         };
         let result = solve_bacg(&xu, &graph, &cfg);
         assert!(result.su.is_nonnegative());
-        assert!(result.w.is_nonnegative());
     }
 }

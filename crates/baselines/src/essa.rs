@@ -48,15 +48,7 @@ impl Default for EssaConfig {
 #[derive(Debug, Clone)]
 pub struct EssaResult {
     /// Tweet–cluster matrix (`n × k`).
-    pub sp: DenseMatrix,
-    /// Feature–cluster matrix (`l × k`).
-    pub sf: DenseMatrix,
-    /// Association matrix (`k × k`).
-    pub h: DenseMatrix,
-    /// Iterations run.
-    pub iterations: usize,
-    /// Final objective value.
-    pub objective: f64,
+    pub(crate) sp: DenseMatrix,
 }
 
 impl EssaResult {
@@ -98,8 +90,7 @@ pub fn solve_essa(
     };
 
     let mut prev = objective(&sp, &h, &sf);
-    let mut iterations = 0;
-    for it in 0..config.max_iters {
+    for _ in 0..config.max_iters {
         // Sp update (graph-regularized NMF form)
         {
             let xp_sf_ht = xp.mul_dense(&sf).matmul_transpose(&h);
@@ -133,21 +124,13 @@ pub fn solve_essa(
             den.axpy(config.alpha, &sf);
             mult_update(&mut sf, &num, &den);
         }
-        iterations = it + 1;
         let cur = objective(&sp, &h, &sf);
         if (prev - cur).abs() / prev.abs().max(1.0) < config.tol {
-            prev = cur;
             break;
         }
         prev = cur;
     }
-    EssaResult {
-        sp,
-        sf,
-        h,
-        iterations,
-        objective: prev,
-    }
+    EssaResult { sp }
 }
 
 /// Plain ONMTF document clustering: no lexicon, no emotion graph.
@@ -273,8 +256,7 @@ mod tests {
             ..Default::default()
         };
         let result = solve_essa(&xp, &sf0, Some(&g), &cfg);
-        assert!(result.objective.is_finite());
-        assert!(result.sp.is_nonnegative() && result.sf.is_nonnegative());
+        assert!(result.sp.is_nonnegative());
     }
 
     #[test]

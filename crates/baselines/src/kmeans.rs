@@ -30,10 +30,6 @@ impl Default for KMeansConfig {
 pub struct KMeansResult {
     /// Cluster id per row.
     pub labels: Vec<usize>,
-    /// Dense centroids, row-major `k × l`, L2-normalized.
-    pub centroids: Vec<f64>,
-    /// Iterations run.
-    pub iterations: usize,
 }
 
 /// Spherical k-means (cosine similarity) on the rows of `x`. Empty rows
@@ -58,8 +54,7 @@ pub fn kmeans(x: &CsrMatrix, config: &KMeansConfig) -> KMeansResult {
         normalize(&mut centroids[c * l..(c + 1) * l]);
     }
     let mut labels = vec![0usize; n];
-    let mut iterations = 0;
-    for it in 0..config.max_iters {
+    for _ in 0..config.max_iters {
         // Assign.
         let mut changed = false;
         for (i, label) in labels.iter_mut().enumerate() {
@@ -88,16 +83,11 @@ pub fn kmeans(x: &CsrMatrix, config: &KMeansConfig) -> KMeansResult {
         for c in 0..k {
             normalize(&mut centroids[c * l..(c + 1) * l]);
         }
-        iterations = it + 1;
         if !changed {
             break;
         }
     }
-    KMeansResult {
-        labels,
-        centroids,
-        iterations,
-    }
+    KMeansResult { labels }
 }
 
 fn normalize(v: &mut [f64]) {
@@ -137,7 +127,6 @@ mod tests {
         );
         let acc = tgs_eval::clustering_accuracy(&result.labels, &truth);
         assert!(acc > 0.95, "accuracy {acc}");
-        assert!(result.iterations >= 1);
     }
 
     #[test]
@@ -171,25 +160,5 @@ mod tests {
             },
         );
         assert_eq!(result.labels.len(), 3);
-    }
-
-    #[test]
-    fn centroids_normalized() {
-        let (x, _) = planted();
-        let result = kmeans(
-            &x,
-            &KMeansConfig {
-                k: 2,
-                ..Default::default()
-            },
-        );
-        for c in 0..2 {
-            let norm: f64 = result.centroids[c * 6..(c + 1) * 6]
-                .iter()
-                .map(|v| v * v)
-                .sum::<f64>()
-                .sqrt();
-            assert!((norm - 1.0).abs() < 1e-9 || norm == 0.0);
-        }
     }
 }

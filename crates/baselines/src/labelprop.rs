@@ -7,12 +7,12 @@ use tgs_linalg::{CsrMatrix, DenseMatrix};
 #[derive(Debug, Clone)]
 pub struct LabelPropConfig {
     /// Maximum propagation sweeps.
-    pub max_iters: usize,
+    pub(crate) max_iters: usize,
     /// Convergence tolerance on the max label-distribution change.
-    pub tol: f64,
+    pub(crate) tol: f64,
     /// Clamp labeled nodes back to their seed distribution each sweep
     /// (standard LP; `false` gives label spreading behaviour).
-    pub clamp_seeds: bool,
+    pub(crate) clamp_seeds: bool,
 }
 
 impl Default for LabelPropConfig {
@@ -30,7 +30,7 @@ impl Default for LabelPropConfig {
 /// `adjacency` is any non-negative similarity matrix (need not be
 /// normalized — rows are normalized internally); `seeds[i]` is the known
 /// class of node `i`. Returns the per-node label distributions.
-pub fn propagate(
+pub(crate) fn propagate(
     adjacency: &CsrMatrix,
     seeds: &[Option<usize>],
     k: usize,
@@ -304,7 +304,7 @@ mod tests {
         let g = knn_feature_graph(&x, 2, 1.0);
         assert!(g.get(0, 1) > 0.9);
         assert_eq!(g.get(0, 2), 0.0);
-        assert!(g.is_symmetric(1e-9));
+        assert_eq!(g.transpose(), g);
     }
 
     #[test]

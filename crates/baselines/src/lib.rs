@@ -16,23 +16,21 @@
 //!
 //! Plus k-means and lexicon-vote reference baselines.
 
-pub mod bacg;
-pub mod batch;
-pub mod essa;
-pub mod kmeans;
-pub mod labelprop;
-pub mod nb;
-pub mod svm;
-pub mod trivial;
-pub mod userreg;
+mod bacg;
+mod batch;
+mod essa;
+mod kmeans;
+mod labelprop;
+mod nb;
+mod svm;
+mod trivial;
+mod userreg;
 
 pub use bacg::{solve_bacg, BacgConfig, BacgResult};
 pub use batch::{FullBatch, MiniBatch, TimedResult};
 pub use essa::{emotional_signal_graph, solve_essa, solve_onmtf, EssaConfig, EssaResult};
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
-pub use labelprop::{
-    knn_feature_graph, propagate, propagate_labels, subsample_labels, LabelPropConfig,
-};
+pub use labelprop::{knn_feature_graph, propagate_labels, subsample_labels, LabelPropConfig};
 pub use nb::NaiveBayes;
 pub use svm::{LinearSvm, SvmConfig};
 pub use trivial::lexicon_vote_rows;

@@ -10,7 +10,6 @@ pub struct NaiveBayes {
     /// `log P(feature | class)`, row-major `k × l`.
     log_likelihood: Vec<f64>,
     num_features: usize,
-    k: usize,
 }
 
 impl NaiveBayes {
@@ -58,17 +57,11 @@ impl NaiveBayes {
             log_prior,
             log_likelihood,
             num_features,
-            k,
         }
     }
 
-    /// Number of classes.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Log-posterior (up to a constant) of each class for a document.
-    pub fn scores(&self, doc: &[usize]) -> Vec<f64> {
+    pub(crate) fn scores(&self, doc: &[usize]) -> Vec<f64> {
         let mut s = self.log_prior.clone();
         for &f in doc {
             if f < self.num_features {
@@ -81,7 +74,7 @@ impl NaiveBayes {
     }
 
     /// Most likely class.
-    pub fn predict(&self, doc: &[usize]) -> usize {
+    pub(crate) fn predict(&self, doc: &[usize]) -> usize {
         let s = self.scores(doc);
         s.iter()
             .enumerate()

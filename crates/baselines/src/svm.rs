@@ -34,7 +34,6 @@ pub struct LinearSvm {
     /// Per-class bias.
     bias: Vec<f64>,
     num_features: usize,
-    k: usize,
 }
 
 impl LinearSvm {
@@ -90,17 +89,11 @@ impl LinearSvm {
             weights,
             bias,
             num_features: l,
-            k,
         }
     }
 
-    /// Number of classes.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Per-class decision values for row `row` of `x`.
-    pub fn decision(&self, x: &CsrMatrix, row: usize) -> Vec<f64> {
+    pub(crate) fn decision(&self, x: &CsrMatrix, row: usize) -> Vec<f64> {
         let mut s = self.bias.clone();
         for (f, v) in x.iter_row(row) {
             if f < self.num_features {
@@ -113,7 +106,7 @@ impl LinearSvm {
     }
 
     /// Predicted class of row `row`.
-    pub fn predict_row(&self, x: &CsrMatrix, row: usize) -> usize {
+    pub(crate) fn predict_row(&self, x: &CsrMatrix, row: usize) -> usize {
         self.decision(x, row)
             .iter()
             .enumerate()

@@ -12,16 +12,16 @@ use crate::nb::NaiveBayes;
 #[derive(Debug, Clone)]
 pub struct UserRegConfig {
     /// Number of classes.
-    pub k: usize,
+    pub(crate) k: usize,
     /// Weight of the author's aggregated sentiment when re-scoring a
     /// tweet (0 = pure text classifier, 1 = pure author prior).
-    pub blend: f64,
+    pub(crate) blend: f64,
     /// Graph-smoothing interpolation weight per sweep.
-    pub smoothing: f64,
+    pub(crate) smoothing: f64,
     /// Number of graph-smoothing sweeps over the user graph.
-    pub graph_iters: usize,
+    pub(crate) graph_iters: usize,
     /// Laplace smoothing of the base Naive Bayes classifier.
-    pub nb_smoothing: f64,
+    pub(crate) nb_smoothing: f64,
 }
 
 impl Default for UserRegConfig {
@@ -43,8 +43,6 @@ pub struct UserRegResult {
     pub tweet_labels: Vec<usize>,
     /// Final user labels.
     pub user_labels: Vec<usize>,
-    /// Smoothed per-user class distributions.
-    pub user_distributions: DenseMatrix,
 }
 
 /// Runs the pipeline.
@@ -118,11 +116,9 @@ pub fn userreg(
             argmax_blend(dist, prior, config.blend)
         })
         .collect();
-    let user_labels = user_dist.argmax_rows();
     UserRegResult {
         tweet_labels: tweet_labels_out,
-        user_labels,
-        user_distributions: user_dist,
+        user_labels: user_dist.argmax_rows(),
     }
 }
 
@@ -213,19 +209,5 @@ mod tests {
             out.user_labels[2], 0,
             "tweetless user adopts neighbor sentiment"
         );
-    }
-
-    #[test]
-    fn distributions_are_normalized() {
-        let (docs, labels, doc_user, graph) = setup();
-        let cfg = UserRegConfig {
-            k: 2,
-            ..Default::default()
-        };
-        let out = userreg(&docs, &labels, &doc_user, 4, &graph, &cfg);
-        for i in 0..2 {
-            let s: f64 = out.user_distributions.row(i).iter().sum();
-            assert!((s - 1.0).abs() < 1e-9);
-        }
     }
 }

@@ -58,7 +58,7 @@ impl Topic {
     }
 
     /// Generator preset for a scale.
-    pub fn config(self, scale: Scale, seed: u64) -> GeneratorConfig {
+    pub(crate) fn config(self, scale: Scale, seed: u64) -> GeneratorConfig {
         match (self, scale) {
             (Topic::Prop30, Scale::Full) => presets::prop30(seed),
             (Topic::Prop30, Scale::Small) => presets::prop30_small(seed),
@@ -70,7 +70,7 @@ impl Topic {
 
 /// The corpus seed shared by all experiments (so every table/figure sees
 /// the same data, like the paper's fixed crawl).
-pub const CORPUS_SEED: u64 = 2012;
+pub(crate) const CORPUS_SEED: u64 = 2012;
 
 /// Text pipeline used everywhere.
 pub fn pipeline() -> PipelineConfig {
@@ -195,7 +195,7 @@ pub fn floor(truth: &[usize]) -> f64 {
 
 /// Calendar label for a day offset from Aug 1 (matching the figures'
 /// x-axes: Aug 1 / Sep 1 / Oct 1 / Election / Dec 1).
-pub fn day_label(day: u32) -> String {
+pub(crate) fn day_label(day: u32) -> String {
     const MONTHS: &[(&str, u32)] = &[
         ("Aug", 31),
         ("Sep", 30),

@@ -10,17 +10,17 @@ use tgs_baselines::{
 };
 use tgs_core::{solve_offline, OfflineConfig, OnlineConfig};
 use tgs_data::SnapshotBuilder;
-use tgs_eval::{clustering_accuracy, nmi};
+use tgs_eval::{clustering_accuracy, hungarian_accuracy, nmi};
 
 use crate::common::{
-    as_input, corpus, floor, instance, labeled_users, pipeline, polar_tweets, select, Scale, Topic,
+    as_input, corpus, instance, labeled_users, pipeline, polar_tweets, select, Scale, Topic,
     FLOOR_ROW,
 };
 use crate::report::{pct, Table};
 use crate::stream::run_online_stream;
 
-/// `(accuracy, nmi)` on the evaluation subset.
-type Score = (f64, f64);
+/// `(accuracy, Hungarian accuracy, NMI)` on the evaluation subset.
+type Score = (f64, f64, f64);
 
 /// Per-method scores for one topic.
 #[derive(Debug, Clone, Default)]
@@ -61,7 +61,11 @@ fn cv_predict(
 }
 
 fn score(pred: &[usize], truth: &[usize]) -> Score {
-    (clustering_accuracy(pred, truth), nmi(pred, truth))
+    (
+        clustering_accuracy(pred, truth),
+        hungarian_accuracy(pred, truth),
+        nmi(pred, truth),
+    )
 }
 
 fn topic_scores(topic: Topic, scale: Scale) -> TopicScores {
@@ -78,8 +82,10 @@ fn topic_scores(topic: Topic, scale: Scale) -> TopicScores {
     let u_truth = select(&u_eval, &inst.user_truth);
     let eval_tweets = |pred: &[usize]| score(&select(&polar, pred), &t_truth);
     let eval_users = |pred: &[usize]| score(&select(&u_eval, pred), &u_truth);
-    out.tweet.insert(FLOOR_ROW, (floor(&t_truth), 0.0));
-    out.user.insert(FLOOR_ROW, (floor(&u_truth), 0.0));
+    out.tweet
+        .insert(FLOOR_ROW, eval_tweets(&vec![0; inst.tweet_truth.len()]));
+    out.user
+        .insert(FLOOR_ROW, eval_users(&vec![0; inst.user_truth.len()]));
 
     // ---- supervised: SVM ----
     let svm_pred = cv_predict(&inst.tweet_labels, 3, |labels| {
@@ -223,10 +229,7 @@ fn topic_scores(topic: Topic, scale: Scale) -> TopicScores {
     // Figs. 9-11 track per timestamp.)
     out.user.insert(
         "Online tri-clustering",
-        (
-            stream.user_majority_acc,
-            nmi(&select(&u_eval, &stream.user_majority_pred), &u_truth),
-        ),
+        eval_users(&stream.user_majority_pred),
     );
     out
 }
@@ -263,7 +266,25 @@ const USER_METHODS: &[&str] = &[
 pub fn method_comparison(scale: Scale) -> (Table, Table) {
     let s30 = topic_scores(Topic::Prop30, scale);
     let s37 = topic_scores(Topic::Prop37, scale);
-    let headers = ["method", "Acc 30", "Acc 37", "NMI 30", "NMI 37"];
+    let headers = [
+        "method", "Acc 30", "Hung 30", "Acc 37", "Hung 37", "NMI 30", "NMI 37",
+    ];
+    // One row: accuracy and Hungarian accuracy per topic, then NMI.
+    let row = |m: &str, a: Option<&Score>, b: Option<&Score>| -> Vec<String> {
+        let cell = |s: Option<&Score>, pick: fn(&Score) -> f64| match s.map(pick) {
+            Some(v) if !v.is_nan() => pct(v),
+            _ => "-".into(),
+        };
+        vec![
+            m.to_string(),
+            cell(a, |s| s.0),
+            cell(a, |s| s.1),
+            cell(b, |s| s.0),
+            cell(b, |s| s.1),
+            cell(a, |s| s.2),
+            cell(b, |s| s.2),
+        ]
+    };
     let mut t4 = Table::new(
         "Table 4: tweet-level sentiment analysis comparison",
         &headers,
@@ -275,15 +296,7 @@ pub fn method_comparison(scale: Scale) -> (Table, Table) {
         scale.name()
     ));
     for &m in TWEET_METHODS {
-        let a = s30.tweet.get(m);
-        let b = s37.tweet.get(m);
-        t4.push_row(vec![
-            m.to_string(),
-            a.map_or("-".into(), |s| pct(s.0)),
-            b.map_or("-".into(), |s| pct(s.0)),
-            a.map_or("-".into(), |s| pct(s.1)),
-            b.map_or("-".into(), |s| pct(s.1)),
-        ]);
+        t4.push_row(row(m, s30.tweet.get(m), s37.tweet.get(m)));
     }
     let mut t5 = Table::new(
         "Table 5: user-level sentiment analysis comparison",
@@ -296,28 +309,7 @@ pub fn method_comparison(scale: Scale) -> (Table, Table) {
         scale.name()
     ));
     for &m in USER_METHODS {
-        let a = s30.user.get(m);
-        let b = s37.user.get(m);
-        let fmt = |s: Option<&Score>, acc: bool| -> String {
-            match s {
-                None => "-".into(),
-                Some(&(a, n)) => {
-                    let v = if acc { a } else { n };
-                    if v.is_nan() {
-                        "-".into()
-                    } else {
-                        pct(v)
-                    }
-                }
-            }
-        };
-        t5.push_row(vec![
-            m.to_string(),
-            fmt(a, true),
-            fmt(b, true),
-            fmt(a, false),
-            fmt(b, false),
-        ]);
+        t5.push_row(row(m, s30.user.get(m), s37.user.get(m)));
     }
     (t4, t5)
 }
@@ -325,6 +317,7 @@ pub fn method_comparison(scale: Scale) -> (Table, Table) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::floor;
 
     #[test]
     fn cv_predict_masks_each_fold_once() {
@@ -337,5 +330,13 @@ mod tests {
         // 1 full call + 2 fold calls
         assert_eq!(calls, vec![4, 2, 2]);
         assert_eq!(pred, vec![9; 5]);
+    }
+
+    #[test]
+    fn one_cluster_scores_the_floor() {
+        let truth = vec![0, 2, 1, 1, 2, 1];
+        let (acc, hung, _) = score(&vec![0; truth.len()], &truth);
+        assert_eq!(acc, floor(&truth));
+        assert_eq!(hung, floor(&truth));
     }
 }

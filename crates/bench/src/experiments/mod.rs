@@ -1,9 +1,9 @@
 //! One module per paper table/figure; each returns [`crate::report::Table`]s.
 
-pub mod comparison;
-pub mod figs_offline;
-pub mod figs_online;
-pub mod tables23;
+pub(crate) mod comparison;
+pub(crate) mod figs_offline;
+pub(crate) mod figs_online;
+pub(crate) mod tables23;
 
 pub use comparison::method_comparison;
 pub use figs_offline::{fig4_feature_evolution, fig8_convergence, param_sweep};

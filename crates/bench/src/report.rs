@@ -9,13 +9,13 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table title (e.g. `"Table 4: tweet-level comparison"`).
-    pub title: String,
+    pub(crate) title: String,
     /// A note on workload/parameters (rendered under the title).
-    pub note: String,
+    pub(crate) note: String,
     /// Column headers.
-    pub headers: Vec<String>,
+    pub(crate) headers: Vec<String>,
     /// Rows of cells.
-    pub rows: Vec<Vec<String>>,
+    pub(crate) rows: Vec<Vec<String>>,
 }
 
 impl Table {
@@ -84,7 +84,7 @@ impl Table {
     }
 
     /// Renders as TSV (headers first).
-    pub fn to_tsv(&self) -> String {
+    pub(crate) fn to_tsv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.headers.join("\t"));
         for row in &self.rows {
@@ -95,7 +95,7 @@ impl Table {
 
     /// Writes the TSV under the experiments output directory and returns
     /// the path.
-    pub fn write_tsv(&self, name: &str) -> std::io::Result<PathBuf> {
+    pub(crate) fn write_tsv(&self, name: &str) -> std::io::Result<PathBuf> {
         let dir = output_dir();
         fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{name}.tsv"));
@@ -128,7 +128,7 @@ pub fn pct(v: f64) -> String {
 }
 
 /// Formats a duration in seconds with millisecond resolution.
-pub fn secs(d: std::time::Duration) -> String {
+pub(crate) fn secs(d: std::time::Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 

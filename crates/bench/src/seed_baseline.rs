@@ -146,7 +146,7 @@ fn row_scale(m: &DenseMatrix, scale: &[f64]) -> DenseMatrix {
 }
 
 /// Seed Eq. (9): `Sp` update.
-pub fn update_sp(input: &TriInput<'_>, f: &mut TriFactors) {
+pub(crate) fn update_sp(input: &TriInput<'_>, f: &mut TriFactors) {
     let a = matmul_transpose(&mul_dense(input.xp, &f.sf), &f.hp);
     let c = transpose_mul_dense(input.xr, &f.su);
     let hp_sfsf_hp = matmul_transpose(&matmul(&f.hp, &gram(&f.sf)), &f.hp);
@@ -162,7 +162,7 @@ pub fn update_sp(input: &TriInput<'_>, f: &mut TriFactors) {
 }
 
 /// Seed Eq. (12): `Hp` update.
-pub fn update_hp(input: &TriInput<'_>, f: &mut TriFactors) {
+pub(crate) fn update_hp(input: &TriInput<'_>, f: &mut TriFactors) {
     let xp_sf = mul_dense(input.xp, &f.sf);
     let num = transpose_matmul(&f.sp, &xp_sf);
     let den = matmul(&matmul(&gram(&f.sp), &f.hp), &gram(&f.sf));
@@ -170,7 +170,7 @@ pub fn update_hp(input: &TriInput<'_>, f: &mut TriFactors) {
 }
 
 /// Seed Eq. (13): `Hu` update.
-pub fn update_hu(input: &TriInput<'_>, f: &mut TriFactors) {
+pub(crate) fn update_hu(input: &TriInput<'_>, f: &mut TriFactors) {
     let xu_sf = mul_dense(input.xu, &f.sf);
     let num = transpose_matmul(&f.su, &xu_sf);
     let den = matmul(&matmul(&gram(&f.su), &f.hu), &gram(&f.sf));
@@ -178,7 +178,7 @@ pub fn update_hu(input: &TriInput<'_>, f: &mut TriFactors) {
 }
 
 /// Seed Eq. (11): offline `Su` update.
-pub fn update_su_offline(input: &TriInput<'_>, f: &mut TriFactors, beta: f64) {
+pub(crate) fn update_su_offline(input: &TriInput<'_>, f: &mut TriFactors, beta: f64) {
     let b = matmul_transpose(&mul_dense(input.xu, &f.sf), &f.hu);
     let d = mul_dense(input.xr, &f.sp);
     let gu_su = mul_dense(input.graph.adjacency(), &f.su);
@@ -200,7 +200,12 @@ pub fn update_su_offline(input: &TriInput<'_>, f: &mut TriFactors, beta: f64) {
 }
 
 /// Seed Eq. (7): `Sf` update.
-pub fn update_sf(input: &TriInput<'_>, f: &mut TriFactors, alpha: f64, sf_target: &DenseMatrix) {
+pub(crate) fn update_sf(
+    input: &TriInput<'_>,
+    f: &mut TriFactors,
+    alpha: f64,
+    sf_target: &DenseMatrix,
+) {
     let xu_su_hu = matmul(&transpose_mul_dense(input.xu, &f.su), &f.hu);
     let xp_sp_hp = matmul(&transpose_mul_dense(input.xp, &f.sp), &f.hp);
     let hu_susu_hu = matmul(&matmul(&f.hu.transpose(), &gram(&f.su)), &f.hu);
@@ -219,7 +224,12 @@ pub fn update_sf(input: &TriInput<'_>, f: &mut TriFactors, alpha: f64, sf_target
 }
 
 /// Seed objective evaluation (Eq. 1): from scratch, per call.
-pub fn offline_objective(input: &TriInput<'_>, f: &TriFactors, alpha: f64, beta: f64) -> f64 {
+pub(crate) fn offline_objective(
+    input: &TriInput<'_>,
+    f: &TriFactors,
+    alpha: f64,
+    beta: f64,
+) -> f64 {
     let approx_bi = |x: &CsrMatrix, a: &DenseMatrix, b: &DenseMatrix| -> f64 {
         let x_sq = x.frobenius_sq();
         let cross = x.inner_with_factored(a, b);

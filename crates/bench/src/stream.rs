@@ -14,43 +14,36 @@ use crate::common::{floor, labeled_users, polar_tweets, select};
 
 /// Per-timestamp record.
 #[derive(Debug, Clone)]
-pub struct StepRecord {
-    /// Day range `[lo, hi)`.
-    pub lo: u32,
-    /// End of the range.
-    pub hi: u32,
+pub(crate) struct StepRecord {
+    /// First day of the snapshot's range.
+    pub(crate) lo: u32,
     /// Tweets in the snapshot (`n(t)`).
-    pub n_t: usize,
-    /// Users in the snapshot (`m(t)`).
-    pub m_t: usize,
+    pub(crate) n_t: usize,
     /// Wall time of the solve at this timestamp.
-    pub elapsed: Duration,
+    pub(crate) elapsed: Duration,
     /// Tweet-level clustering accuracy on the snapshot's polar tweets.
-    pub tweet_acc: f64,
+    pub(crate) tweet_acc: f64,
     /// [`floor`] of the snapshot's polar tweets.
-    pub tweet_floor: f64,
+    pub(crate) tweet_floor: f64,
     /// User-level clustering accuracy on the snapshot's users.
-    pub user_acc: f64,
+    pub(crate) user_acc: f64,
 }
 
 /// Full stream evaluation result.
 #[derive(Debug, Clone)]
 pub struct StreamEval {
     /// One record per non-empty snapshot.
-    pub steps: Vec<StepRecord>,
+    pub(crate) steps: Vec<StepRecord>,
     /// Global per-tweet hard labels, assembled across snapshots. The
     /// lexicon-seeded warm starts do not keep the cluster columns
     /// class-aligned: on Prop 30 small the per-day majority mapping of
     /// the polar tweets takes 5 values over 40 days, so pooled ids score
     /// below the per-day average (ROADMAP item 1(b)).
-    pub tweet_pred: Vec<usize>,
-    /// Global per-user hard labels: each user's most recent snapshot
-    /// label (0 for users never observed).
-    pub user_pred: Vec<usize>,
+    pub(crate) tweet_pred: Vec<usize>,
     /// Global per-user labels by majority vote over every snapshot the
     /// user appeared in — the stream's "overall stance" estimate, the
     /// fair comparison against a single offline label.
-    pub user_majority_pred: Vec<usize>,
+    pub(crate) user_majority_pred: Vec<usize>,
     /// Accuracy of `user_majority_pred` on the labeled users.
     pub user_majority_acc: f64,
     /// Snapshot-size–weighted average tweet accuracy.
@@ -62,7 +55,7 @@ pub struct StreamEval {
     /// overall (majority-stance) ground truth.
     pub user_acc: f64,
     /// Total solve time across the stream.
-    pub total_time: Duration,
+    pub(crate) total_time: Duration,
 }
 
 fn snapshot_input<'a>(snap: &'a SnapshotInstance, builder: &'a SnapshotBuilder) -> TriInput<'a> {
@@ -144,7 +137,6 @@ fn finish(
     StreamEval {
         steps,
         tweet_pred,
-        user_pred,
         user_majority_pred,
         user_majority_acc,
         tweet_acc,
@@ -192,9 +184,7 @@ pub fn run_online_stream(
         }
         steps.push(StepRecord {
             lo,
-            hi,
             n_t: snap.tweet_ids.len(),
-            m_t: snap.user_ids.len(),
             elapsed,
             tweet_acc,
             tweet_floor,
@@ -206,7 +196,7 @@ pub fn run_online_stream(
 
 /// Runs the mini-batch strawman (offline solver on each snapshot
 /// independently).
-pub fn run_minibatch_stream(
+pub(crate) fn run_minibatch_stream(
     corpus: &Corpus,
     builder: &SnapshotBuilder,
     config: &OfflineConfig,
@@ -237,9 +227,7 @@ pub fn run_minibatch_stream(
         }
         steps.push(StepRecord {
             lo,
-            hi,
             n_t: snap.tweet_ids.len(),
-            m_t: snap.user_ids.len(),
             elapsed: timed.elapsed,
             tweet_acc,
             tweet_floor,
@@ -251,7 +239,7 @@ pub fn run_minibatch_stream(
 
 /// Runs the full-batch strawman: at each timestamp, re-solve on *all*
 /// data so far, then evaluate on the current snapshot only.
-pub fn run_fullbatch_stream(
+pub(crate) fn run_fullbatch_stream(
     corpus: &Corpus,
     builder: &SnapshotBuilder,
     config: &OfflineConfig,
@@ -307,9 +295,7 @@ pub fn run_fullbatch_stream(
         }
         steps.push(StepRecord {
             lo,
-            hi,
             n_t: snap.tweet_ids.len(),
-            m_t: snap.user_ids.len(),
             elapsed: timed.elapsed,
             tweet_acc,
             tweet_floor,

@@ -182,7 +182,7 @@ impl OnlineConfig {
     }
 
     /// Panicking wrapper around [`OnlineConfig::try_validate`].
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(e) = self.try_validate() {
             panic!("{e}");
         }

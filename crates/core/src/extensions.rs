@@ -48,7 +48,7 @@ impl Default for GuidedConfig {
 
 impl GuidedConfig {
     /// Validates invariants.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         self.base.validate();
         assert!(
             self.delta >= 0.0 && self.delta.is_finite(),

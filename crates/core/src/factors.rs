@@ -46,7 +46,7 @@ impl TriFactors {
     }
 
     /// Initialization per `strategy` (see [`InitStrategy`]).
-    pub fn init(
+    pub(crate) fn init(
         n: usize,
         m: usize,
         l: usize,
@@ -73,18 +73,13 @@ impl TriFactors {
         factors
     }
 
-    /// Number of clusters.
-    pub fn k(&self) -> usize {
-        self.sf.cols()
-    }
-
     /// Hard tweet labels: argmax of each `Sp` row.
-    pub fn tweet_labels(&self) -> Vec<usize> {
+    pub(crate) fn tweet_labels(&self) -> Vec<usize> {
         self.sp.argmax_rows()
     }
 
     /// Hard user labels: argmax of each `Su` row.
-    pub fn user_labels(&self) -> Vec<usize> {
+    pub(crate) fn user_labels(&self) -> Vec<usize> {
         self.su.argmax_rows()
     }
 
@@ -117,7 +112,6 @@ mod tests {
         assert_eq!(f.hp.shape(), (3, 3));
         assert_eq!(f.hu.shape(), (3, 3));
         assert!(f.all_nonnegative());
-        assert_eq!(f.k(), 3);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub struct TriInput<'a> {
 
 impl<'a> TriInput<'a> {
     /// Number of tweets `n`.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.xp.rows()
     }
 
@@ -33,7 +33,7 @@ impl<'a> TriInput<'a> {
     }
 
     /// Number of features `l`.
-    pub fn l(&self) -> usize {
+    pub(crate) fn l(&self) -> usize {
         self.xp.cols()
     }
 

@@ -2,48 +2,9 @@
 
 use tgs_linalg::DenseMatrix;
 
-/// Hard labels: argmax of each membership row.
-pub fn hard_labels(memberships: &DenseMatrix) -> Vec<usize> {
-    memberships.argmax_rows()
-}
-
-/// Maps cluster ids to ground-truth classes by majority vote over the
-/// positions where `truth` is known, then relabels `pred` accordingly.
-/// Clusters never seen among labeled items keep their own id (which is
-/// what the paper's clustering-accuracy metric effectively does too).
-pub fn align_clusters_to_classes(pred: &[usize], truth: &[Option<usize>]) -> Vec<usize> {
-    assert_eq!(pred.len(), truth.len(), "prediction/truth length mismatch");
-    let num_clusters = pred.iter().copied().max().map_or(0, |m| m + 1);
-    let num_classes = truth
-        .iter()
-        .flatten()
-        .copied()
-        .max()
-        .map_or(0, |m| m + 1)
-        .max(num_clusters);
-    let mut votes = vec![vec![0usize; num_classes]; num_clusters];
-    for (&p, t) in pred.iter().zip(truth.iter()) {
-        if let Some(t) = t {
-            votes[p][*t] += 1;
-        }
-    }
-    let mapping: Vec<usize> = votes
-        .iter()
-        .enumerate()
-        .map(|(cluster, row)| {
-            let best = row.iter().enumerate().max_by_key(|&(_, &c)| c);
-            match best {
-                Some((class, &count)) if count > 0 => class,
-                _ => cluster,
-            }
-        })
-        .collect();
-    pred.iter().map(|&p| mapping[p]).collect()
-}
-
 /// Row-normalizes memberships into per-item class distributions
 /// (probability view of `Sp`/`Su`).
-pub fn membership_distribution(memberships: &DenseMatrix) -> DenseMatrix {
+fn membership_distribution(memberships: &DenseMatrix) -> DenseMatrix {
     let mut out = memberships.clone();
     out.normalize_rows_l1();
     out
@@ -61,29 +22,6 @@ pub fn label_confidence(memberships: &DenseMatrix) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hard_labels_argmax() {
-        let m = DenseMatrix::from_vec(2, 3, vec![0.1, 0.7, 0.2, 0.5, 0.2, 0.3]).unwrap();
-        assert_eq!(hard_labels(&m), vec![1, 0]);
-    }
-
-    #[test]
-    fn align_maps_majority() {
-        // cluster 0 is mostly class 1; cluster 1 mostly class 0
-        let pred = vec![0, 0, 0, 1, 1];
-        let truth = vec![Some(1), Some(1), Some(0), Some(0), None];
-        let aligned = align_clusters_to_classes(&pred, &truth);
-        assert_eq!(aligned, vec![1, 1, 1, 0, 0]);
-    }
-
-    #[test]
-    fn align_keeps_unvoted_clusters() {
-        let pred = vec![0, 1];
-        let truth = vec![Some(1), None];
-        let aligned = align_clusters_to_classes(&pred, &truth);
-        assert_eq!(aligned, vec![1, 1]); // cluster 1 unvoted keeps id 1
-    }
 
     #[test]
     fn distribution_rows_sum_to_one() {

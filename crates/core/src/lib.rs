@@ -17,7 +17,7 @@
 //! [`OfflineConfig::try_validate`], [`OnlineConfig::try_validate`],
 //! [`try_solve_offline`] and [`OnlineSolver::try_step`] report the
 //! matching [`TgsError`] variant (one per violated invariant — see
-//! [`error`] for the full taxonomy). The panicking spellings
+//! [`TgsErrorKind`] for the full taxonomy). The panicking spellings
 //! (`validate`, `solve_offline`, `step`) are thin wrappers over the
 //! `try_` forms, kept for benches and quick scripts.
 //!
@@ -38,34 +38,30 @@
 //! ```
 
 pub mod codec;
-pub mod config;
-pub mod error;
-pub mod extensions;
-pub mod factors;
-pub mod input;
-pub mod labels;
-pub mod objective;
-pub mod offline;
-pub mod online;
+mod config;
+mod error;
+mod extensions;
+mod factors;
+mod input;
+mod labels;
+mod objective;
+mod offline;
+mod online;
 pub mod sharded;
-pub mod store;
+mod store;
 pub mod updates;
-pub mod window;
-pub mod workspace;
+mod window;
+mod workspace;
 
 pub use config::{OfflineConfig, OnlineConfig};
 pub use error::{TgsError, TgsErrorKind};
 pub use extensions::{solve_guided, Guidance, GuidedConfig};
 pub use factors::{InitStrategy, TriFactors};
 pub use input::TriInput;
-pub use labels::{
-    align_clusters_to_classes, hard_labels, label_confidence, membership_distribution,
-};
-pub use objective::{offline_objective, online_objective, ObjectiveParts};
+pub use labels::label_confidence;
+pub use objective::{offline_objective, ObjectiveParts};
 pub use offline::{solve_offline, try_solve_offline, OfflineResult};
-pub use online::{
-    GhostFactor, MigratedUsers, OnlineSolver, OnlineSolverState, OnlineStepResult, SnapshotData,
-};
+pub use online::{MigratedUsers, OnlineSolver, OnlineSolverState, OnlineStepResult, SnapshotData};
 pub use store::{decode_matrix, encode_matrix, SnapshotStore};
-pub use window::{FactorWindow, HistoryRows, SentimentHistory, UserHistoryRows, UserPartition};
+pub use window::{FactorWindow, SentimentHistory, UserPartition};
 pub use workspace::UpdateWorkspace;

@@ -25,7 +25,7 @@ pub struct ObjectiveParts {
     /// `β·tr(SuᵀLuSu)` (Eq. 6).
     pub graph: f64,
     /// `γ·‖Su(d,e)(t) − Suw(t)‖²` (online only; zero offline).
-    pub temporal_user: f64,
+    pub(crate) temporal_user: f64,
 }
 
 impl ObjectiveParts {
@@ -57,7 +57,7 @@ pub fn offline_objective(
 ///   `evolving_rows` (row `i` of `su_target` pairs with local user row
 ///   `evolving_rows[i]`).
 #[allow(clippy::too_many_arguments)]
-pub fn online_objective(
+pub(crate) fn online_objective(
     input: &TriInput<'_>,
     factors: &TriFactors,
     alpha: f64,

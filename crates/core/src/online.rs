@@ -92,7 +92,7 @@ pub struct OnlineSolverState {
 /// One ghost row's prescription: the remote user's global id and their
 /// current sentiment factor (the raw decayed `Suw` aggregate broadcast by
 /// the owning shard; uniform when the owner has no history yet).
-pub type GhostFactor = (usize, Vec<f64>);
+pub(crate) type GhostFactor = (usize, Vec<f64>);
 
 /// Per-user temporal state exported for a live shard rebalance —
 /// everything the owning solver knows about a contiguous user-id range,
@@ -131,11 +131,6 @@ impl OnlineSolver {
         }
     }
 
-    /// The solver configuration.
-    pub fn config(&self) -> &OnlineConfig {
-        &self.config
-    }
-
     /// Snapshots processed so far.
     pub fn steps(&self) -> u64 {
         self.steps
@@ -165,7 +160,7 @@ impl OnlineSolver {
     }
 
     /// Exports the history rows of just the given users (see
-    /// [`crate::window::SentimentHistory::export_rows_for`]) — the
+    /// `SentimentHistory::export_rows_for`) — the
     /// O(changes) read behind delta checkpoints.
     pub fn export_history_rows_for(&self, users: &[usize]) -> crate::window::HistoryRows {
         self.history.export_rows_for(users)
@@ -768,7 +763,7 @@ mod tests {
             });
         }
         let mut restored =
-            OnlineSolver::from_state(original.config().clone(), original.export_state()).unwrap();
+            OnlineSolver::from_state(original.config.clone(), original.export_state()).unwrap();
         assert_eq!(restored.steps(), original.steps());
         let (xp, xu, xr, graph, sf0, _) = snapshot(&users, 25, 10, 99);
         let input = TriInput {

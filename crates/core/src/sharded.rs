@@ -11,11 +11,16 @@
 use tgs_linalg::DenseMatrix;
 
 /// Weighted average of per-shard `Sf` factors, accumulated in shard
-/// order. A single part is returned as a bit-exact clone (no `×w / w`
-/// rounding), so a one-shard fleet answers bit-identically to the
-/// unsharded engine. This is the **one** merge policy of the sharded
-/// stack: the engine's `top_words` fan-in and its shard merges both use
-/// it.
+/// order. Parts are averaged column by column: column `c` of the result
+/// mixes column `c` of every part, which is meaningful only while every
+/// shard keeps one column order. Nothing here checks or restores that
+/// order, and the shared lexicon prior does not keep it: at 4 shards on
+/// Prop 30 (full scale) the shards broke it in 63, 55, 16 and 47 of 130
+/// daily windows (ROADMAP item 2). A single part is returned as a
+/// bit-exact clone (no `×w / w` rounding), so a one-shard fleet answers
+/// bit-identically to the unsharded engine. This is the **one** merge
+/// policy of the sharded stack: the engine's `top_words` fan-in and its
+/// shard merges both use it.
 pub fn merge_sf(parts: &[(f64, &DenseMatrix)]) -> Option<DenseMatrix> {
     match parts {
         [] => None,

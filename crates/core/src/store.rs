@@ -98,12 +98,6 @@ impl SnapshotStore {
         self.seq_of.keys().copied().collect()
     }
 
-    /// The most recent retained snapshot (largest timestamp), decoded.
-    pub fn latest(&self) -> Option<(u64, DenseMatrix)> {
-        let (&t, seq) = self.seq_of.last_key_value()?;
-        decode_matrix(self.entries[seq].1.clone()).map(|m| (t, m))
-    }
-
     /// Iterates the retained `(timestamp, encoded bytes)` entries in
     /// insertion (eviction) order. `Bytes` clones are cheap reference
     /// bumps; decode on demand with [`decode_matrix`].
@@ -209,15 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn timestamps_sorted_latest_and_iter() {
+    fn timestamps_sorted_and_iter() {
         let mut store = SnapshotStore::new(1 << 20);
         store.put(9, &DenseMatrix::filled(1, 1, 9.0));
         store.put(3, &DenseMatrix::filled(1, 1, 3.0));
         store.put(6, &DenseMatrix::filled(1, 1, 6.0));
         assert_eq!(store.timestamps(), vec![3, 6, 9]);
-        let (t, m) = store.latest().unwrap();
-        assert_eq!(t, 9);
-        assert_eq!(m.get(0, 0), 9.0);
         // iter preserves insertion order and round-trips through decode
         let decoded: Vec<(u64, f64)> = store
             .iter()
@@ -272,7 +263,6 @@ mod tests {
         }
         assert_eq!(order(&store), vec![10, 20, 5]);
         assert_eq!(store.timestamps(), vec![5, 10, 20]);
-        assert_eq!(store.latest().unwrap().0, 20);
         assert!(store.get(30).is_none());
         // A re-put of a retained entry keeps its place.
         store.put(10, &one(11.0));

@@ -21,7 +21,7 @@ use crate::input::TriInput;
 /// absorbs `‖Xu‖`. Without this, a random init can reconstruct at 100×
 /// the data norm and the square-root multiplicative updates overshoot
 /// violently (transients of 1e200+ were observed) before recovering.
-pub fn balance_init_scales(input: &TriInput<'_>, f: &mut TriFactors) {
+pub(crate) fn balance_init_scales(input: &TriInput<'_>, f: &mut TriFactors) {
     const EPS: f64 = 1e-12;
     let xr_norm = input.xr.frobenius_sq().sqrt();
     let rec = f.su.gram().frobenius_inner(&f.sp.gram()).max(0.0).sqrt();
@@ -156,7 +156,7 @@ pub fn update_su_offline(input: &TriInput<'_>, f: &mut TriFactors, beta: f64) {
 ///
 /// `su_target.row(i)` is the aggregated history of local user row
 /// `evolving_rows[i]`. Rows in neither list (if any) are treated as new.
-pub fn update_su_online(
+pub(crate) fn update_su_online(
     input: &TriInput<'_>,
     f: &mut TriFactors,
     beta: f64,
@@ -224,7 +224,7 @@ pub fn update_su_online(
 /// update) and *guided* rows pulled toward one-hot label targets with
 /// weight `δ` — the semi-supervised "guided regularization" the paper's
 /// conclusion proposes. Mirrors [`update_su_online`]'s block structure.
-pub fn update_sp_guided(
+pub(crate) fn update_sp_guided(
     input: &TriInput<'_>,
     f: &mut TriFactors,
     delta: f64,

@@ -12,11 +12,11 @@ use tgs_linalg::DenseMatrix;
 /// first (the in-memory order of [`SentimentHistory`]). Steps are signed:
 /// a row imported from another shard (live rebalance) keeps its *age*,
 /// and an old observation landing on a young solver can predate step 0.
-pub type UserHistoryRows = Vec<(i64, Vec<f64>)>;
+pub(crate) type UserHistoryRows = Vec<(i64, Vec<f64>)>;
 
 /// The whole per-user history in checkpointable form: `(user, entries)`
 /// pairs sorted by user id.
-pub type HistoryRows = Vec<(usize, UserHistoryRows)>;
+pub(crate) type HistoryRows = Vec<(usize, UserHistoryRows)>;
 
 /// Per-user history in *age-relative* form for migration between
 /// solvers: `(user, entries)` pairs sorted by user id, each entry an
@@ -24,7 +24,7 @@ pub type HistoryRows = Vec<(usize, UserHistoryRows)>;
 /// owning solver recorded it (newest — smallest age — first). Ages are
 /// solver-independent, so a row re-anchors correctly on a destination
 /// whose step counter differs from the source's.
-pub type AgedHistoryRows = Vec<(usize, Vec<(u64, Vec<f64>)>)>;
+pub(crate) type AgedHistoryRows = Vec<(usize, Vec<(u64, Vec<f64>)>)>;
 
 /// Lower bound on representable history steps and upper bound on
 /// migration ages: ±2⁶² steps. No real stream approaches this (it would
@@ -58,13 +58,8 @@ impl FactorWindow {
         }
     }
 
-    /// Number of stored snapshots.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// True when no history is available yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
@@ -78,14 +73,14 @@ impl FactorWindow {
 
     /// The retained snapshots, most recent (`i = 1`) first. Exposed for
     /// checkpointing; pair with [`FactorWindow::restore`].
-    pub fn snapshots(&self) -> impl Iterator<Item = &DenseMatrix> {
+    pub(crate) fn snapshots(&self) -> impl Iterator<Item = &DenseMatrix> {
         self.buf.iter()
     }
 
     /// Rebuilds a window from checkpointed snapshots (most recent first,
     /// as produced by [`FactorWindow::snapshots`]). Snapshots beyond the
     /// window's capacity are dropped.
-    pub fn restore(window: usize, tau: f64, snapshots: Vec<DenseMatrix>) -> Self {
+    pub(crate) fn restore(window: usize, tau: f64, snapshots: Vec<DenseMatrix>) -> Self {
         let mut w = Self::new(window, tau);
         w.buf = snapshots
             .into_iter()
@@ -156,13 +151,8 @@ impl SentimentHistory {
     }
 
     /// Steps processed so far.
-    pub fn steps(&self) -> i64 {
+    pub(crate) fn steps(&self) -> i64 {
         self.t
-    }
-
-    /// Number of users with any in-window history.
-    pub fn known_users(&self) -> usize {
-        self.rows.len()
     }
 
     /// True when `user` has ever been observed (the most recent
@@ -190,7 +180,7 @@ impl SentimentHistory {
     /// rows, not normalized (the paper's definition), so a user absent
     /// for `i` snapshots keeps `τ^i` of their last row. `None` for
     /// unknown users.
-    pub fn aggregate_row(&self, user: usize) -> Option<Vec<f64>> {
+    pub(crate) fn aggregate_row(&self, user: usize) -> Option<Vec<f64>> {
         let hist = self.rows.get(&user)?;
         let mut acc = vec![0.0; self.k];
         for &(step, ref row) in hist {
@@ -210,7 +200,7 @@ impl SentimentHistory {
 
     /// The `Suw(t)` matrix for the given local rows (paired with
     /// `current_users`). Rows without history fall back to uniform.
-    pub fn aggregate_matrix(&self, current_users: &[usize], rows: &[usize]) -> DenseMatrix {
+    pub(crate) fn aggregate_matrix(&self, current_users: &[usize], rows: &[usize]) -> DenseMatrix {
         let uniform = vec![1.0 / self.k as f64; self.k];
         let mut out = DenseMatrix::zeros(rows.len(), self.k);
         for (i, &row) in rows.iter().enumerate() {
@@ -225,7 +215,7 @@ impl SentimentHistory {
     /// pairs sorted by user id, each entry a `(step, row)` observation
     /// with the newest first (the in-memory order). Pair with
     /// [`SentimentHistory::restore`].
-    pub fn export_rows(&self) -> HistoryRows {
+    pub(crate) fn export_rows(&self) -> HistoryRows {
         let mut out: HistoryRows = self
             .rows
             .iter()
@@ -240,7 +230,7 @@ impl SentimentHistory {
     /// sorted by user id, users without history skipped) — the
     /// O(changes) read used by delta checkpoints, which only ship rows
     /// for users touched since the base snapshot.
-    pub fn export_rows_for(&self, users: &[usize]) -> HistoryRows {
+    pub(crate) fn export_rows_for(&self, users: &[usize]) -> HistoryRows {
         let mut out: HistoryRows = users
             .iter()
             .filter_map(|&u| {
@@ -260,7 +250,7 @@ impl SentimentHistory {
     /// disagrees with `k`, or whose step lies in the future of `t`, are
     /// rejected (an out-of-range step would underflow the decay exponent
     /// in [`SentimentHistory::aggregate_row`]).
-    pub fn restore(
+    pub(crate) fn restore(
         k: usize,
         window: usize,
         tau: f64,
@@ -328,7 +318,12 @@ impl SentimentHistory {
     /// (and recorded) by another shard, so committing it here would fork
     /// the user's history. The step counter still advances and pruning
     /// still runs; with an empty mask this is exactly `record`.
-    pub fn record_masked(&mut self, current_users: &[usize], su: &DenseMatrix, skip: &[usize]) {
+    pub(crate) fn record_masked(
+        &mut self,
+        current_users: &[usize],
+        su: &DenseMatrix,
+        skip: &[usize],
+    ) {
         assert_eq!(current_users.len(), su.rows(), "one row per user required");
         assert_eq!(su.cols(), self.k, "class count mismatch");
         self.t += 1;
@@ -366,7 +361,7 @@ impl SentimentHistory {
     /// solver's step counter, so the export is placement-independent:
     /// exporting and re-importing (with no steps in between) restores
     /// the exact original state.
-    pub fn take_users(&mut self, lo: usize, hi: usize) -> AgedHistoryRows {
+    pub(crate) fn take_users(&mut self, lo: usize, hi: usize) -> AgedHistoryRows {
         let t = self.t;
         let mut out: AgedHistoryRows = Vec::new();
         let moving: Vec<usize> = self
@@ -397,7 +392,7 @@ impl SentimentHistory {
     /// any insertion, and a rejection hands the rows back untouched so
     /// a failed migration can restore them to their source.
     #[allow(clippy::result_large_err)]
-    pub fn import_aged(
+    pub(crate) fn import_aged(
         &mut self,
         rows: AgedHistoryRows,
     ) -> Result<(), (crate::error::TgsError, AgedHistoryRows)> {
@@ -501,7 +496,6 @@ mod tests {
         let mut w = FactorWindow::new(2, 1.0);
         w.push(DenseMatrix::filled(1, 1, 1.0));
         w.push(DenseMatrix::filled(1, 1, 2.0));
-        assert_eq!(w.len(), 1);
         assert!((w.aggregate().unwrap().get(0, 0) - 2.0).abs() < 1e-12);
     }
 

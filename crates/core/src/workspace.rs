@@ -198,7 +198,7 @@ impl UpdateWorkspace {
     /// True when [`bind`](UpdateWorkspace::bind) has been called for a
     /// matching input shape (cheap per-sweep guard; `bind` itself
     /// verifies full content fingerprints).
-    pub fn is_bound_to(&self, input: &TriInput<'_>) -> bool {
+    pub(crate) fn is_bound_to(&self, input: &TriInput<'_>) -> bool {
         match (&self.xp_bind, &self.xu_bind, &self.xr_bind) {
             (Some(xp), Some(xu), Some(xr)) => {
                 xp.matches(input.xp) && xu.matches(input.xu) && xr.matches(input.xr)
@@ -670,7 +670,7 @@ impl UpdateWorkspace {
     /// products are recomputed against the final `Su` (cheap — `m` is
     /// the smallest dimension).
     #[allow(clippy::too_many_arguments)]
-    pub fn objective_online(
+    pub(crate) fn objective_online(
         &mut self,
         input: &TriInput<'_>,
         f: &TriFactors,
@@ -752,7 +752,7 @@ impl UpdateWorkspace {
     /// Fused [`crate::updates::balance_init_scales`]: identical scaling
     /// decisions, run through the workspace's `k×k` scratch instead of
     /// allocating Gram/product temporaries.
-    pub fn balance_init_scales(&mut self, input: &TriInput<'_>, f: &mut TriFactors) {
+    pub(crate) fn balance_init_scales(&mut self, input: &TriInput<'_>, f: &mut TriFactors) {
         const EPS: f64 = 1e-12;
         let xr_norm = input.xr.frobenius_sq().sqrt();
         f.su.gram_into(&mut self.k1);

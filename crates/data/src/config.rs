@@ -4,13 +4,13 @@
 #[derive(Debug, Clone, Copy)]
 pub struct PoolSizes {
     /// Positive-stance words (e.g. `#yeson37`, `labelgmo`).
-    pub positive: usize,
+    pub(crate) positive: usize,
     /// Negative-stance words (e.g. `#noprop37`, `corn`).
-    pub negative: usize,
+    pub(crate) negative: usize,
     /// Topic words shared by all stances (e.g. `gmo`, `ballot`).
-    pub topic: usize,
+    pub(crate) topic: usize,
     /// Generic chatter words with no topical or sentiment signal.
-    pub noise: usize,
+    pub(crate) noise: usize,
 }
 
 /// A Gaussian bump added to the daily tweet-volume curve (models the
@@ -18,11 +18,11 @@ pub struct PoolSizes {
 #[derive(Debug, Clone, Copy)]
 pub struct VolumeBurst {
     /// Center day of the burst.
-    pub day: u32,
+    pub(crate) day: u32,
     /// Peak multiplier relative to the base volume.
-    pub amplitude: f64,
+    pub(crate) amplitude: f64,
     /// Gaussian width in days.
-    pub width: f64,
+    pub(crate) width: f64,
 }
 
 /// Full configuration of the synthetic corpus generator.
@@ -141,7 +141,7 @@ impl Default for GeneratorConfig {
 impl GeneratorConfig {
     /// Validates invariants, panicking with a descriptive message on the
     /// first violation. Called by the generator before doing any work.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.num_users > 1, "need at least two users");
         assert!(self.total_tweets > 0, "need at least one tweet");
         assert!(self.num_days > 0, "need at least one day");

@@ -194,7 +194,7 @@ fn build_lexicon(config: &GeneratorConfig, pools: &WordPools, rng: &mut StdRng) 
 }
 
 /// Relative tweet volume per day: base load plus Gaussian bursts.
-pub fn daily_volume_weights(config: &GeneratorConfig) -> Vec<f64> {
+pub(crate) fn daily_volume_weights(config: &GeneratorConfig) -> Vec<f64> {
     (0..config.num_days)
         .map(|d| {
             let mut v = 1.0;

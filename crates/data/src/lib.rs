@@ -17,30 +17,30 @@
 //! assert_eq!(corpus.num_tweets(), 300);
 //! ```
 
-pub mod config;
-pub mod generator;
-pub mod io;
-pub mod matrices;
-pub mod model;
-pub mod partition;
-pub mod pools;
+mod config;
+mod generator;
+mod io;
+mod matrices;
+mod model;
+mod partition;
+mod pools;
 pub mod presets;
-pub mod stats;
-pub mod zipf;
+mod stats;
+mod zipf;
 
 pub use config::{GeneratorConfig, PoolSizes, VolumeBurst};
-pub use generator::{daily_volume_weights, generate};
+pub use generator::generate;
 pub use io::{read_corpus, write_corpus, CorpusIoError};
 pub use matrices::{
     assemble_snapshot_matrices, build_offline, day_windows, ProblemInstance, SnapshotBuilder,
-    SnapshotInstance, SnapshotMatrices, SnapshotScratch,
+    SnapshotInstance, SnapshotMatrices,
 };
 pub use model::{Corpus, Retweet, Trajectory, Tweet, UserProfile};
 pub use partition::{
     route_docs, route_docs_ghost, MigrationRange, PartitionError, PartitionMap, RepartitionOp,
     RepartitionPlan, ShardRouting,
 };
-pub use pools::{WordPool, WordPools};
+
 pub use stats::{
     corpus_stats, daily_tweet_counts, flip_fraction, period_feature_frequencies, top_words,
     CorpusStats,

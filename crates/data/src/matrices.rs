@@ -33,8 +33,6 @@ pub struct ProblemInstance {
     pub user_truth: Vec<usize>,
     /// User labels visible to (semi-)supervised methods.
     pub user_labels: Vec<Option<usize>>,
-    /// Number of sentiment classes.
-    pub k: usize,
 }
 
 /// Builds the offline instance over the full corpus.
@@ -62,7 +60,6 @@ pub fn build_offline(corpus: &Corpus, k: usize, config: &PipelineConfig) -> Prob
         tweet_labels: corpus.tweet_labels(),
         user_truth: corpus.user_truth(),
         user_labels: corpus.user_labels(),
-        k,
     }
 }
 
@@ -140,8 +137,6 @@ pub fn assemble_snapshot_matrices(
 /// stays the global vocabulary so factor matrices align across time.
 #[derive(Debug, Clone)]
 pub struct SnapshotInstance {
-    /// Day range `[lo, hi)` of this snapshot.
-    pub day_range: (u32, u32),
     /// Global tweet ids, in row order of `xp`.
     pub tweet_ids: Vec<usize>,
     /// Global user ids, in row order of `xu` / `xr`.
@@ -167,7 +162,6 @@ pub struct SnapshotBuilder {
     vocab: Vocabulary,
     sf0: DenseMatrix,
     config: PipelineConfig,
-    k: usize,
 }
 
 impl SnapshotBuilder {
@@ -187,23 +181,12 @@ impl SnapshotBuilder {
             vocab,
             sf0,
             config: config.clone(),
-            k,
         }
-    }
-
-    /// The global vocabulary.
-    pub fn vocab(&self) -> &Vocabulary {
-        &self.vocab
     }
 
     /// The `l × k` lexicon prior (shared across snapshots).
     pub fn sf0(&self) -> &DenseMatrix {
         &self.sf0
-    }
-
-    /// Number of classes.
-    pub fn k(&self) -> usize {
-        self.k
     }
 
     /// Builds the instance for days `lo..hi`.
@@ -215,7 +198,7 @@ impl SnapshotBuilder {
     /// per-document encode buffers live in `scratch` and are recycled
     /// across calls, so a stream driver building one snapshot per day
     /// stops allocating a fresh id `Vec` per document once warm.
-    pub fn snapshot_with(
+    pub(crate) fn snapshot_with(
         &self,
         corpus: &Corpus,
         lo: u32,
@@ -289,7 +272,6 @@ impl SnapshotBuilder {
             .map(|&u| corpus.users[u].trajectory.stance_at(mid_day).index())
             .collect();
         SnapshotInstance {
-            day_range: (lo, hi),
             tweet_ids,
             user_ids,
             xp,
@@ -306,7 +288,7 @@ impl SnapshotBuilder {
 /// per-document id buffers are recycled across snapshots (only growth
 /// beyond previous high-water marks allocates).
 #[derive(Debug, Clone, Default)]
-pub struct SnapshotScratch {
+pub(crate) struct SnapshotScratch {
     encoded: Vec<Vec<usize>>,
 }
 
@@ -387,7 +369,7 @@ mod tests {
             let snap = builder.snapshot(&c, lo, hi);
             seen += snap.tweet_ids.len();
             assert_eq!(snap.xp.rows(), snap.tweet_ids.len());
-            assert_eq!(snap.xp.cols(), builder.vocab().len());
+            assert_eq!(snap.xp.cols(), builder.sf0().rows());
             assert_eq!(snap.xu.rows(), snap.user_ids.len());
             assert_eq!(snap.xr.shape(), (snap.user_ids.len(), snap.tweet_ids.len()));
             assert_eq!(snap.tweet_truth.len(), snap.tweet_ids.len());
@@ -419,6 +401,6 @@ mod tests {
         let a = builder.snapshot(&c, 0, 4);
         let b = builder.snapshot(&c, 4, 8);
         assert_eq!(a.xp.cols(), b.xp.cols());
-        assert_eq!(builder.sf0().shape(), (builder.vocab().len(), 3));
+        assert_eq!(builder.sf0().shape(), (a.xp.cols(), 3));
     }
 }

@@ -24,7 +24,7 @@ pub enum Trajectory {
 
 impl Trajectory {
     /// The stance on a given day.
-    pub fn stance_at(&self, day: u32) -> Sentiment {
+    pub(crate) fn stance_at(&self, day: u32) -> Sentiment {
         match *self {
             Trajectory::Stable(s) => s,
             Trajectory::Flip {
@@ -79,14 +79,14 @@ pub struct UserProfile {
     /// Long-tail activity weight (tweets are allocated ∝ this).
     pub activity: f64,
     /// First day the user is active.
-    pub join_day: u32,
+    pub(crate) join_day: u32,
     /// Last active day (inclusive).
-    pub leave_day: u32,
+    pub(crate) leave_day: u32,
 }
 
 impl UserProfile {
     /// Whether the user can act on `day`.
-    pub fn active_on(&self, day: u32) -> bool {
+    pub(crate) fn active_on(&self, day: u32) -> bool {
         (self.join_day..=self.leave_day).contains(&day)
     }
 }
@@ -95,7 +95,7 @@ impl UserProfile {
 #[derive(Debug, Clone)]
 pub struct Tweet {
     /// Dense id `0..num_tweets`, ordered by day.
-    pub id: usize,
+    pub(crate) id: usize,
     /// Author user id.
     pub author: usize,
     /// Token features (already normalized, vocabulary-ready).
@@ -103,9 +103,9 @@ pub struct Tweet {
     /// Day offset from the collection start.
     pub day: u32,
     /// Ground-truth sentiment of the tweet text.
-    pub sentiment: Sentiment,
+    pub(crate) sentiment: Sentiment,
     /// Label visible to supervised baselines (`None` = unlabeled).
-    pub label: Option<Sentiment>,
+    pub(crate) label: Option<Sentiment>,
 }
 
 /// A re-tweet event.
@@ -149,12 +149,12 @@ impl Corpus {
     }
 
     /// Ground-truth tweet sentiments as class indices.
-    pub fn tweet_truth(&self) -> Vec<usize> {
+    pub(crate) fn tweet_truth(&self) -> Vec<usize> {
         self.tweets.iter().map(|t| t.sentiment.index()).collect()
     }
 
     /// Tweet labels visible to supervised methods.
-    pub fn tweet_labels(&self) -> Vec<Option<usize>> {
+    pub(crate) fn tweet_labels(&self) -> Vec<Option<usize>> {
         self.tweets
             .iter()
             .map(|t| t.label.map(Sentiment::index))

@@ -143,7 +143,7 @@ impl PartitionMap {
 
     /// The same routing state re-stamped with an explicit generation
     /// (used when adopting a topology announced by a remote router).
-    pub fn with_generation(mut self, generation: u64) -> Self {
+    pub(crate) fn with_generation(mut self, generation: u64) -> Self {
         self.generation = generation;
         self
     }

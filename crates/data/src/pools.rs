@@ -61,7 +61,7 @@ const SEED_NOISE: &[&str] = &[
 /// One pool of words: tokens, a Zipf rank distribution, and per-word
 /// temporal envelopes.
 #[derive(Debug, Clone)]
-pub struct WordPool {
+pub(crate) struct WordPool {
     words: Vec<String>,
     zipf: Zipf,
     /// `(peak_day, width)` of each word's popularity envelope.
@@ -99,23 +99,13 @@ impl WordPool {
         }
     }
 
-    /// Number of words.
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// True when empty (never, post-validation).
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
     /// All words in rank order.
-    pub fn words(&self) -> &[String] {
+    pub(crate) fn words(&self) -> &[String] {
         &self.words
     }
 
     /// Relative popularity of rank `r` on `day`, in `(0, 1]`.
-    pub fn popularity(&self, r: usize, day: u32) -> f64 {
+    pub(crate) fn popularity(&self, r: usize, day: u32) -> f64 {
         let (peak, width) = self.envelope[r];
         let z = (day as f64 - peak) / width;
         self.floor + (1.0 - self.floor) * (-0.5 * z * z).exp()
@@ -123,7 +113,7 @@ impl WordPool {
 
     /// Samples a word for `day`: Zipf rank proposal, accepted against the
     /// temporal envelope (acceptance ≥ `floor`, so the loop is short).
-    pub fn sample<'a>(&'a self, day: u32, rng: &mut impl Rng) -> &'a str {
+    pub(crate) fn sample<'a>(&'a self, day: u32, rng: &mut impl Rng) -> &'a str {
         loop {
             let r = self.zipf.sample(rng);
             if self.floor >= 1.0 || rng.random_range(0.0..1.0) < self.popularity(r, day) {
@@ -135,20 +125,20 @@ impl WordPool {
 
 /// The four pools of a corpus.
 #[derive(Debug, Clone)]
-pub struct WordPools {
+pub(crate) struct WordPools {
     /// Positive-stance pool.
-    pub positive: WordPool,
+    pub(crate) positive: WordPool,
     /// Negative-stance pool.
-    pub negative: WordPool,
+    pub(crate) negative: WordPool,
     /// Shared topic pool.
-    pub topic: WordPool,
+    pub(crate) topic: WordPool,
     /// Noise pool.
-    pub noise: WordPool,
+    pub(crate) noise: WordPool,
 }
 
 impl WordPools {
     /// Builds all pools from the generator configuration.
-    pub fn build(config: &GeneratorConfig, rng: &mut impl Rng) -> Self {
+    pub(crate) fn build(config: &GeneratorConfig, rng: &mut impl Rng) -> Self {
         let d = config.num_days;
         let s = config.word_zipf_exponent;
         let drift = config.vocabulary_drift;
@@ -161,7 +151,7 @@ impl WordPools {
     }
 
     /// The stance pool for a class (`None` for Neutral).
-    pub fn stance_pool(&self, class: Sentiment) -> Option<&WordPool> {
+    pub(crate) fn stance_pool(&self, class: Sentiment) -> Option<&WordPool> {
         match class {
             Sentiment::Positive => Some(&self.positive),
             Sentiment::Negative => Some(&self.negative),
@@ -185,10 +175,10 @@ mod tests {
     fn pools_have_configured_sizes() {
         let p = pools();
         let cfg = GeneratorConfig::default();
-        assert_eq!(p.positive.len(), cfg.pools.positive);
-        assert_eq!(p.negative.len(), cfg.pools.negative);
-        assert_eq!(p.topic.len(), cfg.pools.topic);
-        assert_eq!(p.noise.len(), cfg.pools.noise);
+        assert_eq!(p.positive.words.len(), cfg.pools.positive);
+        assert_eq!(p.negative.words.len(), cfg.pools.negative);
+        assert_eq!(p.topic.words.len(), cfg.pools.topic);
+        assert_eq!(p.noise.words.len(), cfg.pools.noise);
     }
 
     #[test]

@@ -15,15 +15,11 @@
 use crate::config::{GeneratorConfig, PoolSizes, VolumeBurst};
 
 /// Day index of Sep 1 (the Prop 30 volume surge the paper points out).
-pub const DAY_SEP1: u32 = 31;
-/// Day index of Oct 1.
-pub const DAY_OCT1: u32 = 61;
+pub(crate) const DAY_SEP1: u32 = 31;
 /// Day index of the Nov 6, 2012 election.
 pub const DAY_ELECTION: u32 = 97;
-/// Day index of Dec 1.
-pub const DAY_DEC1: u32 = 122;
 /// Number of days in the collection period (Aug 1 – Dec 8).
-pub const NUM_DAYS: u32 = 130;
+pub(crate) const NUM_DAYS: u32 = 130;
 
 /// Proposition 30 ("Temporary Taxes to Fund Education"): a moderately
 /// contested topic — Table 3 reports 8777 pos / 5014 neg labeled tweets
@@ -211,10 +207,8 @@ mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)]
     fn calendar_anchors_ordered() {
-        assert!(DAY_SEP1 < DAY_OCT1);
-        assert!(DAY_OCT1 < DAY_ELECTION);
-        assert!(DAY_ELECTION < DAY_DEC1);
-        assert!(DAY_DEC1 < NUM_DAYS);
+        assert!(DAY_SEP1 < DAY_ELECTION);
+        assert!(DAY_ELECTION < NUM_DAYS);
     }
 
     #[test]

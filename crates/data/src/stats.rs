@@ -14,7 +14,7 @@ pub struct CorpusStats {
     /// Labeled negative tweets.
     pub labeled_neg_tweets: usize,
     /// Unlabeled tweets.
-    pub unlabeled_tweets: usize,
+    pub(crate) unlabeled_tweets: usize,
     /// Labeled positive users.
     pub labeled_pos_users: usize,
     /// Labeled negative users.

@@ -35,16 +35,6 @@ impl Zipf {
         Self { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when the distribution has a single rank.
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Samples a rank in `0..n`.
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
         let u: f64 = rng.random_range(0.0..1.0);
@@ -58,7 +48,7 @@ impl Zipf {
     }
 
     /// Probability mass of rank `r`.
-    pub fn pmf(&self, r: usize) -> f64 {
+    pub(crate) fn pmf(&self, r: usize) -> f64 {
         if r == 0 {
             self.cdf[0]
         } else {

@@ -51,7 +51,7 @@ impl BatchPolicy {
 
     /// Rejects degenerate knobs (zero bucket width, zero-size batches)
     /// with a message naming the offender.
-    pub fn validate(&self) -> Result<(), TgsError> {
+    pub(crate) fn validate(&self) -> Result<(), TgsError> {
         if self.bucket_width == 0 {
             return Err(TgsError::invalid_argument(
                 "batch bucket_width must be >= 1 (timestamps are floored to bucket multiples)",
@@ -66,7 +66,7 @@ impl BatchPolicy {
     }
 
     /// The bucket floor `timestamp` belongs to.
-    pub fn bucket_of(&self, timestamp: u64) -> u64 {
+    pub(crate) fn bucket_of(&self, timestamp: u64) -> u64 {
         timestamp - timestamp % self.bucket_width
     }
 }
@@ -120,8 +120,6 @@ pub struct BatchingIngest<S: IngestSink> {
     pending: Option<Pending>,
     batches_flushed: u64,
     snapshots_coalesced: u64,
-    docs_flushed: u64,
-    batches_shed: u64,
 }
 
 impl<S: IngestSink> BatchingIngest<S> {
@@ -140,8 +138,6 @@ impl<S: IngestSink> BatchingIngest<S> {
             pending: None,
             batches_flushed: 0,
             snapshots_coalesced: 0,
-            docs_flushed: 0,
-            batches_shed: 0,
         }
     }
 
@@ -215,34 +211,18 @@ impl<S: IngestSink> BatchingIngest<S> {
         let Some(p) = self.pending.take() else {
             return Ok(None);
         };
-        let (docs, snapshots) = (p.batch.len() as u64, p.snapshots);
-        match self.sink.try_submit(p.batch)? {
-            None => {
-                self.batches_flushed += 1;
-                self.snapshots_coalesced += snapshots;
-                self.docs_flushed += docs;
-                Ok(None)
-            }
-            Some(batch) => {
-                self.batches_shed += 1;
-                Ok(Some(batch))
-            }
+        let snapshots = p.snapshots;
+        let shed = self.sink.try_submit(p.batch)?;
+        if shed.is_none() {
+            self.batches_flushed += 1;
+            self.snapshots_coalesced += snapshots;
         }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
+        Ok(shed)
     }
 
     /// Documents currently pending (not yet handed to the sink).
     pub fn pending_docs(&self) -> usize {
         self.pending.as_ref().map_or(0, |p| p.batch.len())
-    }
-
-    /// The pending batch's bucket timestamp, if one is open.
-    pub fn pending_timestamp(&self) -> Option<u64> {
-        self.pending.as_ref().map(|p| p.batch.timestamp)
     }
 
     /// Batches the sink accepted.
@@ -253,16 +233,6 @@ impl<S: IngestSink> BatchingIngest<S> {
     /// Micro-snapshots folded into accepted batches.
     pub fn snapshots_coalesced(&self) -> u64 {
         self.snapshots_coalesced
-    }
-
-    /// Documents delivered through accepted batches.
-    pub fn docs_flushed(&self) -> u64 {
-        self.docs_flushed
-    }
-
-    /// Batches the sink shed (returned to the caller).
-    pub fn batches_shed(&self) -> u64 {
-        self.batches_shed
     }
 }
 
@@ -322,18 +292,16 @@ mod tests {
         b.submit(snap(0, &[1])).unwrap();
         b.submit(snap(3, &[2])).unwrap(); // same bucket [0, 4)
         assert_eq!(b.pending_docs(), 2);
-        assert_eq!(b.pending_timestamp(), Some(0));
         b.submit(snap(4, &[3])).unwrap(); // new bucket -> previous flushes
         let got = sink.batches.borrow();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].timestamp, 0);
         assert_eq!(got[0].len(), 2);
         drop(got);
-        assert_eq!(b.pending_timestamp(), Some(4));
         b.flush().unwrap();
+        assert_eq!(sink.batches.borrow()[1].timestamp, 4);
         assert_eq!(b.batches_flushed(), 2);
         assert_eq!(b.snapshots_coalesced(), 3);
-        assert_eq!(b.docs_flushed(), 3);
     }
 
     #[test]
@@ -360,7 +328,6 @@ mod tests {
         *sink.shed_next.borrow_mut() = true;
         let shed = b.flush().unwrap().expect("sink shed the batch");
         assert_eq!(shed.len(), 2);
-        assert_eq!(b.batches_shed(), 1);
         assert_eq!(b.batches_flushed(), 0);
         // The caller can hand it straight back in.
         assert!(b.sink.try_submit(shed).unwrap().is_none());

@@ -10,9 +10,9 @@ use crate::engine::{EngineShared, EngineState, SentimentEngine};
 use crate::sharded::ShardedEngine;
 
 /// Default bound of the ingest queue (snapshots).
-pub const DEFAULT_QUEUE_DEPTH: usize = 8;
+pub(crate) const DEFAULT_QUEUE_DEPTH: usize = 8;
 /// Default byte budget of each per-snapshot factor store (64 MiB).
-pub const DEFAULT_STORE_BUDGET_BYTES: usize = 64 << 20;
+pub(crate) const DEFAULT_STORE_BUDGET_BYTES: usize = 64 << 20;
 
 /// Builds a [`SentimentEngine`], wrapping [`OnlineConfig`] with
 /// validation at `fit` time: every parameter is checked against its
@@ -73,45 +73,15 @@ impl EngineBuilder {
         self
     }
 
-    /// Temporal feature-regularization weight `α`.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.config.alpha = alpha;
-        self
-    }
-
-    /// Graph-regularization weight `β`.
-    pub fn beta(mut self, beta: f64) -> Self {
-        self.config.beta = beta;
-        self
-    }
-
     /// Temporal user-regularization weight `γ`.
     pub fn gamma(mut self, gamma: f64) -> Self {
         self.config.gamma = gamma;
         self
     }
 
-    /// Window decay factor `τ`.
-    pub fn tau(mut self, tau: f64) -> Self {
-        self.config.tau = tau;
-        self
-    }
-
-    /// Window size `w`.
-    pub fn window(mut self, window: usize) -> Self {
-        self.config.window = window;
-        self
-    }
-
     /// Per-snapshot iteration cap.
     pub fn max_iters(mut self, max_iters: usize) -> Self {
         self.config.max_iters = max_iters;
-        self
-    }
-
-    /// Relative objective-change tolerance.
-    pub fn tol(mut self, tol: f64) -> Self {
-        self.config.tol = tol;
         self
     }
 
@@ -152,9 +122,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Replaces the whole micro-batching policy for the engine's
-    /// [`SentimentEngine::batching`] / [`ShardedEngine::batching`] front
-    /// end (see [`BatchPolicy`]). Validated at fit time.
+    /// Replaces the whole micro-batching policy for the
+    /// [`ShardedEngine::batching`] front end (see [`BatchPolicy`]).
+    /// Validated at fit time.
     pub fn batch_policy(mut self, policy: BatchPolicy) -> Self {
         self.batch = policy;
         self
@@ -265,8 +235,6 @@ impl EngineBuilder {
             queue_depth: self.queue_depth,
         };
         let state = EngineState::new(self.store_budget_bytes);
-        let mut engine = SentimentEngine::start(shared, solver, state);
-        engine.set_batch_policy(self.batch);
-        Ok(engine)
+        Ok(SentimentEngine::start(shared, solver, state))
     }
 }

@@ -608,9 +608,12 @@ mod tests {
         use crate::{EngineBuilder, EngineSnapshot};
         let corpus = tgs_data::generate(&tgs_data::presets::tiny(29));
         let engine = EngineBuilder::new()
-            .k(3)
-            .max_iters(4)
-            .window(window)
+            .online(OnlineConfig {
+                k: 3,
+                max_iters: 4,
+                window,
+                ..OnlineConfig::default()
+            })
             .store_budget_bytes(store_budget)
             .fit(&corpus)
             .unwrap();

@@ -13,7 +13,6 @@ use tgs_data::{assemble_snapshot_matrices, SnapshotMatrices};
 use tgs_linalg::DenseMatrix;
 use tgs_text::{tokenize_features_into, TokenizerConfig, Vocabulary, Weighting};
 
-use crate::batch::{BatchPolicy, BatchingIngest};
 use crate::checkpoint::{self, EngineCheckpoint};
 use crate::hist::{LatencyHistogram, HIST_BUCKETS};
 use crate::query::{EngineQuery, TimelineEntry};
@@ -23,34 +22,34 @@ use crate::snapshot::{DocContent, EngineSnapshot};
 /// turn an [`EngineSnapshot`] into tripartite matrices.
 pub(crate) struct EngineShared {
     /// The frozen global vocabulary (fixes the feature axis across time).
-    pub vocab: Vocabulary,
+    pub(crate) vocab: Vocabulary,
     /// The `l × k` lexicon prior, shared by every snapshot.
-    pub sf0: DenseMatrix,
+    pub(crate) sf0: DenseMatrix,
     /// The online solver configuration.
-    pub config: OnlineConfig,
+    pub(crate) config: OnlineConfig,
     /// Tokenizer for [`DocContent::Raw`] documents.
-    pub tokenizer: TokenizerConfig,
+    pub(crate) tokenizer: TokenizerConfig,
     /// Term weighting for the snapshot matrices.
-    pub weighting: Weighting,
+    pub(crate) weighting: Weighting,
     /// Bound of the ingest queue (snapshots, not bytes).
-    pub queue_depth: usize,
+    pub(crate) queue_depth: usize,
 }
 
 /// The mutable recorded history behind the query API.
 pub(crate) struct EngineState {
     /// Per-snapshot aggregates, keyed by timestamp.
-    pub timeline: BTreeMap<u64, TimelineEntry>,
+    pub(crate) timeline: BTreeMap<u64, TimelineEntry>,
     /// Per-user `(timestamp, distribution)` observations, append order.
-    pub user_track: HashMap<usize, Vec<(u64, Vec<f64>)>>,
+    pub(crate) user_track: HashMap<usize, Vec<(u64, Vec<f64>)>>,
     /// Per-snapshot `Sf` factors (feature–sentiment), byte-budgeted.
-    pub sf_store: SnapshotStore,
+    pub(crate) sf_store: SnapshotStore,
     /// Per-snapshot `Sp` factors (tweet–sentiment), byte-budgeted.
-    pub sp_store: SnapshotStore,
+    pub(crate) sp_store: SnapshotStore,
     /// Ingest failures not yet surfaced through [`SentimentEngine::flush`].
-    pub failures: VecDeque<(u64, TgsError)>,
+    pub(crate) failures: VecDeque<(u64, TgsError)>,
     /// Dirty-state log behind delta checkpoints (see [`crate::delta`]).
     /// Not checkpointed: marks are engine-local, like the metrics.
-    pub tracker: crate::delta::DeltaTracker,
+    pub(crate) tracker: crate::delta::DeltaTracker,
 }
 
 impl EngineState {
@@ -126,8 +125,9 @@ pub struct EngineStats {
     pub queued: u64,
     /// Snapshots fully processed (committed or skipped-as-empty).
     pub ingested: u64,
-    /// Snapshots rejected by [`SentimentEngine::try_ingest`] because the
-    /// bounded queue was full.
+    /// Snapshots a non-blocking ingest (such as
+    /// [`ShardedEngine::try_ingest`](crate::ShardedEngine::try_ingest))
+    /// handed back because the bounded queue was full.
     pub dropped_capacity: u64,
     /// Wall-clock nanoseconds the worker spent on the most recent
     /// snapshot (tokenize + assemble + solve + commit).
@@ -224,11 +224,6 @@ pub struct SentimentEngine {
     state: Arc<Mutex<EngineState>>,
     solver: Arc<Mutex<OnlineSolver>>,
     metrics: Arc<EngineMetrics>,
-    /// Process-local micro-batching knobs (see [`BatchPolicy`]): set by
-    /// the builder, read by [`SentimentEngine::batching`]. Deliberately
-    /// not checkpointed — a tuning knob of this process, like the pool's
-    /// thread budget, not part of the stream's history.
-    batch_policy: BatchPolicy,
     tx: Option<SyncSender<Command>>,
     worker: Option<JoinHandle<()>>,
 }
@@ -258,29 +253,9 @@ impl SentimentEngine {
             state,
             solver,
             metrics,
-            batch_policy: BatchPolicy::default(),
             tx: Some(tx),
             worker: Some(worker),
         }
-    }
-
-    /// Installs the micro-batching policy (builder-time only; validated
-    /// by the builder).
-    pub(crate) fn set_batch_policy(&mut self, policy: BatchPolicy) {
-        self.batch_policy = policy;
-    }
-
-    /// The micro-batching policy [`SentimentEngine::batching`] applies.
-    pub fn batch_policy(&self) -> BatchPolicy {
-        self.batch_policy
-    }
-
-    /// A micro-batching front end over this engine using the builder's
-    /// [`BatchPolicy`]: coalesces same-bucket snapshots so each solver
-    /// step amortizes one tokenize pass, one matrix assembly and one
-    /// workspace bind. See [`BatchingIngest`].
-    pub fn batching(&self) -> BatchingIngest<&SentimentEngine> {
-        BatchingIngest::with_policy_unchecked(self, self.batch_policy)
     }
 
     /// Submits a snapshot for asynchronous processing. Returns as soon as
@@ -300,21 +275,12 @@ impl SentimentEngine {
         })
     }
 
-    /// Non-blocking variant of [`SentimentEngine::ingest`]: returns
-    /// `Ok(false)` — and counts the snapshot in
-    /// [`EngineStats::dropped_capacity`] — when the bounded queue is
-    /// full, instead of blocking the producer. Load-shedding front ends
-    /// use this to keep their latency bounded under backpressure.
-    pub fn try_ingest(&self, snapshot: EngineSnapshot) -> Result<bool, TgsError> {
-        Ok(self.try_ingest_reusable(snapshot)?.is_none())
-    }
-
-    /// Like [`SentimentEngine::try_ingest`], but a full-queue rejection
-    /// hands the snapshot back (`Ok(Some(snapshot))`) instead of dropping
-    /// it, so a shedding producer can retry or recycle its buffers — the
+    /// Like [`SentimentEngine::ingest`], but never blocks: a full-queue
+    /// rejection hands the snapshot back (`Ok(Some(snapshot))`), so a
+    /// shedding producer can retry or recycle its buffers — the
     /// rejection path neither allocates nor frees. Sheds count in
     /// [`EngineStats::dropped_capacity`] and the histogram's shed bucket.
-    pub fn try_ingest_reusable(
+    pub(crate) fn try_ingest_reusable(
         &self,
         snapshot: EngineSnapshot,
     ) -> Result<Option<EngineSnapshot>, TgsError> {
@@ -344,7 +310,7 @@ impl SentimentEngine {
     /// before splitting it (no partial commits). Advisory under
     /// concurrent producers: another thread can take the slot between
     /// the probe and the send.
-    pub fn has_capacity(&self) -> bool {
+    pub(crate) fn has_capacity(&self) -> bool {
         self.metrics.queued.load(Ordering::Relaxed) < self.shared.queue_depth as u64
     }
 
@@ -352,7 +318,7 @@ impl SentimentEngine {
     /// shed at capacity, and the last snapshot's processing time.
     /// Counters restart at zero on [`SentimentEngine::restore`] — they
     /// describe this process's session, not the stream's history.
-    pub fn stats(&self) -> EngineStats {
+    pub(crate) fn stats(&self) -> EngineStats {
         EngineStats {
             queued: self.metrics.queued.load(Ordering::Relaxed),
             ingested: self.metrics.ingested.load(Ordering::Relaxed),
@@ -473,7 +439,7 @@ impl SentimentEngine {
     /// Drains the queue and stops the worker. Equivalent to dropping the
     /// engine, but surfaces pending ingest failures instead of discarding
     /// them.
-    pub fn shutdown(mut self) -> Result<(), TgsError> {
+    pub(crate) fn shutdown(mut self) -> Result<(), TgsError> {
         let outcome = self.flush();
         self.close();
         outcome.map(|_| ())
@@ -526,7 +492,7 @@ impl SentimentEngine {
     /// The solver's current decayed sentiment estimate for a user — the
     /// factor broadcast into ghost rows on other shards. Callers flush
     /// first so the estimate reflects every committed snapshot.
-    pub fn user_factor(&self, user: usize) -> Option<Vec<f64>> {
+    pub(crate) fn user_factor(&self, user: usize) -> Option<Vec<f64>> {
         self.solver.lock().sentiment_of(user)
     }
 
@@ -559,7 +525,7 @@ impl SentimentEngine {
     /// through the migration byte codec (see `crate::transport`) — the
     /// form a remote transport ships across the wire. Removes the users
     /// from this worker; the caller must have flushed it first.
-    pub fn export_users_bytes(&self, lo: usize, hi: usize) -> Vec<u8> {
+    pub(crate) fn export_users_bytes(&self, lo: usize, hi: usize) -> Vec<u8> {
         let state = self.export_user_range(lo, hi);
         crate::transport::encode_user_range(&state.track, &state.solver.rows)
     }
@@ -568,7 +534,7 @@ impl SentimentEngine {
     /// per-user migration state from the byte codec. On rejection the
     /// payload is untouched (it is only read), so the caller re-imports
     /// the same bytes to the source worker to roll the migration back.
-    pub fn import_users_bytes(&self, bytes: &[u8]) -> Result<(), TgsError> {
+    pub(crate) fn import_users_bytes(&self, bytes: &[u8]) -> Result<(), TgsError> {
         let (track, rows) = crate::transport::decode_user_range(bytes)?;
         self.import_user_range(UserRangeState {
             track,
@@ -640,7 +606,7 @@ impl SentimentEngine {
     /// are kept on collision). The other worker's own `Sf` window and
     /// step counter are discarded — the absorber's temporal frame wins.
     /// Public for fleet transports; meaningless outside a shard merge.
-    pub fn absorb(&self, other: &SentimentEngine) -> Result<(), TgsError> {
+    pub(crate) fn absorb(&self, other: &SentimentEngine) -> Result<(), TgsError> {
         let moved = other.export_user_range(0, usize::MAX);
         if let Err((e, moved_back)) = self.import_user_range(moved) {
             // Hand the state back to its source (it just exported these

@@ -73,7 +73,7 @@ impl LatencyHistogram {
     /// `SUB_COUNT`, then octave `o = floor(log2 ns)` sliced into
     /// `SUB_COUNT` equal sub-buckets by the bits just under the
     /// leading one.
-    pub fn bucket_index(ns: u64) -> usize {
+    pub(crate) fn bucket_index(ns: u64) -> usize {
         if ns < SUB_COUNT as u64 {
             return ns as usize;
         }
@@ -88,7 +88,7 @@ impl LatencyHistogram {
 
     /// The inclusive upper bound (in nanoseconds) of bucket `i` — what
     /// the quantile accessors report.
-    pub fn bucket_ceiling(i: usize) -> u64 {
+    pub(crate) fn bucket_ceiling(i: usize) -> u64 {
         let i = i.min(HIST_BUCKETS - 1);
         if i < SUB_COUNT {
             return i as u64;
@@ -124,14 +124,14 @@ impl LatencyHistogram {
     }
 
     /// Whether no sample has been recorded yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count() == 0
     }
 
     /// The latency (bucket ceiling, ns) below which a fraction `q` of
     /// samples fall. Returns 0 on an empty histogram; `q` outside
     /// `[0, 1]` clamps.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
@@ -147,7 +147,7 @@ impl LatencyHistogram {
         Self::bucket_ceiling(HIST_BUCKETS - 1)
     }
 
-    /// Like [`LatencyHistogram::quantile`], but distinguishes "no
+    /// Like `LatencyHistogram::quantile`, but distinguishes "no
     /// samples yet" (`None`) from a genuine sub-2ns quantile — printers
     /// should show "n/a" rather than a fabricated 0ns latency.
     pub fn quantile_opt(&self, q: f64) -> Option<u64> {

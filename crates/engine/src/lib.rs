@@ -41,19 +41,19 @@
 //! assert_eq!(timeline[0].tweet_counts.len(), 3);
 //! ```
 
-pub mod batch;
-pub mod builder;
-pub mod checkpoint;
+mod batch;
+mod builder;
+mod checkpoint;
 mod delta;
 mod engine;
-pub mod hist;
+mod hist;
 pub mod query;
-pub mod sharded;
-pub mod snapshot;
+mod sharded;
+mod snapshot;
 pub mod transport;
 
 pub use batch::{BatchPolicy, BatchingIngest, IngestSink};
-pub use builder::{EngineBuilder, DEFAULT_QUEUE_DEPTH, DEFAULT_STORE_BUDGET_BYTES};
+pub use builder::EngineBuilder;
 pub use checkpoint::EngineCheckpoint;
 pub use delta::CheckpointDelta;
 pub use engine::{EngineStats, SentimentEngine};
@@ -64,12 +64,12 @@ pub use sharded::{
     ShardedEngine, ShardedQuery,
 };
 pub use snapshot::{DocContent, EngineDoc, EngineRetweet, EngineSnapshot};
-pub use transport::{exported_users_len, LocalShard, ShardTransport};
+pub use transport::{LocalShard, ShardTransport};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tgs_core::{TgsError, TgsErrorKind};
+    use tgs_core::{OnlineConfig, TgsError, TgsErrorKind};
     use tgs_data::{day_windows, generate, presets, GeneratorConfig};
 
     fn corpus() -> tgs_data::Corpus {
@@ -92,7 +92,10 @@ mod tests {
     #[test]
     fn builder_rejects_bad_config_with_typed_error() {
         let err = EngineBuilder::new()
-            .alpha(3.0)
+            .online(OnlineConfig {
+                alpha: 3.0,
+                ..OnlineConfig::default()
+            })
             .fit(&corpus())
             .err()
             .expect("alpha out of domain");
@@ -336,7 +339,7 @@ mod tests {
         for t in 0..10_000u64 {
             let mut snap = EngineSnapshot::from_corpus_window(&c, 0, c.num_days);
             snap.timestamp = t;
-            if engine.try_ingest(snap).unwrap() {
+            if engine.try_ingest_reusable(snap).unwrap().is_none() {
                 accepted += 1;
             } else {
                 dropped += 1;
@@ -427,7 +430,7 @@ mod tests {
         assert!(engine.stats().step_hist.shed() >= 1);
         engine.flush().unwrap();
         // The returned snapshot is still ingestable (nothing was lost).
-        assert!(engine.try_ingest(back).unwrap());
+        assert!(engine.try_ingest_reusable(back).unwrap().is_none());
         engine.flush().unwrap();
     }
 

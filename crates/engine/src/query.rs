@@ -123,11 +123,6 @@ pub struct EngineQuery {
 }
 
 impl EngineQuery {
-    /// Number of sentiment clusters.
-    pub fn k(&self) -> usize {
-        self.shared.config.k
-    }
-
     /// Timeline entries whose timestamp falls in `range`, ascending.
     ///
     /// `query.timeline(..)` returns the full history;
@@ -175,7 +170,7 @@ impl EngineQuery {
     /// [`EngineQuery::timeline`] without cloning the entries. A
     /// multi-shard router reads them once, when it is built, to seed its
     /// fleet-wide append-only check.
-    pub fn timestamps(&self) -> Vec<u64> {
+    pub(crate) fn timestamps(&self) -> Vec<u64> {
         let state = self.state.lock();
         state.timeline.keys().copied().collect()
     }
@@ -203,7 +198,7 @@ impl EngineQuery {
 
     /// Every recorded `(timestamp, distribution)` observation for the
     /// user, ascending by timestamp.
-    pub fn user_timeline(&self, user: usize) -> Result<Vec<(u64, Vec<f64>)>, TgsError> {
+    pub(crate) fn user_timeline(&self, user: usize) -> Result<Vec<(u64, Vec<f64>)>, TgsError> {
         let state = self.state.lock();
         let track = state
             .user_track
@@ -215,7 +210,7 @@ impl EngineQuery {
     }
 
     /// Number of users with any recorded history.
-    pub fn known_users(&self) -> usize {
+    pub(crate) fn known_users(&self) -> usize {
         self.state.lock().user_track.len()
     }
 
@@ -239,7 +234,7 @@ impl EngineQuery {
     /// [`TgsError::SnapshotUnavailable`] when the snapshot was never
     /// ingested or its factors were evicted from the bounded store. The
     /// multi-shard router merges these across shards before ranking.
-    pub fn sf_at(&self, t: u64) -> Result<tgs_linalg::DenseMatrix, TgsError> {
+    pub(crate) fn sf_at(&self, t: u64) -> Result<tgs_linalg::DenseMatrix, TgsError> {
         let state = self.state.lock();
         state
             .sf_store

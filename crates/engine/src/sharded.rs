@@ -39,10 +39,12 @@
 //! receives byte-identical snapshots, records a byte-identical timeline,
 //! and its checkpoint section equals a plain [`SentimentEngine`]
 //! checkpoint byte for byte (tested in `tests/sharded_engine.rs`). With
-//! more shards, shard solves are independent per snapshot — anchored to
-//! common cluster semantics by the shared lexicon prior — so merged
-//! timelines agree with the single-shard ones within a documented
-//! tolerance rather than exactly.
+//! more shards, shard solves are independent per snapshot, and the
+//! router merges their timeline counts and `Sf` factors column by column
+//! (`tgs_core::sharded::merge_sf`). That is meaningful only while every
+//! shard keeps one column order, and the shared lexicon prior does not
+//! keep it: at 4 shards on Prop 30 (full scale) the shards broke the
+//! lexicon's column order in 63, 55, 16 and 47 of 130 daily windows.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Bound, RangeBounds};
@@ -103,7 +105,7 @@ impl ShardedCheckpoint {
 
     /// True when `data` carries the multi-shard magic, as opposed to a
     /// single-engine [`EngineCheckpoint`] stream.
-    pub fn sniff(data: &[u8]) -> bool {
+    pub(crate) fn sniff(data: &[u8]) -> bool {
         data.starts_with(SHARD_MAGIC)
     }
 
@@ -126,9 +128,9 @@ const SHARD_DELTA_MAGIC: &[u8; 8] = b"TGSSDL\x00\x01";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetTips {
     /// Fingerprint of the partition map the tips were taken under.
-    pub fingerprint: u64,
+    pub(crate) fingerprint: u64,
     /// One worker-local mark id per shard slot, in shard order.
-    pub slots: Vec<u64>,
+    pub(crate) slots: Vec<u64>,
 }
 
 impl FleetTips {
@@ -186,11 +188,6 @@ impl ShardedDelta {
     /// True when the delta holds no bytes.
     pub fn is_empty(&self) -> bool {
         self.bytes.is_empty()
-    }
-
-    /// True when `data` carries the multi-shard delta magic.
-    pub fn sniff(data: &[u8]) -> bool {
-        data.starts_with(SHARD_DELTA_MAGIC)
     }
 
     /// The tips this delta advances the fleet to — the next
@@ -335,7 +332,7 @@ pub struct RecoveryCounters {
     /// Documents re-ingested from replay journals during rebuilds.
     pub replayed_docs: AtomicU64,
     /// Fan-out queries answered with partial coverage.
-    pub degraded_queries: AtomicU64,
+    pub(crate) degraded_queries: AtomicU64,
     /// Slot baselines refreshed incrementally (base + delta chain)
     /// instead of through a full checkpoint section — the supervisor's
     /// O(changes) refresh path.
@@ -354,12 +351,12 @@ fn worker_key(worker: &Arc<dyn ShardTransport>) -> usize {
 
 impl RecoveryCounters {
     /// Records that `worker` committed the snapshot stamped `t`.
-    pub fn note_commit(&self, worker: &Arc<dyn ShardTransport>, t: u64) {
+    pub(crate) fn note_commit(&self, worker: &Arc<dyn ShardTransport>, t: u64) {
         self.committed.lock().insert(worker_key(worker), t);
     }
 
     /// The last timestamp `worker` is known to have committed, if any.
-    pub fn last_commit(&self, worker: &Arc<dyn ShardTransport>) -> Option<u64> {
+    pub(crate) fn last_commit(&self, worker: &Arc<dyn ShardTransport>) -> Option<u64> {
         self.committed.lock().get(&worker_key(worker)).copied()
     }
 }
@@ -689,11 +686,6 @@ impl ShardedEngine {
     /// by the builder).
     pub(crate) fn set_batch_policy(&mut self, policy: BatchPolicy) {
         self.batch_policy = policy;
-    }
-
-    /// The micro-batching policy [`ShardedEngine::batching`] applies.
-    pub fn batch_policy(&self) -> BatchPolicy {
-        self.batch_policy
     }
 
     /// A micro-batching front end over this router using the builder's
@@ -1450,17 +1442,6 @@ impl ShardedQuery {
         self.k
     }
 
-    /// Number of shards in the fleet now.
-    pub fn shards(&self) -> usize {
-        self.fleet().workers.len()
-    }
-
-    /// The partition map the fleet routes per-user queries with now (a
-    /// snapshot: a concurrent rebalance may swap it afterwards).
-    pub fn map(&self) -> PartitionMap {
-        self.fleet().map.clone()
-    }
-
     /// The one fan-in behind every fan-out query: calls `f` on each of
     /// `fleet`'s workers concurrently, stamped with the map's
     /// generation, and keeps the answers in shard order. A strict query
@@ -1875,7 +1856,6 @@ mod tests {
                 .delta_since(&tips)
                 .unwrap()
                 .expect("unchanged topology must serve a delta");
-            assert!(ShardedDelta::sniff(delta.as_bytes()));
             current = ShardedEngine::apply_delta(&current, &delta).unwrap();
             assert_eq!(
                 current.as_bytes(),

@@ -31,7 +31,7 @@ pub struct EngineDoc {
 
 impl EngineDoc {
     /// A document from raw text.
-    pub fn from_text(user: usize, text: impl Into<String>) -> Self {
+    pub(crate) fn from_text(user: usize, text: impl Into<String>) -> Self {
         Self {
             user,
             content: DocContent::Raw(text.into()),
@@ -39,7 +39,7 @@ impl EngineDoc {
     }
 
     /// A document from pre-tokenized features.
-    pub fn from_tokens(user: usize, tokens: Vec<String>) -> Self {
+    pub(crate) fn from_tokens(user: usize, tokens: Vec<String>) -> Self {
         Self {
             user,
             content: DocContent::Tokens(tokens),

@@ -138,7 +138,7 @@ pub trait ShardTransport: Send + Sync {
     fn delta_since(&self, base_id: u64) -> Result<Option<Vec<u8>>, TgsError>;
 
     /// Removes and returns all per-user state for ids in `lo..hi`,
-    /// serialized with [`SentimentEngine::export_users_bytes`]. The
+    /// serialized with `SentimentEngine::export_users_bytes`. The
     /// caller must have flushed this worker first.
     fn export_users(&self, lo: usize, hi: usize) -> Result<Vec<u8>, TgsError>;
 
@@ -352,7 +352,7 @@ impl ShardTransport for LocalShard {
 /// Reads the user count out of an [`ShardTransport::export_users`]
 /// payload without decoding the rows — the router skips the import call
 /// for empty migrations.
-pub fn exported_users_len(bytes: &[u8]) -> Result<u64, TgsError> {
+pub(crate) fn exported_users_len(bytes: &[u8]) -> Result<u64, TgsError> {
     let mut r = Reader::new(bytes);
     let track = r.u64("migrated track user count")?;
     let solver = r.u64("migrated solver row count")?;
@@ -361,7 +361,7 @@ pub fn exported_users_len(bytes: &[u8]) -> Result<u64, TgsError> {
 
 /// One user's `(timestamp key, distribution)` observations — the shared
 /// row shape of the queryable track and the solver's aged history.
-pub type UserRow = (usize, Vec<(u64, Vec<f64>)>);
+pub(crate) type UserRow = (usize, Vec<(u64, Vec<f64>)>);
 
 fn write_user_rows(w: &mut Writer, rows: &[UserRow]) {
     for (user, observations) in rows {

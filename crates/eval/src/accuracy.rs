@@ -35,76 +35,6 @@ pub fn classification_accuracy(pred: &[usize], truth: &[usize]) -> f64 {
     hit as f64 / pred.len() as f64
 }
 
-/// Purity — identical to clustering accuracy for hard clusterings but kept
-/// as an explicit alias for readers of the clustering literature.
-pub fn purity(pred: &[usize], truth: &[usize]) -> f64 {
-    clustering_accuracy(pred, truth)
-}
-
-/// Macro-averaged F1 over ground-truth classes for *classification*
-/// output (labels already aligned with classes).
-pub fn macro_f1(pred: &[usize], truth: &[usize]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "prediction/truth length mismatch");
-    if pred.is_empty() {
-        return 0.0;
-    }
-    let k = truth
-        .iter()
-        .chain(pred.iter())
-        .copied()
-        .max()
-        .map_or(0, |m| m + 1);
-    let mut f1_sum = 0.0;
-    let mut classes = 0usize;
-    for c in 0..k {
-        let tp = pred
-            .iter()
-            .zip(truth.iter())
-            .filter(|&(&p, &t)| p == c && t == c)
-            .count() as f64;
-        let fp = pred
-            .iter()
-            .zip(truth.iter())
-            .filter(|&(&p, &t)| p == c && t != c)
-            .count() as f64;
-        let fn_ = pred
-            .iter()
-            .zip(truth.iter())
-            .filter(|&(&p, &t)| p != c && t == c)
-            .count() as f64;
-        if tp + fn_ == 0.0 {
-            continue; // class absent from ground truth
-        }
-        classes += 1;
-        let precision = if tp + fp > 0.0 { tp / (tp + fp) } else { 0.0 };
-        let recall = tp / (tp + fn_);
-        if precision + recall > 0.0 {
-            f1_sum += 2.0 * precision * recall / (precision + recall);
-        }
-    }
-    if classes == 0 {
-        0.0
-    } else {
-        f1_sum / classes as f64
-    }
-}
-
-/// Keeps only the positions where ground truth is known, returning
-/// parallel `(pred, truth)` vectors — evaluation in the paper only uses
-/// labeled tweets/users.
-pub fn filter_labeled(pred: &[usize], truth: &[Option<usize>]) -> (Vec<usize>, Vec<usize>) {
-    assert_eq!(pred.len(), truth.len(), "prediction/truth length mismatch");
-    let mut p = Vec::new();
-    let mut t = Vec::new();
-    for (&pi, &ti) in pred.iter().zip(truth.iter()) {
-        if let Some(ti) = ti {
-            p.push(pi);
-            t.push(ti);
-        }
-    }
-    (p, t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,27 +66,5 @@ mod tests {
     fn classification_accuracy_counts_exact_matches() {
         assert!((classification_accuracy(&[0, 1, 2], &[0, 1, 0]) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(classification_accuracy(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn macro_f1_perfect_is_one() {
-        assert!((macro_f1(&[0, 1, 0, 1], &[0, 1, 0, 1]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn macro_f1_ignores_absent_classes() {
-        // class 2 never in truth; should not dilute the average
-        let pred = vec![0, 1, 2];
-        let truth = vec![0, 1, 1];
-        let f1 = macro_f1(&pred, &truth);
-        // class0: P=1, R=1, F1=1; class1: P=1, R=0.5, F1=2/3
-        assert!((f1 - (1.0 + 2.0 / 3.0) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn filter_labeled_drops_unknowns() {
-        let (p, t) = filter_labeled(&[0, 1, 2], &[Some(0), None, Some(1)]);
-        assert_eq!(p, vec![0, 2]);
-        assert_eq!(t, vec![0, 1]);
     }
 }

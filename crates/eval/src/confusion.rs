@@ -4,7 +4,7 @@
 /// classes (columns). Works for both clustering output (arbitrary cluster
 /// ids) and classification output (class-aligned ids).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
+pub(crate) struct ConfusionMatrix {
     counts: Vec<Vec<usize>>,
     total: usize,
 }
@@ -14,7 +14,7 @@ impl ConfusionMatrix {
     ///
     /// Panics when lengths differ. Label values are used as dense indices,
     /// so the table is `(max_pred + 1) × (max_truth + 1)`.
-    pub fn from_labels(pred: &[usize], truth: &[usize]) -> Self {
+    pub(crate) fn from_labels(pred: &[usize], truth: &[usize]) -> Self {
         assert_eq!(pred.len(), truth.len(), "prediction/truth length mismatch");
         let rows = pred.iter().copied().max().map_or(0, |m| m + 1);
         let cols = truth.iter().copied().max().map_or(0, |m| m + 1);
@@ -29,32 +29,32 @@ impl ConfusionMatrix {
     }
 
     /// Number of predicted clusters (rows).
-    pub fn num_clusters(&self) -> usize {
+    pub(crate) fn num_clusters(&self) -> usize {
         self.counts.len()
     }
 
     /// Number of ground-truth classes (columns).
-    pub fn num_classes(&self) -> usize {
+    pub(crate) fn num_classes(&self) -> usize {
         self.counts.first().map_or(0, Vec::len)
     }
 
     /// Count of items in cluster `o` and class `g`.
-    pub fn count(&self, o: usize, g: usize) -> usize {
+    pub(crate) fn count(&self, o: usize, g: usize) -> usize {
         self.counts[o][g]
     }
 
     /// Total number of items.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.total
     }
 
     /// Row (cluster) sizes.
-    pub fn cluster_sizes(&self) -> Vec<usize> {
+    pub(crate) fn cluster_sizes(&self) -> Vec<usize> {
         self.counts.iter().map(|r| r.iter().sum()).collect()
     }
 
     /// Column (class) sizes.
-    pub fn class_sizes(&self) -> Vec<usize> {
+    pub(crate) fn class_sizes(&self) -> Vec<usize> {
         let cols = self.num_classes();
         let mut out = vec![0usize; cols];
         for row in &self.counts {

@@ -14,7 +14,7 @@ use crate::confusion::ConfusionMatrix;
 /// O(n³) shortest augmenting path implementation (Jonker–Volgenant style
 /// potentials).
 #[allow(clippy::needless_range_loop)] // index arithmetic mirrors the textbook algorithm
-pub fn hungarian(cost: &[Vec<f64>]) -> Vec<usize> {
+pub(crate) fn hungarian(cost: &[Vec<f64>]) -> Vec<usize> {
     let rows = cost.len();
     if rows == 0 {
         return Vec::new();

@@ -1,7 +1,7 @@
 //! # tgs-eval
 //!
 //! Evaluation metrics used throughout the paper's experiments: clustering
-//! accuracy with majority-vote mapping (§5), NMI (§5), plus ARI, macro-F1,
+//! accuracy with majority-vote mapping (§5), NMI (§5), plus ARI,
 //! Hungarian-optimal accuracy and Pearson correlation for ablations.
 //!
 //! ```
@@ -13,18 +13,15 @@
 //! assert_eq!(nmi(&pred, &truth), 1.0);
 //! ```
 
-pub mod accuracy;
-pub mod ari;
-pub mod confusion;
-pub mod hungarian;
-pub mod nmi;
-pub mod pearson;
+mod accuracy;
+mod ari;
+mod confusion;
+mod hungarian;
+mod nmi;
+mod pearson;
 
-pub use accuracy::{
-    classification_accuracy, clustering_accuracy, filter_labeled, macro_f1, purity,
-};
+pub use accuracy::{classification_accuracy, clustering_accuracy};
 pub use ari::adjusted_rand_index;
-pub use confusion::ConfusionMatrix;
-pub use hungarian::{hungarian, hungarian_accuracy};
-pub use nmi::{entropy, mutual_information, nmi};
+pub use hungarian::hungarian_accuracy;
+pub use nmi::{entropy, nmi};
 pub use pearson::pearson;

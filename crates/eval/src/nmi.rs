@@ -25,7 +25,7 @@ pub fn entropy(labels: &[usize]) -> f64 {
 }
 
 /// Mutual information (nats) between two labelings.
-pub fn mutual_information(pred: &[usize], truth: &[usize]) -> f64 {
+pub(crate) fn mutual_information(pred: &[usize], truth: &[usize]) -> f64 {
     assert_eq!(pred.len(), truth.len(), "prediction/truth length mismatch");
     if pred.is_empty() {
         return 0.0;

@@ -125,6 +125,6 @@ mod tests {
             author: 0,
         }];
         let (_, gu) = build_interactions(1, 1, &events);
-        assert_eq!(gu.num_edges(), 0);
+        assert_eq!(gu.adjacency().nnz(), 0);
     }
 }

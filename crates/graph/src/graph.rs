@@ -48,11 +48,6 @@ impl UserGraph {
         self.adjacency.rows()
     }
 
-    /// Number of undirected edges.
-    pub fn num_edges(&self) -> usize {
-        self.adjacency.nnz() / 2
-    }
-
     /// Weighted degree of node `u`.
     pub fn degree(&self, u: usize) -> f64 {
         self.degrees[u]
@@ -89,7 +84,6 @@ mod tests {
         assert_eq!(g.weight(0, 1), 3.0);
         assert_eq!(g.weight(1, 0), 3.0);
         assert_eq!(g.weight(1, 2), 1.5);
-        assert_eq!(g.num_edges(), 2);
         assert_eq!(g.degree(1), 4.5);
     }
 
@@ -97,14 +91,12 @@ mod tests {
     fn self_loops_dropped() {
         let g = UserGraph::from_edges(2, &[(0, 0, 5.0), (0, 1, 1.0)]);
         assert_eq!(g.weight(0, 0), 0.0);
-        assert_eq!(g.num_edges(), 1);
     }
 
     #[test]
     fn empty_graph() {
         let g = UserGraph::empty(4);
         assert_eq!(g.num_nodes(), 4);
-        assert_eq!(g.num_edges(), 0);
         assert!(g.degrees().iter().all(|&d| d == 0.0));
     }
 

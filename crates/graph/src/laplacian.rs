@@ -1,15 +1,15 @@
-//! The explicit graph Laplacian.
+//! The explicit graph Laplacian, test-only.
 //!
 //! The hot-path quadratic form `tr(SᵀLS)` lives in `tgs_linalg::ops`
 //! (it never materializes `L`); this module builds `L` itself as the
-//! slow reference that tests check the fast path against.
+//! slow reference that the tests below check the fast path against.
 
 use tgs_linalg::{CsrMatrix, DenseMatrix};
 
 use crate::graph::UserGraph;
 
 /// The combinatorial Laplacian `L = D − G` as a sparse matrix.
-pub fn laplacian(graph: &UserGraph) -> CsrMatrix {
+fn laplacian(graph: &UserGraph) -> CsrMatrix {
     let n = graph.num_nodes();
     let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(graph.adjacency().nnz() + n);
     for (i, &d) in graph.degrees().iter().enumerate() {
@@ -25,7 +25,7 @@ pub fn laplacian(graph: &UserGraph) -> CsrMatrix {
 
 /// Evaluates `tr(SᵀLS)` through the explicit Laplacian (slow reference
 /// used in tests against `tgs_linalg::laplacian_quad`).
-pub fn laplacian_quad_reference(graph: &UserGraph, s: &DenseMatrix) -> f64 {
+fn laplacian_quad_reference(graph: &UserGraph, s: &DenseMatrix) -> f64 {
     let l = laplacian(graph);
     let ls = l.mul_dense(s);
     s.frobenius_inner(&ls)

@@ -1,7 +1,7 @@
 //! # tgs-graph
 //!
 //! Social-graph substrate: the user–user re-tweeting graph `Gu` (with
-//! its degrees and a reference Laplacian) and builders that turn raw
+//! its degrees) and builders that turn raw
 //! posting/re-tweeting event logs into the `Xr` matrix and `Gu` graph the
 //! tri-clustering framework consumes.
 //!
@@ -17,10 +17,10 @@
 //! assert_eq!(gu.weight(0, 1), 1.0);
 //! ```
 
-pub mod builder;
-pub mod graph;
-pub mod laplacian;
+mod builder;
+mod graph;
+#[cfg(test)]
+mod laplacian;
 
 pub use builder::{build_interactions, Interaction};
 pub use graph::UserGraph;
-pub use laplacian::{laplacian, laplacian_quad_reference};

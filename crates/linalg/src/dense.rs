@@ -347,7 +347,7 @@ impl DenseMatrix {
     }
 
     /// Applies `f` to every entry, returning a new matrix.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> DenseMatrix {
+    pub(crate) fn map(&self, f: impl Fn(f64) -> f64) -> DenseMatrix {
         DenseMatrix {
             rows: self.rows,
             cols: self.cols,
@@ -377,17 +377,6 @@ impl DenseMatrix {
     /// Frobenius norm `‖M‖_F`.
     pub fn frobenius(&self) -> f64 {
         self.frobenius_sq().sqrt()
-    }
-
-    /// Trace of a square matrix.
-    pub fn trace(&self) -> f64 {
-        assert_eq!(self.rows, self.cols, "trace requires a square matrix");
-        (0..self.rows).map(|i| self.get(i, i)).sum()
-    }
-
-    /// Sum of all entries.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
     }
 
     /// Largest absolute entry.
@@ -478,19 +467,6 @@ impl DenseMatrix {
         assert_eq!(self.cols, other.cols, "copy_row_from column mismatch");
         let k = self.cols;
         self.data[dst * k..(dst + 1) * k].copy_from_slice(other.row(src));
-    }
-
-    /// Vertically stacks `self` on top of `other`.
-    pub fn vstack(&self, other: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(self.cols, other.cols, "vstack column mismatch");
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        DenseMatrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        }
     }
 
     /// Gathers the given rows into a new matrix.
@@ -1094,17 +1070,10 @@ mod tests {
     }
 
     #[test]
-    fn frobenius_and_trace() {
+    fn frobenius() {
         let a = m(2, 2, &[3.0, 0.0, 4.0, 0.0]);
         assert_eq!(a.frobenius_sq(), 25.0);
         assert_eq!(a.frobenius(), 5.0);
-        assert_eq!(a.trace(), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "trace requires a square matrix")]
-    fn trace_panics_on_rect() {
-        m(1, 2, &[1.0, 2.0]).trace();
     }
 
     #[test]
@@ -1121,12 +1090,8 @@ mod tests {
     }
 
     #[test]
-    fn vstack_and_select_rows() {
-        let a = m(1, 2, &[1.0, 2.0]);
-        let b = m(2, 2, &[3.0, 4.0, 5.0, 6.0]);
-        let s = a.vstack(&b);
-        assert_eq!(s.shape(), (3, 2));
-        assert_eq!(s.row(2), &[5.0, 6.0]);
+    fn select_rows() {
+        let s = m(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let sel = s.select_rows(&[2, 0]);
         assert_eq!(sel, m(2, 2, &[5.0, 6.0, 1.0, 2.0]));
     }

@@ -23,22 +23,19 @@
 //! assert_eq!(y.get(1, 0), 2.0);
 //! ```
 
-pub mod dense;
-pub mod ops;
+mod dense;
+mod ops;
 pub mod parallel;
-pub mod pool;
-pub mod rng;
-pub mod sparse;
+mod pool;
+mod rng;
+mod sparse;
 
 pub use dense::{dot, DenseMatrix};
 pub use ops::{
     approx_error_bi, approx_error_tri, laplacian_quad, mult_update, mult_update_from_parts,
     split_pos_neg, split_pos_neg_into, EPS, FACTOR_FLOOR, MAX_FUSED_K,
 };
-pub use parallel::{
-    max_threads, parallel_work_threshold, set_parallel_work_threshold,
-    DEFAULT_PARALLEL_WORK_THRESHOLD, HARD_THREAD_CAP, MAX_REDUCE_LEN, REDUCE_BLOCK_ROWS,
-};
+pub use parallel::{set_parallel_work_threshold, MAX_REDUCE_LEN, REDUCE_BLOCK_ROWS};
 pub use pool::{pool_threads, set_pool_threads_override};
 pub use rng::{random_factor, random_factor_with, seeded_rng};
 pub use sparse::{CscView, CsrMatrix};

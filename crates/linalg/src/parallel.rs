@@ -3,7 +3,7 @@
 //! Matrix kernels in this workspace are embarrassingly row-parallel: each
 //! output row depends on one input row. Rather than pulling in a thread-pool
 //! dependency we split the output buffer into disjoint row chunks and run
-//! them as tasks on the process-wide [`crate::pool`] — long-lived workers
+//! them as tasks on the process-wide worker pool — long-lived workers
 //! parked on a condvar, replacing the per-call `std::thread::scope` spawns
 //! these primitives used before. Small problems stay single-threaded to
 //! avoid dispatch overhead entirely.
@@ -21,7 +21,7 @@
 //!   paths and the allocation-counting test uses to pin the sequential
 //!   path;
 //! * the *thread budget* — `TGS_THREADS` / detected parallelism clamped to
-//!   [`HARD_THREAD_CAP`], see [`crate::pool::pool_threads`].
+//!   `HARD_THREAD_CAP`, see [`crate::pool::pool_threads`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -31,17 +31,17 @@ use crate::pool;
 /// single-threaded. Pooled dispatch costs far less than the ~10µs thread
 /// spawn it replaced, but waking parked workers is still not free; the
 /// threshold keeps genuinely small kernels inline.
-pub const DEFAULT_PARALLEL_WORK_THRESHOLD: usize = 2_000_000;
+pub(crate) const DEFAULT_PARALLEL_WORK_THRESHOLD: usize = 2_000_000;
 
 /// Hard upper bound on worker threads regardless of core count: the thin
 /// (`rows × k`, small `k`) kernels here are memory-bandwidth-bound well
 /// before this.
-pub const HARD_THREAD_CAP: usize = 32;
+pub(crate) const HARD_THREAD_CAP: usize = 32;
 
 static WORK_THRESHOLD: AtomicUsize = AtomicUsize::new(DEFAULT_PARALLEL_WORK_THRESHOLD);
 
 /// Current work threshold for parallel dispatch.
-pub fn parallel_work_threshold() -> usize {
+pub(crate) fn parallel_work_threshold() -> usize {
     WORK_THRESHOLD.load(Ordering::Relaxed)
 }
 
@@ -54,9 +54,9 @@ pub fn set_parallel_work_threshold(threshold: usize) -> usize {
 }
 
 /// Worker-thread budget: `TGS_THREADS` (or detected parallelism) clamped
-/// to [`HARD_THREAD_CAP`], including any
+/// to `HARD_THREAD_CAP`, including any
 /// [`pool::set_pool_threads_override`] in effect.
-pub fn max_threads() -> usize {
+pub(crate) fn max_threads() -> usize {
     pool::pool_threads()
 }
 

@@ -26,7 +26,7 @@
 //!   Workers are spawned lazily, once.
 //!
 //! One environment knob: `TGS_THREADS` sets the worker-thread budget
-//! (clamped to `1..=`[`HARD_THREAD_CAP`]); default
+//! (clamped to `1..=HARD_THREAD_CAP`); default
 //! `available_parallelism()`. `1` bypasses the pool entirely (pure
 //! sequential dispatch). Workers are not pinned to cores: the OS
 //! scheduler places them.
@@ -51,7 +51,7 @@ static ENV_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Effective thread budget: the runtime override if set, else
 /// `TGS_THREADS`, else `available_parallelism()` — always clamped to
-/// `1..=`[`HARD_THREAD_CAP`]. A budget of `1` disables pooled dispatch.
+/// `1..=HARD_THREAD_CAP`. A budget of `1` disables pooled dispatch.
 pub fn pool_threads() -> usize {
     let ov = THREADS_OVERRIDE.load(Ordering::Relaxed);
     if ov != 0 {
@@ -72,7 +72,7 @@ pub fn pool_threads() -> usize {
 }
 
 /// Overrides the thread budget process-wide (clamped to
-/// `1..=`[`HARD_THREAD_CAP`]); `None` restores the `TGS_THREADS` /
+/// `1..=HARD_THREAD_CAP`); `None` restores the `TGS_THREADS` /
 /// detected default. Returns the previous override. Process-global like
 /// [`crate::parallel::set_parallel_work_threshold`] — concurrent callers
 /// see each other's setting, which is safe because every kernel built on
@@ -228,7 +228,7 @@ fn run_one(job: &Job, t: usize) {
 /// Determinism contract: task-index → work mapping is the caller's;
 /// the pool guarantees only that each index runs once. Tasks for one job
 /// may run concurrently with tasks of other jobs sharing the pool.
-pub fn run_tasks<F>(n_tasks: usize, body: F)
+pub(crate) fn run_tasks<F>(n_tasks: usize, body: F)
 where
     F: Fn(usize) + Sync,
 {
@@ -294,7 +294,7 @@ where
 /// returning the buffer afterwards — so blocked reductions get their
 /// per-block partial slots without allocating in steady state (the
 /// buffer only grows on the first, largest request).
-pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     let mut buf = {
         let mut stack = POOL.scratch.lock().unwrap_or_else(|e| e.into_inner());
         stack.pop().unwrap_or_default()

@@ -269,7 +269,7 @@ impl CsrMatrix {
     }
 
     /// In-place variant of [`CsrMatrix::transpose_mul_dense`].
-    pub fn transpose_mul_dense_into(&self, d: &DenseMatrix, out: &mut DenseMatrix) {
+    pub(crate) fn transpose_mul_dense_into(&self, d: &DenseMatrix, out: &mut DenseMatrix) {
         assert_eq!(
             self.rows,
             d.rows(),
@@ -306,7 +306,7 @@ impl CsrMatrix {
     /// (see `UpdateWorkspace::bind`). The produced structure is
     /// bit-identical to [`CsrMatrix::transpose`] (same counting sort and
     /// fill order).
-    pub fn transpose_into(&self, out: &mut CsrMatrix) {
+    pub(crate) fn transpose_into(&self, out: &mut CsrMatrix) {
         out.rows = self.cols;
         out.cols = self.rows;
         let nnz = self.nnz();
@@ -453,57 +453,6 @@ impl CsrMatrix {
         total
     }
 
-    /// Returns a new matrix scaled by `scalar`.
-    pub fn scale(&self, scalar: f64) -> CsrMatrix {
-        let mut out = self.clone();
-        for v in &mut out.values {
-            *v *= scalar;
-        }
-        out
-    }
-
-    /// Gathers the given rows (in order) into a new CSR matrix with
-    /// `rows.len()` rows and the same column space.
-    pub fn select_rows(&self, rows: &[usize]) -> CsrMatrix {
-        let mut indptr = Vec::with_capacity(rows.len() + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        for &r in rows {
-            assert!(r < self.rows, "select_rows: row {r} out of bounds");
-            let range = self.indptr[r]..self.indptr[r + 1];
-            indices.extend_from_slice(&self.indices[range.clone()]);
-            values.extend_from_slice(&self.values[range]);
-            indptr.push(indices.len());
-        }
-        CsrMatrix {
-            rows: rows.len(),
-            cols: self.cols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
-    /// Vertically stacks `self` on top of `other` (same column count).
-    pub fn vstack(&self, other: &CsrMatrix) -> CsrMatrix {
-        assert_eq!(self.cols, other.cols, "vstack column mismatch");
-        let mut indptr = self.indptr.clone();
-        let offset = *indptr.last().unwrap();
-        indptr.extend(other.indptr[1..].iter().map(|&p| p + offset));
-        let mut indices = self.indices.clone();
-        indices.extend_from_slice(&other.indices);
-        let mut values = self.values.clone();
-        values.extend_from_slice(&other.values);
-        CsrMatrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
     /// Dense rendering (tests / tiny matrices only).
     pub fn to_dense(&self) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.rows, self.cols);
@@ -511,21 +460,6 @@ impl CsrMatrix {
             out.set(r, c, v);
         }
         out
-    }
-
-    /// True when the matrix is structurally symmetric with equal values.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        let t = self.transpose();
-        if t.indptr != self.indptr || t.indices != self.indices {
-            return false;
-        }
-        self.values
-            .iter()
-            .zip(t.values.iter())
-            .all(|(&a, &b)| (a - b).abs() <= tol)
     }
 }
 
@@ -625,31 +559,11 @@ impl CscView {
 
     /// Rebuilds the view for a new matrix, reusing the existing buffers
     /// whenever their capacity suffices (via
-    /// [`CsrMatrix::transpose_into`]). This is the amortized-rebind path:
+    /// `CsrMatrix::transpose_into`). This is the amortized-rebind path:
     /// a solver workspace that re-binds every snapshot refreshes its
     /// cached transposes without per-snapshot allocations once warm.
     pub fn rebind(&mut self, a: &CsrMatrix) {
         a.transpose_into(&mut self.transposed);
-    }
-
-    /// Rows of the *original* matrix.
-    #[inline]
-    #[allow(clippy::misnamed_getters)] // the view is transposed on purpose
-    pub fn rows(&self) -> usize {
-        self.transposed.cols
-    }
-
-    /// Columns of the *original* matrix.
-    #[inline]
-    #[allow(clippy::misnamed_getters)] // the view is transposed on purpose
-    pub fn cols(&self) -> usize {
-        self.transposed.rows
-    }
-
-    /// Stored entries.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.transposed.nnz()
     }
 
     /// `Aᵀ · d` for the original matrix `A`, as a forward CSR pass.
@@ -822,25 +736,5 @@ mod tests {
         let ab = a.matmul_transpose(&b);
         let explicit = m.to_dense().frobenius_inner(&ab);
         assert!((fast - explicit).abs() < 1e-12);
-    }
-
-    #[test]
-    fn select_rows_and_vstack() {
-        let m = sample();
-        let sel = m.select_rows(&[2, 0]);
-        assert_eq!(sel.get(0, 1), 4.0);
-        assert_eq!(sel.get(1, 0), 1.0);
-        let stacked = m.vstack(&sel);
-        assert_eq!(stacked.rows(), 5);
-        assert_eq!(stacked.get(3, 1), 4.0);
-        assert_eq!(stacked.nnz(), m.nnz() + sel.nnz());
-    }
-
-    #[test]
-    fn symmetry_check() {
-        let sym = CsrMatrix::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, 2.0), (0, 0, 1.0)]).unwrap();
-        assert!(sym.is_symmetric(0.0));
-        let asym = CsrMatrix::from_triplets(2, 2, &[(0, 1, 2.0)]).unwrap();
-        assert!(!asym.is_symmetric(0.0));
     }
 }

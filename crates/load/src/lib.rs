@@ -125,8 +125,6 @@ pub struct LoadGen {
     word_zipf: Zipf,
     rng: StdRng,
     step: usize,
-    docs_emitted: u64,
-    retweets_emitted: u64,
 }
 
 impl LoadGen {
@@ -149,14 +147,7 @@ impl LoadGen {
             word_zipf,
             rng,
             step: 0,
-            docs_emitted: 0,
-            retweets_emitted: 0,
         })
-    }
-
-    /// The configuration this stream was built from.
-    pub fn config(&self) -> &LoadConfig {
-        &self.config
     }
 
     /// Snapshots generated so far.
@@ -164,18 +155,8 @@ impl LoadGen {
         self.step
     }
 
-    /// Documents generated so far.
-    pub fn docs_emitted(&self) -> u64 {
-        self.docs_emitted
-    }
-
-    /// Re-tweet edges generated so far.
-    pub fn retweets_emitted(&self) -> u64 {
-        self.retweets_emitted
-    }
-
     /// Timestamp the *next* snapshot will carry.
-    pub fn next_timestamp(&self) -> u64 {
+    pub(crate) fn next_timestamp(&self) -> u64 {
         self.config
             .start_ts
             .saturating_add(self.config.ts_stride.saturating_mul(self.step as u64))
@@ -185,7 +166,7 @@ impl LoadGen {
     /// (pair with `try_ingest_reusable`, which hands rejected snapshots
     /// back). Documents are pre-tokenized so ingest cost is dominated
     /// by assembly and the solver, not string splitting.
-    pub fn fill(&mut self, snap: &mut EngineSnapshot) {
+    pub(crate) fn fill(&mut self, snap: &mut EngineSnapshot) {
         snap.reset(self.next_timestamp());
         let rotation = self.step.wrapping_mul(self.config.drift_stride);
         for doc in 0..self.config.docs_per_step {
@@ -202,11 +183,9 @@ impl LoadGen {
                 for _ in 0..burst {
                     let retweeter = spread(self.user_zipf.sample(&mut self.rng), self.config.users);
                     snap.push_retweet(retweeter, doc);
-                    self.retweets_emitted += 1;
                 }
             }
         }
-        self.docs_emitted += self.config.docs_per_step as u64;
         self.step += 1;
     }
 
@@ -269,8 +248,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.next_snapshot(), b.next_snapshot());
         }
-        assert_eq!(a.docs_emitted(), b.docs_emitted());
-        assert_eq!(a.retweets_emitted(), b.retweets_emitted());
     }
 
     #[test]

@@ -182,7 +182,7 @@ impl TcpShard {
     }
 
     /// The engine slot this handle addresses.
-    pub fn slot(&self) -> u64 {
+    pub(crate) fn slot(&self) -> u64 {
         self.slot
     }
 

@@ -29,7 +29,7 @@ use crate::wire::opcode_named;
 
 /// What an injected fault does to one transport call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// Close the cached connection before the request is written. The
     /// request provably never left, so the client retries internally.
     Drop,
@@ -57,9 +57,9 @@ struct FaultRule {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPolicy {
     /// Base seed of the deterministic decision stream.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// How long a [`FaultKind::Delay`] fault sleeps.
-    pub delay: Duration,
+    pub(crate) delay: Duration,
     rules: Vec<FaultRule>,
 }
 
@@ -126,7 +126,7 @@ impl FaultPolicy {
     /// The policy declared by the `TGS_FAULTS` environment variable, if
     /// any. A malformed spec is reported on stderr and ignored rather
     /// than silently arming a half-parsed schedule.
-    pub fn from_env() -> Option<FaultPolicy> {
+    pub(crate) fn from_env() -> Option<FaultPolicy> {
         let spec = std::env::var("TGS_FAULTS").ok()?;
         if spec.trim().is_empty() {
             return None;
@@ -144,7 +144,7 @@ impl FaultPolicy {
     /// the caller's deterministic stream; it is consulted exactly once
     /// per matching nonzero rule, so the stream advances identically on
     /// every run regardless of which faults fire.
-    pub fn decide(&self, opcode: u8, mut draw: impl FnMut() -> u64) -> Option<FaultKind> {
+    pub(crate) fn decide(&self, opcode: u8, mut draw: impl FnMut() -> u64) -> Option<FaultKind> {
         let mut hit = None;
         for rule in &self.rules {
             if rule.prob <= 0.0 || !(rule.opcode.is_none() || rule.opcode == Some(opcode)) {

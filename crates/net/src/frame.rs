@@ -11,7 +11,7 @@ use std::io::{self, Read, Write};
 
 /// Wire protocol version carried in every frame. Peers reject frames
 /// whose version they do not speak instead of guessing at the layout.
-pub const WIRE_VERSION: u8 = 1;
+pub(crate) const WIRE_VERSION: u8 = 1;
 
 /// Upper bound on a frame body, so a corrupt or hostile length prefix
 /// cannot trigger an unbounded allocation. Checkpoint sections dominate
@@ -21,7 +21,7 @@ pub const MAX_FRAME: usize = 1 << 30;
 /// Response status: the payload is the requested value.
 pub const STATUS_OK: u8 = 0;
 /// Response status: the payload is an encoded [`tgs_core::TgsError`].
-pub const STATUS_ERR: u8 = 1;
+pub(crate) const STATUS_ERR: u8 = 1;
 
 /// Request header: everything before the opcode-specific payload.
 #[derive(Debug, Clone, PartialEq, Eq)]

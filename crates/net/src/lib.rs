@@ -37,11 +37,11 @@
 //!
 //! On top of the transport sit the robustness layers:
 //!
-//! - [`fault`] — deterministic, seeded fault injection
+//! - `fault` — deterministic, seeded fault injection
 //!   ([`FaultPolicy`], `TGS_FAULTS`) that makes a [`TcpShard`] drop,
 //!   delay, truncate, or error-reply with per-opcode probabilities, so
 //!   every failure mode is testable in-process and over loopback TCP.
-//! - [`supervise`] — [`SupervisedShard`] wraps each remote handle with
+//! - `supervise` — [`SupervisedShard`] wraps each remote handle with
 //!   a bounded replay journal and an automatic recovery state machine
 //!   (reconnect with capped jittered backoff, re-`INIT` from the last
 //!   good checkpoint section, replay in order); [`Supervisor`] adds
@@ -52,21 +52,21 @@
 //!   behind the same wire protocol, so `tgs serve --hold` can keep
 //!   answering queries after the stream ends.
 
-pub mod client;
-pub mod fault;
+mod client;
+mod fault;
 pub mod frame;
-pub mod router;
-pub mod server;
-pub mod supervise;
+mod router;
+mod server;
+mod supervise;
 pub mod wire;
 
 pub use client::{NetConfig, TcpShard};
-pub use fault::{FaultKind, FaultPolicy};
+pub use fault::FaultPolicy;
 pub use router::{deploy_fleet, deploy_supervised, RouterEndpoint};
 pub use server::ShardServer;
 pub use supervise::{SupervisedShard, Supervisor, SupervisorConfig};
-pub use wire::ServerInfo;
 
 // Re-exported so downstream code can name the seam without also
 // depending on tgs_engine directly.
 pub use tgs_engine::ShardTransport;
+pub use wire::ServerInfo;

@@ -121,12 +121,6 @@ impl ShardServer {
         self.srv.insert(slot, transport)
     }
 
-    /// Asks the serve loop to wind down (same effect as a `TERMINATE`
-    /// request). Safe from any thread.
-    pub fn stop(&self) {
-        self.srv.stop();
-    }
-
     /// Serves until terminated, then closes the open connections, joins
     /// their threads and shuts every hosted slot down. Blocks the
     /// calling thread.
@@ -339,7 +333,7 @@ mod tests {
     #[test]
     fn stop_handle_unblocks_run_without_a_client() {
         let server = ShardServer::bind("127.0.0.1:0", None).unwrap();
-        server.stop();
+        server.srv.stop();
         server.run().unwrap();
     }
 }

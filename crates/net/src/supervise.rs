@@ -231,20 +231,15 @@ impl SupervisedShard {
         })
     }
 
-    /// The supervised remote endpoint.
-    pub fn endpoint(&self) -> &Arc<TcpShard> {
-        &self.inner
-    }
-
     /// One health probe (a wire `PING`).
-    pub fn probe(&self) -> Result<(), TgsError> {
+    pub(crate) fn probe(&self) -> Result<(), TgsError> {
         self.inner.ping()
     }
 
     /// Runs the recovery state machine without a pending snapshot —
     /// the supervisor's proactive path when probes cross the failure
     /// threshold.
-    pub fn recover(&self) -> Result<(), TgsError> {
+    pub(crate) fn recover(&self) -> Result<(), TgsError> {
         let generation = self.generation.load(Ordering::Relaxed);
         self.recover_locked(&mut self.state.lock(), generation, None)
     }
@@ -276,7 +271,7 @@ impl SupervisedShard {
 
     /// Public refresh entry point (the [`Supervisor`]'s checkpoint
     /// cadence lands here): delta-first baseline advance.
-    pub fn refresh_baseline(&self) -> Result<(), TgsError> {
+    pub(crate) fn refresh_baseline(&self) -> Result<(), TgsError> {
         let mut state = self.state.lock();
         self.refresh_locked(&mut state)
     }
@@ -694,7 +689,7 @@ mod tests {
     }
 
     fn stop(shard: Arc<SupervisedShard>, run: std::thread::JoinHandle<Result<(), TgsError>>) {
-        shard.endpoint().terminate().unwrap();
+        shard.inner.terminate().unwrap();
         run.join().unwrap().unwrap();
     }
 
@@ -735,7 +730,7 @@ mod tests {
             // record's tip live.
             assert_eq!(
                 baseline.fold().unwrap(),
-                shard.endpoint().checkpoint_section().unwrap(),
+                shard.inner.checkpoint_section().unwrap(),
                 "base ⊕ deltas must equal the shard's section"
             );
         }
@@ -753,10 +748,10 @@ mod tests {
         shard.refresh_baseline().unwrap();
         let anchor = shard.state.lock().last_good.as_ref().unwrap().tip.unwrap();
         ingest_day(&shard, &c, days[1]);
-        let d1 = shard.endpoint().delta_since(anchor).unwrap().unwrap();
+        let d1 = shard.inner.delta_since(anchor).unwrap().unwrap();
         let d1 = CheckpointDelta::from_bytes(d1);
         ingest_day(&shard, &c, days[2]);
-        let d2 = shard.endpoint().delta_since(d1.new_id().unwrap());
+        let d2 = shard.inner.delta_since(d1.new_id().unwrap());
         let d2 = CheckpointDelta::from_bytes(d2.unwrap().unwrap());
 
         let mut state = shard.state.lock();
@@ -786,7 +781,7 @@ mod tests {
         assert_eq!(baseline.tip, Some(d2.new_id().unwrap()));
         assert_eq!(
             baseline.fold().unwrap(),
-            shard.endpoint().checkpoint_section().unwrap()
+            shard.inner.checkpoint_section().unwrap()
         );
         drop(state);
         stop(shard, run);

@@ -255,43 +255,43 @@ fn dec_opt<T>(
 }
 
 /// Encodes a bare `u64` payload.
-pub fn enc_u64(v: u64) -> Vec<u8> {
+pub(crate) fn enc_u64(v: u64) -> Vec<u8> {
     encode(|w| w.u64(v))
 }
 
 /// Decodes a bare `u64` payload.
-pub fn dec_u64(payload: &[u8]) -> Result<u64, String> {
+pub(crate) fn dec_u64(payload: &[u8]) -> Result<u64, String> {
     decode(payload, |r| Ok(r.u64("u64 value")?))
 }
 
 /// Decodes a bare `u64` payload holding a count.
-pub fn dec_usize(payload: &[u8]) -> Result<usize, String> {
+pub(crate) fn dec_usize(payload: &[u8]) -> Result<usize, String> {
     decode(payload, |r| Ok(r.usize("u64 value")?))
 }
 
 /// Encodes `Option<u64>` as a presence byte plus the value.
-pub fn enc_opt_u64(v: Option<u64>) -> Vec<u8> {
+pub(crate) fn enc_opt_u64(v: Option<u64>) -> Vec<u8> {
     enc_opt(v.as_ref(), |w, &x| w.u64(x))
 }
 
 /// Decodes [`enc_opt_u64`].
-pub fn dec_opt_u64(payload: &[u8]) -> Result<Option<u64>, String> {
+pub(crate) fn dec_opt_u64(payload: &[u8]) -> Result<Option<u64>, String> {
     dec_opt(payload, |r| r.u64("optional value"))
 }
 
 /// Encodes `Option<Vec<f64>>` (the `user_factor` result).
-pub fn enc_opt_f64s(v: &Option<Vec<f64>>) -> Vec<u8> {
+pub(crate) fn enc_opt_f64s(v: &Option<Vec<f64>>) -> Vec<u8> {
     enc_opt(v.as_deref(), Writer::f64s)
 }
 
 /// Decodes [`enc_opt_f64s`].
-pub fn dec_opt_f64s(payload: &[u8]) -> Result<Option<Vec<f64>>, String> {
+pub(crate) fn dec_opt_f64s(payload: &[u8]) -> Result<Option<Vec<f64>>, String> {
     dec_opt(payload, |r| r.f64s("factor"))
 }
 
 /// Encodes the `checkpoint_base` result: the delta-base mark id plus
 /// the full checkpoint section bytes.
-pub fn enc_id_bytes(id: u64, bytes: &[u8]) -> Vec<u8> {
+pub(crate) fn enc_id_bytes(id: u64, bytes: &[u8]) -> Vec<u8> {
     encode(|w| {
         w.u64(id);
         w.bytes(bytes);
@@ -299,7 +299,7 @@ pub fn enc_id_bytes(id: u64, bytes: &[u8]) -> Vec<u8> {
 }
 
 /// Decodes [`enc_id_bytes`].
-pub fn dec_id_bytes(payload: &[u8]) -> Result<(u64, Vec<u8>), String> {
+pub(crate) fn dec_id_bytes(payload: &[u8]) -> Result<(u64, Vec<u8>), String> {
     decode(payload, |r| {
         let id = r.u64("mark id")?;
         Ok((id, r.bytes("checkpoint section")?.to_vec()))
@@ -309,17 +309,17 @@ pub fn dec_id_bytes(payload: &[u8]) -> Result<(u64, Vec<u8>), String> {
 /// Encodes the `delta_since` result: a presence byte plus the
 /// serialized delta (absent = the mark cannot serve a delta; the
 /// caller re-bases).
-pub fn enc_opt_bytes(v: Option<&[u8]>) -> Vec<u8> {
+pub(crate) fn enc_opt_bytes(v: Option<&[u8]>) -> Vec<u8> {
     enc_opt(v, Writer::bytes)
 }
 
 /// Decodes [`enc_opt_bytes`].
-pub fn dec_opt_bytes(payload: &[u8]) -> Result<Option<Vec<u8>>, String> {
+pub(crate) fn dec_opt_bytes(payload: &[u8]) -> Result<Option<Vec<u8>>, String> {
     dec_opt(payload, |r| Ok(r.bytes("delta bytes")?.to_vec()))
 }
 
 /// Encodes a `u64` list (committed timestamps).
-pub fn enc_u64s(v: &[u64]) -> Vec<u8> {
+pub(crate) fn enc_u64s(v: &[u64]) -> Vec<u8> {
     encode(|w| {
         w.usize(v.len());
         for &x in v {
@@ -329,7 +329,7 @@ pub fn enc_u64s(v: &[u64]) -> Vec<u8> {
 }
 
 /// Decodes [`enc_u64s`].
-pub fn dec_u64s(payload: &[u8]) -> Result<Vec<u64>, String> {
+pub(crate) fn dec_u64s(payload: &[u8]) -> Result<Vec<u64>, String> {
     decode(payload, |r| {
         let n = r.count(8, "u64 list")?;
         Ok((0..n)
@@ -339,7 +339,7 @@ pub fn dec_u64s(payload: &[u8]) -> Result<Vec<u64>, String> {
 }
 
 /// Encodes a string list (the frozen vocabulary's token table).
-pub fn enc_strs(v: &[String]) -> Vec<u8> {
+pub(crate) fn enc_strs(v: &[String]) -> Vec<u8> {
     encode(|w| {
         w.usize(v.len());
         for s in v {
@@ -349,7 +349,7 @@ pub fn enc_strs(v: &[String]) -> Vec<u8> {
 }
 
 /// Decodes [`enc_strs`].
-pub fn dec_strs(payload: &[u8]) -> Result<Vec<String>, String> {
+pub(crate) fn dec_strs(payload: &[u8]) -> Result<Vec<String>, String> {
     decode(payload, |r| {
         let n = r.count(8, "string list")?;
         Ok((0..n)
@@ -492,7 +492,7 @@ pub fn dec_timeline(payload: &[u8]) -> Result<Vec<TimelineEntry>, String> {
 }
 
 /// Encodes one [`UserSentiment`].
-pub fn enc_user_sentiment(s: &UserSentiment) -> Vec<u8> {
+pub(crate) fn enc_user_sentiment(s: &UserSentiment) -> Vec<u8> {
     encode(|w| {
         w.usize(s.user);
         w.u64(s.timestamp);
@@ -501,7 +501,7 @@ pub fn enc_user_sentiment(s: &UserSentiment) -> Vec<u8> {
 }
 
 /// Decodes [`enc_user_sentiment`].
-pub fn dec_user_sentiment(payload: &[u8]) -> Result<UserSentiment, String> {
+pub(crate) fn dec_user_sentiment(payload: &[u8]) -> Result<UserSentiment, String> {
     decode(payload, |r| {
         Ok(UserSentiment {
             user: r.usize("user")?,
@@ -512,7 +512,7 @@ pub fn dec_user_sentiment(payload: &[u8]) -> Result<UserSentiment, String> {
 }
 
 /// Encodes a user's full observation history.
-pub fn enc_user_timeline(rows: &[(u64, Vec<f64>)]) -> Vec<u8> {
+pub(crate) fn enc_user_timeline(rows: &[(u64, Vec<f64>)]) -> Vec<u8> {
     encode(|w| {
         w.usize(rows.len());
         for (key, dist) in rows {
@@ -523,7 +523,7 @@ pub fn enc_user_timeline(rows: &[(u64, Vec<f64>)]) -> Vec<u8> {
 }
 
 /// Decodes [`enc_user_timeline`].
-pub fn dec_user_timeline(payload: &[u8]) -> Result<Vec<(u64, Vec<f64>)>, String> {
+pub(crate) fn dec_user_timeline(payload: &[u8]) -> Result<Vec<(u64, Vec<f64>)>, String> {
     decode(payload, |r| {
         let n = r.count(16, "observation count")?;
         let mut rows = Vec::with_capacity(n);
@@ -536,7 +536,7 @@ pub fn dec_user_timeline(payload: &[u8]) -> Result<Vec<(u64, Vec<f64>)>, String>
 }
 
 /// Encodes one [`ClusterSummary`].
-pub fn enc_cluster_summary(s: &ClusterSummary) -> Vec<u8> {
+pub(crate) fn enc_cluster_summary(s: &ClusterSummary) -> Vec<u8> {
     encode(|w| {
         w.u64(s.timestamp);
         w.usizes(&s.tweet_counts);
@@ -546,7 +546,7 @@ pub fn enc_cluster_summary(s: &ClusterSummary) -> Vec<u8> {
 }
 
 /// Decodes [`enc_cluster_summary`].
-pub fn dec_cluster_summary(payload: &[u8]) -> Result<ClusterSummary, String> {
+pub(crate) fn dec_cluster_summary(payload: &[u8]) -> Result<ClusterSummary, String> {
     decode(payload, |r| {
         Ok(ClusterSummary {
             timestamp: r.u64("summary timestamp")?,
@@ -659,7 +659,7 @@ pub struct ServerInfo {
 
 /// Encodes a [`ServerInfo`]: the optional range (presence byte, then
 /// `lo`, `hi`), then the slot count.
-pub fn enc_server_info(info: &ServerInfo) -> Vec<u8> {
+pub(crate) fn enc_server_info(info: &ServerInfo) -> Vec<u8> {
     encode(|w| {
         match info.range {
             Some((lo, hi)) => {
@@ -674,7 +674,7 @@ pub fn enc_server_info(info: &ServerInfo) -> Vec<u8> {
 }
 
 /// Decodes [`enc_server_info`].
-pub fn dec_server_info(payload: &[u8]) -> Result<ServerInfo, String> {
+pub(crate) fn dec_server_info(payload: &[u8]) -> Result<ServerInfo, String> {
     decode(payload, |r| {
         let range = match r.u8("range tag")? {
             0 => None,
@@ -756,7 +756,7 @@ pub fn enc_error(e: &TgsError) -> Vec<u8> {
 
 /// Decodes [`enc_error`]. A malformed error payload itself decodes as a
 /// [`TgsError::Net`] against `peer`.
-pub fn dec_error(payload: &[u8], peer: &str) -> TgsError {
+pub(crate) fn dec_error(payload: &[u8], peer: &str) -> TgsError {
     match try_dec_error(payload) {
         Ok(e) => e,
         Err(detail) => TgsError::net(peer, format!("malformed error response: {detail}")),

@@ -25,19 +25,6 @@ impl Lexicon {
         Self::default()
     }
 
-    /// Builds a lexicon from "yes"(positive) and "no"(negative) word
-    /// lists, mirroring the paper's automatically built ballot lexicon.
-    pub fn from_word_lists<S: AsRef<str>>(positive: &[S], negative: &[S]) -> Self {
-        let mut lex = Self::new();
-        for w in positive {
-            lex.insert(w.as_ref(), Sentiment::Positive);
-        }
-        for w in negative {
-            lex.insert(w.as_ref(), Sentiment::Negative);
-        }
-        lex
-    }
-
     /// Adds or replaces a word's class.
     pub fn insert(&mut self, word: &str, class: Sentiment) {
         self.entries.insert(word.to_lowercase(), class);
@@ -107,32 +94,19 @@ impl Lexicon {
     }
 }
 
-/// Simple lexicon-only classifier: sums class votes of a document's
-/// tokens. Used as a trivial baseline and for sanity checks.
-pub fn lexicon_vote(lexicon: &Lexicon, tokens: &[String]) -> Option<Sentiment> {
-    let mut pos = 0usize;
-    let mut neg = 0usize;
-    for t in tokens {
-        match lexicon.class_of(t) {
-            Some(Sentiment::Positive) => pos += 1,
-            Some(Sentiment::Negative) => neg += 1,
-            _ => {}
-        }
-    }
-    match pos.cmp(&neg) {
-        std::cmp::Ordering::Greater => Some(Sentiment::Positive),
-        std::cmp::Ordering::Less => Some(Sentiment::Negative),
-        std::cmp::Ordering::Equal if pos > 0 => Some(Sentiment::Neutral),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn lex() -> Lexicon {
-        Lexicon::from_word_lists(&["yeson37", "labelgmo", "safe"], &["noprop37", "evil"])
+        let mut lex = Lexicon::new();
+        for w in ["yeson37", "labelgmo", "safe"] {
+            lex.insert(w, Sentiment::Positive);
+        }
+        for w in ["noprop37", "evil"] {
+            lex.insert(w, Sentiment::Negative);
+        }
+        lex
     }
 
     #[test]
@@ -181,24 +155,5 @@ mod tests {
         let l = lex();
         let vocab = Vocabulary::from_tokens(["yeson37", "evil", "corn", "farmer"]);
         assert!((l.coverage(&vocab) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn vote_majority_and_ties() {
-        let l = lex();
-        let toks = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            lexicon_vote(&l, &toks(&["safe", "evil", "labelgmo"])),
-            Some(Sentiment::Positive)
-        );
-        assert_eq!(
-            lexicon_vote(&l, &toks(&["evil", "noprop37"])),
-            Some(Sentiment::Negative)
-        );
-        assert_eq!(
-            lexicon_vote(&l, &toks(&["safe", "evil"])),
-            Some(Sentiment::Neutral)
-        );
-        assert_eq!(lexicon_vote(&l, &toks(&["corn"])), None);
     }
 }

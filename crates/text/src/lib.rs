@@ -6,27 +6,29 @@
 //! the `Sf0` feature–sentiment prior.
 //!
 //! ```
-//! use tgs_text::{build_from_tokens, tokenize_features, Lexicon, PipelineConfig};
+//! use tgs_text::{build_from_tokens, tokenize_features, Lexicon, PipelineConfig, Sentiment};
 //!
 //! let texts = ["I love #gmo labeling :)", "no on 37, gmo crops are safe"];
 //! let mut cfg = PipelineConfig::paper_defaults();
 //! cfg.vocab.min_count = 1;
 //! let docs: Vec<Vec<String>> = texts.iter().map(|t| tokenize_features(t, &cfg.tokenizer)).collect();
-//! let lexicon = Lexicon::from_word_lists(&["love"], &["no"]);
+//! let mut lexicon = Lexicon::new();
+//! lexicon.insert("love", Sentiment::Positive);
+//! lexicon.insert("no", Sentiment::Negative);
 //! let m = build_from_tokens(&docs, &[0, 1], 2, &lexicon, 3, &cfg);
 //! assert_eq!(m.xp.rows(), 2);
 //! ```
 
-pub mod lexicon;
-pub mod pipeline;
-pub mod sentiment;
-pub mod tfidf;
-pub mod token;
-pub mod vocab;
+mod lexicon;
+mod pipeline;
+mod sentiment;
+mod tfidf;
+mod token;
+mod vocab;
 
-pub use lexicon::{lexicon_vote, Lexicon};
+pub use lexicon::Lexicon;
 pub use pipeline::{build_from_tokens, PipelineConfig, TextMatrices};
 pub use sentiment::Sentiment;
 pub use tfidf::{doc_feature_matrix, user_feature_matrix, Weighting};
 pub use token::{tokenize, tokenize_features, tokenize_features_into, Token, TokenizerConfig};
-pub use vocab::{VocabConfig, Vocabulary, STOPWORDS};
+pub use vocab::{VocabConfig, Vocabulary};

@@ -117,7 +117,15 @@ mod tests {
             "Love this Yes on #Prop37 add :)",
         ];
         let users = vec![0, 1, 1, 0];
-        let lexicon = Lexicon::from_word_lists(&["love", "support"], &["evil", "risk"]);
+        let mut lexicon = Lexicon::new();
+        for (w, class) in [
+            ("love", Sentiment::Positive),
+            ("support", Sentiment::Positive),
+            ("evil", Sentiment::Negative),
+            ("risk", Sentiment::Negative),
+        ] {
+            lexicon.insert(w, class);
+        }
         let mut cfg = PipelineConfig::paper_defaults();
         cfg.vocab.min_count = 1;
         let out = build_from_tokens(&tokenized(&texts, &cfg), &users, 2, &lexicon, 3, &cfg);

@@ -22,7 +22,7 @@ impl Token {
     /// The token's feature string as used in the vocabulary. Hashtags keep
     /// a `#` prefix and mentions a `@` prefix so they remain distinct
     /// features from plain words; emoticons are kept verbatim.
-    pub fn feature(&self) -> String {
+    pub(crate) fn feature(&self) -> String {
         match self {
             Token::Word(w) => w.clone(),
             Token::Hashtag(h) => format!("#{h}"),

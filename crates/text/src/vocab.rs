@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 /// A small built-in English stopword list. Stopwords carry no sentiment
 /// and would otherwise dominate the tf-idf mass of the feature layer.
-pub const STOPWORDS: &[&str] = &[
+pub(crate) const STOPWORDS: &[&str] = &[
     "a", "an", "the", "and", "or", "but", "if", "then", "than", "so", "of", "at", "by", "for",
     "with", "about", "into", "through", "to", "from", "in", "out", "on", "off", "over", "under",
     "again", "once", "here", "there", "all", "any", "both", "each", "few", "more", "most", "other",

@@ -81,32 +81,25 @@ pub use tgs_text as text;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use tgs_baselines::{
-        kmeans, propagate_labels, solve_bacg, solve_essa, solve_onmtf, subsample_labels, userreg,
-        BacgConfig, EssaConfig, FullBatch, KMeansConfig, LabelPropConfig, LinearSvm, MiniBatch,
-        NaiveBayes, SvmConfig, UserRegConfig,
+        propagate_labels, solve_bacg, solve_essa, subsample_labels, userreg, BacgConfig,
+        EssaConfig, FullBatch, LabelPropConfig, LinearSvm, MiniBatch, NaiveBayes, SvmConfig,
+        UserRegConfig,
     };
     pub use tgs_core::{
-        solve_offline, try_solve_offline, InitStrategy, ObjectiveParts, OfflineConfig,
-        OnlineConfig, OnlineSolver, SnapshotData, TgsError, TgsErrorKind, TriFactors, TriInput,
+        solve_offline, try_solve_offline, OfflineConfig, OnlineConfig, OnlineSolver, SnapshotData,
+        TgsError, TgsErrorKind, TriInput,
     };
     pub use tgs_data::{
-        build_offline, corpus_stats, daily_tweet_counts, day_windows, generate, presets, top_words,
-        Corpus, GeneratorConfig, PartitionMap, ProblemInstance, RepartitionOp, RepartitionPlan,
-        SnapshotBuilder,
+        build_offline, corpus_stats, daily_tweet_counts, day_windows, generate, presets, Corpus,
+        GeneratorConfig, SnapshotBuilder,
     };
     pub use tgs_engine::{
-        BatchPolicy, BatchingIngest, CheckpointDelta, ClusterSummary, Coverage, EngineBuilder,
-        EngineCheckpoint, EngineDoc, EngineQuery, EngineSnapshot, EngineStats, FleetTips,
-        LatencyHistogram, Partial, RecoveryCounters, SentimentEngine, ShardedCheckpoint,
-        ShardedDelta, ShardedEngine, ShardedQuery, TimelineEntry, UserSentiment,
+        BatchPolicy, CheckpointDelta, EngineBuilder, EngineCheckpoint, EngineSnapshot, EngineStats,
+        LatencyHistogram, SentimentEngine, ShardedCheckpoint, ShardedDelta, ShardedEngine,
+        TimelineEntry,
     };
-    pub use tgs_eval::{clustering_accuracy, nmi, ConfusionMatrix};
-    pub use tgs_graph::UserGraph;
-    pub use tgs_linalg::{CsrMatrix, DenseMatrix};
+    pub use tgs_eval::{clustering_accuracy, nmi};
+    pub use tgs_linalg::DenseMatrix;
     pub use tgs_load::{LoadConfig, LoadGen};
-    pub use tgs_net::{
-        deploy_fleet, deploy_supervised, FaultPolicy, NetConfig, RouterEndpoint, ShardServer,
-        Supervisor, SupervisorConfig, TcpShard,
-    };
-    pub use tgs_text::{Lexicon, PipelineConfig, Sentiment, Vocabulary};
+    pub use tgs_text::{PipelineConfig, Sentiment, Vocabulary};
 }

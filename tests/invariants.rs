@@ -69,7 +69,8 @@ proptest! {
             prop_assert!((s - 1.0).abs() < 1e-9);
         }
         // the graph is symmetric with zero diagonal
-        prop_assert!(inst.graph.adjacency().is_symmetric(1e-12));
+        let adjacency = inst.graph.adjacency();
+        prop_assert_eq!(&adjacency.transpose(), adjacency);
     }
 
     #[test]
