@@ -25,9 +25,13 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> paper binaries (small scale; a panicking table or figure fails CI)"
+rm -rf target/experiments-smoke
 for bin in run_all ablations obs2_correlation; do
     TGS_OUTPUT_DIR=target/experiments-smoke "./target/release/$bin" > /dev/null
 done
+
+echo "==> paper tables match their pins (a moved cluster fails CI)"
+./scripts/paper_tables.sh target/experiments-smoke
 
 echo "==> cargo test -q"
 cargo test --workspace -q

@@ -7,6 +7,7 @@
 //! clustering from structure + content, but with no tweet layer and no
 //! lexicon).
 
+use tgs_core::converge;
 use tgs_graph::UserGraph;
 use tgs_linalg::{
     approx_error_bi, laplacian_quad, mult_update, random_factor_with, seeded_rng, CsrMatrix,
@@ -70,8 +71,8 @@ pub fn solve_bacg(xu: &CsrMatrix, graph: &UserGraph, config: &BacgConfig) -> Bac
             + config.beta * laplacian_quad(graph.adjacency(), degrees, su)
     };
 
-    let mut prev = objective(&su, &w);
-    for _ in 0..config.max_iters {
+    let initial = objective(&su, &w);
+    converge(initial, config.max_iters, config.tol, false, || {
         // Su ← Su ∘ sqrt((Xu·Wᵀ + β·Gu·Su) / (Su·W·Wᵀ + β·Du·Su))
         {
             let num_base = xu.mul_dense(&w.transpose());
@@ -94,12 +95,8 @@ pub fn solve_bacg(xu: &CsrMatrix, graph: &UserGraph, config: &BacgConfig) -> Bac
             let den = su.gram().matmul(&w);
             mult_update(&mut w, &num, &den);
         }
-        let cur = objective(&su, &w);
-        if (prev - cur).abs() / prev.abs().max(1.0) < config.tol {
-            break;
-        }
-        prev = cur;
-    }
+        objective(&su, &w)
+    });
     BacgResult { su }
 }
 

@@ -9,6 +9,7 @@
 //! switched off. Neither sees users or the social graph — that gap is
 //! exactly what the tri-clustering framework adds.
 
+use tgs_core::converge;
 use tgs_linalg::{
     approx_error_tri, laplacian_quad, mult_update, random_factor_with, seeded_rng, CsrMatrix,
     DenseMatrix,
@@ -89,8 +90,8 @@ pub fn solve_essa(
         obj
     };
 
-    let mut prev = objective(&sp, &h, &sf);
-    for _ in 0..config.max_iters {
+    let initial = objective(&sp, &h, &sf);
+    converge(initial, config.max_iters, config.tol, false, || {
         // Sp update (graph-regularized NMF form)
         {
             let xp_sf_ht = xp.mul_dense(&sf).matmul_transpose(&h);
@@ -124,12 +125,8 @@ pub fn solve_essa(
             den.axpy(config.alpha, &sf);
             mult_update(&mut sf, &num, &den);
         }
-        let cur = objective(&sp, &h, &sf);
-        if (prev - cur).abs() / prev.abs().max(1.0) < config.tol {
-            break;
-        }
-        prev = cur;
-    }
+        objective(&sp, &h, &sf)
+    });
     EssaResult { sp }
 }
 
@@ -246,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn graph_regularization_does_not_break_monotonicity() {
+    fn graph_regularization_keeps_factors_nonnegative() {
         let (xp, sf0, _) = planted(30, 16, 4);
         let g = emotional_signal_graph(&xp, &sf0, 3);
         let cfg = EssaConfig {

@@ -1,7 +1,10 @@
-//! Streaming evaluation drivers: run online / mini-batch / full-batch
-//! over a corpus's daily snapshots and record per-timestamp runtime and
-//! accuracy (the machinery behind Figs. 11–12 and the "online" rows of
-//! Tables 4–5).
+//! Streaming evaluation: run online / mini-batch / full-batch over a
+//! corpus's daily snapshots and record per-timestamp runtime and accuracy
+//! (the machinery behind Figs. 11–12 and the "online" rows of Tables
+//! 4–5). One private loop, `run_stream`, walks the snapshots and keeps
+//! the per-step records, the global labels and the user votes; each
+//! public runner only says how to solve one snapshot, and times the
+//! solve alone, not the label extraction.
 
 use std::time::{Duration, Instant};
 
@@ -101,13 +104,45 @@ fn eval_snapshot(
     (tweet_acc, tweet_floor, user_acc)
 }
 
-fn finish(
-    steps: Vec<StepRecord>,
-    user_last: Vec<Option<usize>>,
-    user_votes: Vec<[u32; 3]>,
-    tweet_pred: Vec<usize>,
+/// Walks the corpus's `window_days` snapshots, skipping empty ones, and
+/// scores each with the labels `solve` returns for it: `solve(snapshot,
+/// hi)` gives `(tweet labels, user labels, solve time)` in the snapshot's
+/// row order, where `hi` ends the snapshot's day range.
+fn run_stream(
     corpus: &Corpus,
+    builder: &SnapshotBuilder,
+    window_days: u32,
+    mut solve: impl FnMut(&SnapshotInstance, u32) -> (Vec<usize>, Vec<usize>, Duration),
 ) -> StreamEval {
+    let mut steps = Vec::new();
+    let mut user_last: Vec<Option<usize>> = vec![None; corpus.num_users()];
+    let mut user_votes: Vec<[u32; 3]> = vec![[0; 3]; corpus.num_users()];
+    let mut tweet_pred = vec![0usize; corpus.num_tweets()];
+    for (lo, hi) in day_windows(corpus.num_days, window_days) {
+        let snap = builder.snapshot(corpus, lo, hi);
+        if snap.tweet_ids.is_empty() {
+            continue;
+        }
+        let (tweet_labels, user_labels, elapsed) = solve(&snap, hi);
+        let (tweet_acc, tweet_floor, user_acc) =
+            eval_snapshot(&snap, corpus, &tweet_labels, &user_labels);
+        for (row, &id) in snap.tweet_ids.iter().enumerate() {
+            tweet_pred[id] = tweet_labels[row];
+        }
+        for (row, &u) in snap.user_ids.iter().enumerate() {
+            user_last[u] = Some(user_labels[row]);
+            user_votes[u][user_labels[row].min(2)] += 1;
+        }
+        steps.push(StepRecord {
+            lo,
+            n_t: snap.tweet_ids.len(),
+            elapsed,
+            tweet_acc,
+            tweet_floor,
+            user_acc,
+        });
+    }
+
     let total_weight: usize = steps.iter().map(|s| s.n_t).sum();
     let weighted = |acc: fn(&StepRecord) -> f64| {
         if total_weight == 0 {
@@ -155,43 +190,16 @@ pub fn run_online_stream(
     window_days: u32,
 ) -> StreamEval {
     let mut solver = OnlineSolver::new(config.clone());
-    let mut steps = Vec::new();
-    let mut user_last: Vec<Option<usize>> = vec![None; corpus.num_users()];
-    let mut user_votes: Vec<[u32; 3]> = vec![[0; 3]; corpus.num_users()];
-    let mut tweet_pred = vec![0usize; corpus.num_tweets()];
-    for (lo, hi) in day_windows(corpus.num_days, window_days) {
-        let snap = builder.snapshot(corpus, lo, hi);
-        if snap.tweet_ids.is_empty() {
-            continue;
-        }
-        let input = snapshot_input(&snap, builder);
+    run_stream(corpus, builder, window_days, |snap, _| {
+        let input = snapshot_input(snap, builder);
         let start = Instant::now();
         let result = solver.step(&SnapshotData {
             input,
             user_ids: &snap.user_ids,
         });
         let elapsed = start.elapsed();
-        let tweet_labels = result.tweet_labels();
-        let user_labels = result.user_labels();
-        let (tweet_acc, tweet_floor, user_acc) =
-            eval_snapshot(&snap, corpus, &tweet_labels, &user_labels);
-        for (row, &id) in snap.tweet_ids.iter().enumerate() {
-            tweet_pred[id] = tweet_labels[row];
-        }
-        for (row, &u) in snap.user_ids.iter().enumerate() {
-            user_last[u] = Some(user_labels[row]);
-            user_votes[u][user_labels[row].min(2)] += 1;
-        }
-        steps.push(StepRecord {
-            lo,
-            n_t: snap.tweet_ids.len(),
-            elapsed,
-            tweet_acc,
-            tweet_floor,
-            user_acc,
-        });
-    }
-    finish(steps, user_last, user_votes, tweet_pred, corpus)
+        (result.tweet_labels(), result.user_labels(), elapsed)
+    })
 }
 
 /// Runs the mini-batch strawman (offline solver on each snapshot
@@ -203,38 +211,14 @@ pub(crate) fn run_minibatch_stream(
     window_days: u32,
 ) -> StreamEval {
     let mut driver = MiniBatch::new(config.clone());
-    let mut steps = Vec::new();
-    let mut user_last: Vec<Option<usize>> = vec![None; corpus.num_users()];
-    let mut user_votes: Vec<[u32; 3]> = vec![[0; 3]; corpus.num_users()];
-    let mut tweet_pred = vec![0usize; corpus.num_tweets()];
-    for (lo, hi) in day_windows(corpus.num_days, window_days) {
-        let snap = builder.snapshot(corpus, lo, hi);
-        if snap.tweet_ids.is_empty() {
-            continue;
-        }
-        let input = snapshot_input(&snap, builder);
-        let timed = driver.step(&input);
-        let tweet_labels = timed.result.tweet_labels();
-        let user_labels = timed.result.user_labels();
-        let (tweet_acc, tweet_floor, user_acc) =
-            eval_snapshot(&snap, corpus, &tweet_labels, &user_labels);
-        for (row, &id) in snap.tweet_ids.iter().enumerate() {
-            tweet_pred[id] = tweet_labels[row];
-        }
-        for (row, &u) in snap.user_ids.iter().enumerate() {
-            user_last[u] = Some(user_labels[row]);
-            user_votes[u][user_labels[row].min(2)] += 1;
-        }
-        steps.push(StepRecord {
-            lo,
-            n_t: snap.tweet_ids.len(),
-            elapsed: timed.elapsed,
-            tweet_acc,
-            tweet_floor,
-            user_acc,
-        });
-    }
-    finish(steps, user_last, user_votes, tweet_pred, corpus)
+    run_stream(corpus, builder, window_days, |snap, _| {
+        let timed = driver.step(&snapshot_input(snap, builder));
+        (
+            timed.result.tweet_labels(),
+            timed.result.user_labels(),
+            timed.elapsed,
+        )
+    })
 }
 
 /// Runs the full-batch strawman: at each timestamp, re-solve on *all*
@@ -246,19 +230,10 @@ pub(crate) fn run_fullbatch_stream(
     window_days: u32,
 ) -> StreamEval {
     let mut driver = FullBatch::new(config.clone());
-    let mut steps = Vec::new();
-    let mut user_last: Vec<Option<usize>> = vec![None; corpus.num_users()];
-    let mut user_votes: Vec<[u32; 3]> = vec![[0; 3]; corpus.num_users()];
-    let mut tweet_pred = vec![0usize; corpus.num_tweets()];
-    for (lo, hi) in day_windows(corpus.num_days, window_days) {
-        let snap = builder.snapshot(corpus, lo, hi);
-        if snap.tweet_ids.is_empty() {
-            continue;
-        }
+    run_stream(corpus, builder, window_days, |snap, hi| {
         // Cumulative instance over days [0, hi).
         let cumulative = builder.snapshot(corpus, 0, hi);
-        let input = snapshot_input(&cumulative, builder);
-        let timed = driver.step(&input);
+        let timed = driver.step(&snapshot_input(&cumulative, builder));
         let all_tweet_labels = timed.result.tweet_labels();
         let all_user_labels = timed.result.user_labels();
         // Slice out the current snapshot's tweets/users.
@@ -284,25 +259,8 @@ pub(crate) fn run_fullbatch_stream(
             .iter()
             .map(|id| all_user_labels[user_pos[id]])
             .collect();
-        let (tweet_acc, tweet_floor, user_acc) =
-            eval_snapshot(&snap, corpus, &tweet_labels, &user_labels);
-        for (row, &id) in snap.tweet_ids.iter().enumerate() {
-            tweet_pred[id] = tweet_labels[row];
-        }
-        for (row, &u) in snap.user_ids.iter().enumerate() {
-            user_last[u] = Some(user_labels[row]);
-            user_votes[u][user_labels[row].min(2)] += 1;
-        }
-        steps.push(StepRecord {
-            lo,
-            n_t: snap.tweet_ids.len(),
-            elapsed: timed.elapsed,
-            tweet_acc,
-            tweet_floor,
-            user_acc,
-        });
-    }
-    finish(steps, user_last, user_votes, tweet_pred, corpus)
+        (tweet_labels, user_labels, timed.elapsed)
+    })
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use tgs_linalg::{DenseMatrix, FACTOR_FLOOR};
 use crate::config::OfflineConfig;
 use crate::factors::TriFactors;
 use crate::input::TriInput;
-use crate::objective::offline_objective;
+use crate::objective::{converge, offline_objective};
 use crate::offline::OfflineResult;
 use crate::updates::{
     balance_init_scales, update_hp, update_hu, update_sf, update_sp_guided, update_su_online,
@@ -127,53 +127,42 @@ pub fn solve_guided(
     }
     balance_init_scales(input, &mut factors);
 
-    let mut history = Vec::new();
-    let mut prev = offline_objective(input, &factors, config.base.alpha, config.base.beta);
-    if config.base.track_objective {
-        history.push(prev);
-    }
-    let mut converged = false;
-    let mut iterations = 0;
-    for it in 0..config.base.max_iters {
-        update_sp_guided(
-            input,
-            &mut factors,
-            config.delta,
-            &sp_free,
-            &sp_rows,
-            &sp_targets,
-        );
-        update_hp(input, &mut factors);
-        update_su_online(
-            input,
-            &mut factors,
-            config.base.beta,
-            config.delta,
-            &su_free,
-            &su_rows,
-            &su_targets,
-        );
-        update_hu(input, &mut factors);
-        update_sf(input, &mut factors, config.base.alpha, input.sf0);
-        iterations = it + 1;
-        let cur = offline_objective(input, &factors, config.base.alpha, config.base.beta);
-        if config.base.track_objective {
-            history.push(cur);
-        }
-        let denom = prev.total().abs().max(1.0);
-        if (prev.total() - cur.total()).abs() / denom < config.base.tol {
-            prev = cur;
-            converged = true;
-            break;
-        }
-        prev = cur;
-    }
+    let initial = offline_objective(input, &factors, config.base.alpha, config.base.beta);
+    let run = converge(
+        initial,
+        config.base.max_iters,
+        config.base.tol,
+        config.base.track_objective,
+        || {
+            update_sp_guided(
+                input,
+                &mut factors,
+                config.delta,
+                &sp_free,
+                &sp_rows,
+                &sp_targets,
+            );
+            update_hp(input, &mut factors);
+            update_su_online(
+                input,
+                &mut factors,
+                config.base.beta,
+                config.delta,
+                &su_free,
+                &su_rows,
+                &su_targets,
+            );
+            update_hu(input, &mut factors);
+            update_sf(input, &mut factors, config.base.alpha, input.sf0);
+            offline_objective(input, &factors, config.base.alpha, config.base.beta)
+        },
+    );
     OfflineResult {
         factors,
-        history,
-        iterations,
-        converged,
-        objective: prev.total(),
+        history: run.history,
+        iterations: run.iterations,
+        converged: run.converged,
+        objective: run.last.total(),
     }
 }
 

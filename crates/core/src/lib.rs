@@ -59,7 +59,7 @@ pub use extensions::{solve_guided, Guidance, GuidedConfig};
 pub use factors::{InitStrategy, TriFactors};
 pub use input::TriInput;
 pub use labels::label_confidence;
-pub use objective::{offline_objective, ObjectiveParts};
+pub use objective::{converge, offline_objective, Convergence, ObjectiveParts, ObjectiveValue};
 pub use offline::{solve_offline, try_solve_offline, OfflineResult};
 pub use online::{MigratedUsers, OnlineSolver, OnlineSolverState, OnlineStepResult, SnapshotData};
 pub use store::{decode_matrix, encode_matrix, SnapshotStore};

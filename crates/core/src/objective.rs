@@ -40,6 +40,78 @@ impl ObjectiveParts {
     }
 }
 
+/// An objective value [`converge`] can test: a solver's whole objective
+/// record, and the scalar its stopping rule compares.
+pub trait ObjectiveValue: Copy {
+    /// The objective's value.
+    fn value(&self) -> f64;
+}
+
+impl ObjectiveValue for ObjectiveParts {
+    fn value(&self) -> f64 {
+        self.total()
+    }
+}
+
+impl ObjectiveValue for f64 {
+    fn value(&self) -> f64 {
+        *self
+    }
+}
+
+/// What [`converge`] returns.
+#[derive(Debug)]
+pub struct Convergence<T> {
+    /// The initial value, then one value per sweep (empty unless tracked).
+    pub history: Vec<T>,
+    /// Sweeps run.
+    pub iterations: usize,
+    /// Whether the tolerance was met before `max_iters`.
+    pub converged: bool,
+    /// The value after the last sweep (`initial` if none ran).
+    pub last: T,
+}
+
+/// The stopping rule of Algorithms 1 and 2, shared by every
+/// multiplicative solver: runs `sweep` (one round of updates, returning
+/// the objective after it) until the relative change
+/// `|prev − cur| / max(|prev|, 1)` falls below `tol`, or `max_iters`
+/// sweeps have run. With `track`, the history holds `initial` and every
+/// sweep's value; without it nothing is allocated.
+pub fn converge<T: ObjectiveValue>(
+    initial: T,
+    max_iters: usize,
+    tol: f64,
+    track: bool,
+    mut sweep: impl FnMut() -> T,
+) -> Convergence<T> {
+    let mut history = Vec::new();
+    if track {
+        history.push(initial);
+    }
+    let mut prev = initial;
+    let mut converged = false;
+    let mut iterations = 0;
+    while iterations < max_iters {
+        let cur = sweep();
+        iterations += 1;
+        if track {
+            history.push(cur);
+        }
+        converged = (prev.value() - cur.value()).abs() / prev.value().abs().max(1.0) < tol;
+        prev = cur;
+        if converged {
+            break;
+        }
+    }
+    Convergence {
+        history,
+        iterations,
+        converged,
+        last: prev,
+    }
+}
+
 /// Evaluates the offline objective (Eq. 1).
 pub fn offline_objective(
     input: &TriInput<'_>,
@@ -214,5 +286,34 @@ mod tests {
         let parts = online_objective(&input, &factors, 0.0, &sf0, 0.0, 0.5, Some(&target), &[1]);
         // ||(0,1) - (0,0)||² = 1, scaled by γ=0.5
         assert!((parts.temporal_user - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn converge_stops_at_the_first_sweep_below_tol() {
+        // Relative changes 0.5, 0.2, 0.05, 0.0125: the third is the
+        // first below 0.1.
+        let values = [50.0, 40.0, 38.0, 37.525];
+        let mut next = values.iter().copied();
+        let run = converge(100.0, 10, 0.1, true, || next.next().unwrap());
+        assert_eq!(run.iterations, 3);
+        assert!(run.converged);
+        assert_eq!(run.last, 38.0);
+        assert_eq!(run.history, vec![100.0, 50.0, 40.0, 38.0]);
+    }
+
+    #[test]
+    fn converge_runs_max_iters_when_the_change_stays_above_tol() {
+        // Each sweep halves the value: a relative change of 0.5 each time.
+        let mut value = 64.0;
+        let mut sweeps = 0;
+        let run = converge(value, 7, 0.1, false, || {
+            sweeps += 1;
+            value /= 2.0;
+            value
+        });
+        assert_eq!((run.iterations, sweeps), (7, 7));
+        assert!(!run.converged);
+        assert_eq!(run.last, 0.5);
+        assert!(run.history.is_empty());
     }
 }

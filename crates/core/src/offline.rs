@@ -4,7 +4,7 @@ use crate::config::OfflineConfig;
 use crate::error::TgsError;
 use crate::factors::TriFactors;
 use crate::input::TriInput;
-use crate::objective::{offline_objective, ObjectiveParts};
+use crate::objective::{converge, offline_objective, ObjectiveParts};
 use crate::workspace::UpdateWorkspace;
 
 /// Result of an offline solve.
@@ -60,44 +60,33 @@ pub fn try_solve_offline(
     let mut workspace = UpdateWorkspace::new();
     workspace.bind(input);
     workspace.balance_init_scales(input, &mut factors);
-    let mut history = Vec::new();
-    let mut prev = offline_objective(input, &factors, config.alpha, config.beta);
-    if config.track_objective {
-        history.push(prev);
-    }
-    let mut converged = false;
-    let mut iterations = 0;
-    for it in 0..config.max_iters {
-        workspace.sweep_offline(input, &mut factors, config.alpha, config.beta, input.sf0);
-        iterations = it + 1;
-
-        // One objective evaluation per iteration: reused for both history
-        // and the convergence check. Evaluated through the workspace's
-        // cached sweep products (agrees with `offline_objective` to
-        // ~1e-12 relative) — the from-scratch evaluation used to cost as
-        // much as a third of the whole iteration.
-        let cur = workspace.objective_offline(input, &factors, config.alpha, config.beta);
-        if config.track_objective {
-            history.push(cur);
-        }
-        let denom = prev.total().abs().max(1.0);
-        if (prev.total() - cur.total()).abs() / denom < config.tol {
-            prev = cur;
-            converged = true;
-            break;
-        }
-        prev = cur;
-    }
+    let initial = offline_objective(input, &factors, config.alpha, config.beta);
+    let run = converge(
+        initial,
+        config.max_iters,
+        config.tol,
+        config.track_objective,
+        || {
+            workspace.sweep_offline(input, &mut factors, config.alpha, config.beta, input.sf0);
+            // One objective evaluation per iteration: reused for both
+            // history and the convergence check. Evaluated through the
+            // workspace's cached sweep products (agrees with
+            // `offline_objective` to ~1e-12 relative) — the from-scratch
+            // evaluation used to cost as much as a third of the whole
+            // iteration.
+            workspace.objective_offline(input, &factors, config.alpha, config.beta)
+        },
+    );
     debug_assert!(
         factors.all_nonnegative(),
         "updates must preserve non-negativity"
     );
     Ok(OfflineResult {
         factors,
-        history,
-        iterations,
-        converged,
-        objective: prev.total(),
+        history: run.history,
+        iterations: run.iterations,
+        converged: run.converged,
+        objective: run.last.total(),
     })
 }
 

@@ -13,7 +13,7 @@ use crate::config::OnlineConfig;
 use crate::error::TgsError;
 use crate::factors::TriFactors;
 use crate::input::TriInput;
-use crate::objective::{online_objective, ObjectiveParts};
+use crate::objective::{converge, online_objective, ObjectiveParts};
 use crate::window::{FactorWindow, SentimentHistory, UserPartition};
 use crate::workspace::UpdateWorkspace;
 
@@ -410,61 +410,47 @@ impl OnlineSolver {
             (&reg_rows_merged, &reg_target_merged)
         };
         let (alpha, beta, gamma) = (self.config.alpha, self.config.beta, self.config.gamma);
-        let evaluate = |f: &TriFactors| {
-            online_objective(
-                input,
-                f,
-                alpha,
-                &sf_target,
-                beta,
-                gamma,
-                Some(reg_target),
-                reg_rows,
-            )
-        };
-        let mut history = Vec::new();
-        let mut prev = evaluate(&factors);
-        if self.config.track_objective {
-            history.push(prev);
-        }
-        let mut converged = false;
-        let mut iterations = 0;
-        for it in 0..self.config.max_iters {
-            self.workspace.sweep_online(
-                input,
-                &mut factors,
-                alpha,
-                beta,
-                gamma,
-                &sf_target,
-                &partition.new_rows,
-                reg_rows,
-                reg_target,
-            );
-            iterations = it + 1;
-            // In-loop evaluation through the workspace caches (agrees
-            // with `online_objective` to ~1e-12 relative).
-            let cur = self.workspace.objective_online(
-                input,
-                &factors,
-                alpha,
-                &sf_target,
-                beta,
-                gamma,
-                Some(reg_target),
-                reg_rows,
-            );
-            if self.config.track_objective {
-                history.push(cur);
-            }
-            let denom = prev.total().abs().max(1.0);
-            if (prev.total() - cur.total()).abs() / denom < self.config.tol {
-                prev = cur;
-                converged = true;
-                break;
-            }
-            prev = cur;
-        }
+        let initial = online_objective(
+            input,
+            &factors,
+            alpha,
+            &sf_target,
+            beta,
+            gamma,
+            Some(reg_target),
+            reg_rows,
+        );
+        let run = converge(
+            initial,
+            self.config.max_iters,
+            self.config.tol,
+            self.config.track_objective,
+            || {
+                self.workspace.sweep_online(
+                    input,
+                    &mut factors,
+                    alpha,
+                    beta,
+                    gamma,
+                    &sf_target,
+                    &partition.new_rows,
+                    reg_rows,
+                    reg_target,
+                );
+                // In-loop evaluation through the workspace caches (agrees
+                // with `online_objective` to ~1e-12 relative).
+                self.workspace.objective_online(
+                    input,
+                    &factors,
+                    alpha,
+                    &sf_target,
+                    beta,
+                    gamma,
+                    Some(reg_target),
+                    reg_rows,
+                )
+            },
+        );
         debug_assert!(
             factors.all_nonnegative(),
             "updates must preserve non-negativity"
@@ -485,10 +471,10 @@ impl OnlineSolver {
         Ok(OnlineStepResult {
             factors,
             partition,
-            history,
-            iterations,
-            converged,
-            objective: prev.total(),
+            history: run.history,
+            iterations: run.iterations,
+            converged: run.converged,
+            objective: run.last.total(),
         })
     }
 

@@ -122,27 +122,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Replaces the whole micro-batching policy for the
-    /// [`ShardedEngine::batching`] front end (see [`BatchPolicy`]).
-    /// Validated at fit time.
+    /// The micro-batching policy of the [`ShardedEngine::batching`] front
+    /// end (see [`BatchPolicy`]). Only [`EngineBuilder::fit_sharded`]
+    /// fleets use it; [`EngineBuilder::fit`] validates it and then
+    /// ignores it, since a single engine has no batching front end.
     pub fn batch_policy(mut self, policy: BatchPolicy) -> Self {
         self.batch = policy;
-        self
-    }
-
-    /// Batching time-bucket width: snapshot timestamps are floored to
-    /// multiples of this value and same-bucket snapshots coalesce into
-    /// one solver step. Width 1 (default) coalesces exact-timestamp
-    /// duplicates only.
-    pub fn batch_bucket_width(mut self, width: u64) -> Self {
-        self.batch.bucket_width = width;
-        self
-    }
-
-    /// Flush-on-size threshold: a pending batch flushes as soon as it
-    /// holds this many documents.
-    pub fn batch_max_docs(mut self, max_docs: usize) -> Self {
-        self.batch.max_docs = max_docs;
         self
     }
 

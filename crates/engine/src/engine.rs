@@ -16,6 +16,7 @@ use tgs_text::{tokenize_features_into, TokenizerConfig, Vocabulary, Weighting};
 use crate::checkpoint::{self, EngineCheckpoint};
 use crate::hist::{LatencyHistogram, HIST_BUCKETS};
 use crate::query::{EngineQuery, TimelineEntry};
+use crate::sharded::merge_timeline_into;
 use crate::snapshot::{DocContent, EngineSnapshot};
 
 /// Immutable per-engine configuration: everything the worker needs to
@@ -622,16 +623,10 @@ impl SentimentEngine {
             st.timeline.iter().map(|(&t, e)| (t, e.tweets)).collect();
         let other_tweets: std::collections::HashMap<u64, usize> =
             ost.timeline.iter().map(|(&t, e)| (t, e.tweets)).collect();
-        for (t, entry) in std::mem::take(&mut ost.timeline) {
-            match st.timeline.entry(t) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(entry);
-                }
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
-                    slot.get_mut().merge_from(&entry);
-                }
-            }
-        }
+        merge_timeline_into(
+            &mut st.timeline,
+            std::mem::take(&mut ost.timeline).into_values(),
+        );
         let other_sf_ts: Vec<u64> = ost.sf_store.iter().map(|(t, _)| t).collect();
         for t in other_sf_ts {
             let theirs = ost.sf_store.get(t).expect("timestamp just listed");

@@ -1676,8 +1676,14 @@ fn normalize_range<R: RangeBounds<u64>>(range: &R) -> Option<(u64, u64)> {
     (lo <= hi).then_some((lo, hi))
 }
 
-/// Folds one shard's timeline slice into the merged per-timestamp map.
-fn merge_timeline_into(merged: &mut BTreeMap<u64, TimelineEntry>, entries: Vec<TimelineEntry>) {
+/// Folds timeline entries into a per-timestamp map: a new timestamp is
+/// inserted, a shared one merges through [`TimelineEntry::merge_from`].
+/// The query fan-in folds each shard's slice this way, and the
+/// shard-merge absorb path folds the absorbed worker's whole timeline.
+pub(crate) fn merge_timeline_into(
+    merged: &mut BTreeMap<u64, TimelineEntry>,
+    entries: impl IntoIterator<Item = TimelineEntry>,
+) {
     for entry in entries {
         match merged.entry(entry.timestamp) {
             std::collections::btree_map::Entry::Vacant(slot) => {

@@ -218,7 +218,10 @@ pub(crate) fn cmd_soak(flags: &Flags) -> Result<(), TgsError> {
             .pipeline(pipeline())
             .queue_depth(queue_depth);
         if batched {
-            b = b.batch_bucket_width(bucket).batch_max_docs(batch_max_docs);
+            b = b.batch_policy(BatchPolicy {
+                bucket_width: bucket,
+                max_docs: batch_max_docs,
+            });
         }
         b.fit_sharded(&corpus, shards)
     };
